@@ -5,7 +5,9 @@ A thin wrapper over :mod:`http.client` kept deliberately dependency-free
 one persistent HTTP/1.1 connection — the benchmark drives dozens of
 these concurrently to model a fleet of submitters — and decodes the
 server's chunked NDJSON stream incrementally, so callers see each cell
-event the moment the server flushes it.
+event the moment the server flushes it.  The connection only *stays*
+persistent because every reply is read to its last chunk before the next
+request is written: one submission is one request on one socket.
 
 Submissions are *idempotent* on the server (every cell is memoized, and
 identical in-flight cells coalesce), which makes client-side retry safe:
@@ -35,6 +37,12 @@ __all__ = ["ServiceClient"]
 #: Terminal event kinds: a stream that ended without one was torn.
 _TERMINAL_EVENTS = ("done", "error", "degraded")
 
+#: What a dropped connection looks like from ``http.client``.  Its *state*
+#: errors (``CannotSendRequest``, ``ResponseNotReady``) are deliberately
+#: not here: they mean this client misused a live connection, and
+#: answering that with a reconnect sends the request a second time.
+_CONNECTION_ERRORS = (OSError, http.client.BadStatusLine)
+
 
 class ServiceClient:
     """Persistent-connection client for one service endpoint."""
@@ -55,6 +63,9 @@ class ServiceClient:
         #: Base delay of the jittered exponential backoff between attempts.
         self.backoff = float(backoff)
         self._conn: http.client.HTTPConnection | None = None
+        #: The last response handed out; its reply must be read to the
+        #: end before the socket can carry another request.
+        self._response: http.client.HTTPResponse | None = None
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
@@ -71,16 +82,22 @@ class ServiceClient:
 
     def _request(self, method: str, path: str, body: bytes | None = None):
         headers = {"Content-Type": "application/json"} if body else {}
-        for attempt in (0, 1):
+        if self._response is not None and not self._response.isclosed():
+            # The caller abandoned the previous stream part-way; the rest
+            # of that reply is still on the socket (or yet to be sent).
+            self.close()
+        # A kept-alive connection the server dropped between requests
+        # gets one silent reconnect; a fresh one that fails is a server
+        # that cannot be reached.
+        for fresh in (self._conn is None, True):
             try:
                 conn = self._connection()
                 conn.request(method, path, body=body, headers=headers)
-                return conn.getresponse()
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                # A dropped keep-alive connection gets one reconnect; a
-                # genuinely unreachable server surfaces as ServiceError.
+                self._response = conn.getresponse()
+                return self._response
+            except _CONNECTION_ERRORS as exc:
                 self.close()
-                if attempt:
+                if fresh:
                     raise ServiceError(
                         f"service at {self.host}:{self.port} unreachable: {exc}"
                     ) from exc
@@ -156,6 +173,10 @@ class ServiceClient:
                             seen_digests.add(digest)
                     elif kind in _TERMINAL_EVENTS:
                         saw_terminal = True
+                        # Read on to the zero-length chunk that ends the
+                        # reply: only then is the connection idle and the
+                        # next request goes out on this same socket.
+                        resp.read()
                     yield event
                 if saw_terminal:
                     return
@@ -215,6 +236,7 @@ class ServiceClient:
 
     def close(self) -> None:
         """Drop the persistent connection (reopened on next use)."""
+        self._response = None
         if self._conn is not None:
             try:
                 self._conn.close()

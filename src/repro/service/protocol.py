@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..core.spec import DEFAULT_TRIALS, BenchmarkSpec
 from ..errors import BenchmarkConfigError, ServiceError
@@ -237,9 +238,13 @@ class CampaignRequest:
             for framework in self.frameworks
         ]
 
-    @property
+    @cached_property
     def campaign_id(self) -> str:
-        """Content address of the request itself (coalescing key prefix)."""
+        """Content address of the request itself (coalescing key prefix).
+
+        Hashed once per request object: the server names it in every
+        event, journal and archive entry of a submission.
+        """
         return hashlib.sha256(
             canonical_json(self.as_dict()).encode()
         ).hexdigest()[:12]

@@ -200,6 +200,7 @@ class BenchmarkService:
             "submissions_degraded": 0,
             "cells_degraded_rejected": 0,
             "runs_quarantined": 0,
+            "connections_reset": 0,
         }
         self.recovery_report: list[dict[str, object]] = []
         #: Runs refused at serve time (digest mismatch → quarantined).
@@ -246,51 +247,25 @@ class BenchmarkService:
             return
         hasher = identity_hasher(spec)
         cells = request.cell_keys()
+        digests = [
+            cell_digest(None, normalize_cell_key(key, datasets), hasher=hasher)
+            for key in cells
+        ]
         queue: SimpleQueue = SimpleQueue()
-        hit_lines: list[bytes] = []
-        owned: list[tuple[str, tuple[str, str, str, str]]] = []
-        pending: set[str] = set()
-        rejected: list[tuple[str, str, str, str]] = []
         # Admission control: when disk (or memory) is under its watermark
         # — or the server is draining for shutdown — new *misses* are
         # rejected before anything is claimed or enqueued, so a resource-
         # critical submission can never cause a partial write.  Hits and
-        # coalesced subscriptions are read-only and still served.
-        degraded_reasons = self.degraded_reasons()
-
-        with self._lock:
-            self.stats["submissions"] += 1
-            self.stats["cells_requested"] += len(cells)
-            if degraded_reasons:
-                self.stats["submissions_degraded"] += 1
-            for key in cells:
-                digest = cell_digest(
-                    None, normalize_cell_key(key, datasets), hasher=hasher
-                )
-                line = self._hit_line_locked(digest)
-                if line is not None:
-                    hit_lines.append(line)
-                    self.stats["cells_hit"] += 1
-                    continue
-                entry = self._inflight.get(digest)
-                if entry is not None:
-                    self.stats["cells_coalesced"] += 1
-                    if entry.line is not None:
-                        # Already finished executing, not yet archived:
-                        # replay the streamed event instead of waiting.
-                        hit_lines.append(entry.line)
-                    else:
-                        entry.subscribers.append(queue)
-                        pending.add(digest)
-                    continue
-                if degraded_reasons:
-                    rejected.append(key)
-                    self.stats["cells_degraded_rejected"] += 1
-                    continue
-                self._inflight[digest] = _Inflight()
-                self._inflight[digest].subscribers.append(queue)
-                owned.append((digest, key))
-                pending.add(digest)
+        # coalesced subscriptions are read-only and still served, and
+        # never pay for the probe (it reads the filesystem and /proc): a
+        # first pass that finds a cell to execute changes nothing, the
+        # probe runs outside the lock, and the pass is made again.
+        degraded_reasons: list[str] = []
+        classified = self._classify(cells, digests, queue, None)
+        if classified is None:
+            degraded_reasons = self.degraded_reasons()
+            classified = self._classify(cells, digests, queue, degraded_reasons)
+        hit_lines, owned, pending, rejected = classified
 
         job: _Job | None = None
         if owned:
@@ -387,6 +362,62 @@ class BenchmarkService:
                 "fresh_run_id": fresh_run_id,
             }
         )
+
+    def _classify(
+        self,
+        cells: list[tuple[str, str, str, str]],
+        digests: list[str],
+        queue: SimpleQueue,
+        degraded_reasons: list[str] | None,
+    ):
+        """Split one submission's cells into hits, subscriptions, owned
+        misses and rejected misses: ``(hit_lines, owned, pending,
+        rejected)``.
+
+        ``degraded_reasons=None`` means admission has not been probed: if
+        any cell would have to be claimed, nothing is touched and the
+        result is ``None`` — the caller probes and asks again.
+        """
+        hit_lines: list[bytes] = []
+        owned: list[tuple[str, tuple[str, str, str, str]]] = []
+        pending: set[str] = set()
+        rejected: list[tuple[str, str, str, str]] = []
+        with self._lock:
+            lines = [self._hit_line_locked(digest) for digest in digests]
+            if degraded_reasons is None and any(
+                line is None and digest not in self._inflight
+                for line, digest in zip(lines, digests)
+            ):
+                return None
+            self.stats["submissions"] += 1
+            self.stats["cells_requested"] += len(cells)
+            if degraded_reasons:
+                self.stats["submissions_degraded"] += 1
+            for key, digest, line in zip(cells, digests, lines):
+                if line is not None:
+                    hit_lines.append(line)
+                    self.stats["cells_hit"] += 1
+                    continue
+                entry = self._inflight.get(digest)
+                if entry is not None:
+                    self.stats["cells_coalesced"] += 1
+                    if entry.line is not None:
+                        # Already finished executing, not yet archived:
+                        # replay the streamed event instead of waiting.
+                        hit_lines.append(entry.line)
+                    else:
+                        entry.subscribers.append(queue)
+                        pending.add(digest)
+                    continue
+                if degraded_reasons:
+                    rejected.append(key)
+                    self.stats["cells_degraded_rejected"] += 1
+                    continue
+                self._inflight[digest] = _Inflight()
+                self._inflight[digest].subscribers.append(queue)
+                owned.append((digest, key))
+                pending.add(digest)
+        return hit_lines, owned, pending, rejected
 
     def submit_collect(
         self, request: CampaignRequest
@@ -956,6 +987,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def service(self) -> BenchmarkService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client went away, between requests or mid-reply (the
+            # engine finishes its job anyway): an event to count, not a
+            # traceback.  Anything else stays loud.
+            with self.service._lock:
+                self.service.stats["connections_reset"] += 1
+
     def _send_json(self, status: int, payload: dict[str, object]) -> None:
         body = json.dumps(payload, default=str).encode() + b"\n"
         self.send_response(status)
@@ -994,12 +1035,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        try:
-            for line in self.service.submit_events(request):
-                self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream; the engine finishes anyway
+        for line in self.service.submit_events(request):
+            self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
+        self.wfile.write(b"0\r\n\r\n")
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

@@ -9,13 +9,14 @@ regression gate reports the mismatch instead of silently trusting the
 ratio.
 
 The fingerprint is cheap to compute (one ``git rev-parse`` subprocess at
-most) and JSON-serializable; it goes into every run manifest
-(:mod:`repro.store.archive`), every ``BENCH_*.json`` payload, and the
-CLI's ``--version`` string.
+most per process, however often it is taken) and JSON-serializable; it
+goes into every run manifest (:mod:`repro.store.archive`), every
+``BENCH_*.json`` payload, and the CLI's ``--version`` string.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import subprocess
@@ -31,11 +32,19 @@ def git_sha(short: bool = True) -> str | None:
     """The current git commit SHA, or None outside a work tree.
 
     ``REPRO_GIT_SHA`` overrides the lookup (for CI environments that
-    export the SHA but run from an exported tree without ``.git``).
+    export the SHA but run from an exported tree without ``.git``) and
+    is read on every call; the ``git`` answer is asked for once.
     """
     override = os.environ.get("REPRO_GIT_SHA")
     if override:
         return override[:12] if short else override
+    return _rev_parse_head(short)
+
+
+@functools.cache
+def _rev_parse_head(short: bool) -> str | None:
+    """``git rev-parse HEAD``, forked once per process: the code that is
+    running is the code that was imported, whatever HEAD does later."""
     cmd = ["git", "rev-parse", "--short" if short else "--verify", "HEAD"]
     try:
         proc = subprocess.run(
