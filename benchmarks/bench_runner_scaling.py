@@ -1,9 +1,9 @@
 """Campaign scaling bench: warm pools, batched dispatch, and cache savings.
 
-The parallel executor exists to cut campaign wall time; this bench is
-the proof (and the regression gate) that it actually does.  The same
+The parallel backends exist to cut campaign wall time; this bench is
+the proof (and the regression gate) that they actually do.  The same
 campaign — large enough that cell execution, not dispatch, dominates —
-is timed under every execution architecture:
+is timed through ``run_suite`` under every execution architecture:
 
 * ``serial`` — the in-process baseline (``jobs=1``);
 * ``cold_spawn`` — a fresh process pool per campaign with per-cell
@@ -42,7 +42,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import BenchmarkSpec, WorkerPool, run_suite
-from repro.core.executor import run_suite_parallel, run_suite_threads
 from repro.core.runner import build_case
 from repro.frameworks import Mode, get
 from repro.graphs import GraphCache
@@ -107,26 +106,20 @@ def _campaign_walls(cache: GraphCache) -> dict[str, float]:
         scale=BENCH_SCALE, trials={k: TRIALS for k in KERNELS_USED}, batch_size=1
     )
     walls["cold_spawn_jobs2"] = _time_repeats(
-        lambda: run_suite_parallel(
-            frameworks, GRAPHS, spec=cold_spec, jobs=2, **common
-        )
+        lambda: run_suite(frameworks, GRAPHS, spec=cold_spec, jobs=2, **common)
     )
 
     for jobs in (2, 4):
         with WorkerPool(jobs) as pool:  # spawned once, outside the timing
             walls[f"warm_pool_jobs{jobs}"] = _time_repeats(
-                lambda: run_suite_parallel(
-                    frameworks, GRAPHS, spec=SPEC, jobs=jobs, pool=pool, **common
-                )
+                lambda: run_suite(frameworks, GRAPHS, spec=SPEC, pool=pool, **common)
             )
 
     threads_spec = BenchmarkSpec(
         scale=BENCH_SCALE, trials={k: TRIALS for k in KERNELS_USED}, pool="threads"
     )
     walls["threads_jobs2"] = _time_repeats(
-        lambda: run_suite_threads(
-            frameworks, GRAPHS, spec=threads_spec, jobs=2, **common
-        )
+        lambda: run_suite(frameworks, GRAPHS, spec=threads_spec, jobs=2, **common)
     )
     return walls
 

@@ -7,21 +7,22 @@ Submodules:
 * ``spec`` — the GAP benchmark rules (trials, sources, parameters).
 * ``verify`` — per-kernel output verification oracles.
 * ``telemetry`` — span tracing, JSONL sinks, per-trial deadlines.
-* ``runner`` — executes kernels under the Baseline/Optimized rule sets.
-* ``executor`` / ``pool`` / ``batching`` / ``sharedmem`` — parallel
-  campaign execution: warm process pools over a shared-memory corpus
-  (hard per-cell deadlines) or thread pools sharing the parent's
-  corpus, with batched multi-cell dispatch.
+* ``runner`` — measures one cell under the Baseline/Optimized rule sets.
+* ``campaign`` — ``run_suite``: the one campaign loop (plan → dispatch →
+  settle) and its inline / threads / processes backends.
+* ``pool`` / ``batching`` / ``sharedmem`` — what the process backend is
+  made of: warm worker processes, batched multi-cell dispatch, and the
+  shared-memory corpus.
 * ``results`` / ``tables`` — result records and Table I–V renderers.
 """
 
 from . import counters
 from .batching import Cell, plan_batches
 from .bitmap import Bitmap
-from .executor import run_suite_parallel, run_suite_threads
+from .campaign import run_suite
 from .pool import WorkerPool
 from .results import ResultSet, RunResult
-from .runner import GraphCase, build_case, run_cell, run_suite
+from .runner import GraphCase, build_case, run_cell
 from .spec import BenchmarkSpec, SourcePicker
 from .sweeps import delta_sweep, direction_threshold_sweep, scale_sweep
 from .telemetry import JsonlSink, Span, Telemetry, TrialDeadline, read_trace
@@ -49,8 +50,6 @@ __all__ = [
     "read_trace",
     "run_cell",
     "run_suite",
-    "run_suite_parallel",
-    "run_suite_threads",
     "scale_sweep",
     "sparkline",
     "trace_bfs",

@@ -33,13 +33,20 @@ work) without paying per-cell dispatch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..frameworks.base import Mode
 from .spec import BenchmarkSpec
 
-__all__ = ["BATCHES_PER_WORKER", "Cell", "plan_batches"]
+__all__ = [
+    "BATCHES_PER_WORKER",
+    "Cell",
+    "canonical_order",
+    "enumerate_cells",
+    "plan_batches",
+]
 
 #: Load-balancing granularity of the auto cost model: the planner aims for
 #: this many batches per worker, so stragglers even out while dispatch
@@ -52,8 +59,8 @@ class Cell:
     """One schedulable unit: a (graph, mode, kernel, framework) cell.
 
     ``index`` is the cell's position in the canonical campaign order —
-    the executors key their bookkeeping and final ResultSet assembly on
-    it, so it must be unique and dense within one campaign.
+    the campaign loop keys its bookkeeping and final ResultSet assembly
+    on it, so it must be unique and dense within one campaign.
     """
 
     index: int
@@ -65,6 +72,34 @@ class Cell:
     @property
     def label(self) -> str:
         return f"{self.mode.value}/{self.graph}/{self.kernel}/{self.framework}"
+
+    @property
+    def key(self) -> tuple[str, str, str, str]:
+        """The cell's identity, equal to ``RunResult.cell_key``."""
+        return (self.graph, self.mode.value, self.kernel, self.framework)
+
+
+def canonical_order(
+    graphs: Iterable, modes: Iterable, kernels: Iterable, frameworks: Iterable
+) -> Iterator[tuple]:
+    """The campaign grid in canonical cell order: graph → mode → kernel → framework.
+
+    The one place the order is spelled out; results, journals, event
+    streams and batches all follow it.  Yields ``(graph, mode, kernel,
+    framework)`` tuples of whatever axis values were passed in.
+    """
+    return itertools.product(graphs, modes, kernels, frameworks)
+
+
+def enumerate_cells(
+    graphs: Iterable[str],
+    modes: Iterable[Mode],
+    kernels: Iterable[str],
+    framework_names: Iterable[str],
+) -> list[Cell]:
+    """The campaign's cells, indexed densely in :func:`canonical_order`."""
+    order = canonical_order(graphs, modes, kernels, framework_names)
+    return [Cell(index, *axes) for index, axes in enumerate(order)]
 
 
 def _default_sensitive(spec: BenchmarkSpec) -> Callable[[Cell], bool]:

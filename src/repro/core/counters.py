@@ -50,7 +50,7 @@ class WorkCounters:
         self.extras[key] = self.extras.get(key, 0.0) + value
 
 
-# The active stack is thread-local: the thread-pool executor runs cells
+# The active stack is thread-local: the thread backend runs cells
 # on concurrent threads, and each trial's counters must accumulate into
 # that trial's set only — a shared stack would interleave them.
 _local = threading.local()

@@ -1,6 +1,6 @@
-"""Persistent warm worker pools for the parallel campaign executor.
+"""Persistent warm worker pools for the campaign loop's process backend.
 
-The first parallel executor spawned a fresh pool per campaign and paid
+The first parallel runner spawned a fresh pool per campaign and paid
 for it: at paper scale the cells are milliseconds long, so process
 creation, interpreter/module setup, and teardown dominated wall time and
 ``--jobs 2`` ran at 0.41x of serial.  This module makes the pool a
@@ -9,8 +9,8 @@ long-lived object:
 * **Spawn once** — :class:`WorkerPool` starts its workers at
   construction and keeps them alive across campaigns.  A campaign is a
   *message* (``begin_campaign``), not a pool lifetime: benchmarks and
-  resumed campaigns hand the same pool handle to successive
-  ``run_suite_parallel`` calls and pay spawn cost exactly once.
+  the benchmark service hand the same pool handle to successive
+  ``run_suite(..., pool=...)`` calls and pay spawn cost exactly once.
 * **Lazy attach** — workers receive the shared-memory corpus handles
   with the campaign message but attach each graph only when a cell
   first needs it, so a resumed campaign whose remaining cells touch one
@@ -26,8 +26,8 @@ long-lived object:
   per-cell.
 
 The pool is transport only: scheduling policy (deadlines, retries,
-breakers, crash accounting) lives in :mod:`repro.core.executor`, which
-owns the bookkeeping of what each slot was assigned.  Messages carry a
+breakers, crash accounting) lives in :mod:`repro.core.campaign`, whose
+process backend owns the bookkeeping of what each slot was assigned.  Messages carry a
 campaign sequence number; anything from a previous campaign (e.g. after
 an abort on a reused pool) is dropped at :meth:`WorkerPool.get`.
 """
@@ -38,16 +38,12 @@ import multiprocessing
 import pickle
 import signal
 import time
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .results import RunResult
-from .runner import _failed_result, run_cell
+from .runner import failed_result, run_attempt
 from .sharedmem import AttachedCase, SharedCaseHandle, attach_case
 from .spec import BenchmarkSpec
-from .telemetry import Telemetry
-
-if TYPE_CHECKING:
-    from .batching import Cell
+from .telemetry import STATUS_ERROR, Telemetry
 
 __all__ = ["WorkerPool"]
 
@@ -83,24 +79,10 @@ class _LazyCorpus:
         self._attached.clear()
 
 
-def _infra_failed_result(cell: "Cell", exc: BaseException) -> RunResult:
-    """A cell that failed before its framework/graph even materialized."""
-    return RunResult(
-        framework=cell.framework,
-        kernel=cell.kernel,
-        graph=cell.graph,
-        mode=cell.mode,
-        trial_seconds=[],
-        verified=False,
-        status="error",
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _worker_main(slot: int, tasks, results) -> None:
     """Warm-worker loop: configure per campaign, drain batches until sentinel.
 
-    Runs on the worker's main thread, so ``run_cell``'s in-process SIGALRM
+    Runs on the worker's main thread, so the cell's in-process SIGALRM
     deadline is armed and catches interruptible overruns without costing a
     process kill; the parent's hard kill is the backstop for the rest.
     """
@@ -137,23 +119,12 @@ def _worker_main(slot: int, tasks, results) -> None:
                     case = corpus.get(cell.graph)
                     framework = frameworks.get(cell.framework)
                 except Exception as exc:
-                    result = _infra_failed_result(cell, exc)
+                    # Failed before its framework/graph even materialized.
+                    result = failed_result(cell, STATUS_ERROR, exc)
                 else:
-                    from ..errors import TrialTimeoutError
-
-                    try:
-                        result = run_cell(
-                            framework, cell.kernel, case, cell.mode, spec,
-                            telemetry=telemetry, attempt=attempt,
-                        )
-                    except TrialTimeoutError as exc:
-                        result = _failed_result(
-                            framework, cell.kernel, case, cell.mode, "timeout", exc
-                        )
-                    except Exception as exc:
-                        result = _failed_result(
-                            framework, cell.kernel, case, cell.mode, "error", exc
-                        )
+                    result, _ = run_attempt(
+                        framework, cell, case, spec, telemetry, attempt
+                    )
                 spans = [span.as_dict() for span in telemetry.spans]
                 telemetry.spans.clear()
                 results.put(("cell", slot, seq, cell.index, attempt, result, spans))
@@ -167,7 +138,7 @@ class WorkerPool:
 
     Construction spawns the workers; :meth:`begin_campaign` (re)configures
     them for one campaign and returns a sequence number that stamps all of
-    that campaign's messages.  The executor drives slots explicitly:
+    that campaign's messages.  The process backend drives slots explicitly:
     :meth:`submit` hands one batch to one slot, :meth:`get` yields worker
     messages, :meth:`respawn` replaces a dead or killed worker (the
     replacement is configured for the current campaign automatically).
@@ -257,7 +228,7 @@ class WorkerPool:
         """Next worker message, stripped of its campaign stamp, or None.
 
         Stale messages (from a campaign that has since been reset on this
-        pool) are dropped here so the executor never sees them.
+        pool) are dropped here so the backend never sees them.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -295,7 +266,7 @@ class WorkerPool:
         """Replace one worker (killing it first if still alive).
 
         The replacement gets a *fresh* task queue so it can never consume
-        a batch the executor already accounted as lost, and is configured
+        a batch the backend already reported as lost, and is configured
         for the current campaign before it sees any work.
         """
         state = self._slots[slot]

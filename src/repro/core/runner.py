@@ -17,46 +17,44 @@ Every cell runs inside a telemetry span (see :mod:`repro.core.telemetry`):
 wall time per trial, prepare/kernel/verify phase times, a work-counter
 snapshot, optional peak memory, and an outcome status.  ``run_cell``
 raises on failure (callers that benchmark a single cell want the
-traceback); ``run_suite`` isolates faults by default — a crashing or
-hanging framework cell becomes a recorded ``error``/``timeout`` result
-and the campaign continues — unless ``strict=True`` restores fail-fast.
-
-On top of isolation, ``run_suite`` layers the resilience machinery
-(:mod:`repro.resilience`): every completed cell is durably appended to a
-checkpoint ``journal`` (and ``resume=True`` skips cells the journal
-already holds), transient failures are retried per ``spec.retries`` with
-deterministic backoff, a per-(framework, kernel) circuit breaker converts
-the remainder of a persistently failing combo into ``skipped`` results,
-and SIGTERM unwinds the campaign cleanly instead of killing it mid-cell.
+traceback); ``run_attempt`` is the isolating wrapper campaigns use — a
+crashing or hanging framework cell becomes an ``error``/``timeout``
+result.  The campaign itself (:func:`repro.core.campaign.run_suite`:
+journal, retries, circuit breaker, backends) lives in
+:mod:`repro.core.campaign`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
-from ..frameworks.base import KERNELS, Framework, Mode, RunContext
+from ..errors import TrialTimeoutError
+from ..frameworks.base import Framework, Mode, RunContext
 from ..generators import build_graph, weighted_version
 from ..graphs import CSRGraph
 from ..graphs.cache import GraphCache
-# Submodule-direct imports: repro.resilience.journal sits above repro.core
-# (it needs RunResult), so the journal is imported lazily in run_suite; the
-# fault/retry/breaker/signal modules below are layering-free.
-from ..resilience.breaker import CircuitBreaker
+# Submodule-direct import: the fault module is layering-free, while the
+# repro.resilience package as a whole sits above repro.core.
 from ..resilience.faults import active_plan, corrupt_cache, fire, transform_output
-from ..resilience.retry import RetryPolicy
-from ..resilience.signals import graceful_shutdown
 from . import counters as counters_mod
 from . import verify
+from .batching import Cell
 from .memory import track_peak_memory
-from .results import ResultSet, RunResult
+from .results import RunResult
 from .spec import BenchmarkSpec, SourcePicker
-from .telemetry import STATUS_OK, STATUS_SKIPPED, Span, Telemetry, TrialDeadline
+from .telemetry import (
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    Span,
+    Telemetry,
+    TrialDeadline,
+)
 
-__all__ = ["GraphCase", "build_case", "run_cell", "run_suite"]
+__all__ = ["GraphCase", "build_case", "failed_result", "run_attempt", "run_cell"]
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,8 @@ def build_case(
     ``graph_name`` may be a dataset reference (``file:...`` /
     ``dataset:...``): the file is resolved once here in the parent, its
     case is cached under the file's SHA-256 content digest (renames hit,
-    edits miss), and parallel executors publish the built case over shared
-    memory — workers never touch the file.
+    edits miss), and the process backend publishes the built case over
+    shared memory — workers never touch the file.
 
     A *corrupt* cache artifact (checksum/parse failure, torn pair) still
     degrades to a rebuild, but not silently: with ``telemetry`` given,
@@ -398,280 +396,52 @@ def run_cell(
     )
 
 
-def _failed_result(
-    framework: Framework,
-    kernel: str,
-    case: GraphCase,
-    mode: Mode,
-    status: str,
-    exc: BaseException,
-) -> RunResult:
+def failed_result(cell: Cell, status: str, error: "BaseException | str") -> RunResult:
+    """The result of a cell that produced no measurement.
+
+    ``status`` says why: ``error``/``timeout`` for an attempt that failed
+    or was lost with its worker, ``skipped`` for a cell the circuit
+    breaker never let run.  An exception is recorded as ``"Type:
+    message"``, the form the retry classifier reads.
+    """
+    if not isinstance(error, str):
+        error = f"{type(error).__name__}: {error}"
     return RunResult(
-        framework=framework.name,
-        kernel=kernel,
-        graph=case.name,
-        mode=mode,
+        framework=cell.framework,
+        kernel=cell.kernel,
+        graph=cell.graph,
+        mode=cell.mode,
         trial_seconds=[],
         verified=False,
         status=status,
-        error=f"{type(exc).__name__}: {exc}",
+        error=error,
     )
 
 
-def _skipped_result(
-    framework_name: str, kernel: str, graph_name: str, mode: Mode, reason: str
-) -> RunResult:
-    """A structured ``skipped`` cell (circuit breaker open; never executed)."""
-    return RunResult(
-        framework=framework_name,
-        kernel=kernel,
-        graph=graph_name,
-        mode=mode,
-        trial_seconds=[],
-        verified=False,
-        status=STATUS_SKIPPED,
-        error=reason,
-    )
+def run_attempt(
+    framework: Framework,
+    cell: Cell,
+    case: GraphCase,
+    spec: BenchmarkSpec,
+    telemetry: Telemetry,
+    attempt: int,
+) -> tuple[RunResult, BaseException | None]:
+    """Execute one attempt of one cell with its failure isolated.
 
-
-def _skip_span(
-    framework_name: str, kernel: str, graph_name: str, mode: Mode, reason: str
-) -> Span:
-    """The telemetry record of a breaker-skipped cell.
-
-    Built directly (not via ``Telemetry.span``) because nothing executes:
-    the span carries zero wall time and the skip reason, keeping the trace
-    one-record-per-cell even for cells the breaker short-circuited.
+    The single place a campaign calls :func:`run_cell`: every backend —
+    the caller's thread, a worker thread, a worker process, the
+    crash-loop fallback — runs cells through here, so a kernel error or
+    a deadline overrun becomes the same ``error``/``timeout`` result
+    everywhere.  The live exception rides along for strict mode; only a
+    backend sharing the caller's thread can still hand it on.
     """
-    span = Span(
-        name="cell",
-        attributes={
-            "framework": framework_name,
-            "kernel": kernel,
-            "graph": graph_name,
-            "mode": mode.value,
-            "skip_reason": reason,
-        },
-        status=STATUS_SKIPPED,
-    )
-    return span
-
-
-def run_suite(
-    frameworks: Iterable[Framework],
-    graph_names: Iterable[str],
-    kernels: Iterable[str] = KERNELS,
-    modes: Iterable[Mode] = (Mode.BASELINE, Mode.OPTIMIZED),
-    spec: BenchmarkSpec | None = None,
-    progress: Callable[[str], None] | None = None,
-    telemetry: Telemetry | None = None,
-    strict: bool = False,
-    jobs: int | None = None,
-    cache: GraphCache | None = None,
-    journal: "str | None" = None,
-    resume: bool = False,
-) -> ResultSet:
-    """Run the full campaign; returns all cell results.
-
-    One bad (framework, kernel, graph) cell does not take down the
-    campaign: exceptions and deadline overruns become structured
-    ``error``/``timeout`` results (traced by ``telemetry``) and every
-    other cell still runs.  ``strict=True`` restores fail-fast: the first
-    failing cell re-raises.
-
-    ``jobs`` (default ``spec.jobs``) > 1 dispatches to a parallel
-    executor (:mod:`repro.core.executor`) selected by ``spec.pool``:
-    ``"process"`` shards batches of cells across warm worker processes
-    over a shared-memory corpus and turns the per-trial deadline into a
-    *hard* kill; ``"threads"`` runs cells on worker threads sharing this
-    process's corpus (cheapest dispatch, soft deadlines).  ``jobs=1`` is
-    the in-process serial path, where the deadline is soft (see
-    :class:`TrialDeadline`).  ``cache`` routes graph building through a
-    persistent on-disk cache.
-
-    Resilience layer (both paths):
-
-    * ``journal`` — path of a checkpoint journal; every completed cell is
-      durably appended.  With ``resume=True`` an existing journal is
-      validated against this campaign's fingerprint and its completed
-      cells are *not* re-executed — their recorded results slot into the
-      returned set at their canonical positions.
-    * ``spec.retries`` — transient cell failures re-execute with
-      deterministic backoff; ``RunResult.attempts`` counts executions.
-    * ``spec.breaker_threshold`` — after that many consecutive hard
-      failures of one (framework, kernel), its remaining cells become
-      ``skipped`` results.
-    * SIGTERM raises :class:`~repro.errors.CampaignAborted`, so the
-      journal is flushed and resources are released on the way out.
-    """
-    spec = spec or BenchmarkSpec()
-    effective_jobs = spec.jobs if jobs is None else int(jobs)
-    frameworks = list(frameworks)
-    graph_names = list(graph_names)
-    kernels = list(kernels)
-    modes = list(modes)
-    # Lazy: repro.store (and the journal, which needs it) sit above
-    # repro.core in the layering.
-    from ..resilience.journal import CheckpointJournal, campaign_fingerprint
-    from ..store.environment import fingerprint
-
-    mode_values = [mode.value for mode in modes]
-    framework_names = [framework.name for framework in frameworks]
-    # Resolve any file-backed dataset references up front: an unreadable
-    # file fails the campaign before anything executes, and the resulting
-    # provenance map (ref -> path/digest/format) rides in the results meta,
-    # the archive manifest, and the journal fingerprint so every consumer
-    # can identify cells by content digest without touching the file.
-    from ..graphs.datasets import graph_identities
-
-    _, dataset_provenance = graph_identities(graph_names)
-    campaign_meta: dict[str, object] = {
-        "spec": spec.as_dict(),
-        "environment": fingerprint(),
-        "graphs": graph_names,
-        "kernels": kernels,
-        "modes": mode_values,
-        "frameworks": framework_names,
-        "jobs": effective_jobs,
-        "pool": spec.pool,
-    }
-    if dataset_provenance:
-        campaign_meta["datasets"] = dataset_provenance
-
-    completed: dict[tuple[str, str, str, str], RunResult] = {}
-    journal_obj: CheckpointJournal | None = None
-    if journal is not None:
-        cell_fingerprint = campaign_fingerprint(
-            spec, graph_names, kernels, mode_values, framework_names,
-            datasets=dataset_provenance or None,
-        )
-        if resume:
-            journal_obj, completed = CheckpointJournal.resume(
-                journal, cell_fingerprint
-            )
-            # A journal may hold cells outside this campaign's grid only
-            # if fingerprints matched yet axes changed — impossible by
-            # construction — but filtering keeps the invariant local.
-            grid = {
-                (graph, mode.value, kernel, name)
-                for graph in graph_names
-                for mode in modes
-                for kernel in kernels
-                for name in framework_names
-            }
-            completed = {key: completed[key] for key in completed if key in grid}
-        else:
-            journal_obj = CheckpointJournal.create(journal, cell_fingerprint)
-    campaign_meta["resilience"] = {
-        "retries": spec.retries,
-        "breaker_threshold": spec.breaker_threshold,
-        "journal": str(journal_obj.path) if journal_obj is not None else None,
-        "resumed_cells": len(completed),
-    }
-
     try:
-        if effective_jobs > 1:
-            from .executor import run_suite_parallel, run_suite_threads
-
-            executor = (
-                run_suite_threads if spec.pool == "threads" else run_suite_parallel
-            )
-            with graceful_shutdown():
-                results = executor(
-                    frameworks,
-                    graph_names,
-                    kernels=kernels,
-                    modes=modes,
-                    spec=spec,
-                    jobs=effective_jobs,
-                    progress=progress,
-                    telemetry=telemetry,
-                    strict=strict,
-                    cache=cache,
-                    journal=journal_obj,
-                    completed=completed,
-                )
-            campaign_meta["resilience"]["skipped_cells"] = len(results.skipped())
-            results.meta.update(campaign_meta)
-            return results
-
-        tel = telemetry if telemetry is not None else Telemetry()
-        results = ResultSet(meta=campaign_meta)
-        policy = RetryPolicy(retries=spec.retries)
-        breaker = CircuitBreaker(spec.breaker_threshold)
-        from ..errors import TrialTimeoutError
-
-        with graceful_shutdown():
-            for graph_name in graph_names:
-                graph_keys = [
-                    (graph_name, mode.value, kernel, name)
-                    for mode in modes
-                    for kernel in kernels
-                    for name in framework_names
-                ]
-                case: GraphCase | None = None
-                if any(key not in completed for key in graph_keys):
-                    # A fully resumed graph is never built — resuming the
-                    # tail of a campaign costs nothing for finished inputs.
-                    case = build_case(graph_name, spec, cache, telemetry=tel)
-                for mode in modes:
-                    for kernel in kernels:
-                        for framework in frameworks:
-                            key = (graph_name, mode.value, kernel, framework.name)
-                            if key in completed:
-                                results.add(completed[key])
-                                continue
-                            if progress is not None:
-                                progress(
-                                    f"{mode.value}/{graph_name}/{kernel}/"
-                                    f"{framework.name}"
-                                )
-                            if breaker.is_open(framework.name, kernel):
-                                reason = breaker.reason(framework.name, kernel)
-                                result = _skipped_result(
-                                    framework.name, kernel, graph_name, mode, reason
-                                )
-                                tel.ingest(
-                                    _skip_span(
-                                        framework.name, kernel, graph_name,
-                                        mode, reason,
-                                    )
-                                )
-                            else:
-                                attempt = 0
-                                while True:
-                                    try:
-                                        result = run_cell(
-                                            framework, kernel, case, mode, spec,
-                                            telemetry=tel, attempt=attempt,
-                                        )
-                                    except TrialTimeoutError as exc:
-                                        if strict:
-                                            raise
-                                        result = _failed_result(
-                                            framework, kernel, case, mode,
-                                            "timeout", exc,
-                                        )
-                                    except Exception as exc:
-                                        if strict:
-                                            raise
-                                        result = _failed_result(
-                                            framework, kernel, case, mode,
-                                            "error", exc,
-                                        )
-                                    if result.ok or not policy.should_retry(
-                                        result.status, result.error, attempt
-                                    ):
-                                        break
-                                    policy.sleep(attempt)
-                                    attempt += 1
-                                result.attempts = attempt + 1
-                                breaker.record(framework.name, kernel, result.ok)
-                            if journal_obj is not None:
-                                journal_obj.record(result)
-                            results.add(result)
-        campaign_meta["resilience"]["skipped_cells"] = len(results.skipped())
-        return results
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
+        result = run_cell(
+            framework, cell.kernel, case, cell.mode, spec,
+            telemetry=telemetry, attempt=attempt,
+        )
+        return result, None
+    except TrialTimeoutError as exc:
+        return failed_result(cell, STATUS_TIMEOUT, exc), exc
+    except Exception as exc:
+        return failed_result(cell, STATUS_ERROR, exc), exc

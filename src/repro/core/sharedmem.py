@@ -1,7 +1,8 @@
 """Pickle-free shared-memory publication of the prebuilt graph corpus.
 
-The parallel campaign executor builds each :class:`~repro.core.runner.GraphCase`
-once and shards its cells across worker processes.  Sending CSR arrays to
+The campaign loop's process backend builds each
+:class:`~repro.core.runner.GraphCase` once and shards its cells across
+worker processes.  Sending CSR arrays to
 every worker through a pipe would pickle megabytes per graph per worker;
 instead the parent copies each case's unique arrays once into a
 :mod:`multiprocessing.shared_memory` segment and hands workers a small

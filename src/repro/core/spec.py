@@ -71,8 +71,8 @@ class BenchmarkSpec:
     verify: bool = True
     #: Wall-clock budget per trial, in seconds (None = unlimited).  A trial
     #: over budget is recorded with status "timeout" instead of a timing.
-    #: In-process (jobs=1) the deadline is soft; under the process-pool
-    #: executor (jobs>1) an over-budget worker is hard-killed.
+    #: In-process (jobs=1) the deadline is soft; on the process backend
+    #: (jobs>1) an over-budget worker is hard-killed.
     trial_timeout: float | None = None
     #: Worker processes for the campaign.  1 = serial in-process execution;
     #: >1 shards cells across a process pool over a shared-memory corpus.
@@ -82,7 +82,7 @@ class BenchmarkSpec:
     #: ``"threads"`` (threads sharing the parent's address space — no
     #: corpus publication or pickling at all, best for GIL-releasing
     #: NumPy kernels; deadlines stay soft because a thread cannot be
-    #: killed).  See :mod:`repro.core.executor`.
+    #: killed).  See :mod:`repro.core.campaign`.
     pool: str = "process"
     #: Cells per dispatch message under ``jobs > 1``.  ``None`` sizes
     #: batches automatically from trial counts (see

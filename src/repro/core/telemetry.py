@@ -274,8 +274,8 @@ class Telemetry:
     def ingest(self, span: Span) -> None:
         """Record a span that completed elsewhere (e.g. a worker process).
 
-        The parallel executor rebuilds worker spans with
-        :meth:`Span.from_dict` and merges them here, so one collector — and
+        The campaign loop merges worker spans here (a process worker's
+        are rebuilt with :meth:`Span.from_dict` first), so one collector — and
         one JSONL sink — holds the whole campaign regardless of how many
         processes measured it.
         """
@@ -355,8 +355,8 @@ class TrialDeadline:
     over-budget block, whether the trial was actually interrupted near
     its budget or overran uninterrupted (and by how much), so the runner
     can attach a structured warning to the cell span.  A *hard* guarantee
-    requires process isolation — the parallel executor
-    (:mod:`repro.core.executor`) kills over-budget workers outright.
+    requires process isolation — the process backend
+    (:mod:`repro.core.campaign`) kills over-budget workers outright.
     """
 
     #: Overrun classification: a signal-armed trial that ended within

@@ -48,11 +48,14 @@ class TrialTimeoutError(ReproError):
 
 
 class CellFailedError(ReproError):
-    """A strict parallel campaign stopped on a failed benchmark cell.
+    """A strict campaign stopped on a cell whose exception did not survive.
 
-    Raised by the process-pool executor in ``strict`` mode, where the
-    original exception died with the worker; the message carries the
-    cell identity and the worker-side error text.
+    ``run_suite(strict=True)`` re-raises a failed cell's own exception
+    when the cell ran on the caller's thread (the inline backend).  When
+    only the error text came back — the cell ran in a worker thread or
+    process, or its worker was killed or died — this is raised instead
+    (:class:`TrialTimeoutError` for a timeout); the message carries the
+    cell label and that text.  Either way the cell is never journaled.
     """
 
 

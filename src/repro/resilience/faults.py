@@ -17,7 +17,7 @@ Fault kinds (``FAULT_KINDS``):
   deadline (serial or in-worker) converts it into a ``timeout`` result.
   Only use with a ``trial_timeout``.
 * ``hang-hard`` — ignores ``SIGALRM`` and spins, simulating a kernel stuck
-  in one long C call; only the parallel executor's hard kill can end it.
+  in one long C call; only the process backend's hard kill can end it.
 * ``oom`` — raises :class:`MemoryError` (classified *transient*).
 * ``error`` — raises :class:`ValueError` (classified *deterministic*).
 * ``wrong-result`` — perturbs the kernel output so verification fails

@@ -67,7 +67,7 @@ def campaign_fingerprint(
     a journal written on a non-comparable machine.
 
     Execution topology — ``jobs``, ``pool``, ``batch_size`` — is *not*
-    identity: the executor equivalence matrix guarantees cells are
+    identity: the backend equivalence matrix guarantees cells are
     interchangeable across serial, process-pool, and thread-pool runs,
     so a campaign interrupted under one topology may resume under
     another (e.g. finish a crashed ``--jobs 8`` run serially).

@@ -44,7 +44,7 @@ CLASS_TRANSIENT = "transient"
 CLASS_DETERMINISTIC = "deterministic"
 
 #: Exception type names whose failures are environmental, not logical.
-#: ``WorkerCrash`` is the synthetic type the parallel executor assigns to
+#: ``WorkerCrash`` is the synthetic type the campaign loop assigns to
 #: a cell whose worker died; ``GraphFormatError`` surfaces corrupted cache
 #: or shared-memory payloads; the OS/IPC types cover queue and
 #: shared-memory attach failures.

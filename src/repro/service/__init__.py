@@ -6,7 +6,7 @@ this package is the system that exploits both: a server that accepts
 campaign specs over local HTTP, splits them into cells, serves every cell
 it has already measured straight from the archive, coalesces concurrent
 identical submissions into one execution, runs only genuine misses
-through the resilient warm-pool executor, and streams per-cell results
+through the resilient campaign loop on a warm pool, and streams per-cell results
 back to clients as they land.
 
 * :mod:`~repro.service.protocol` — the wire format: validated

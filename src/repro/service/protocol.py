@@ -47,6 +47,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ..core.batching import canonical_order
 from ..core.spec import DEFAULT_TRIALS, BenchmarkSpec
 from ..errors import BenchmarkConfigError, ServiceError
 from ..frameworks.base import KERNELS
@@ -225,18 +226,14 @@ class CampaignRequest:
     def cell_keys(self) -> list[tuple[str, str, str, str]]:
         """Every cell of the campaign in canonical order.
 
-        Matches the executor's enumeration exactly: graphs outermost,
-        then modes, kernels, frameworks (see
-        ``repro.core.executor._enumerate_cells``), so the event stream
-        and an equivalent CLI run list cells identically.
+        The campaign loop's own enumeration
+        (:func:`repro.core.batching.canonical_order`: graphs outermost,
+        then modes, kernels, frameworks), so the event stream and an
+        equivalent CLI run list cells identically.
         """
-        return [
-            (graph, mode, kernel, framework)
-            for graph in self.graphs
-            for mode in self.modes
-            for kernel in self.kernels
-            for framework in self.frameworks
-        ]
+        return list(
+            canonical_order(self.graphs, self.modes, self.kernels, self.frameworks)
+        )
 
     @cached_property
     def campaign_id(self) -> str:

@@ -11,10 +11,10 @@ The submission path:
    cell is already executing for an earlier submission — request
    coalescing), or an *owned miss*.
 2. **Serve hits immediately**: cached cells stream back as pre-encoded
-   event lines without touching the executor — the cache-first read
+   event lines without touching the campaign loop — the cache-first read
    path that keeps p95 flat under concurrent load.
 3. **Execute misses** on the single engine thread through
-   :func:`repro.core.executor.run_suite_parallel`, over one warm
+   :func:`repro.core.campaign.run_suite`, lending it the one warm
    :class:`~repro.core.pool.WorkerPool` shared across all submissions
    (bounded in-flight compute: one executing job, a bounded queue of
    waiting jobs).  Every finalized cell is fsynced to a per-job
@@ -41,10 +41,10 @@ from pathlib import Path
 from queue import Full, Queue, SimpleQueue
 from typing import Callable, Iterator
 
-from ..core.executor import run_suite_parallel
+from ..core.batching import canonical_order
+from ..core.campaign import run_suite
 from ..core.pool import WorkerPool
 from ..core.results import ResultSet, RunResult
-from ..core.telemetry import Telemetry
 from ..errors import JournalError, ReproError, ServiceError
 from ..frameworks import Mode
 from ..frameworks.registry import get as get_framework
@@ -571,7 +571,7 @@ class BenchmarkService:
         """Run one job's owned misses through the shared warm pool."""
         request = job.request
         owned_keys = {key for _, key in job.owned}
-        # The executor runs a cross-product grid; derive the smallest
+        # run_suite runs a cross-product grid; derive the smallest
         # axes covering the owned cells (subset of the request axes) and
         # pre-fill every non-owned grid cell from the cache so nothing
         # already measured re-executes.
@@ -581,33 +581,30 @@ class BenchmarkService:
         frameworks = [
             f for f in request.frameworks if any(k[3] == f for k in owned_keys)
         ]
+        grid = list(canonical_order(graphs, modes, kernels, frameworks))
         completed: dict[tuple[str, str, str, str], RunResult] = {}
         with self._lock:
-            for graph in graphs:
-                for mode in modes:
-                    for kernel in kernels:
-                        for framework in frameworks:
-                            key = (graph, mode, kernel, framework)
-                            if key in owned_keys:
-                                continue
-                            digest = cell_digest(
-                                None,
-                                normalize_cell_key(key, job.datasets),
-                                hasher=job.hasher,
-                            )
-                            entry = self._results.get(digest)
-                            if entry is not None:
-                                completed[key] = RunResult.from_dict(
-                                    entry["payload"]
-                                )
-                            # A grid-filler absent from the cache (e.g. a
-                            # previously failed cell) simply re-executes.
+            for key in grid:
+                if key in owned_keys:
+                    continue
+                digest = cell_digest(
+                    None, normalize_cell_key(key, job.datasets), hasher=job.hasher
+                )
+                entry = self._results.get(digest)
+                if entry is not None:
+                    completed[key] = RunResult.from_dict(entry["payload"])
+                # A grid-filler absent from the cache (e.g. a previously
+                # failed cell) simply re-executes.
 
         spec = job.spec
         journal_path = self.journal_dir / f"job-{request.campaign_id}-{job.seq}.jsonl"
         job_datasets = {
             ref: entry for ref, entry in job.datasets.items() if ref in graphs
         }
+        # Opened here, not by run_suite from the path: the header must carry
+        # the provenance in job.datasets — resolved at submission, the
+        # basis of this job's cell digests and of recovery's — not a second
+        # resolution at execution time.
         journal = CheckpointJournal.create(
             journal_path,
             campaign_fingerprint(
@@ -622,7 +619,7 @@ class BenchmarkService:
         executed: list[tuple[str, tuple[str, str, str, str], RunResult]] = []
 
         def on_result(cell, result: RunResult) -> None:
-            key = (cell.graph, cell.mode.value, cell.kernel, cell.framework)
+            key = cell.key
             digest = cell_digest(
                 None, normalize_cell_key(key, job.datasets), hasher=job.hasher
             )
@@ -647,33 +644,24 @@ class BenchmarkService:
 
         pool = self._ensure_pool()
         try:
-            run_suite_parallel(
+            run_suite(
                 [get_framework(name) for name in frameworks],
                 graphs,
                 kernels=kernels,
                 modes=[Mode(value) for value in modes],
                 spec=spec,
-                jobs=pool.jobs,
-                telemetry=Telemetry(),
                 cache=self.cache,
                 journal=journal,
                 completed=completed,
-                pool=pool,
                 on_result=on_result,
+                pool=pool,
             )
         finally:
             journal.close()
 
         # Archive exactly the executed cells as one content-addressed run.
-        ordered = sorted(
-            executed,
-            key=lambda item: (
-                graphs.index(item[1][0]),
-                modes.index(item[1][1]),
-                kernels.index(item[1][2]),
-                frameworks.index(item[1][3]),
-            ),
-        )
+        position = {key: index for index, key in enumerate(grid)}
+        ordered = sorted(executed, key=lambda item: position[item[1]])
         results = ResultSet(
             [result for _, _, result in ordered],
             meta={

@@ -21,7 +21,7 @@ mapping:
   line discarded on load, header line carrying the schema version.
 
 Execution topology (``jobs``/``pool``/``batch_size``) is deliberately
-outside the digest — the executor equivalence matrix guarantees cells are
+outside the digest — the backend equivalence matrix guarantees cells are
 interchangeable across topologies, so a campaign measured under
 ``--jobs 4`` must hit for a client submitting the same spec serially.
 Likewise ``git_sha`` and wall-clock metadata stay out: only the

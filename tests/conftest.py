@@ -16,12 +16,47 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.frameworks import FRAMEWORK_NAMES, get
+from repro.core import BenchmarkSpec, run_suite
+from repro.frameworks import FRAMEWORK_NAMES, KERNELS, get
 from repro.generators import build_graph, weighted_version
 from repro.graphs import CSRGraph, EdgeList
 
 TEST_SCALE = 9
 GRAPHS = ["road", "twitter", "web", "kron", "urand"]
+
+#: The one backend axis of the campaign tests: id -> (``run_suite`` jobs,
+#: ``BenchmarkSpec`` fields).  ``serial`` is the inline backend; the
+#: process backend appears twice — dispatching per cell and in multi-cell
+#: batches (an explicit batch size, so batches form even in the small
+#: campaigns tests run) — and ``threads`` is the thread backend.
+BACKENDS = {
+    "serial": (1, {}),
+    "process": (2, {"batch_size": 1}),
+    "process-batched": (2, {"batch_size": 3}),
+    "threads": (2, {"pool": "threads"}),
+}
+
+#: Members whose workers survive a crashing cell (and can be hard-killed).
+PROCESS_BACKENDS = ("process", "process-batched")
+
+
+def run_on(backend, frameworks, graphs, spec_fields=None, **kwargs):
+    """``run_suite`` on one member of :data:`BACKENDS`.
+
+    The spec is scale 8 with one trial per kernel, then the backend's own
+    fields, then ``spec_fields``; everything else goes to ``run_suite``.
+    """
+    jobs, backend_fields = BACKENDS[backend]
+    spec = BenchmarkSpec(
+        **{
+            "scale": 8,
+            "trials": {kernel: 1 for kernel in KERNELS},
+            **backend_fields,
+            **(spec_fields or {}),
+        }
+    )
+    return run_suite(frameworks, graphs, spec=spec, jobs=jobs, **kwargs)
+
 
 _TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 
@@ -51,6 +86,12 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=list(BACKENDS))
+def backend(request):
+    """Each execution backend, by its :data:`BACKENDS` id."""
+    return request.param
 
 
 @pytest.fixture(scope="session", params=GRAPHS)

@@ -1,6 +1,8 @@
-"""Process-pool executor tests: serial/parallel equivalence and hard kills.
+"""Process backend tests: serial/parallel equivalence and hard kills.
 
-Tier-1 guarantees pinned here:
+Tier-1 guarantees pinned here (the full backend x fault matrix lives in
+``test_executor_matrix.py``; this file runs a larger two-graph campaign
+under the process backend's *auto-sized* batches):
 
 * ``--jobs 2`` and ``--jobs 1`` produce identical cell orderings,
   statuses, verification outcomes, and machine-independent counters —
@@ -21,13 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import BenchmarkSpec, Telemetry, run_suite, run_suite_parallel
+from repro.core import BenchmarkSpec, Telemetry, campaign, run_suite
 from repro.core.tables import failure_rows
 from repro.errors import VerificationError
 from repro.frameworks import KERNELS, Mode, RunContext
 from repro.gapbs import GAPReference
 
-SPEC = BenchmarkSpec(scale=8, trials={k: 1 for k in KERNELS})
+from .conftest import run_on
 
 
 class BrokenTC(GAPReference):
@@ -44,8 +46,8 @@ class HungCC(GAPReference):
 
     Neuters the in-process SIGALRM deadline (a trial inside one giant
     NumPy call never reaches the bytecode boundary where the handler
-    would run) and spins forever: only the executor's hard kill can end
-    the cell.
+    would run) and spins forever: only the process backend's hard kill
+    can end the cell.
     """
 
     attributes = dataclasses.replace(GAPReference.attributes, name="hung-cc")
@@ -58,15 +60,17 @@ class HungCC(GAPReference):
             x /= np.max(x)
 
 
-def _campaign(jobs, telemetry=None, frameworks=None):
-    return run_suite(
-        frameworks if frameworks is not None else [GAPReference(), BrokenTC()],
+def _campaign(backend, telemetry=None):
+    return run_on(
+        backend,
+        [GAPReference(), BrokenTC()],
         ["kron", "road"],
+        # Auto-sized batches: the cost model's own plan, which the pinned
+        # batch sizes of conftest.BACKENDS never exercise.
+        {"batch_size": None},
         kernels=["bfs", "cc", "tc"],
         modes=[Mode.BASELINE, Mode.OPTIMIZED],
-        spec=SPEC,
         telemetry=telemetry,
-        jobs=jobs,
     )
 
 
@@ -74,8 +78,8 @@ def _campaign(jobs, telemetry=None, frameworks=None):
 def serial_and_parallel():
     serial_tel = Telemetry()
     parallel_tel = Telemetry()
-    serial = _campaign(1, serial_tel)
-    parallel = _campaign(2, parallel_tel)
+    serial = _campaign("serial", serial_tel)
+    parallel = _campaign("process", parallel_tel)
     return serial, parallel, serial_tel, parallel_tel
 
 
@@ -125,7 +129,7 @@ def test_worker_spans_merge_into_parent_sink(serial_and_parallel):
 def test_parallel_trace_jsonl_is_one_record_per_cell():
     sink = io.StringIO()
     telemetry = Telemetry(sink=sink)
-    results = _campaign(2, telemetry)
+    results = _campaign("process", telemetry)
     telemetry.close()
     records = [json.loads(line) for line in sink.getvalue().splitlines()]
     assert len(records) == len(results)
@@ -139,21 +143,18 @@ def test_spec_jobs_dispatches_to_executor():
     assert len(results) == 2 and all(r.ok for r in results)
 
 
-def test_hung_cell_is_hard_killed_and_campaign_continues():
-    spec = BenchmarkSpec(
-        scale=8, trials={k: 1 for k in KERNELS}, trial_timeout=0.4
-    )
+def test_hung_cell_is_hard_killed_and_campaign_continues(monkeypatch):
+    monkeypatch.setattr(campaign, "KILL_GRACE_SECONDS", 0.6)
     telemetry = Telemetry()
     start = time.monotonic()
-    results = run_suite_parallel(
+    results = run_on(
+        "process",
         [GAPReference(), HungCC()],
         ["kron"],
+        {"trial_timeout": 0.4},
         kernels=["cc"],
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=2,
         telemetry=telemetry,
-        kill_grace=0.6,
     )
     elapsed = time.monotonic() - start
     by_framework = {r.framework: r for r in results}
@@ -174,12 +175,11 @@ def test_strict_parallel_raises_on_failure():
     from repro.errors import CellFailedError
 
     with pytest.raises(CellFailedError):
-        run_suite(
+        run_on(
+            "process",
             [BrokenTC()],
             ["kron"],
             kernels=["tc"],
             modes=[Mode.BASELINE],
-            spec=SPEC,
-            jobs=2,
             strict=True,
         )

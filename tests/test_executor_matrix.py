@@ -1,7 +1,8 @@
-"""Executor equivalence matrix: every execution mode, every fault class.
+"""Backend equivalence matrix: every execution backend, every fault class.
 
-The four execution modes — serial, per-cell process pool, batched
-process pool, and thread pool — must be *observationally identical*:
+The members of ``conftest.BACKENDS`` — inline (``serial``), per-cell
+process pool, batched process pool, and thread pool — run one campaign
+loop and must be *observationally identical*:
 same cells in the same canonical order, same statuses, same verification
 outcomes, same machine-independent work counters.  Timings and error
 message texts are the only permitted differences (a crash surfaces as a
@@ -9,7 +10,7 @@ worker death in process modes and as an in-process exception elsewhere).
 
 The campaign mixes fast cells, a deterministic verification failure, an
 injected crash-class fault, and a hung cell, so the matrix covers every
-(mode x fault) combination the executors can encounter:
+(backend x fault) combination a campaign can encounter:
 
 * fast cells         -> ``ok`` everywhere;
 * broken kernel      -> ``error`` (verification) everywhere;
@@ -19,6 +20,10 @@ injected crash-class fault, and a hung cell, so the matrix covers every
   exactly the isolation difference the substitution documents);
 * hung cell          -> ``timeout`` everywhere (SIGALRM interrupts it
   serially and in workers; the thread pool detects the overrun post-hoc).
+
+The second half pins what the loop promises its callers on every
+backend alike: the ``progress`` rule, ``on_result`` ordering,
+``completed`` pre-fill, and journals that resume under any backend.
 """
 
 import dataclasses
@@ -26,25 +31,13 @@ import time
 
 import pytest
 
-from repro.core import BenchmarkSpec, Telemetry, run_suite
-from repro.errors import VerificationError
-from repro.frameworks import KERNELS, Mode, RunContext
+from repro.core import Telemetry
+from repro.errors import CellFailedError, TrialTimeoutError, VerificationError
+from repro.frameworks import Mode, RunContext
 from repro.gapbs import GAPReference
 from repro.resilience.faults import FaultSpec
 
-ONE_TRIAL = {k: 1 for k in KERNELS}
-
-#: mode name -> (run_suite jobs, extra BenchmarkSpec fields).  The batched
-#: process mode pins an explicit batch size so multi-cell batches form even
-#: at this small campaign size.
-EXEC_MODES = {
-    "serial": (1, {}),
-    "process": (2, {"batch_size": 1}),
-    "process-batched": (2, {"batch_size": 3}),
-    "threads": (2, {"pool": "threads"}),
-}
-
-PROCESS_MODES = ("process", "process-batched")
+from .conftest import BACKENDS, PROCESS_BACKENDS, run_on
 
 
 class BrokenTC(GAPReference):
@@ -90,25 +83,21 @@ def _normalized(results):
     ]
 
 
-def _run(mode_name, frameworks, kernels, spec_extra, telemetry=None):
-    jobs, mode_spec = EXEC_MODES[mode_name]
-    spec = BenchmarkSpec(
-        scale=8, trials=ONE_TRIAL, **{**mode_spec, **spec_extra}
-    )
-    return run_suite(
+def _run(mode_name, frameworks, kernels, spec_extra, graphs=("kron",), **kwargs):
+    return run_on(
+        mode_name,
         frameworks,
-        ["kron"],
+        list(graphs),
+        spec_extra,
         kernels=kernels,
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=jobs,
-        telemetry=telemetry,
+        **kwargs,
     )
 
 
 def _fault_campaign(mode_name, telemetry=None):
     """Fast cells + verification failure + crash-class fault, per mode."""
-    kind = "crash" if mode_name in PROCESS_MODES else "error"
+    kind = "crash" if mode_name in PROCESS_BACKENDS else "error"
     fault = FaultSpec(kind=kind, framework="gap", kernel="cc")
     return _run(
         mode_name,
@@ -133,7 +122,7 @@ def _timeout_campaign(mode_name, telemetry=None):
 @pytest.fixture(scope="module")
 def fault_matrix():
     campaigns = {}
-    for mode_name in EXEC_MODES:
+    for mode_name in BACKENDS:
         tel = Telemetry()
         campaigns[mode_name] = (_fault_campaign(mode_name, tel), tel)
     return campaigns
@@ -142,7 +131,7 @@ def fault_matrix():
 @pytest.fixture(scope="module")
 def timeout_matrix():
     campaigns = {}
-    for mode_name in EXEC_MODES:
+    for mode_name in BACKENDS:
         tel = Telemetry()
         campaigns[mode_name] = (_timeout_campaign(mode_name, tel), tel)
     return campaigns
@@ -160,14 +149,14 @@ def test_fault_campaign_statuses_are_the_expected_mix(fault_matrix):
     assert len(ok_cells) == 4  # the fast cells all survived the faults
 
 
-@pytest.mark.parametrize("mode_name", [m for m in EXEC_MODES if m != "serial"])
+@pytest.mark.parametrize("mode_name", [m for m in BACKENDS if m != "serial"])
 def test_fault_campaign_matches_serial(fault_matrix, mode_name):
     serial, _ = fault_matrix["serial"]
     other, _ = fault_matrix[mode_name]
     assert _normalized(other) == _normalized(serial)
 
 
-@pytest.mark.parametrize("mode_name", list(EXEC_MODES))
+@pytest.mark.parametrize("mode_name", list(BACKENDS))
 def test_fault_campaign_traces_one_span_per_cell(fault_matrix, mode_name):
     results, tel = fault_matrix[mode_name]
     assert len(tel.spans) == len(results)
@@ -186,14 +175,14 @@ def test_timeout_campaign_statuses_are_the_expected_mix(timeout_matrix):
     assert sum(r.ok for r in results) == 3
 
 
-@pytest.mark.parametrize("mode_name", [m for m in EXEC_MODES if m != "serial"])
+@pytest.mark.parametrize("mode_name", [m for m in BACKENDS if m != "serial"])
 def test_timeout_campaign_matches_serial(timeout_matrix, mode_name):
     serial, _ = timeout_matrix["serial"]
     other, _ = timeout_matrix[mode_name]
     assert _normalized(other) == _normalized(serial)
 
 
-@pytest.mark.parametrize("mode_name", list(EXEC_MODES))
+@pytest.mark.parametrize("mode_name", list(BACKENDS))
 def test_timeout_campaign_traces_one_span_per_cell(timeout_matrix, mode_name):
     results, tel = timeout_matrix[mode_name]
     assert len(tel.spans) == len(results)
@@ -209,3 +198,185 @@ def test_campaign_meta_records_the_pool_flavor():
     results = _run("process-batched", [GAPReference()], ["bfs"], {})
     assert results.meta["pool"] == "process"
     assert results.meta["spec"]["batch_size"] == 3
+
+
+# -- what the loop promises its callers, on every backend --------------------
+
+
+def _label(result):
+    return f"{result.mode.value}/{result.graph}/{result.kernel}/{result.framework}"
+
+
+def test_progress_fires_once_per_executed_attempt_never_for_skips(backend):
+    seen = []
+    results = _run(
+        backend,
+        [GAPReference()],
+        ["bfs", "cc"],
+        {
+            "breaker_threshold": 1,
+            "faults": (FaultSpec(kind="error", framework="gap", kernel="cc"),),
+        },
+        # Four graphs: even two in-flight three-cell batches leave a queued
+        # one for the opened breaker to prune.
+        graphs=("kron", "road", "urand", "twitter"),
+        progress=seen.append,
+    )
+    assert len(results) == 8 and results.skipped()
+    # Each executed cell announced exactly once; breaker skips never.
+    assert sorted(seen) == sorted(
+        _label(r) for r in results if r.status != "skipped"
+    )
+
+
+def test_progress_fires_again_for_a_retry(backend):
+    seen = []
+    (result,) = _run(
+        backend,
+        [GAPReference()],
+        ["bfs"],
+        {"retries": 1, "faults": (FaultSpec(kind="oom", kernel="bfs", attempts=(0,)),)},
+        progress=seen.append,
+    )
+    assert result.ok and result.attempts == 2
+    assert seen == [_label(result)] * 2
+
+
+def test_on_result_follows_the_journal_append(backend, tmp_path):
+    journal = tmp_path / "campaign.jsonl"
+    calls = []
+
+    def on_result(cell, result):
+        # Header + one line per finalized cell, this one included.
+        durable = len(journal.read_bytes().splitlines()) - 1
+        calls.append((cell.key, result.cell_key, durable))
+
+    results = _run(
+        backend,
+        [GAPReference()],
+        ["bfs", "cc", "pr"],
+        {
+            "breaker_threshold": 1,
+            "faults": (FaultSpec(kind="error", kernel="cc"),),
+        },
+        graphs=("kron", "road"),
+        journal=str(journal),
+        on_result=on_result,
+    )
+    # Once per finalized cell — breaker skips included — and never early.
+    assert sorted(key for key, _, _ in calls) == sorted(r.cell_key for r in results)
+    assert all(cell_key == result_key for cell_key, result_key, _ in calls)
+    assert [durable for _, _, durable in calls] == list(range(1, len(results) + 1))
+
+
+def test_completed_cells_are_prefilled_not_executed(backend, tmp_path):
+    kernels = ["bfs", "cc", "pr"]
+    first = _run(backend, [GAPReference()], kernels, {})
+    held = {r.cell_key: r for r in first if r.kernel != "pr"}
+    journal = tmp_path / "campaign.jsonl"
+    seen, announced = [], []
+    # The poison faults prove the held cells are trusted, not re-run.
+    results = _run(
+        backend,
+        [GAPReference()],
+        kernels,
+        {"faults": (FaultSpec(kind="error", kernel="bfs"), FaultSpec(kind="error", kernel="cc"))},
+        completed=held,
+        journal=str(journal),
+        progress=seen.append,
+        on_result=lambda cell, result: announced.append(cell.key),
+    )
+    assert [r.cell_key for r in results] == [r.cell_key for r in first]
+    assert all(r.ok for r in results)
+    assert all(r is held[r.cell_key] for r in results if r.kernel != "pr")
+    # Only the missing cell ran, was journaled, and was announced.
+    assert seen == ["baseline/kron/pr/gap"]
+    assert announced == [("kron", "baseline", "pr", "gap")]
+    assert len(journal.read_bytes().splitlines()) == 2
+    assert results.meta["resilience"]["resumed_cells"] == 2
+
+
+def test_fully_prefilled_campaign_builds_nothing(backend, monkeypatch):
+    from repro.core import campaign
+
+    first = _run(backend, [GAPReference()], ["bfs"], {})
+
+    def explode(*args, **kwargs):
+        raise AssertionError("a fully pre-filled graph was built")
+
+    monkeypatch.setattr(campaign, "build_case", explode)
+    again = _run(
+        backend, [GAPReference()], ["bfs"], {}, completed={r.cell_key: r for r in first}
+    )
+    assert [r.as_dict() for r in again] == [r.as_dict() for r in first]
+
+
+@pytest.mark.parametrize("writer", ["serial", "process-batched"])
+def test_journal_resumes_on_any_backend(writer, backend, tmp_path):
+    """Execution topology is not campaign identity: a journal written by
+    a strict-aborted campaign on one backend resumes on every other."""
+    journal = tmp_path / "campaign.jsonl"
+    kernels = ["bfs", "cc", "pr"]
+    fault = FaultSpec(kind="error", kernel="cc", attempts=(0,))
+    with pytest.raises((ValueError, CellFailedError)):
+        _run(
+            writer, [GAPReference()], kernels, {"faults": (fault,)},
+            strict=True, journal=str(journal),
+        )
+    assert len(journal.read_bytes().splitlines()) == 2  # header + bfs
+
+    seen = []
+    results = _run(
+        backend,
+        [GAPReference()],
+        kernels,
+        # Poison: if bfs were re-executed instead of restored, it would fail.
+        {"faults": (FaultSpec(kind="error", kernel="bfs"),)},
+        journal=str(journal),
+        resume=True,
+        progress=seen.append,
+    )
+    assert len(results) == 3 and all(r.ok for r in results)
+    assert results.meta["resilience"]["resumed_cells"] == 1
+    assert sorted(seen) == ["baseline/kron/cc/gap", "baseline/kron/pr/gap"]
+    assert len(journal.read_bytes().splitlines()) == 4  # nothing re-journaled
+
+
+def test_serial_journal_is_in_canonical_cell_order(tmp_path):
+    """One slot keeps canonical order even across a retry's backoff."""
+    from repro.resilience.journal import read_journal
+
+    journal = tmp_path / "campaign.jsonl"
+    seen = []
+    results = _run(
+        "serial",
+        [GAPReference()],
+        ["bfs", "cc"],
+        {"retries": 1, "faults": (FaultSpec(kind="oom", kernel="bfs", graph="kron", attempts=(0,)),)},
+        graphs=("kron", "road"),
+        journal=str(journal),
+        progress=seen.append,
+    )
+    _, journaled = read_journal(journal)
+    assert list(journaled) == [r.cell_key for r in results]
+    # The retry ran before the next cell started.
+    assert seen[:2] == ["baseline/kron/bfs/gap"] * 2
+
+
+def test_strict_raises_the_live_exception_only_inline(backend):
+    """Inline still holds the exception object; workers return only text."""
+    fault = FaultSpec(kind="error", kernel="bfs")
+    expected = ValueError if backend == "serial" else CellFailedError
+    with pytest.raises(expected) as excinfo:
+        _run(backend, [GAPReference()], ["bfs"], {"faults": (fault,)}, strict=True)
+    if backend != "serial":
+        assert "baseline/kron/bfs/gap" in str(excinfo.value)
+
+
+def test_strict_timeout_names_the_cell_on_pools(backend):
+    with pytest.raises(TrialTimeoutError) as excinfo:
+        _run(
+            backend, [SlowCC()], ["cc"], {"trial_timeout": 0.3}, strict=True
+        )
+    if backend != "serial":
+        assert "baseline/kron/cc/slow-cc" in str(excinfo.value)

@@ -14,12 +14,7 @@ Tier-1 guarantees pinned here:
 
 import pytest
 
-from repro.core import (
-    BenchmarkSpec,
-    Telemetry,
-    WorkerPool,
-    run_suite_parallel,
-)
+from repro.core import BenchmarkSpec, Telemetry, WorkerPool, run_suite
 from repro.frameworks import KERNELS, Mode
 from repro.gapbs import GAPReference
 
@@ -27,13 +22,12 @@ SPEC = BenchmarkSpec(scale=8, trials={k: 1 for k in KERNELS})
 
 
 def _campaign(pool, kernels=("bfs",), telemetry=None, **kw):
-    return run_suite_parallel(
+    return run_suite(
         [GAPReference()],
         ["kron"],
         kernels=list(kernels),
         modes=[Mode.BASELINE],
         spec=SPEC,
-        jobs=pool.jobs,
         telemetry=telemetry,
         pool=pool,
         **kw,

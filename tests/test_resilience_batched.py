@@ -14,34 +14,30 @@ member*, not per dispatch.  Tier-1 guarantees pinned here:
   batch still execute;
 * ``--resume`` skips completed batch members: a journal written by an
   interrupted batched campaign pre-fills exactly the settled cells, and
-  the resumed run re-executes only the rest.
+  the resumed run re-executes only the rest (resuming the same journal
+  under every *other* backend is
+  ``test_executor_matrix.py::test_journal_resumes_on_any_backend``).
 """
 
 import pytest
 
-from repro.core import BenchmarkSpec, run_suite
 from repro.errors import CellFailedError
-from repro.frameworks import KERNELS, Mode
+from repro.frameworks import Mode
 from repro.gapbs import GAPReference
 from repro.resilience.faults import CRASH_EXIT_CODE, FaultSpec
 
-ONE_TRIAL = {k: 1 for k in KERNELS}
+from .conftest import run_on
 
 
-def _spec(**overrides):
-    defaults = dict(scale=8, trials=ONE_TRIAL)
-    defaults.update(overrides)
-    return BenchmarkSpec(**defaults)
-
-
-def _campaign(spec, kernels, graphs=("kron",), jobs=2, **kw):
-    return run_suite(
+def _campaign(spec, kernels, graphs=("kron",), **kw):
+    # "process-batched" pins batch_size=3; a test's own batch_size wins.
+    return run_on(
+        "process-batched",
         [GAPReference()],
         list(graphs),
+        spec,
         kernels=list(kernels),
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=jobs,
         **kw,
     )
 
@@ -50,7 +46,7 @@ def test_worker_crash_mid_batch_loses_only_the_in_flight_cell():
     # One batch of three cells: [bfs, cc, pr].  The crash fires on cc, so
     # bfs has already been reported (synchronously) and pr is still
     # unstarted in the dead worker's batch tail.
-    spec = _spec(
+    spec = dict(
         batch_size=3,
         faults=(FaultSpec(kind="crash", kernel="cc", attempts=(0,)),),
     )
@@ -65,7 +61,7 @@ def test_worker_crash_mid_batch_loses_only_the_in_flight_cell():
 
 
 def test_crashed_batch_member_is_retried_without_rerunning_siblings():
-    spec = _spec(
+    spec = dict(
         batch_size=3,
         retries=1,
         faults=(FaultSpec(kind="crash", kernel="cc", attempts=(0,)),),
@@ -85,7 +81,7 @@ def test_breaker_prunes_combo_cells_from_queued_batches_individually():
     # when kron/cc's failure opens the cc breaker.  urand/cc must be
     # pruned out of the queued batch as 'skipped' while its sibling
     # urand/pr still runs.
-    spec = _spec(
+    spec = dict(
         batch_size=2,
         breaker_threshold=1,
         faults=(FaultSpec(kind="error", kernel="cc"),),
@@ -108,7 +104,7 @@ def test_resume_skips_completed_batch_members(tmp_path):
     journal = tmp_path / "campaign.jsonl"
     # A single batch [bfs, cc, pr] under strict mode: bfs settles into the
     # journal, cc's injected failure aborts the campaign, pr never settles.
-    spec = _spec(
+    spec = dict(
         batch_size=3,
         faults=(FaultSpec(kind="error", kernel="cc", attempts=(0,)),),
     )
@@ -121,7 +117,7 @@ def test_resume_skips_completed_batch_members(tmp_path):
 
     # Resume without the fault.  The bfs poison fault proves the resumed
     # run trusts the journal: if bfs were re-executed it would fail.
-    resumed_spec = _spec(
+    resumed_spec = dict(
         batch_size=3,
         faults=(FaultSpec(kind="error", kernel="bfs"),),
     )
@@ -136,28 +132,3 @@ def test_resume_skips_completed_batch_members(tmp_path):
     assert by_kernel["bfs"].ok  # restored from the journal, not re-run
     assert by_kernel["cc"].ok and by_kernel["pr"].ok
     assert results.meta["resilience"]["resumed_cells"] == 1
-
-
-def test_resume_skips_completed_batch_members_threads_pool(tmp_path):
-    """The same journal round-trips between pool flavors: a campaign
-    interrupted under the process pool resumes under the thread pool."""
-    journal = tmp_path / "campaign.jsonl"
-    spec = _spec(
-        batch_size=3,
-        faults=(FaultSpec(kind="error", kernel="cc", attempts=(0,)),),
-    )
-    with pytest.raises(CellFailedError):
-        _campaign(
-            spec, ("bfs", "cc", "pr"), strict=True, journal=str(journal)
-        )
-
-    resumed_spec = _spec(
-        batch_size=3, pool="threads", faults=(FaultSpec(kind="error", kernel="bfs"),)
-    )
-    results = _campaign(
-        resumed_spec,
-        ("bfs", "cc", "pr"),
-        journal=str(journal),
-        resume=True,
-    )
-    assert len(results) == 3 and all(r.ok for r in results)

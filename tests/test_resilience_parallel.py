@@ -1,4 +1,4 @@
-"""Parallel-executor resilience: crash recovery, breakers, kill/resume, leaks.
+"""Process-backend resilience: crash recovery, breakers, kill/resume, leaks.
 
 Tier-1 guarantees pinned here:
 
@@ -23,35 +23,30 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import BenchmarkSpec, Telemetry, run_suite, run_suite_parallel
-from repro.frameworks import KERNELS, Mode
+from repro.core import Telemetry
+from repro.frameworks import Mode
 from repro.gapbs import GAPReference
 from repro.resilience.faults import CRASH_EXIT_CODE, FaultSpec
 
+from .conftest import run_on
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-ONE_TRIAL = {k: 1 for k in KERNELS}
-
-
-def _spec(**overrides):
-    defaults = dict(scale=8, trials=ONE_TRIAL)
-    defaults.update(overrides)
-    return BenchmarkSpec(**defaults)
 
 
 def _parallel_campaign(spec, kernels=("bfs",), graphs=("kron",), **kw):
-    return run_suite(
+    return run_on(
+        "process",
         [GAPReference()],
         list(graphs),
+        spec,
         kernels=list(kernels),
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=2,
         **kw,
     )
 
 
 def test_worker_crash_is_retried_on_replacement_worker():
-    spec = _spec(
+    spec = dict(
         retries=1, faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0,)),)
     )
     telemetry = Telemetry()
@@ -63,7 +58,7 @@ def test_worker_crash_is_retried_on_replacement_worker():
 
 
 def test_crash_loop_falls_back_to_in_parent_execution():
-    spec = _spec(
+    spec = dict(
         retries=2,
         faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0, 1)),),
     )
@@ -76,7 +71,7 @@ def test_crash_loop_falls_back_to_in_parent_execution():
 
 
 def test_worker_crash_without_retries_is_an_error_result():
-    spec = _spec(faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0,)),))
+    spec = dict(faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0,)),))
     results = _parallel_campaign(spec, kernels=("bfs", "cc"))
     by_key = {r.cell_key: r for r in results}
     crashed = by_key[("kron", "baseline", "bfs", "gap")]
@@ -86,7 +81,7 @@ def test_worker_crash_without_retries_is_an_error_result():
 
 
 def test_parallel_breaker_prunes_undispatched_combo_cells():
-    spec = _spec(
+    spec = dict(
         breaker_threshold=1, faults=(FaultSpec(kind="error", kernel="cc"),)
     )
     results = _parallel_campaign(spec, kernels=("cc",), graphs=("kron", "road", "urand"))
@@ -206,14 +201,8 @@ def test_aborted_parallel_campaign_leaves_no_shm_segments():
         raise KeyboardInterrupt  # the operator hits Ctrl-C mid-campaign
 
     with pytest.raises(KeyboardInterrupt):
-        run_suite_parallel(
-            [GAPReference()],
-            ["kron", "road"],
-            kernels=["bfs", "cc"],
-            modes=[Mode.BASELINE],
-            spec=_spec(),
-            jobs=2,
-            progress=abort,
+        _parallel_campaign(
+            dict(), kernels=("bfs", "cc"), graphs=("kron", "road"), progress=abort
         )
     leaked = {
         name for name in set(os.listdir("/dev/shm")) - before if "psm" in name
@@ -224,7 +213,7 @@ def test_aborted_parallel_campaign_leaves_no_shm_segments():
 @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
 def test_completed_parallel_campaign_leaves_no_shm_segments():
     before = set(os.listdir("/dev/shm"))
-    results = _parallel_campaign(_spec(), kernels=("bfs", "cc"))
+    results = _parallel_campaign(dict(), kernels=("bfs", "cc"))
     assert all(r.ok for r in results)
     leaked = {
         name for name in set(os.listdir("/dev/shm")) - before if "psm" in name
