@@ -19,19 +19,18 @@ failure table reports them.  ``attempts`` counts executions of the cell
 from __future__ import annotations
 
 import json
-import os
 import statistics
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..durable import atomic_write
+from ..errors import ReproError
 from ..frameworks.base import Mode
 
 __all__ = ["RESULTS_SCHEMA_VERSION", "RunResult", "ResultSet"]
 
-#: Version stamp of the results-file payload.  v1 was a bare list of cell
-#: records; v2 wraps it in an envelope with ``schema_version`` and campaign
-#: ``meta``.  ``load_json`` reads both.
+#: Version stamp of the results-file payload: an envelope with
+#: ``schema_version``, the cell records (``results``) and campaign ``meta``.
 RESULTS_SCHEMA_VERSION = 2
 
 
@@ -243,32 +242,24 @@ class ResultSet:
     def save_json(self, path: str | Path) -> None:
         """Serialize all results to a JSON file.
 
-        Atomic (temp file + ``os.replace``, the same discipline as
-        :mod:`repro.graphs.cache`): a campaign killed mid-save leaves the
-        previous file intact, never a torn one.
+        Written with :func:`repro.durable.atomic_write`: a campaign
+        killed mid-save leaves the previous file intact, never a torn one.
         """
-        path = Path(path)
-        parent = path.parent if str(path.parent) else Path(".")
-        parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=parent, suffix=".json.tmp")
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as stream:
-                json.dump(self.payload(), stream, indent=2)
-                stream.write("\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(path, (json.dumps(self.payload(), indent=2) + "\n").encode())
 
     @classmethod
     def load_json(cls, path: str | Path) -> "ResultSet":
+        """Load a results file written by :meth:`save_json`."""
         raw = json.loads(Path(path).read_text(encoding="ascii"))
-        if isinstance(raw, dict):
-            items = raw.get("results", [])
-            meta = dict(raw.get("meta", {}))
-        else:  # v1 legacy payload: a bare list of cell records
-            items, meta = raw, {}
-        return cls([RunResult.from_dict(item) for item in items], meta=meta)
+        if not isinstance(raw, dict) or not {"schema_version", "results"} <= set(raw):
+            raise ReproError(
+                f"{path} is not a schema-v{RESULTS_SCHEMA_VERSION} results "
+                "file (a JSON object with 'schema_version' and 'results')"
+            )
+        return cls(
+            [RunResult.from_dict(item) for item in raw["results"]],
+            meta=dict(raw.get("meta", {})),
+        )
 
     def __len__(self) -> int:
         return len(self.results)

@@ -59,6 +59,13 @@ class CellFailedError(ReproError):
     """
 
 
+class CorruptLogError(ReproError):
+    """A :class:`repro.durable.AppendLog` file has a damaged line *before*
+    its final one — corruption, not the torn tail a crash leaves.  The
+    journal and the cell index re-raise it as :class:`JournalError` /
+    :class:`ArchiveError`."""
+
+
 class ArchiveError(ReproError):
     """A results-archive operation failed (unknown run, ambiguous ref,
     or a corrupt/unreadable archive layout)."""

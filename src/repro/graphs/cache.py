@@ -11,10 +11,10 @@ construction) entirely.
 Artifacts are ``.npz`` files holding one full benchmark case — the base
 graph plus its weighted and undirected views, with object-level aliasing
 preserved (a view that *is* the base graph stays the same object after a
-round trip, and arrays shared between views are stored once).  Writes are
-atomic (temp file + ``os.replace``) and every artifact carries a SHA-256
-sidecar that is validated on load, so a torn or corrupted file degrades
-to a cache miss instead of a wrong graph.
+round trip, and arrays shared between views are stored once).  Artifacts
+are written with :func:`repro.durable.atomic_write`, each with a SHA-256
+sidecar of the bytes *intended* for disk that is validated on load, so a
+torn or corrupted file degrades to a cache miss instead of a wrong graph.
 
 Generated-corpus keys include
 :data:`repro.generators.registry.GENERATOR_VERSION`; bumping it when
@@ -34,13 +34,14 @@ shared-memory segments.  (For single graphs without views, see
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..errors import GraphFormatError
 from .csr import CSRGraph
 
@@ -266,24 +267,16 @@ class GraphCache:
     ) -> Path:
         layout, arrays = decompose_case(graph, weighted, undirected)
         meta = {"key": key, "layout": layout}
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = {f"array_{i}": array for i, array in enumerate(arrays)}
         payload["meta"] = np.array(json.dumps(meta))
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                np.savez(stream, **payload)
-            digest = _sha256(tmp)
-            checksum_tmp = tmp.with_suffix(".sha256.tmp")
-            checksum_tmp.write_text(digest + "\n", encoding="ascii")
-            # Artifact first, checksum second: any interruption leaves a
-            # mismatched pair, which load_views treats as a miss.
-            os.replace(tmp, path)
-            os.replace(checksum_tmp, self._checksum_path(path))
-        finally:
-            tmp.unlink(missing_ok=True)
-            tmp.with_suffix(".sha256.tmp").unlink(missing_ok=True)
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        data = buffer.getvalue()
+        digest = hashlib.sha256(data).hexdigest()
+        # Artifact first, checksum second: any interruption leaves a
+        # mismatched pair, which load_views treats as a miss.
+        atomic_write(path, data)
+        atomic_write(self._checksum_path(path), (digest + "\n").encode("ascii"))
         return path
 
     # -- load -----------------------------------------------------------

@@ -3,10 +3,11 @@
 :mod:`repro.resilience.faults` injects *compute* faults (crash, hang,
 OOM, wrong-result) at exact cells; this module does the same for the
 failures *disks* produce — the ones that corrupt archives instead of
-campaigns.  Every write the storage tier performs (archive staging,
-checkpoint-journal appends, cell-index appends, atomic JSON replaces)
-goes through one small shim — :func:`shim_write` / :func:`shim_fsync` /
-:func:`shim_replace` — and a fault plan can make any *specific* one of
+campaigns.  Every persistent write goes through :mod:`repro.durable`
+(results files, archive runs and indexes, graph-cache artifacts, the
+checkpoint journal, the cell index), which does its I/O only through
+the shim below — :func:`shim_write` / :func:`shim_fsync` /
+:func:`shim_replace` — so a fault plan can make any *specific* one of
 those operations fail, deterministically, at an exact coordinate:
 
 * ``enospc`` — the write (or rename) raises ``OSError(ENOSPC)`` with

@@ -32,7 +32,7 @@ See ``docs/RESILIENCE.md`` for formats, semantics, and the hook reference.
 
 from .breaker import CircuitBreaker
 from .faults import FaultSpec, active_plan, parse_plan
-from .iofaults import (
+from ..iofaults import (
     IOFaultSpec,
     active_io_plan,
     clear_io_plan,

@@ -8,9 +8,10 @@ long multi-framework run.  The journal makes cell completion *durable*:
   version + a :func:`campaign_fingerprint` of the spec, axes, and
   environment) and whose subsequent lines each hold one completed cell's
   full :meth:`~repro.core.results.RunResult.as_dict` record;
-* every record is appended as one pre-encoded line, flushed, and fsynced
-  before the campaign moves on — a crash at any instant leaves at most
-  one torn *trailing* line, which resume detects and discards;
+* the file is a :class:`repro.durable.AppendLog`: every record is one
+  sealed line, fsynced before the campaign moves on — a crash at any
+  instant leaves at most a damaged *end*, which resume drops and the
+  first append after it cuts from the file;
 * ``resume`` re-reads the journal, validates that the header fingerprint
   matches the resuming campaign (same spec, same graph/kernel/mode/
   framework axes, comparable environment — refusing to silently mix
@@ -30,13 +31,12 @@ it without the fault is precisely the crash/resume test protocol.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
 from ..core.results import RunResult
-from ..errors import JournalError
-from .iofaults import shim_fsync, shim_write
+from ..durable import AppendLog
+from ..errors import CorruptLogError, JournalError
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -118,6 +118,32 @@ def _fingerprint_errors(
     return problems
 
 
+def _header(fingerprint: dict[str, object]) -> dict[str, object]:
+    return {"journal_version": JOURNAL_VERSION, "fingerprint": fingerprint}
+
+
+def _corrupt(path: Path, exc: CorruptLogError) -> JournalError:
+    return JournalError(f"journal {path} has a corrupt non-trailing line ({exc})")
+
+
+def _interpret(
+    path: Path, records: list[dict[str, object]]
+) -> tuple[dict[str, object], dict[CellKey, RunResult]]:
+    """A journal's durable records as ``(fingerprint, completed cells)``."""
+    recorded = records[0].get("fingerprint")
+    if records[0].get("journal_version") != JOURNAL_VERSION or not isinstance(
+        recorded, dict
+    ):
+        raise JournalError(
+            f"{path} is not a version-{JOURNAL_VERSION} campaign journal"
+        )
+    completed: dict[CellKey, RunResult] = {}
+    for record in records[1:]:
+        result = RunResult.from_dict(record["result"])
+        completed[result.cell_key] = result
+    return recorded, completed
+
+
 def read_journal(
     path: str | Path,
 ) -> tuple[dict[str, object], dict[CellKey, RunResult]]:
@@ -128,18 +154,16 @@ def read_journal(
     :meth:`CheckpointJournal.resume`, no current-campaign fingerprint is
     required — the *recorded* fingerprint is returned so the caller can
     re-derive cell digests for whatever campaign the journal belonged to.
-    A torn trailing line is discarded exactly as resume would.
+    A never-durable end is dropped exactly as resume would.
     """
     path = Path(path)
-    header, completed = CheckpointJournal._read(path)
-    recorded = header.get("fingerprint")
-    if header.get("journal_version") != JOURNAL_VERSION or not isinstance(
-        recorded, dict
-    ):
-        raise JournalError(
-            f"{path} is not a version-{JOURNAL_VERSION} campaign journal"
-        )
-    return recorded, completed
+    try:
+        records = AppendLog.read(path)
+    except CorruptLogError as exc:
+        raise _corrupt(path, exc) from exc
+    if not records:
+        raise JournalError(f"journal {path} has no header line")
+    return _interpret(path, records)
 
 
 class CheckpointJournal:
@@ -149,10 +173,12 @@ class CheckpointJournal:
     :meth:`resume` (validate + load completed cells, then append).
     """
 
-    def __init__(self, path: str | Path, fingerprint: dict[str, object]) -> None:
+    def __init__(
+        self, path: str | Path, fingerprint: dict[str, object], log: AppendLog
+    ) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self._stream = None
+        self._log: AppendLog | None = log
 
     # -- construction ---------------------------------------------------
 
@@ -161,13 +187,7 @@ class CheckpointJournal:
         cls, path: str | Path, fingerprint: dict[str, object]
     ) -> "CheckpointJournal":
         """Start a fresh journal, writing the header line."""
-        journal = cls(path, fingerprint)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        journal._stream = open(journal.path, "wb")
-        journal._append(
-            {"journal_version": JOURNAL_VERSION, "fingerprint": fingerprint}
-        )
-        return journal
+        return cls(path, fingerprint, AppendLog.create(path, _header(fingerprint)))
 
     @classmethod
     def resume(
@@ -175,21 +195,19 @@ class CheckpointJournal:
     ) -> tuple["CheckpointJournal", dict[CellKey, RunResult]]:
         """Load a journal for resumption; returns ``(journal, completed)``.
 
-        A missing journal resumes as a fresh campaign (so ``--resume`` is
-        safe to pass on the first run).  A fingerprint mismatch raises
+        A missing journal — or one whose writer died before even the
+        header was durable — resumes as a fresh campaign (so ``--resume``
+        is safe to pass on the first run).  A fingerprint mismatch raises
         :class:`~repro.errors.JournalError` naming every differing field.
         """
         path = Path(path)
-        if not path.exists():
+        try:
+            log, records = AppendLog.open(path, _header(fingerprint))
+        except CorruptLogError as exc:
+            raise _corrupt(path, exc) from exc
+        if not records:
             return cls.create(path, fingerprint), {}
-        header, completed = cls._read(path)
-        recorded = header.get("fingerprint")
-        if header.get("journal_version") != JOURNAL_VERSION or not isinstance(
-            recorded, dict
-        ):
-            raise JournalError(
-                f"{path} is not a version-{JOURNAL_VERSION} campaign journal"
-            )
+        recorded, completed = _interpret(path, records)
         problems = _fingerprint_errors(recorded, fingerprint)
         if problems:
             raise JournalError(
@@ -197,81 +215,21 @@ class CheckpointJournal:
                 f"mismatched: {', '.join(problems)} "
                 "(delete the journal to start over)"
             )
-        journal = cls(path, fingerprint)
-        journal._stream = open(path, "ab")
-        return journal, completed
-
-    @staticmethod
-    def _read(path: Path) -> tuple[dict[str, object], dict[CellKey, RunResult]]:
-        """Parse header + completed cells, discarding a torn trailing line.
-
-        Only a line terminated by ``\\n`` is trusted: an append cut short
-        by a crash leaves an unterminated tail, which is exactly the cell
-        that must be re-executed anyway.
-        """
-        # Layering: repro.store sits above repro.resilience, so the
-        # checksum helpers are imported lazily (same as the fingerprint's
-        # environment import).
-        from ..store.integrity import verify_line
-
-        raw = path.read_bytes()
-        lines = raw.split(b"\n")
-        if raw and not raw.endswith(b"\n"):
-            lines = lines[:-1]  # torn tail: the interrupted append
-        stripped = [line.strip() for line in lines]
-        stripped = [line for line in stripped if line]
-        records = []
-        for index, line in enumerate(stripped):
-            final = index == len(stripped) - 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if final and index > 0:
-                    break  # flushed but garbled tail: treat as torn
-                raise JournalError(
-                    f"journal {path} has a corrupt non-trailing line: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or not verify_line(record):
-                if final and index > 0:
-                    break  # checksum-failed tail: never fully durable
-                raise JournalError(
-                    f"journal {path} line {index + 1} failed its checksum"
-                )
-            records.append(record)
-        if not records:
-            raise JournalError(f"journal {path} has no header line")
-        header = records[0]
-        completed: dict[CellKey, RunResult] = {}
-        for record in records[1:]:
-            result = RunResult.from_dict(record["result"])
-            completed[result.cell_key] = result
-        return header, completed
+        return cls(path, fingerprint, log), completed
 
     # -- appending ------------------------------------------------------
 
-    def _append(self, record: dict[str, object]) -> None:
-        if self._stream is None:
-            raise JournalError(f"journal {self.path} is closed")
-        from ..store.integrity import seal_line
-
-        # One pre-encoded, checksummed line per write call, then flush +
-        # fsync: the record is either fully on disk or detectably torn,
-        # never interleaved or silently buffered past a crash.  Routed
-        # through the I/O-fault shim so chaos tests can tear or fail this
-        # exact append.
-        data = json.dumps(seal_line(record), default=str).encode() + b"\n"
-        shim_write(self._stream, data, self.path)
-        shim_fsync(self._stream, self.path)
-
     def record(self, result: RunResult) -> None:
         """Durably append one completed cell."""
-        self._append({"result": result.as_dict()})
+        if self._log is None:
+            raise JournalError(f"journal {self.path} is closed")
+        self._log.append([{"result": result.as_dict()}])
 
     def close(self) -> None:
-        """Close the underlying stream (appends after this raise)."""
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        """Close the underlying log (appends after this raise)."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "CheckpointJournal":
         return self

@@ -38,8 +38,6 @@ from .integrity import (
     open_self_healing_index,
     quarantine_count,
     scrub,
-    seal_line,
-    verify_line,
     verify_run,
 )
 from .gate import GateReport, evaluate_gate, promote_baseline, write_gate_report
@@ -76,10 +74,8 @@ __all__ = [
     "promote_baseline",
     "quarantine_count",
     "scrub",
-    "seal_line",
     "spec_identity",
     "summarize_deltas",
-    "verify_line",
     "verify_run",
     "version_string",
     "write_gate_report",

@@ -16,10 +16,10 @@ keeps every campaign:
 * a small ``index.json`` at the root lists runs for ``repro history`` and
   prefix lookup without touching every run directory.
 
-Writes follow the temp-file + ``os.replace`` pattern (the same crash
-discipline as :mod:`repro.graphs.cache`): a run directory is staged under
-a temporary name and renamed into place, so a crashed archive operation
-leaves either a complete run or no run — never a torn one.
+Every file is written with :func:`repro.durable.atomic_write`, and a run
+directory is staged under a temporary name and renamed into place, so a
+crashed archive operation leaves either a complete run or no run — never
+a torn one.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from typing import Iterable
 
 from ..core.results import ResultSet
 from ..core.telemetry import Span
+from ..durable import atomic_write
 from ..errors import ArchiveError
-from ..resilience.iofaults import shim_fsync, shim_replace, shim_write
+from ..iofaults import shim_replace
 from .environment import fingerprint, version_string
 
 __all__ = [
@@ -70,25 +71,8 @@ def canonical_json(payload: object) -> str:
 
 
 def write_json_atomic(path: str | Path, payload: object, indent: int = 2) -> None:
-    """Write a JSON file via temp file + ``os.replace``; never torn.
-
-    Every byte goes through the I/O-fault shim, keyed on the
-    *destination* path (the temp name is an implementation detail), so a
-    fault plan can fail any specific atomic write — and a failed write
-    leaves the previous file intact, never a partial one.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-    tmp = Path(tmp_name)
-    try:
-        data = (json.dumps(payload, indent=indent) + "\n").encode()
-        with os.fdopen(fd, "wb") as stream:
-            shim_write(stream, data, path)
-            shim_fsync(stream, path)
-        shim_replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Serialize ``payload`` and :func:`~repro.durable.atomic_write` it."""
+    atomic_write(path, (json.dumps(payload, indent=indent) + "\n").encode())
 
 
 def bench_payload(name: str, data: dict[str, object]) -> dict[str, object]:
@@ -109,13 +93,6 @@ def bench_payload(name: str, data: dict[str, object]) -> dict[str, object]:
 
 def _utc_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _stage_file(path: Path, data: bytes) -> None:
-    """Write + fsync one staged run file through the I/O-fault shim."""
-    with path.open("wb") as stream:
-        shim_write(stream, data, path)
-        shim_fsync(stream, path)
 
 
 @dataclass(frozen=True)
@@ -242,10 +219,10 @@ class RunArchive:
             if span_records:
                 integrity["spans.jsonl"] = hashlib.sha256(spans_bytes).hexdigest()
             manifest["integrity"] = integrity
-            _stage_file(staging / "results.json", results_bytes)
+            atomic_write(staging / "results.json", results_bytes)
             if span_records:
-                _stage_file(staging / "spans.jsonl", spans_bytes)
-            _stage_file(
+                atomic_write(staging / "spans.jsonl", spans_bytes)
+            atomic_write(
                 staging / "manifest.json",
                 (json.dumps(manifest, indent=2) + "\n").encode(),
             )

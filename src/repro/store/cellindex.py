@@ -15,10 +15,9 @@ mapping:
 * the value is the ``run_id`` of an archived run containing that cell,
   so a hit is served by reading the archived ResultSet (or a warm cache
   of it) instead of executing anything;
-* storage is an append-only JSONL file beside the archive
-  (``<root>/cell_index.jsonl``) with the same crash discipline as the
-  checkpoint journal: one flushed+fsynced line per entry, torn trailing
-  line discarded on load, header line carrying the schema version.
+* storage is a :class:`repro.durable.AppendLog` beside the archive
+  (``<root>/cell_index.jsonl``): a header line carrying the schema
+  version, then one sealed line per entry, one fsync per batch.
 
 Execution topology (``jobs``/``pool``/``batch_size``) is deliberately
 outside the digest — the backend equivalence matrix guarantees cells are
@@ -44,16 +43,14 @@ manifests, so rebuilding never needs the original files).
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..errors import ArchiveError
-from ..resilience.iofaults import shim_fsync, shim_write
+from ..durable import AppendLog
+from ..errors import ArchiveError, CorruptLogError
 from .archive import RunArchive, canonical_json
 from .environment import COMPARABILITY_KEYS, fingerprint
-from .integrity import seal_line, verify_line
 
 __all__ = [
     "CELL_INDEX_VERSION",
@@ -188,94 +185,43 @@ class CellIndex:
     """
 
     def __init__(self, path: str | Path) -> None:
+        """Replay the log into memory; the file is written only by adds.
+
+        Interior damage raises :class:`~repro.errors.ArchiveError` so
+        self-healing can quarantine the file and rebuild from the archive.
+        """
         self.path = Path(path)
         self._entries: dict[str, dict[str, object]] = {}
         self._lock = threading.Lock()
-        self._stream = None
-        self._load()
-
-    @classmethod
-    def for_archive(cls, archive: RunArchive) -> "CellIndex":
-        """The index that lives beside an archive's ``runs/`` directory."""
-        return cls(archive.root / "cell_index.jsonl")
-
-    # -- persistence ----------------------------------------------------
-
-    def _load(self) -> None:
-        """Replay the JSONL file, verifying each line's checksum.
-
-        A torn trailing line (no newline) is discarded — the interrupted
-        append never became durable.  A *final* line that fails to parse
-        or fails its checksum is discarded the same way: the writer died
-        between payload and fsync, so the record was never promised.  An
-        *interior* bad line is different — later appends succeeded after
-        it, so this is corruption (bit rot, two uncoordinated writers),
-        and the load fails so self-healing can quarantine and rebuild.
-        """
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        if raw and not raw.endswith(b"\n"):
-            lines = lines[:-1]  # torn tail: the interrupted append
-        numbered = [
-            (lineno, line.strip())
-            for lineno, line in enumerate(lines)
-            if line.strip()
-        ]
-        last = numbered[-1][0] if numbered else -1
-        for lineno, line in numbered:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == last:
-                    break  # flushed but garbled tail: treat as torn
-                raise ArchiveError(
-                    f"cell index {self.path} line {lineno + 1} is corrupt "
-                    f"(delete the file to rebuild from the archive): {exc}"
-                ) from exc
-            if not isinstance(record, dict) or not verify_line(record):
-                if lineno == last:
-                    break  # checksum-failed tail: never fully durable
-                raise ArchiveError(
-                    f"cell index {self.path} line {lineno + 1} failed its "
-                    "checksum (delete the file to rebuild from the archive)"
-                )
-            if lineno == 0:
-                if record.get("cell_index_version") != CELL_INDEX_VERSION:
-                    raise ArchiveError(
-                        f"{self.path} is not a version-{CELL_INDEX_VERSION} "
-                        "cell index"
-                    )
-                continue
+        try:
+            self._log, records = AppendLog.open(
+                self.path, {"cell_index_version": CELL_INDEX_VERSION}
+            )
+        except CorruptLogError as exc:
+            raise ArchiveError(
+                f"cell index {self.path} is corrupt at {exc} "
+                "(delete the file to rebuild from the archive)"
+            ) from exc
+        if records and records[0].get("cell_index_version") != CELL_INDEX_VERSION:
+            raise ArchiveError(
+                f"{self.path} is not a version-{CELL_INDEX_VERSION} cell index"
+            )
+        for record in records[1:]:
             digest = record.get("digest")
             if isinstance(digest, str):
                 # Later lines win: a re-archived cell points at the
                 # freshest run containing it.
                 self._entries[digest] = record
 
-    def _open_stream(self):
-        if self._stream is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._stream = open(self.path, "ab")
-            if fresh:
-                self._write_line({"cell_index_version": CELL_INDEX_VERSION})
-        return self._stream
-
-    def _write_line(self, record: dict[str, object]) -> None:
-        data = json.dumps(seal_line(record), default=str).encode() + b"\n"
-        shim_write(self._stream, data, self.path)
-
-    def _sync(self) -> None:
-        shim_fsync(self._stream, self.path)
+    @classmethod
+    def for_archive(cls, archive: RunArchive) -> "CellIndex":
+        """The index that lives beside an archive's ``runs/`` directory."""
+        return cls(archive.root / "cell_index.jsonl")
 
     def close(self) -> None:
         """Close the append stream (reopened lazily on next write)."""
         with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
+            self._log.close()
 
     def __enter__(self) -> "CellIndex":
         return self
@@ -325,24 +271,23 @@ class CellIndex:
         Re-adding an identical mapping is a no-op; a digest remapped to a
         new run_id is appended (replay keeps the latest).
         """
-        appended = 0
+        records: list[dict[str, object]] = []
+        added: dict[str, dict[str, object]] = {}
         with self._lock:
-            self._open_stream()
             for digest, run_id, cell_key in items:
-                existing = self._entries.get(digest)
+                existing = added.get(digest) or self._entries.get(digest)
                 if existing is not None and existing.get("run_id") == run_id:
                     continue
-                record = {
+                added[digest] = {
                     "digest": digest,
                     "run_id": run_id,
                     "cell": list(cell_key),
                 }
-                self._write_line(record)
-                self._entries[digest] = record
-                appended += 1
-            if appended:
-                self._sync()
-        return appended
+                records.append(added[digest])
+            if records:
+                self._log.append(records)
+                self._entries.update(added)
+        return len(records)
 
     # -- recovery -------------------------------------------------------
 

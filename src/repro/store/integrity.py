@@ -1,19 +1,13 @@
-"""Storage integrity: line checksums, run digests, scrub, quarantine.
+"""Storage integrity: run digests, scrub, quarantine, self-healing.
 
-"Measure once, serve forever" is only as good as the bytes under it.  The
-archive's crash discipline (staged renames, fsynced appends, torn-tail
-discard) protects against *interrupted* writes, but not against *silent*
-damage — a bit flipped by bad RAM or a failing disk, a file truncated by
-an overeager cleanup, an index line garbled by two uncoordinated writers.
-This module makes such damage detectable and recoverable:
+"Measure once, serve forever" is only as good as the bytes under it.
+:mod:`repro.durable` protects against *interrupted* writes (atomic
+replaces, sealed fsynced appends, a never-durable end dropped and cut)
+and makes damaged log lines detectable; this module covers *silent*
+damage to what was already written — a bit flipped by bad RAM or a
+failing disk, a file truncated by an overeager cleanup — and what to do
+about it:
 
-* **per-record checksums** — every cell-index and journal line carries a
-  ``crc`` (:func:`seal_line`), a short SHA-256 of the record's canonical
-  JSON.  Replay verifies each line (:func:`verify_line`): a mismatched
-  *final* line is discarded like a torn tail (the record was never fully
-  durable), while a mismatched interior line is hard evidence of
-  corruption and fails the load so self-healing can kick in.  Lines
-  written before this scheme (no ``crc`` field) remain readable.
 * **whole-run digests** — archive manifests record the SHA-256 of the
   run's ``results.json`` and ``spans.jsonl`` at archive time
   (:func:`run_file_digests`), so any later mutation of an archived run is
@@ -40,70 +34,26 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..core.results import ResultSet
+from ..durable import AppendLog
 from ..errors import ArchiveError
 from .archive import RunArchive, write_json_atomic
+from .cellindex import CellIndex, derive_index_entries
 
 __all__ = [
-    "CRC_FIELD",
     "ScrubReport",
     "file_sha256",
     "last_scrub_report",
-    "line_crc",
     "open_self_healing_index",
     "quarantine_count",
     "quarantine_run",
     "run_file_digests",
     "scrub",
-    "seal_line",
-    "verify_line",
     "verify_run",
 ]
 
-#: Field name carrying a record's checksum inside JSONL lines.
-CRC_FIELD = "crc"
-
-#: Digest length kept per line: 12 hex chars = 48 bits, plenty to make an
-#: accidental collision on a damaged line implausible while keeping the
-#: per-record overhead far below the record itself.
-_CRC_HEX_CHARS = 12
-
 #: Files whose digests an archive manifest records, in manifest order.
 RUN_DIGEST_FILES = ("results.json", "spans.jsonl")
-
-
-# -- line checksums -----------------------------------------------------
-
-
-def line_crc(record: dict[str, object]) -> str:
-    """Checksum of a record's canonical JSON, excluding the crc itself.
-
-    Uses ``default=str`` like the JSONL writers do, so a record sealed
-    before serialization and the same record re-parsed from disk hash
-    identically even when a value was stringified on the way out.
-    """
-    body = {key: value for key, value in record.items() if key != CRC_FIELD}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(text.encode()).hexdigest()[:_CRC_HEX_CHARS]
-
-
-def seal_line(record: dict[str, object]) -> dict[str, object]:
-    """A copy of ``record`` carrying its :func:`line_crc`."""
-    sealed = dict(record)
-    sealed[CRC_FIELD] = line_crc(record)
-    return sealed
-
-
-def verify_line(record: dict[str, object]) -> bool:
-    """True when the record's crc matches (or predates the crc scheme).
-
-    Records without a ``crc`` field were written before checksumming and
-    are accepted as-is — the scheme must not invalidate every archive in
-    existence on upgrade.
-    """
-    crc = record.get(CRC_FIELD)
-    if crc is None:
-        return True
-    return crc == line_crc(record)
 
 
 # -- whole-run digests --------------------------------------------------
@@ -160,8 +110,6 @@ def verify_run(run_dir: str | Path) -> list[str]:
                 )
     results_path = run_dir / "results.json"
     try:
-        from ..core.results import ResultSet
-
         ResultSet.load_json(results_path)
     except Exception as exc:  # noqa: BLE001 - any parse failure is damage
         problems.append(f"results.json unparseable: {exc}")
@@ -258,46 +206,6 @@ def last_scrub_report(root: str | Path) -> dict[str, object] | None:
     return raw if isinstance(raw, dict) else None
 
 
-def _scan_index(path: Path) -> tuple[dict[str, str], list[str]]:
-    """Tolerantly read a cell-index file: (digest -> run_id, problems).
-
-    Unlike :class:`CellIndex`, never raises: corrupt lines become
-    problem strings, because the scrubber's job is to *report and heal*,
-    not to fall over where the server would.
-    """
-    entries: dict[str, str] = {}
-    problems: list[str] = []
-    if not path.exists():
-        return entries, problems
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    if raw and not raw.endswith(b"\n"):
-        problems.append(f"line {len(lines)}: torn trailing line")
-        lines = lines[:-1]
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            problems.append(f"line {lineno + 1}: unparseable")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno + 1}: not an object")
-            continue
-        if not verify_line(record):
-            problems.append(f"line {lineno + 1}: checksum mismatch")
-            continue
-        if lineno == 0 and "cell_index_version" in record:
-            continue
-        digest = record.get("digest")
-        run_id = record.get("run_id")
-        if isinstance(digest, str) and isinstance(run_id, str):
-            entries[digest] = run_id
-    return entries, problems
-
-
 def scrub(
     archive: RunArchive,
     quarantine: bool = True,
@@ -318,10 +226,6 @@ def scrub(
     The report is persisted to ``<root>/last_scrub.json`` so operators
     (and the service's ``/health``) can see the latest verdict.
     """
-    # Imported here, not at module scope: cellindex seals its lines with
-    # this module's checksums, so the dependency points that way.
-    from .cellindex import CellIndex, derive_index_entries
-
     report = ScrubReport(
         archive_root=str(archive.root),
         started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -365,8 +269,9 @@ def scrub(
     # Cross-check the cell index against what the surviving archive can
     # actually prove: every entry must re-derive from a verified run.
     index_path = archive.root / "cell_index.jsonl"
-    on_disk, line_problems = _scan_index(index_path)
+    records, line_problems = AppendLog.scan(index_path)
     report.index_problems.extend(line_problems)
+    on_disk = {r["digest"]: r.get("run_id") for r in records if "digest" in r}
     expected = {
         digest: run_id for digest, run_id, _ in derive_index_entries(archive)
     }
@@ -423,8 +328,6 @@ def open_self_healing_index(
     a corrupt index (crashed writer, bit rot, concurrent-writer damage)
     degrades to a rebuild instead of refusing to serve.
     """
-    from .cellindex import CellIndex
-
     path = archive.root / "cell_index.jsonl"
     try:
         return CellIndex(path), None

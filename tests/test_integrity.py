@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.results import ResultSet, RunResult
 from repro.core.spec import BenchmarkSpec
+from repro.durable import line_crc, seal_line, verify_line
 from repro.frameworks import Mode
 from repro.store import RunArchive
 from repro.store.cellindex import CellIndex, cell_digest
@@ -16,13 +17,10 @@ from repro.store.environment import fingerprint
 from repro.store.integrity import (
     ScrubReport,
     last_scrub_report,
-    line_crc,
     open_self_healing_index,
     quarantine_count,
     quarantine_run,
     scrub,
-    seal_line,
-    verify_line,
     verify_run,
 )
 
@@ -67,8 +65,10 @@ class TestLineChecksums:
         sealed["run_id"] = "run-b"
         assert not verify_line(sealed)
 
-    def test_legacy_lines_without_crc_accepted(self):
-        assert verify_line({"digest": "d1", "run_id": "run-a"})
+    def test_lines_without_crc_rejected(self):
+        # Every writer since the crc scheme seals its lines; an unsealed
+        # line is damage (or a foreign file), not a legacy format.
+        assert not verify_line({"digest": "d1", "run_id": "run-a"})
 
     def test_crc_field_order_insensitive(self):
         a = {"x": 1, "y": 2}

@@ -1,4 +1,4 @@
-"""Tests for the injectable I/O fault shim (:mod:`repro.resilience.iofaults`)."""
+"""Tests for the injectable I/O fault shim (:mod:`repro.iofaults`)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.resilience.iofaults import (
+from repro.iofaults import (
     IOFaultSpec,
     clear_io_plan,
     fired_io_faults,

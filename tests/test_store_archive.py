@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.results import RESULTS_SCHEMA_VERSION, ResultSet, RunResult
 from repro.core.telemetry import Span
-from repro.errors import ArchiveError
+from repro.errors import ArchiveError, ReproError
 from repro.frameworks import Mode
 from repro.store import RunArchive, fingerprint, version_string
 from repro.store.environment import fingerprint_mismatches
@@ -44,13 +44,14 @@ class TestResultsSchema:
         loaded = ResultSet.load_json(path)
         assert loaded.meta["spec"]["scale"] == 9
 
-    def test_legacy_bare_list_payload_still_loads(self, tmp_path):
+    def test_bare_list_payload_is_rejected(self, tmp_path):
+        # Schema v1 (a bare list of cell records) is no longer read, and
+        # any other non-envelope JSON gets the same clear refusal.
         path = tmp_path / "legacy.json"
-        path.write_text(json.dumps([_result().as_dict()]), encoding="ascii")
-        loaded = ResultSet.load_json(path)
-        assert len(loaded) == 1
-        assert loaded.meta == {}
-        assert loaded.results[0].trial_seconds == [1.0, 1.1]
+        for payload in ([_result().as_dict()], {"cells": []}, 7):
+            path.write_text(json.dumps(payload), encoding="ascii")
+            with pytest.raises(ReproError, match="schema-v2 results file"):
+                ResultSet.load_json(path)
 
     def test_save_is_atomic_no_tmp_residue(self, tmp_path):
         path = tmp_path / "r.json"
@@ -61,9 +62,10 @@ class TestResultsSchema:
         assert residue == []
 
     def test_committed_legacy_results_file_loads(self):
-        # The pre-gate campaign artifact in results/ is a v1 payload.
+        # The pre-gate campaign artifact in results/ (written as a v1 bare
+        # list, re-saved once as v2): the full Tables IV/V matrix.
         legacy = Path(__file__).resolve().parents[1] / "results" / "full_scale13.json"
-        assert len(ResultSet.load_json(legacy)) > 0
+        assert len(ResultSet.load_json(legacy)) == 360
 
 
 class TestEnvironment:
