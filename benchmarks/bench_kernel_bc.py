@@ -9,7 +9,6 @@ dense frontiers and hurts on Road.
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, RunContext, get
-from repro.la import use_substrate
 
 from .conftest import bc_roots
 
@@ -27,17 +26,3 @@ def test_bc(benchmark, kernel_cases, fw_name, graph_name):
         rounds=5,
         warmup_rounds=1,
     )
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_bc_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    roots = bc_roots(case)
-    ctx = RunContext(graph_name="kron")
-    benchmark.group = "bc:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.betweenness(case.graph, roots, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

@@ -8,7 +8,6 @@ abstraction-heavy frameworks on Road's hundreds of tiny frontiers.
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, Mode, RunContext, get
-from repro.la import use_substrate
 
 from .conftest import source_for
 
@@ -33,17 +32,3 @@ def test_bfs_async_road_optimized(benchmark, kernel_cases, fw_name):
     ctx = RunContext(mode=Mode.OPTIMIZED, graph_name="road")
     benchmark.group = "bfs:road"
     benchmark.pedantic(lambda: framework.bfs(case.graph, source, ctx), rounds=5, warmup_rounds=1)
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_bfs_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    source = source_for(case)
-    ctx = RunContext(graph_name="kron")
-    benchmark.group = "bfs:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.bfs(case.graph, source, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

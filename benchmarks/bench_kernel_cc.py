@@ -7,7 +7,6 @@ Afforest (GAP/Galois/NWGraph) vs FastSV (SuiteSparse) vs label propagation
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, Mode, RunContext, get
-from repro.la import use_substrate
 
 
 @pytest.mark.parametrize("graph_name", ["road", "kron"])
@@ -35,16 +34,3 @@ def test_cc_graphit_road_short_circuit(benchmark, kernel_cases):
         rounds=5,
         warmup_rounds=1,
     )
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_cc_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    ctx = RunContext(graph_name="kron")
-    benchmark.group = "cc:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.connected_components(case.graph, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

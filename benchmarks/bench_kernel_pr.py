@@ -9,7 +9,6 @@ vectorized substrate shifts the wall-clock side of this comparison.
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, Mode, RunContext, get
-from repro.la import use_substrate
 
 
 @pytest.mark.parametrize("graph_name", ["road", "kron"])
@@ -33,16 +32,3 @@ def test_pr_graphit_tiled(benchmark, kernel_cases):
     benchmark.pedantic(
         lambda: framework.pagerank(case.graph, ctx), rounds=5, warmup_rounds=1
     )
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_pr_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    ctx = RunContext(graph_name="kron")
-    benchmark.group = "pr:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.pagerank(case.graph, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

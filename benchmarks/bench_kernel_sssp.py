@@ -8,7 +8,6 @@ execution; GraphBLAS pays full-vector bucket selection per round.
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, RunContext, get
-from repro.la import use_substrate
 
 from .conftest import delta_for, source_for
 
@@ -24,17 +23,3 @@ def test_sssp(benchmark, kernel_cases, fw_name, graph_name):
     benchmark.pedantic(
         lambda: framework.sssp(case.weighted, source, ctx), rounds=5, warmup_rounds=1
     )
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_sssp_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    source = source_for(case)
-    ctx = RunContext(graph_name="kron", delta=delta_for("kron"))
-    benchmark.group = "sssp:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.sssp(case.weighted, source, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

@@ -1,16 +1,20 @@
-"""Substrate A/B bench: the LA tier against the pre-port kernels.
+"""Substrate A/B bench: the LA tier against its oracle module.
 
-Every ``repro.la`` primitive keeps its pre-port reference formulation
-behind the :mod:`repro.la.config` switch, so the *same* kernel entry
-points can be timed under both engines in one process — no checkout
-juggling, no stale baselines.  This bench runs the six GAP kernels on the
-road/kron contrast pair at two scales (a CI smoke scale and the kernel
-scale the per-kernel benches use), and for each cell records:
+The pre-port formulation of every ``repro.la`` primitive lives in
+``tests/reference/la_oracle.py``, and its ``oracle_engine()`` swaps them
+in under the *same* kernel entry points, so both can be timed in one
+process — no checkout juggling, no stale baselines.  This bench runs the
+six GAP kernels on the road/kron contrast pair at two scales (a CI smoke
+scale and the kernel scale the per-kernel benches use), and for each cell
+records:
 
-* best-of-N wall time under the legacy engine (``use_substrate(False)``);
-* best-of-N wall time under the substrate (``use_substrate(True)``);
+* best-of-N wall time on the oracle (inside ``oracle_engine()``; the
+  ``legacy_seconds`` field);
+* best-of-N wall time on the substrate (the code as shipped);
 * whether the work counters (edges examined, rounds, iterations) agree —
-  the substrate must speed the work up, not silently do less of it.
+  the substrate must speed the work up, not silently do less of it.  This
+  is the GAP-baseline slice of ``tests/test_la_differential.py`` at bench
+  scale.
 
 The consolidated summary lands in ``BENCH_kernels.json`` (shared archive
 envelope) with per-kernel speedups and the geomean at each scale.  The
@@ -30,20 +34,26 @@ smoke scale with ``--fail-below 0.9``: >10% regression fails the build)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+# The oracle lives with the tests; a direct run has only benchmarks/ (and
+# PYTHONPATH=src) on the path.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
 from repro.core import GraphCase, SourcePicker, counters
 from repro.frameworks import KERNELS, RunContext, get
-from repro.la import use_substrate
 from repro.store import bench_payload, write_json_atomic
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from tests.reference.la_oracle import oracle_engine
 
 SMOKE_SCALE = int(os.environ.get("REPRO_SUBSTRATE_SMOKE_SCALE", "9"))
 FULL_SCALE = int(os.environ.get("REPRO_KERNEL_BENCH_SCALE", "11"))
@@ -71,10 +81,10 @@ def _kernel_thunk(kernel: str, framework, case: GraphCase):
     return lambda: framework.triangle_count(case.undirected, ctx)
 
 
-def _time_engine(thunk, substrate: bool) -> tuple[float, tuple[int, int, int]]:
+def _time_engine(thunk, oracle: bool) -> tuple[float, tuple[int, int, int]]:
     """Best-of-REPEATS wall time plus the (stable) counter totals."""
     best = math.inf
-    with use_substrate(substrate):
+    with oracle_engine() if oracle else contextlib.nullcontext():
         with counters.counting() as work:
             thunk()  # warmup, and the counted run
         totals = (work.edges_examined, work.rounds, work.iterations)
@@ -94,8 +104,8 @@ def measure_scale(scale: int) -> dict:
     for kernel in KERNELS:
         for graph_name, case in cases.items():
             thunk = _kernel_thunk(kernel, framework, case)
-            legacy_s, legacy_work = _time_engine(thunk, substrate=False)
-            substrate_s, substrate_work = _time_engine(thunk, substrate=True)
+            legacy_s, legacy_work = _time_engine(thunk, oracle=True)
+            substrate_s, substrate_work = _time_engine(thunk, oracle=False)
             speedup = legacy_s / substrate_s if substrate_s > 0 else math.inf
             speedups_by_kernel[kernel].append(speedup)
             cells[f"{kernel}:{graph_name}"] = {
@@ -140,6 +150,7 @@ def smoke_results():
 
 @pytest.mark.tier2
 def test_substrate_preserves_counters(smoke_results):
+    """Substrate and oracle module report the same work in every cell."""
     mismatched = [
         cell for cell, data in smoke_results["cells"].items()
         if not data["counters_equal"]
@@ -149,7 +160,8 @@ def test_substrate_preserves_counters(smoke_results):
 
 @pytest.mark.tier2
 def test_substrate_not_slower_at_smoke_scale(smoke_results):
-    """Report-only per cell; the geomean must clear the regression bar."""
+    """Against the oracle module: report-only per cell; the geomean must
+    clear the regression bar."""
     assert smoke_results["geomean_speedup"] >= 0.9, smoke_results
 
 
@@ -172,7 +184,7 @@ def main() -> int:
     print(json.dumps(payload, indent=2))
     largest = payload["data"]["scales"][str(max(args.scales))]
     if not largest["counters_all_equal"]:
-        print("FAIL: work counters diverged between engines")
+        print("FAIL: work counters diverged between substrate and oracle")
         return 1
     if args.fail_below is not None and largest["geomean_speedup"] < args.fail_below:
         print(

@@ -10,7 +10,6 @@ Table IV/V sweep).
 import pytest
 
 from repro.frameworks import FRAMEWORK_NAMES, RunContext, get
-from repro.la import use_substrate
 
 
 @pytest.mark.parametrize("graph_name", ["road", "kron"])
@@ -25,16 +24,3 @@ def test_tc(benchmark, kernel_cases, fw_name, graph_name):
         rounds=5,
         warmup_rounds=1,
     )
-
-
-@pytest.mark.parametrize("engine", ["legacy", "substrate"])
-def test_tc_substrate_ab(benchmark, kernel_cases, engine):
-    """A/B the LA substrate against the pre-port engine on the same kernel."""
-    case = kernel_cases["kron"]
-    framework = get("gap")
-    ctx = RunContext(graph_name="kron")
-    benchmark.group = "tc:substrate-ab"
-    def run():
-        with use_substrate(engine == "substrate"):
-            framework.triangle_count(case.undirected, ctx)
-    benchmark.pedantic(run, rounds=5, warmup_rounds=1)

@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``bitmap`` / ``nputil`` / ``hooking`` — shared vectorized primitives.
+* ``bitmap`` / ``hooking`` — shared vectorized primitives.
 * ``counters`` — machine-independent work metrics.
 * ``spec`` — the GAP benchmark rules (trials, sources, parameters).
 * ``verify`` — per-kernel output verification oracles.

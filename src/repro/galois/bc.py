@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.nputil import expand_frontier
 from ..graphs import CSRGraph
-from ..la import unique_ids
+from ..la import gather_edges, unique_ids
 from ..worklist import for_each_eager
 
 __all__ = ["galois_bc", "galois_bc_async"]
@@ -39,7 +38,7 @@ def _forward(graph: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray, list
     level = 0
     while frontier.size:
         counters.add_round()
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, frontier)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
         counters.add_edges(tgts.size)
         fresh_mask = depth[tgts] < 0
         depth[tgts[fresh_mask]] = level + 1
@@ -66,7 +65,7 @@ def _backward(
         counters.add_round()
         members = levels[level_index]
         # Re-expand and re-filter: the work GAP's successor bitmap skips.
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, members)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, members)
         counters.add_edges(tgts.size)
         succ = depth[tgts] == depth[srcs] + 1
         srcs, tgts = srcs[succ], tgts[succ]
@@ -104,7 +103,7 @@ def _forward_async(
 
     def relax(chunk: np.ndarray) -> np.ndarray:
         queued[chunk] = False
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, chunk)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, chunk)
         counters.add_edges(tgts.size)
         if tgts.size == 0:
             return tgts
@@ -129,7 +128,7 @@ def _forward_async(
     levels: list[np.ndarray] = [np.array([source], dtype=np.int64)]
     for level in range(max_depth):
         members = levels[level]
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, members)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, members)
         counters.add_edges(tgts.size)
         on_next = depth[tgts] == level + 1
         np.add.at(sigma, tgts[on_next], sigma[srcs[on_next]])

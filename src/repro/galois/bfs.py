@@ -14,9 +14,8 @@ import numpy as np
 
 from ..core import counters
 from ..core.bitmap import Bitmap
-from ..core.nputil import expand_frontier
 from ..graphs import CSRGraph
-from ..la import claim_first_writer
+from ..la import claim_first_writer, gather_edges
 from ..la.spmv import masked_pull_claim
 from ..worklist import for_each_eager
 
@@ -68,7 +67,7 @@ def sync_bfs(
                 bits = Bitmap.from_indices(n, frontier)
             if frontier.size == 0:
                 break
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, frontier)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
         counters.add_edges(tgts.size)
         unclaimed = parents[tgts] < 0
         srcs, tgts = srcs[unclaimed], tgts[unclaimed]
@@ -95,7 +94,7 @@ def async_bfs(graph: CSRGraph, source: int) -> np.ndarray:
 
     def relax(chunk: np.ndarray) -> np.ndarray:
         queued[chunk] = False
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, chunk)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, chunk)
         counters.add_edges(tgts.size)
         if tgts.size == 0:
             return tgts

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..core import counters
 from ..core.hooking import compress, converge, hook_pass, majority_component
-from ..core.nputil import expand_frontier
 from ..graphs import CSRGraph
+from ..la import gather_edges
 
 __all__ = ["galois_afforest"]
 
@@ -27,10 +27,10 @@ EDGE_BLOCK = 1 << 15
 
 def _all_edges_of(graph: CSRGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Out- and (for directed graphs) in-edges of the given vertices."""
-    src_out, dst_out = expand_frontier(graph.indptr, graph.indices, vertices)
+    src_out, dst_out = gather_edges(graph.indptr, graph.indices, vertices)
     if not graph.directed:
         return src_out, dst_out
-    src_in, dst_in = expand_frontier(graph.in_indptr, graph.in_indices, vertices)
+    src_in, dst_in = gather_edges(graph.in_indptr, graph.in_indices, vertices)
     return np.concatenate([src_out, src_in]), np.concatenate([dst_out, dst_in])
 
 

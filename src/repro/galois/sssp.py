@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.nputil import expand_frontier_weighted
 from ..graphs import CSRGraph
-from ..la import unique_ids
+from ..la import gather_edges_weighted, unique_ids
 from ..worklist import OrderedByIntegerMetric
 
 __all__ = ["sync_delta_stepping", "async_delta_stepping"]
@@ -27,7 +26,7 @@ def _relax_chunk(
     graph: CSRGraph, chunk: np.ndarray, dist: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relax all out-edges of ``chunk``; returns (improved vertices, dists)."""
-    srcs, tgts, weights = expand_frontier_weighted(
+    srcs, tgts, weights = gather_edges_weighted(
         graph.indptr, graph.indices, graph.weights, chunk
     )
     counters.add_edges(tgts.size)

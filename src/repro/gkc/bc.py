@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.nputil import expand_frontier
 from ..graphs import CSRGraph
-from ..la import unique_ids
+from ..la import gather_edges, unique_ids
 from .buffers import LocalBuffer
 
 __all__ = ["gkc_bc"]
@@ -35,7 +34,7 @@ def gkc_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
         level = 0
         while frontier.size:
             counters.add_round()
-            srcs, tgts = expand_frontier(graph.indptr, graph.indices, frontier)
+            srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
             counters.add_edges(tgts.size)
             fresh_mask = depth[tgts] < 0
             depth[tgts[fresh_mask]] = level + 1

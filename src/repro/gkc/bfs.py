@@ -12,9 +12,8 @@ import numpy as np
 
 from ..core import counters
 from ..core.bitmap import Bitmap
-from ..core.nputil import expand_frontier
 from ..graphs import CSRGraph
-from ..la import claim_first_writer
+from ..la import claim_first_writer, gather_edges
 from ..la.spmv import masked_pull_claim
 from .buffers import LocalBuffer
 
@@ -66,7 +65,7 @@ def gkc_bfs(
             if frontier.size == 0:
                 return parents
         buffer = LocalBuffer()
-        srcs, tgts = expand_frontier(graph.indptr, graph.indices, frontier)
+        srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
         counters.add_edges(tgts.size)
         unclaimed = parents[tgts] < 0
         srcs, tgts = srcs[unclaimed], tgts[unclaimed]

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.nputil import expand_frontier_weighted
 from ..graphs import CSRGraph
-from ..la import unique_ids
+from ..la import gather_edges_weighted, unique_ids
 from .buffers import LocalBuffer
 
 __all__ = ["gkc_sssp"]
@@ -39,7 +38,7 @@ def gkc_sssp(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
             members = members[(dist[members] // delta).astype(np.int64) == current]
             if members.size == 0:
                 break
-            srcs, tgts, weights = expand_frontier_weighted(
+            srcs, tgts, weights = gather_edges_weighted(
                 graph.indptr, graph.indices, graph.weights, members
             )
             counters.add_edges(tgts.size)

@@ -2,14 +2,14 @@
 
 One optimized CSR primitive tier under all framework reimplementations:
 edge gathers (:mod:`.gather`), first-writer frontier bookkeeping
-(:mod:`.frontier`), masked/semiring SpMV (:mod:`.spmv`), and the
-direction-optimizing push/pull policy (:mod:`.direction`).  Every
-primitive keeps its pre-port reference implementation behind the
-:mod:`.config` switch so benchmarks and differential tests can A/B the
-two engines in-process.  See ``docs/KERNEL_SUBSTRATE.md``.
+(:mod:`.frontier`), masked/semiring SpMV (:mod:`.spmv`), forward-adjacency
+intersection (:mod:`.intersect`), and the direction-optimizing push/pull
+policy (:mod:`.direction`).  Each primitive has one implementation; the
+formulations the kernels used before the port are the oracle the tests
+compare against (``tests/reference/la_oracle.py``).  See
+``docs/KERNEL_SUBSTRATE.md``.
 """
 
-from .config import enabled, set_enabled, use_substrate
 from .direction import ALPHA, BETA, DirectionOptimizer
 from .frontier import (
     claim_first_writer,
@@ -17,18 +17,10 @@ from .frontier import (
     relax_minimum,
     unique_ids,
 )
-from .gather import gather_edges, gather_edges_weighted, is_full_range
-from .spmv import (
-    frontier_spmv,
-    masked_pull_claim,
-    plus_times_operator,
-    spmv_min_plus,
-)
+from .gather import gather_edges, gather_edges_weighted
+from .spmv import masked_pull_claim, plus_times_operator, spmv_min_plus
 
 __all__ = [
-    "enabled",
-    "set_enabled",
-    "use_substrate",
     "ALPHA",
     "BETA",
     "DirectionOptimizer",
@@ -38,8 +30,6 @@ __all__ = [
     "unique_ids",
     "gather_edges",
     "gather_edges_weighted",
-    "is_full_range",
-    "frontier_spmv",
     "masked_pull_claim",
     "plus_times_operator",
     "spmv_min_plus",

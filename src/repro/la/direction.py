@@ -65,9 +65,3 @@ class DirectionOptimizer:
     def frontier_is_small(self, frontier_size: int) -> bool:
         """True when a pulled frontier is small enough to resume pushing."""
         return frontier_size <= max(self.num_vertices, 1) // self.beta
-
-    def lagraph_wants_pull(self, scout: int, frontier_size: int) -> bool:
-        """LAGraph's per-round variant: either threshold triggers pull."""
-        return self.wants_pull(scout) or frontier_size > max(
-            self.num_vertices, 1
-        ) // self.beta

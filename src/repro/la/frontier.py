@@ -8,23 +8,18 @@ Every frontier kernel in the repository used one sorting idiom for
 
 i.e. of all edges hitting a target this round, the first in expansion
 order wins — the vectorized analog of the reference codes' compare-and-
-swap loops.  ``np.unique`` pays an O(E log E) sort for this.  The
-optimized path gets identical semantics in O(E + V) without sorting:
+swap loops.  ``np.unique`` pays an O(E log E) sort for this.  This module
+gets identical semantics in O(E + V) without sorting:
 
 * **first-writer claim** — NumPy fancy assignment is last-writer-wins, so
   assigning the *reversed* arrays makes the first occurrence win;
 * **dedup via flags** — a boolean scratch array plus ``flatnonzero``
   yields the same sorted unique ids as ``np.unique``.
-
-The reference paths are the original ``np.unique`` formulations, kept for
-the A/B harness and the differential suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import config
 
 __all__ = [
     "claim_first_writer",
@@ -47,14 +42,10 @@ def claim_first_writer(
     """
     if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    if config.enabled():
-        # Fancy assignment keeps the LAST write per index; reversing both
-        # arrays therefore keeps the FIRST, with no sort.
-        state[keys[::-1]] = values[::-1]
-        return unique_ids(keys, num_vertices)
-    fresh, first = np.unique(keys, return_index=True)
-    state[fresh] = values[first]
-    return fresh
+    # Fancy assignment keeps the LAST write per index; reversing both
+    # arrays therefore keeps the FIRST, with no sort.
+    state[keys[::-1]] = values[::-1]
+    return unique_ids(keys, num_vertices)
 
 
 def first_occurrence_mask(keys: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -66,26 +57,19 @@ def first_occurrence_mask(keys: np.ndarray, num_vertices: int) -> np.ndarray:
     """
     if keys.size == 0:
         return np.zeros(0, dtype=bool)
-    if config.enabled():
-        first_at = np.full(num_vertices, -1, dtype=np.int64)
-        positions = np.arange(keys.size, dtype=np.int64)
-        first_at[keys[::-1]] = positions[::-1]
-        return first_at[keys] == positions
-    _, first = np.unique(keys, return_index=True)
-    mask = np.zeros(keys.size, dtype=bool)
-    mask[first] = True
-    return mask
+    first_at = np.full(num_vertices, -1, dtype=np.int64)
+    positions = np.arange(keys.size, dtype=np.int64)
+    first_at[keys[::-1]] = positions[::-1]
+    return first_at[keys] == positions
 
 
 def unique_ids(keys: np.ndarray, num_vertices: int) -> np.ndarray:
     """Sorted unique vertex ids, flag-based instead of sort-based."""
     if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    if config.enabled():
-        flags = np.zeros(num_vertices, dtype=bool)
-        flags[keys] = True
-        return np.flatnonzero(flags)
-    return np.unique(keys)
+    flags = np.zeros(num_vertices, dtype=bool)
+    flags[keys] = True
+    return np.flatnonzero(flags)
 
 
 def relax_minimum(

@@ -2,9 +2,8 @@
 
 Expanding "the edges leaving this vertex set" is the single hottest
 operation in the repository — every push step, pull step, relaxation, and
-full-graph sweep in all six frameworks bottoms out here.  The optimized
-path improves on the historical three-``np.repeat`` formulation in two
-ways:
+full-graph sweep in all six frameworks bottoms out here.  It improves on
+the historical three-``np.repeat`` formulation in two ways:
 
 * one ``np.repeat`` fewer: the flat edge index is ``arange(total)`` plus a
   per-row shift (``row_start - exclusive_cumsum(counts)``) repeated once;
@@ -13,15 +12,14 @@ ways:
   target array *is* ``indices`` — no flat-index computation and no fancy
   gather at all, and weights pass through as views.
 
-Both paths return identical arrays; index dtype follows the graph's
-(int32 and int64 CSR arrays are both supported and preserved).
+Both ways return the arrays the historical formulation did; index dtype
+follows the graph's (int32 and int64 CSR arrays are both supported and
+preserved).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import config
 
 __all__ = [
     "gather_edges",
@@ -41,10 +39,14 @@ def is_full_range(rows: np.ndarray, num_rows: int) -> bool:
     ))
 
 
-def _flat_edge_index(
+def flat_edge_index(
     indptr: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(row owner per edge, flat index into ``indices``, total edges)."""
+    """(row owner per edge, flat index into ``indices``, total edges).
+
+    Public for callers that gather auxiliary per-edge arrays (values,
+    weights) themselves.
+    """
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     ends = np.cumsum(counts)
@@ -58,33 +60,6 @@ def _flat_edge_index(
     return owners, flat, total
 
 
-def _reference_flat_edge_index(
-    indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pre-port three-repeat gather, kept as the A/B reference."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=rows.dtype)
-        return empty, np.empty(0, dtype=np.int64), 0
-    owners = np.repeat(rows, counts)
-    offsets = np.arange(total, dtype=np.int64)
-    row_begin = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.repeat(starts, counts) + (offsets - row_begin)
-    return owners, flat, total
-
-
-def flat_edge_index(
-    indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Config-dispatched ``(owners, flat_index, total)`` for callers that
-    gather auxiliary per-edge arrays (values, weights) themselves."""
-    if config.enabled():
-        return _flat_edge_index(indptr, rows)
-    return _reference_flat_edge_index(indptr, rows)
-
-
 def gather_edges(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,14 +69,9 @@ def gather_edges(
     head; duplicate targets are preserved (deduplication policy belongs to
     the caller).
     """
-    if config.enabled():
-        num_rows = indptr.size - 1
-        if is_full_range(rows, num_rows):
-            counts = np.diff(indptr)
-            return np.repeat(rows, counts), indices
-        owners, flat, total = _flat_edge_index(indptr, rows)
-    else:
-        owners, flat, total = _reference_flat_edge_index(indptr, rows)
+    if is_full_range(rows, indptr.size - 1):
+        return np.repeat(rows, np.diff(indptr)), indices
+    owners, flat, total = flat_edge_index(indptr, rows)
     if total == 0:
         return owners, np.empty(0, dtype=indices.dtype)
     return owners, indices[flat]
@@ -114,14 +84,9 @@ def gather_edges_weighted(
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Like :func:`gather_edges` but also returns per-edge weights."""
-    if config.enabled():
-        num_rows = indptr.size - 1
-        if is_full_range(rows, num_rows):
-            counts = np.diff(indptr)
-            return np.repeat(rows, counts), indices, weights
-        owners, flat, total = _flat_edge_index(indptr, rows)
-    else:
-        owners, flat, total = _reference_flat_edge_index(indptr, rows)
+    if is_full_range(rows, indptr.size - 1):
+        return np.repeat(rows, np.diff(indptr)), indices, weights
+    owners, flat, total = flat_edge_index(indptr, rows)
     if total == 0:
         return owners, np.empty(0, dtype=indices.dtype), np.empty(0, dtype=weights.dtype)
     return owners, indices[flat], weights[flat]

@@ -2,22 +2,20 @@
 
 Both triangle-counting kernels (GAP's and Ligra's) count each triangle
 once by orienting edges low-id -> high-id and intersecting forward lists.
-The reference formulation is a per-vertex Python loop; the optimized path
-lifts it into blocked two-level gathers: every wedge ``u -> v -> w`` for a
-block of base vertices is materialized at once and closed by one binary
-search of the key ``u * n + w`` against the global forward-edge key list
-(which is already sorted, because rows ascend and each row is sorted).
+The textbook formulation is a per-vertex loop; this module lifts it into
+blocked two-level gathers: every wedge ``u -> v -> w`` for a block of base
+vertices is materialized at once and closed by one binary search of the
+key ``u * n + w`` against the global forward-edge key list (which is
+already sorted, because rows ascend and each row is sorted).
 
-Returns ``(triangles, edges_examined)``; the per-vertex work accounting —
-``targets.size + row.size`` for every base vertex with a non-empty wedge
-set — is identical across both paths, so counter parity is structural.
+Returns ``(triangles, edges_examined)``; the work accounting is the
+per-vertex loop's — ``targets.size + row.size`` for every base vertex with
+a non-empty wedge set — so blocking changes the time, not the count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import config
 
 __all__ = ["count_forward_triangles", "INTERSECT_BLOCK_EDGES"]
 
@@ -26,35 +24,10 @@ __all__ = ["count_forward_triangles", "INTERSECT_BLOCK_EDGES"]
 INTERSECT_BLOCK_EDGES = 1 << 22
 
 
-def _reference_count(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
-    """Pre-port per-vertex intersection loop, kept as the A/B reference."""
-    total = 0
-    examined = 0
-    num_vertices = indptr.size - 1
-    for u in range(num_vertices):
-        row = indices[indptr[u]: indptr[u + 1]]
-        if row.size < 2:
-            continue
-        # Gather the forward lists of all forward neighbors of u at once.
-        starts = indptr[row]
-        ends = indptr[row + 1]
-        chunks = [indices[s:e] for s, e in zip(starts, ends) if e > s]
-        if not chunks:
-            continue
-        targets = np.concatenate(chunks)
-        examined += targets.size + row.size
-        position = np.searchsorted(row, targets)
-        position[position == row.size] = 0
-        total += int((row[position] == targets).sum())
-    return total, examined
-
-
 def count_forward_triangles(
     indptr: np.ndarray, indices: np.ndarray
 ) -> tuple[int, int]:
     """Count triangles in a forward (low -> high oriented) CSR adjacency."""
-    if not config.enabled():
-        return _reference_count(indptr, indices)
     num_vertices = indptr.size - 1
     if num_vertices == 0 or indices.size == 0:
         return 0, 0

@@ -5,11 +5,10 @@ SpMV/semiring engine can back every classic graph kernel; this module is
 that engine for the reproduction.  Three tiers:
 
 * :func:`plus_times_operator` — the (+, x) semiring product as a reusable
-  operator closure.  The optimized path hands the CSR arrays to SciPy's
-  compiled matvec (our stand-in for a vendor BLAS); the reference path is
-  the gather + prefix-sum formulation the kernels used before the port.
-  PageRank-style iteration builds the operator once and applies it every
-  sweep, amortizing construction exactly like a real library would.
+  operator closure over SciPy's compiled matvec (our stand-in for a vendor
+  BLAS).  PageRank-style iteration builds the operator once and applies
+  it every sweep, amortizing construction exactly like a real library
+  would.
 * :func:`spmv_min_plus` — the full (min, +) tropical product, segment-min
   over CSR rows (SciPy has no min-plus; ``np.minimum.reduceat`` does).
 * :func:`masked_pull_claim` — the masked pull step of direction-optimized
@@ -30,15 +29,13 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from . import config
-from .gather import gather_edges, gather_edges_weighted
+from .gather import gather_edges
 from .frontier import claim_first_writer
 
 __all__ = [
     "plus_times_operator",
     "spmv_min_plus",
     "masked_pull_claim",
-    "frontier_spmv",
 ]
 
 # Early-exit pull: rows scan their first EARLY_EXIT_CHUNK in-edges, then
@@ -60,20 +57,11 @@ def plus_times_operator(
     kernel invocation; apply once per sweep.
     """
     num_rows = indptr.size - 1
-    num_edges = int(indices.size)
-    if config.enabled():
-        values = np.ones(num_edges, dtype=np.float64) if data is None else data
-        matrix = sp.csr_matrix(
-            (values, indices, indptr), shape=(num_rows, num_rows), copy=False
-        )
-        return lambda x: matrix @ x
-
-    def reference(x: np.ndarray) -> np.ndarray:
-        gathered = x[indices] if data is None else x[indices] * data
-        prefix = np.concatenate([[0.0], np.cumsum(gathered)])
-        return prefix[indptr[1:]] - prefix[indptr[:-1]]
-
-    return reference
+    values = np.ones(indices.size, dtype=np.float64) if data is None else data
+    matrix = sp.csr_matrix(
+        (values, indices, indptr), shape=(num_rows, num_rows), copy=False
+    )
+    return lambda x: matrix @ x
 
 
 def spmv_min_plus(
@@ -94,11 +82,7 @@ def spmv_min_plus(
     occupied = np.flatnonzero(indptr[1:] > indptr[:-1])
     if occupied.size == 0:
         return y
-    if config.enabled():
-        y[occupied] = np.minimum.reduceat(terms, indptr[occupied])
-        return y
-    for row in occupied:  # reference: row-at-a-time reduction
-        y[row] = terms[indptr[row]: indptr[row + 1]].min()
+    y[occupied] = np.minimum.reduceat(terms, indptr[occupied])
     return y
 
 
@@ -202,56 +186,10 @@ def masked_pull_claim(
     num_vertices = parents.size
     if unvisited.size == 0:
         return np.empty(0, dtype=np.int64), 0
-    if early_exit and config.enabled():
+    if early_exit:
         return _pull_early_exit(
             in_indptr, in_indices, unvisited, frontier_bits, parents, num_vertices
         )
     return _pull_full_scan(
         in_indptr, in_indices, unvisited, frontier_bits, parents, num_vertices
     )
-
-
-def frontier_spmv(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    frontier: np.ndarray,
-    x: np.ndarray,
-    semiring,
-    mask_bits: np.ndarray | None = None,
-    complement: bool = False,
-    weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Batched frontier SpMV ``y' = x' * A`` over a configurable semiring.
-
-    The generic push primitive: expand the frontier's rows, multiply each
-    edge with the semiring's binary op (``x`` value on the source side,
-    edge weight — or 1 — on the matrix side), filter targets through an
-    optional boolean mask (``complement=True`` keeps targets *outside* the
-    mask), and reduce duplicates with the semiring's additive monoid.
-
-    Returns ``(target_ids, values, edges_examined)``; ``semiring`` is a
-    :class:`repro.semiring.ops.Semiring`.
-    """
-    if weights is None:
-        sources, targets = gather_edges(indptr, indices, frontier)
-        edge_vals = np.ones(targets.size, dtype=np.float64)
-    else:
-        sources, targets, edge_vals = gather_edges_weighted(
-            indptr, indices, weights, frontier
-        )
-    examined = int(targets.size)
-    if targets.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), examined
-    # Index conventions mirror ``repro.semiring.operations.vxm``: positional
-    # operators (SECONDI) see the *source* row, so ANY_SECONDI adopts parents.
-    z = semiring.multiply.apply(x[sources], edge_vals, ix=sources, iy=sources)
-    z = np.asarray(z, dtype=np.float64)
-    if mask_bits is not None:
-        allowed = mask_bits[targets]
-        if complement:
-            allowed = ~allowed
-        targets, z = targets[allowed], z[allowed]
-        if targets.size == 0:
-            return np.empty(0, dtype=np.int64), z, examined
-    out_idx, out_vals = semiring.add.segment_reduce(targets, z)
-    return out_idx, out_vals, examined

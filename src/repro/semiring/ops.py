@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InvalidValueError
-from ..la import config as la_config
 from ..la.frontier import first_occurrence_mask
 
 __all__ = [
@@ -112,7 +111,7 @@ class Monoid:
         if keys.size == 0:
             return keys, values
         if self.is_any:
-            if domain is not None and la_config.enabled():
+            if domain is not None:
                 mask = first_occurrence_mask(keys, domain)
                 out_keys, out_vals = keys[mask], values[mask]
                 order = np.argsort(out_keys)  # k log k on unique keys only

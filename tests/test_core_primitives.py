@@ -1,4 +1,4 @@
-"""Tests for shared core primitives: bitmap, nputil, hooking, counters."""
+"""Tests for shared core primitives: bitmap, the CSR gather, hooking, counters."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core import counters
 from repro.core.bitmap import Bitmap
 from repro.core.hooking import compress, converge, hook_pass, majority_component
-from repro.core.nputil import expand_frontier, expand_frontier_weighted, row_slices
+from repro.la import gather_edges, gather_edges_weighted
 
 
 class TestBitmap:
@@ -43,20 +43,20 @@ class TestBitmap:
 
 class TestExpandFrontier:
     def test_matches_manual(self, tiny_graph):
-        srcs, tgts = expand_frontier(
+        srcs, tgts = gather_edges(
             tiny_graph.indptr, tiny_graph.indices, np.array([0, 2])
         )
         assert srcs.tolist() == [0, 0, 2]
         assert tgts.tolist() == [1, 2, 3]
 
     def test_empty_frontier(self, tiny_graph):
-        srcs, tgts = expand_frontier(
+        srcs, tgts = gather_edges(
             tiny_graph.indptr, tiny_graph.indices, np.empty(0, dtype=np.int64)
         )
         assert srcs.size == tgts.size == 0
 
     def test_isolated_vertices(self, tiny_graph):
-        srcs, tgts = expand_frontier(
+        srcs, tgts = gather_edges(
             tiny_graph.indptr, tiny_graph.indices, np.array([4])
         )
         assert srcs.size == 0
@@ -66,16 +66,11 @@ class TestExpandFrontier:
 
         g = weighted_version(build_graph("road", scale=7))
         v = int(np.flatnonzero(g.out_degrees > 0)[0])
-        srcs, tgts, weights = expand_frontier_weighted(
+        srcs, tgts, weights = gather_edges_weighted(
             g.indptr, g.indices, g.weights, np.array([v])
         )
         assert np.array_equal(tgts, g.neighbors(v))
         assert np.array_equal(weights, g.neighbor_weights(v))
-
-    def test_row_slices(self, tiny_graph):
-        slices = row_slices(tiny_graph.indptr, tiny_graph.indices, np.array([0, 1]))
-        assert slices[0].tolist() == [1, 2]
-        assert slices[1].tolist() == [2]
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -85,7 +80,7 @@ class TestExpandFrontier:
         g = build_graph("kron", scale=7, seed=seed % 5)
         rng = np.random.default_rng(seed)
         frontier = np.unique(rng.integers(0, g.num_vertices, size=10))
-        srcs, tgts = expand_frontier(g.indptr, g.indices, frontier)
+        srcs, tgts = gather_edges(g.indptr, g.indices, frontier)
         assert srcs.size == int(g.out_degrees[frontier].sum())
 
 

@@ -1,10 +1,10 @@
-"""Differential matrix: substrate engines must be observationally identical.
+"""Differential matrix: the substrate must be observationally identical to its oracle.
 
-The port moved every framework's hot loops onto :mod:`repro.la`, whose
-primitives keep the verbatim pre-port formulations as reference paths.
-Running a kernel under ``use_substrate(False)`` therefore reproduces the
+The port moved every framework's hot loops onto :mod:`repro.la`; the
+verbatim pre-port formulations live on in ``tests/reference/la_oracle.py``.
+Running a kernel inside ``oracle_engine()`` therefore reproduces the
 pre-port implementation *exactly* — the oracle.  This suite runs every
-framework x kernel x graph cell under both engines and requires:
+framework x kernel x graph cell on both and requires:
 
 * identical outputs — exact for BFS/SSSP/CC/TC (integer or first-writer
   semantics), tight float tolerance for PR (SciPy matvec vs the prefix-sum
@@ -22,7 +22,7 @@ import pytest
 from repro.core import GraphCase, SourcePicker, counters
 from repro.frameworks import KERNELS, RunContext, get
 from repro.frameworks.registry import FRAMEWORK_NAMES
-from repro.la import use_substrate
+from tests.reference.la_oracle import oracle_engine
 
 DIFF_SCALE = 7
 DIFF_GRAPHS = ("road", "kron", "urand")
@@ -62,22 +62,25 @@ def _run(framework_name, kernel, case, source, roots, graph_name):
     return out, work.edges_examined, work.rounds, work.iterations
 
 
+def _run_all(cases, sources):
+    """(output, counters) of every framework x kernel x graph cell."""
+    return {
+        (framework_name, kernel, graph_name): _run(
+            framework_name, kernel, case, *sources[graph_name], graph_name
+        )
+        for graph_name, case in cases.items()
+        for framework_name in FRAMEWORK_NAMES
+        for kernel in KERNELS
+    }
+
+
 @pytest.fixture(scope="module")
 def matrix(cases, sources):
-    """Both engines' (output, counters) for every cell, computed once."""
-    computed = {}
-    for graph_name, case in cases.items():
-        source, roots = sources[graph_name]
-        for framework_name in FRAMEWORK_NAMES:
-            for kernel in KERNELS:
-                cell = {}
-                for engine, flag in (("substrate", True), ("oracle", False)):
-                    with use_substrate(flag):
-                        cell[engine] = _run(
-                            framework_name, kernel, case, source, roots, graph_name
-                        )
-                computed[(framework_name, kernel, graph_name)] = cell
-    return computed
+    """Every cell on the substrate and on the oracle, computed once."""
+    substrate = _run_all(cases, sources)
+    with oracle_engine():
+        oracle = _run_all(cases, sources)
+    return {key: {"substrate": substrate[key], "oracle": oracle[key]} for key in substrate}
 
 
 @pytest.mark.tier2

@@ -1,45 +1,56 @@
 """Unit suite for the shared linear-algebra substrate (``repro.la``).
 
-Every primitive ships two engines — the optimized path and the verbatim
-pre-port reference — switched by :mod:`repro.la.config`.  This suite pins
-that the two engines are observationally identical on the cases that
-matter (empty/full frontiers, int32/int64 CSR dtypes, structural and
-complement masks), that the semiring paths satisfy the algebraic laws the
-kernels rely on, and that the early-exit pull examines strictly fewer
-edges while claiming identical parents.
+Each primitive has one implementation; its verbatim pre-port formulation
+is the oracle in ``tests/reference/la_oracle.py``.  This suite pins that
+primitive and oracle are observationally identical on the cases that
+matter (empty/full frontiers, int32/int64 CSR dtypes), that the semiring
+products satisfy the algebraic laws the kernels rely on, that the
+early-exit pull examines strictly fewer edges while claiming identical
+parents, that ``oracle_engine()`` — the only way to run a whole kernel on
+the oracle — can neither pass vacuously nor leak, and that no second
+engine grows back under ``src/``.
 """
+
+import ast
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import GraphCase
+import repro.gapbs.bfs
+import repro.la
+from repro.core import GraphCase, SourcePicker, counters
+from repro.frameworks import Mode, RunContext, get
 from repro.la import (
     ALPHA,
     BETA,
     DirectionOptimizer,
-    enabled,
-    frontier_spmv,
     gather_edges,
     gather_edges_weighted,
-    is_full_range,
     masked_pull_claim,
     plus_times_operator,
-    set_enabled,
     spmv_min_plus,
-    use_substrate,
 )
-from repro.la.gather import _flat_edge_index, _reference_flat_edge_index
-from repro.semiring.ops import ANY_SECONDI, MIN_PLUS, PLUS_TIMES
+from repro.la.gather import flat_edge_index, is_full_range
+from tests.reference import la_oracle
+from tests.reference.la_oracle import oracle_engine
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
 
 
 @pytest.fixture(scope="module")
-def kron():
-    return GraphCase.build("kron", scale=7).graph
+def kron_case():
+    return GraphCase.build("kron", scale=7)
 
 
 @pytest.fixture(scope="module")
-def road():
-    return GraphCase.build("road", scale=7).weighted
+def kron(kron_case):
+    return kron_case.graph
 
 
 def _csr(dtype):
@@ -50,23 +61,179 @@ def _csr(dtype):
     return indptr, indices, weights
 
 
-class TestConfig:
-    def test_toggle_restores(self):
-        before = enabled()
-        with use_substrate(False):
-            assert not enabled()
-            with use_substrate(True):
-                assert enabled()
-            assert not enabled()
-        assert enabled() == before
+ORACLES = {getattr(la_oracle, name) for name in la_oracle.__all__} - {oracle_engine}
 
-    def test_set_enabled_returns_previous(self):
-        previous = set_enabled(False)
-        try:
-            assert previous == True or previous == False
-            assert not enabled()
-        finally:
-            set_enabled(previous)
+
+def _oracle_bindings() -> list[str]:
+    """``module.attr`` of every loaded ``repro.*`` attribute that is an oracle."""
+    return sorted(
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if module is not None and name.partition(".")[0] == "repro"
+        for attr, value in list(vars(module).items())
+        if isinstance(value, types.FunctionType) and value in ORACLES
+    )
+
+
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter (no module loaded yet); its stdout."""
+    path = os.pathsep.join([str(SRC), str(REPO_ROOT)])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class _NumpySpy:
+    """Stands in for ``la_oracle.np``: records the NumPy names the oracle used."""
+
+    def __init__(self):
+        self.used = set()
+
+    def __getattr__(self, name):
+        self.used.add(name)
+        return getattr(np, name)
+
+
+class TestOracleEngine:
+    """The swap must reach every kernel, and must be gone afterwards."""
+
+    def test_swaps_every_binding_and_restores(self):
+        assert _oracle_bindings() == []
+        with oracle_engine():
+            assert repro.gapbs.bfs.gather_edges is la_oracle.gather_edges
+            bound = _oracle_bindings()
+            # Importers, the package re-exports and the defining modules.
+            assert "repro.galois.cc.gather_edges" in bound
+            assert "repro.la.plus_times_operator" in bound
+            assert "repro.la.frontier.unique_ids" in bound
+            assert "repro.semiring.ops.first_occurrence_mask" in bound
+        assert _oracle_bindings() == []
+        assert repro.gapbs.bfs.gather_edges is gather_edges
+
+    def test_kernels_execute_the_oracle(self, kron_case, monkeypatch):
+        spy = _NumpySpy()
+        monkeypatch.setattr(la_oracle, "np", spy)
+        gap = get("gap")
+        source = SourcePicker(kron_case.graph, seed=0).next_source()
+
+        def run():
+            gap.bfs(kron_case.graph, source, RunContext())
+            return gap.triangle_count(kron_case.undirected, RunContext())
+
+        triangles = run()
+        assert spy.used == set(), "the default engine reached the oracle module"
+        with oracle_engine():
+            assert run() == triangles
+        # claim_first_writer's sort and the per-vertex intersection loop.
+        assert {"unique", "searchsorted"} <= spy.used
+
+    def test_restores_after_an_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with oracle_engine():
+                1 / 0
+        assert _oracle_bindings() == []
+
+    def test_nesting_is_rejected(self):
+        with oracle_engine():
+            with pytest.raises(RuntimeError, match="does not nest"):
+                with oracle_engine():
+                    pass
+            # The refused inner call left the outer swap in place ...
+            assert repro.gapbs.bfs.gather_edges is la_oracle.gather_edges
+        # ... and the outer exit still restores everything.
+        assert _oracle_bindings() == []
+
+    def test_framework_first_fetched_inside_is_optimized_afterwards(self):
+        """In a new interpreter nothing is loaded: ``get`` inside the block
+        must find modules the engine imported *before* it swapped."""
+        out = _fresh_interpreter(
+            "import sys\n"
+            "from tests.reference import la_oracle\n"
+            "from repro.frameworks import get\n"
+            "assert 'repro.galois' not in sys.modules\n"
+            "with la_oracle.oracle_engine():\n"
+            "    get('galois')\n"
+            "    import repro.galois.bfs as bfs\n"
+            "    assert bfs.gather_edges is la_oracle.gather_edges\n"
+            "from repro.la import gather_edges\n"
+            "assert bfs.gather_edges is gather_edges\n"
+            "print('ok')\n"
+        )
+        assert out.strip() == "ok"
+
+
+class TestOneEngine:
+    """``masked_pull_claim`` obeys its argument; nothing else selects a path."""
+
+    # kron scale 7, SourcePicker seed 0 — the case tests/test_counter_regression
+    # pins TestEarlyExitPull on.
+    FULL_SCAN_EDGES = 919
+    EARLY_EXIT_EDGES = 423
+
+    def test_optimized_bfs_reports_the_early_exit_count(self, kron_case):
+        source = SourcePicker(kron_case.graph, seed=0).next_source()
+        examined = {}
+        for mode in (Mode.BASELINE, Mode.OPTIMIZED):
+            with counters.counting() as work:
+                get("gap").bfs(kron_case.graph, source, RunContext(mode=mode))
+            examined[mode] = work.edges_examined
+        assert examined == {
+            Mode.BASELINE: self.FULL_SCAN_EDGES,
+            Mode.OPTIMIZED: self.EARLY_EXIT_EDGES,
+        }
+
+    def test_process_state_cannot_change_the_count(self):
+        """The removed switch read this variable at import; with it set the
+        same call used to report the full-scan count under the same digest."""
+        out = _fresh_interpreter(
+            "from repro.core import GraphCase, SourcePicker, counters\n"
+            "from repro.frameworks import Mode, RunContext, get\n"
+            "case = GraphCase.build('kron', scale=7)\n"
+            "source = SourcePicker(case.graph, seed=0).next_source()\n"
+            "with counters.counting() as work:\n"
+            "    get('gap').bfs(case.graph, source, RunContext(mode=Mode.OPTIMIZED))\n"
+            "print(work.edges_examined)\n",
+            REPRO_LA_DISABLE="1",
+        )
+        assert int(out) == self.EARLY_EXIT_EDGES
+
+    def test_no_switch_or_reference_path_under_src(self):
+        banned_anywhere = ("REPRO_LA_DISABLE", "use_substrate", "set_enabled", "la_config")
+        banned_in_la = ("from . import config", "def _reference", "def reference")
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            text = path.read_text()
+            banned = banned_anywhere + (
+                banned_in_la if path.parent.name == "la" else ()
+            )
+            offenders += [
+                f"{path.relative_to(SRC)}: {needle}" for needle in banned if needle in text
+            ]
+        assert offenders == []
+        assert not (SRC / "repro" / "la" / "config.py").exists()
+
+    def test_every_exported_primitive_has_a_caller(self):
+        """A name in ``repro.la.__all__`` earns its place by being imported
+        somewhere under ``src/repro`` outside ``la/``."""
+        allowed = {
+            # No kernel calls it, but the frozen benchmark's repro.la layer
+            # probe (benchmarks/suite/campaigns.py) imports and times it.
+            "spmv_min_plus",
+        }
+        imported = set()
+        for path in (SRC / "repro").rglob("*.py"):
+            if path.parent.name == "la":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom) or not node.module:
+                    continue
+                parts = node.module.split(".")
+                if (node.level and parts[0] == "la") or parts[:2] == ["repro", "la"]:
+                    imported.update(alias.name for alias in node.names)
+        assert set(repro.la.__all__) - imported == allowed
 
 
 class TestGather:
@@ -74,10 +241,8 @@ class TestGather:
     def test_matches_reference(self, dtype):
         indptr, indices, weights = _csr(dtype)
         rows = np.array([0, 1, 2, 4], dtype=dtype)
-        with use_substrate(True):
-            src_o, tgt_o = gather_edges(indptr, indices, rows)
-        with use_substrate(False):
-            src_r, tgt_r = gather_edges(indptr, indices, rows)
+        src_o, tgt_o = gather_edges(indptr, indices, rows)
+        src_r, tgt_r = la_oracle.gather_edges(indptr, indices, rows)
         np.testing.assert_array_equal(src_o, src_r)
         np.testing.assert_array_equal(tgt_o, tgt_r)
 
@@ -85,18 +250,15 @@ class TestGather:
     def test_weighted_matches_reference(self, dtype):
         indptr, indices, weights = _csr(dtype)
         rows = np.array([1, 3], dtype=dtype)
-        with use_substrate(True):
-            out_o = gather_edges_weighted(indptr, indices, weights, rows)
-        with use_substrate(False):
-            out_r = gather_edges_weighted(indptr, indices, weights, rows)
+        out_o = gather_edges_weighted(indptr, indices, weights, rows)
+        out_r = la_oracle.gather_edges_weighted(indptr, indices, weights, rows)
         for a, b in zip(out_o, out_r):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_frontier(self):
         indptr, indices, _ = _csr(np.int64)
-        for flag in (True, False):
-            with use_substrate(flag):
-                src, tgt = gather_edges(indptr, indices, np.empty(0, dtype=np.int64))
+        for gather in (gather_edges, la_oracle.gather_edges):
+            src, tgt = gather(indptr, indices, np.empty(0, dtype=np.int64))
             assert src.size == 0 and tgt.size == 0
 
     def test_empty_rows_only(self):
@@ -107,10 +269,11 @@ class TestGather:
     def test_full_range_fast_path_is_view(self):
         indptr, indices, weights = _csr(np.int64)
         rows = np.arange(5, dtype=np.int64)
-        with use_substrate(True):
-            src, tgt, w = gather_edges_weighted(indptr, indices, weights, rows)
+        src, tgt, w = gather_edges_weighted(indptr, indices, weights, rows)
         assert tgt is indices and w is weights
-        np.testing.assert_array_equal(src, np.repeat(rows, np.diff(indptr)))
+        reference = la_oracle.gather_edges_weighted(indptr, indices, weights, rows)
+        for got, expected in zip((src, tgt, w), reference):
+            np.testing.assert_array_equal(got, expected)
 
     def test_is_full_range(self):
         assert is_full_range(np.arange(5, dtype=np.int64), 5)
@@ -120,8 +283,8 @@ class TestGather:
 
     def test_flat_index_engines_agree_on_graph(self, kron):
         rows = np.flatnonzero(np.diff(kron.indptr) > 0)[::3]
-        o = _flat_edge_index(kron.indptr, rows)
-        r = _reference_flat_edge_index(kron.indptr, rows)
+        o = flat_edge_index(kron.indptr, rows)
+        r = la_oracle.flat_edge_index(kron.indptr, rows)
         np.testing.assert_array_equal(o[0], r[0])
         np.testing.assert_array_equal(o[1], r[1])
         assert o[2] == r[2]
@@ -137,10 +300,9 @@ class TestPlusTimes:
         for row in range(5):
             for pos in range(indptr[row], indptr[row + 1]):
                 dense[row, indices[pos]] += data[pos] if weighted else 1.0
-        for flag in (True, False):
-            with use_substrate(flag):
-                op = plus_times_operator(indptr, indices, data)
-                np.testing.assert_allclose(op(x), dense @ x, atol=1e-12)
+        for build in (plus_times_operator, la_oracle.plus_times_operator):
+            op = build(indptr, indices, data)
+            np.testing.assert_allclose(op(x), dense @ x, atol=1e-12)
 
     def test_distributes_over_addition(self):
         """(+, x) law the PageRank sweep relies on: A(x + y) = Ax + Ay."""
@@ -159,9 +321,8 @@ class TestMinPlus:
         for row in range(5):
             for pos in range(indptr[row], indptr[row + 1]):
                 expected[row] = min(expected[row], weights[pos] + x[indices[pos]])
-        for flag in (True, False):
-            with use_substrate(flag):
-                got = spmv_min_plus(indptr, indices, weights, x)
+        for product in (spmv_min_plus, la_oracle.spmv_min_plus):
+            got = product(indptr, indices, weights, x)
             np.testing.assert_array_equal(got, expected)
 
     def test_empty_matrix(self):
@@ -175,77 +336,6 @@ class TestMinPlus:
         x = np.full(5, np.inf)
         got = spmv_min_plus(indptr, indices, weights, x)
         assert np.all(np.isinf(got))
-
-
-class TestFrontierSpmv:
-    def _one_hop(self, graph, frontier_ids):
-        x = np.zeros(graph.num_vertices)
-        x[frontier_ids] = 1.0
-        return frontier_spmv(
-            graph.indptr, graph.indices, frontier_ids, x, PLUS_TIMES
-        )
-
-    def test_plus_times_counts_in_edges(self, kron):
-        frontier = np.array([0, 1, 2], dtype=np.int64)
-        ids, vals, examined = self._one_hop(kron, frontier)
-        deg = np.diff(kron.indptr)
-        assert examined == int(deg[frontier].sum())
-        # y[t] = number of frontier in-neighbors of t.
-        src, tgt = gather_edges(kron.indptr, kron.indices, frontier)
-        expected = np.bincount(tgt, minlength=kron.num_vertices)
-        got = np.zeros(kron.num_vertices)
-        got[ids] = vals
-        np.testing.assert_allclose(got, expected)
-
-    def test_any_secondi_adopts_a_frontier_parent(self, kron):
-        frontier = np.array([0, 5], dtype=np.int64)
-        x = np.zeros(kron.num_vertices)
-        ids, parents, _ = frontier_spmv(
-            kron.indptr, kron.indices, frontier, x, ANY_SECONDI
-        )
-        assert np.all(np.isin(parents.astype(np.int64), frontier))
-
-    def test_structural_and_complement_masks(self, kron):
-        frontier = np.array([0, 1], dtype=np.int64)
-        x = np.zeros(kron.num_vertices)
-        mask = np.zeros(kron.num_vertices, dtype=bool)
-        src, tgt = gather_edges(kron.indptr, kron.indices, frontier)
-        half = np.unique(tgt)[: max(1, np.unique(tgt).size // 2)]
-        mask[half] = True
-        inside, _, _ = frontier_spmv(
-            kron.indptr, kron.indices, frontier, x, ANY_SECONDI, mask_bits=mask
-        )
-        outside, _, _ = frontier_spmv(
-            kron.indptr, kron.indices, frontier, x, ANY_SECONDI,
-            mask_bits=mask, complement=True,
-        )
-        assert np.all(mask[inside])
-        assert not np.any(mask[outside])
-        both = np.union1d(inside, outside)
-        unmasked, _, _ = frontier_spmv(
-            kron.indptr, kron.indices, frontier, x, ANY_SECONDI
-        )
-        np.testing.assert_array_equal(both, unmasked)
-
-    def test_min_plus_relaxation(self, road):
-        frontier = np.array([0], dtype=np.int64)
-        dist = np.full(road.num_vertices, np.inf)
-        dist[0] = 0.0
-        ids, vals, _ = frontier_spmv(
-            road.indptr, road.indices, frontier, dist, MIN_PLUS,
-            weights=road.weights,
-        )
-        for t, v in zip(ids, vals):
-            row = slice(road.indptr[0], road.indptr[1])
-            candidates = [
-                road.weights[p] for p in range(road.indptr[0], road.indptr[1])
-                if road.indices[p] == t
-            ]
-            assert v == min(candidates)
-
-    def test_empty_frontier(self, kron):
-        ids, vals, examined = self._one_hop(kron, np.empty(0, dtype=np.int64))
-        assert ids.size == 0 and vals.size == 0 and examined == 0
 
 
 class TestMaskedPullClaim:
@@ -276,6 +366,22 @@ class TestMaskedPullClaim:
         assert edges_fast <= edges_full
         # With a third of all vertices in the frontier most rows hit early.
         assert edges_fast < edges_full
+
+    def test_oracle_pull_is_always_the_full_scan(self, kron):
+        """Counter-parity rule 3: the pre-port pull had no early exit."""
+        frontier = np.arange(0, kron.num_vertices, 3, dtype=np.int64)
+        edges = {}
+        for early_exit in (False, True):
+            parents, bits, unvisited = self._setup(kron, frontier)
+            _, edges[early_exit] = la_oracle.masked_pull_claim(
+                kron.in_indptr, kron.in_indices, unvisited, bits,
+                parents, early_exit=early_exit,
+            )
+        parents, bits, unvisited = self._setup(kron, frontier)
+        _, full = masked_pull_claim(
+            kron.in_indptr, kron.in_indices, unvisited, bits, parents
+        )
+        assert edges == {False: full, True: full}
 
     def test_adopted_parent_is_first_frontier_in_neighbor(self, kron):
         frontier = np.array([0, 1, 2, 3], dtype=np.int64)
@@ -322,9 +428,3 @@ class TestDirectionOptimizer:
         # pushing at size <= n // BETA.
         assert policy.frontier_is_small(180 // BETA)
         assert not policy.frontier_is_small(180 // BETA + 1)
-
-    def test_lagraph_variant_triggers_on_either(self):
-        policy = DirectionOptimizer(num_vertices=180, num_edges=1000)
-        assert policy.lagraph_wants_pull(scout=0, frontier_size=11)
-        assert not policy.lagraph_wants_pull(scout=0, frontier_size=10)
-        assert policy.lagraph_wants_pull(scout=67, frontier_size=0)
