@@ -284,9 +284,13 @@ class WorkerPool:
         """Kill and respawn every worker, discarding in-flight work.
 
         Used when a campaign on a shared pool aborts: the pool stays
-        usable for the next campaign, and stamp filtering in :meth:`get`
-        drops anything the old workers managed to send.
+        usable for the next campaign.  The replacements report on a results
+        queue of their own: a worker killed inside ``results.put()`` dies
+        holding the old queue's write lock (and may leave half a message
+        in its pipe), and anyone sharing it would block for good.
         """
+        self._results.close()
+        self._results = self._ctx.SimpleQueue()
         for slot in list(self._slots):
             self.respawn(slot)
 

@@ -11,7 +11,7 @@ Timing follows the GAP rules as the paper applies them:
   frameworks; BC draws 4 roots per trial; the reported time is the
   average over trials;
 * every output is verified (once per cell) against the oracles in
-  :mod:`repro.core.verify`.
+  :mod:`repro.core.verify`, each computed once per input.
 
 Every cell runs inside a telemetry span (see :mod:`repro.core.telemetry`):
 wall time per trial, prepare/kernel/verify phase times, a work-counter
@@ -27,7 +27,7 @@ journal, retries, circuit breaker, backends) lives in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,12 +70,21 @@ class GraphCase:
     * ``undirected`` is ``graph`` itself when the input is already
       undirected (an alias, never a copy), else the symmetrized form.
       It is always unweighted like ``graph`` (TC ignores weights).
+
+    ``oracles`` holds the reference answers :func:`verify.verify_output`
+    has computed for this input, keyed ``(kernel, source | roots | None)``,
+    so the cells that share an input share its oracles.  It is no part of
+    the case's identity (equality, ``repr`` and the shared-memory export
+    ignore it) and lives exactly as long as the case does.
     """
 
     name: str
     graph: CSRGraph
     weighted: CSRGraph
     undirected: CSRGraph
+    oracles: dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def build(cls, name: str, scale: int, seed: int = 0) -> "GraphCase":
@@ -181,32 +190,6 @@ def _kernel_input(case: GraphCase, kernel: str) -> CSRGraph:
     return case.graph
 
 
-def _verify_output(
-    kernel: str,
-    case: GraphCase,
-    output,
-    source: int | None,
-    sources: np.ndarray | None,
-    spec: BenchmarkSpec,
-) -> None:
-    if kernel == "bfs":
-        verify.verify_bfs(case.graph, source, output)
-    elif kernel == "sssp":
-        verify.verify_sssp(case.weighted, source, output)
-    elif kernel == "cc":
-        verify.verify_cc(case.graph, output)
-    elif kernel == "pr":
-        verify.verify_pr(case.graph, output, tolerance=spec.pr_tolerance)
-    elif kernel == "bc":
-        # Imported lazily: the gapbs package itself depends on repro.core.
-        from ..gapbs import GAPReference
-
-        reference = GAPReference().betweenness(case.graph, sources)
-        verify.verify_bc(reference, output)
-    elif kernel == "tc":
-        verify.verify_tc(case.undirected, int(output))
-
-
 def _counters_snapshot(work: counters_mod.WorkCounters) -> dict[str, object]:
     snapshot: dict[str, object] = {
         "edges_examined": work.edges_examined,
@@ -309,7 +292,13 @@ def run_cell(
             prepare_start = time.perf_counter()
             prepared = framework.prepare(kernel, base_input, ctx)
             prepare_seconds = time.perf_counter() - prepare_start
-            picker = SourcePicker(case.graph, spec.seed)
+            # Only the rooted kernels draw sources; the picker scans every
+            # out-degree to find its candidates.
+            picker = (
+                SourcePicker(case.graph, spec.seed)
+                if kernel in ("bfs", "sssp", "bc")
+                else None
+            )
 
             for trial in range(planned_trials):
                 source: int | None = None
@@ -359,7 +348,10 @@ def run_cell(
                     if spec.verify:
                         cell.attributes["phase"] = "verify"
                         verify_start = time.perf_counter()
-                        _verify_output(kernel, case, output, source, sources, spec)
+                        verify.verify_output(
+                            kernel, case, output, source, sources,
+                            tolerance=spec.pr_tolerance,
+                        )
                         verify_seconds = time.perf_counter() - verify_start
             cell.attributes.pop("phase", None)
             cell.attributes.pop("trial", None)

@@ -153,6 +153,18 @@ def to_networkx(graph: CSRGraph, weighted: bool = False) -> nx.Graph:
     return out
 
 
+def networkx_bc(graph: CSRGraph, sources) -> np.ndarray:
+    """Exact unnormalized Brandes scores from a source subset, via networkx."""
+    oracle_graph = to_networkx(graph)
+    scores = nx.betweenness_centrality_subset(
+        oracle_graph,
+        sources=[int(s) for s in sources],
+        targets=list(oracle_graph.nodes),
+        normalized=False,
+    )
+    return np.array([scores[v] for v in range(graph.num_vertices)])
+
+
 @pytest.fixture(scope="session")
 def nx_corpus(corpus):
     return {name: to_networkx(graph) for name, graph in corpus.items()}

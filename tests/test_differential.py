@@ -111,22 +111,15 @@ def test_output_verifies_against_oracle(
     outputs, cases, sources, framework_name, kernel, graph_name
 ):
     """Each framework's output passes the shared oracle for that kernel."""
-    case = cases[graph_name]
     source, roots = sources[graph_name]
-    output = outputs[(framework_name, kernel, graph_name)]
-    if kernel == "bfs":
-        verify.verify_bfs(case.graph, source, output)
-    elif kernel == "sssp":
-        verify.verify_sssp(case.weighted, source, output)
-    elif kernel == "cc":
-        verify.verify_cc(case.graph, output)
-    elif kernel == "pr":
-        verify.verify_pr(case.graph, output, tolerance=PR_TOLERANCE)
-    elif kernel == "bc":
-        reference = outputs[("gap", "bc", graph_name)]
-        verify.verify_bc(reference, output)
-    elif kernel == "tc":
-        verify.verify_tc(case.undirected, int(output))
+    verify.verify_output(
+        kernel,
+        cases[graph_name],
+        outputs[(framework_name, kernel, graph_name)],
+        source,
+        roots,
+        tolerance=PR_TOLERANCE,
+    )
 
 
 @pytest.mark.tier2

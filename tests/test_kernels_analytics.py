@@ -7,6 +7,8 @@ import pytest
 from repro.frameworks import Mode, RunContext, get
 from repro.graphs import CSRGraph
 
+from .conftest import networkx_bc
+
 
 class TestCC:
     def test_partition_matches_networkx(self, framework, corpus_graph, nx_corpus):
@@ -71,28 +73,10 @@ class TestPR:
 
 
 class TestBC:
-    def _exact_oracle(self, graph: CSRGraph, sources, oracle_graph) -> np.ndarray:
-        """Unnormalized Brandes from a source subset via networkx."""
-        scores = np.zeros(graph.num_vertices)
-        bc = nx.betweenness_centrality_subset(
-            oracle_graph,
-            sources=[int(s) for s in sources],
-            targets=list(oracle_graph.nodes),
-            normalized=False,
-        )
-        for v, value in bc.items():
-            scores[v] = value
-        return scores
-
     def test_matches_networkx_subset(self, framework, tiny_graph):
         sources = np.array([0, 5])
-        oracle_graph = nx.DiGraph()
-        oracle_graph.add_nodes_from(range(7))
-        src, dst = tiny_graph.edge_array()
-        oracle_graph.add_edges_from(zip(src.tolist(), dst.tolist()))
         ours = framework.betweenness(tiny_graph, sources)
-        oracle = self._exact_oracle(tiny_graph, sources, oracle_graph)
-        assert np.allclose(ours, oracle), framework.name
+        assert np.allclose(ours, networkx_bc(tiny_graph, sources)), framework.name
 
     def test_all_frameworks_agree(self, corpus_graph):
         name, graph = corpus_graph

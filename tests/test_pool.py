@@ -71,6 +71,18 @@ def test_reset_replaces_every_worker():
         assert len(results) == 1 and all(r.ok for r in results)
 
 
+def test_reset_survives_a_worker_killed_while_reporting():
+    """A worker terminated inside ``results.put()`` dies holding the queue's
+    write lock; the replacements must not be handed that queue."""
+    with WorkerPool(2) as pool:
+        stale = pool._results
+        stale._wlock.acquire()  # what the dead worker left behind
+        pool.reset()
+        assert pool._results is not stale  # or the campaign below never ends
+        results = _campaign(pool, kernels=("bfs", "cc"))
+        assert len(results) == 2 and all(r.ok for r in results)
+
+
 def test_dead_worker_is_replaced_at_next_campaign():
     with WorkerPool(2) as pool:
         victim = pool._slots[0]["process"]
