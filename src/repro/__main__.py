@@ -123,14 +123,10 @@ def _split_graphs(value: str) -> list[str]:
     one-line error before any generation or measurement starts.
     """
     from .errors import ReproError
-    from .graphs.datasets import is_dataset_ref, resolve
+    from .graphs.datasets import is_dataset_ref, resolve, unknown_graphs
 
     names = [item.strip() for item in value.split(",") if item.strip()]
-    unknown = [
-        name
-        for name in names
-        if name not in GRAPH_NAMES and not is_dataset_ref(name)
-    ]
+    unknown = unknown_graphs(names)
     if unknown:
         raise SystemExit(
             f"unknown graph: {unknown} (allowed: {list(GRAPH_NAMES)} "
@@ -444,20 +440,24 @@ def _print_deltas(deltas, verbose: bool) -> None:
         )
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
-    base_ref, baseline, base_env = _resolve_results(args.baseline, args.archive_dir)
-    cand_ref, candidate, cand_env = _resolve_results(args.candidate, args.archive_dir)
+def _gate_report(
+    args: argparse.Namespace, baseline, candidate, headline: str, advice: str
+):
+    """Evaluate candidate against baseline (each a ``_resolve_results``
+    triple) and print what ``diff`` and ``gate`` both open with."""
+    base_ref, base_results, base_env = baseline
+    cand_ref, cand_results, cand_env = candidate
     report = evaluate_gate(
-        baseline,
-        candidate,
+        base_results,
+        cand_results,
         threshold=args.threshold,
         baseline_ref=base_ref,
         candidate_ref=cand_ref,
         baseline_environment=base_env,
         candidate_environment=cand_env,
     )
+    print(headline.format(base=base_ref, cand=cand_ref, threshold=args.threshold))
     summary = report.summary()
-    print(f"baseline {base_ref} vs candidate {cand_ref} (threshold {args.threshold:.0%})")
     print(
         ", ".join(f"{name}: {count}" for name, count in sorted(summary.items()))
     )
@@ -465,15 +465,27 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print(
             "warning: environments differ on "
             + ", ".join(report.environment_mismatches)
-            + " — ratios partly reflect the machine"
+            + f" — {advice}"
         )
+    return report
+
+
+def _cmd_diff(args: argparse.Namespace) -> int:
+    report = _gate_report(
+        args,
+        _resolve_results(args.baseline, args.archive_dir),
+        _resolve_results(args.candidate, args.archive_dir),
+        "baseline {base} vs candidate {cand} (threshold {threshold:.0%})",
+        "ratios partly reflect the machine",
+    )
     _print_deltas(report.deltas, verbose=True)
     return 0
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
     cand_source = args.results if args.results else args.candidate
-    cand_ref, candidate, cand_env = _resolve_results(cand_source, args.archive_dir)
+    resolved = _resolve_results(cand_source, args.archive_dir)
+    cand_ref, candidate, _ = resolved
 
     baseline_path = Path(args.baseline)
     if args.promote and not baseline_path.is_file():
@@ -486,31 +498,14 @@ def _cmd_gate(args: argparse.Namespace) -> int:
         promote_baseline(candidate, baseline_path)
         print(f"no baseline at {baseline_path}; promoted {cand_ref} as the baseline")
         return 0
-    base_ref, baseline, base_env = _resolve_results(args.baseline, args.archive_dir)
 
-    report = evaluate_gate(
-        baseline,
-        candidate,
-        threshold=args.threshold,
-        baseline_ref=base_ref,
-        candidate_ref=cand_ref,
-        baseline_environment=base_env,
-        candidate_environment=cand_env,
+    report = _gate_report(
+        args,
+        _resolve_results(args.baseline, args.archive_dir),
+        resolved,
+        "gate: {cand} vs baseline {base} (noise threshold {threshold:.0%})",
+        "consider --promote to rebaseline on this machine",
     )
-    summary = report.summary()
-    print(
-        f"gate: {cand_ref} vs baseline {base_ref} "
-        f"(noise threshold {args.threshold:.0%})"
-    )
-    print(
-        ", ".join(f"{name}: {count}" for name, count in sorted(summary.items()))
-    )
-    if report.environment_mismatches:
-        print(
-            "warning: environments differ on "
-            + ", ".join(report.environment_mismatches)
-            + " — consider --promote to rebaseline on this machine"
-        )
     if not report.passed:
         print("regressions:")
         for delta in report.regressions:

@@ -54,6 +54,7 @@ __all__ = [
     "list_datasets",
     "load_dataset_graph",
     "resolve",
+    "unknown_graphs",
 ]
 
 #: Environment variable overriding the default dataset directory.
@@ -88,6 +89,16 @@ def is_dataset_ref(name: str) -> bool:
         if name.startswith(prefix):
             return len(name) > len(prefix)
     return False
+
+
+def unknown_graphs(names: list[str] | tuple[str, ...]) -> list[str]:
+    """The entries of a graphs axis that are neither a generator name nor
+    (syntactically) a dataset reference — what every front end rejects."""
+    from ..generators.registry import GRAPH_NAMES  # generators imports graphs
+
+    return [
+        name for name in names if name not in GRAPH_NAMES and not is_dataset_ref(name)
+    ]
 
 
 def _detect_format(path: Path) -> str | None:

@@ -81,15 +81,11 @@ def campaign_fingerprint(
     re-derive content-addressed cell digests from the recorded map without
     the original file existing anymore.
     """
+    from ..store.cellindex import spec_identity
     from ..store.environment import fingerprint
 
-    spec_identity = {
-        key: value
-        for key, value in spec.as_dict().items()
-        if key not in ("jobs", "pool", "batch_size")
-    }
     identity: dict[str, object] = {
-        "spec": spec_identity,
+        "spec": spec_identity(spec),
         "graphs": list(graphs),
         "kernels": list(kernels),
         "modes": list(modes),

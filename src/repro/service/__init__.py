@@ -11,9 +11,10 @@ back to clients as they land.
 
 * :mod:`~repro.service.protocol` — the wire format: validated
   :class:`CampaignRequest`, canonical cell enumeration, event schema;
-* :mod:`~repro.service.server` — :class:`BenchmarkService` (dedup,
-  coalescing, the single execution engine, journal crash-recovery) and
-  the threaded HTTP front end;
+* :mod:`~repro.service.server` — the thread-free ``_CellTable`` (dedup,
+  coalescing, the hot cache) inside :class:`BenchmarkService`, its shell
+  of stages (resolve → classify → enqueue → stream; plan → journal → run
+  → commit → finish), and the threaded HTTP front end;
 * :mod:`~repro.service.client` — :class:`ServiceClient`, a
   persistent-connection NDJSON-streaming client.
 
@@ -22,7 +23,6 @@ CLI: ``repro serve`` / ``repro submit`` / ``repro status``; see
 """
 
 from .protocol import EVENT_KINDS, CampaignRequest, encode_event
-from .server import BenchmarkService, ServiceHTTPServer, serve_forever
 from .client import ServiceClient
 
 __all__ = [
@@ -34,3 +34,13 @@ __all__ = [
     "encode_event",
     "serve_forever",
 ]
+
+
+def __getattr__(name: str):
+    """The server's names, importing :mod:`.server` on first use (PEP 562):
+    a process that only submits pays for neither it nor ``http.server``."""
+    if name in ("BenchmarkService", "ServiceHTTPServer", "serve_forever"):
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ The response is a stream of newline-delimited JSON events:
     caused an execution that was archived.
 ``degraded``
     Terminal event when the server is in hits-only read-only mode
-    (disk/memory below its watermarks, or draining for shutdown): every
+    (disk below its watermark, or draining for shutdown): every
     cached cell was still served, but the listed misses were *rejected*
     — nothing was enqueued or written.  Carries the watermark
     ``reasons`` and a ``retry_after_seconds`` hint; clients should
@@ -97,15 +97,11 @@ def _validate_graphs(values: tuple[str, ...]) -> None:
     filesystem, not the client's.  An unresolvable reference becomes a
     structured ``error`` event, not a protocol error.
     """
-    from ..graphs.datasets import is_dataset_ref
+    from ..graphs.datasets import unknown_graphs
 
     if not values:
         raise ServiceError("campaign request has no graphs")
-    unknown = [
-        value
-        for value in values
-        if value not in GRAPH_NAMES and not is_dataset_ref(value)
-    ]
+    unknown = unknown_graphs(values)
     if unknown:
         raise ServiceError(
             f"unknown graphs {unknown!r} (allowed: {list(GRAPH_NAMES)} "

@@ -1,34 +1,41 @@
 """The memoizing benchmark server.
 
-:class:`BenchmarkService` is the core (transport-free) machine; the HTTP
-layer at the bottom of the module is a thin threaded front end over it.
-The submission path:
+Decisions and I/O live apart.  :class:`_CellTable` is the thread-free
+core — the hot cache, the in-flight table, the counters and the one lock,
+the archive behind one injected ``load`` callable.
+:class:`BenchmarkService` is the shell of threads and files around it,
+one method per stage so that a stage boundary is a function boundary;
+the HTTP layer at the bottom of the module is a thin threaded front end.
 
-1. **Classify** (under one lock): every cell of the request is digested
-   (:func:`repro.store.cellindex.cell_digest`, spec+environment prefix
-   hashed once per request) and becomes a *hit* (in the warm result
-   cache or the persistent cell index), a *subscription* (an identical
-   cell is already executing for an earlier submission — request
-   coalescing), or an *owned miss*.
-2. **Serve hits immediately**: cached cells stream back as pre-encoded
-   event lines without touching the campaign loop — the cache-first read
-   path that keeps p95 flat under concurrent load.
-3. **Execute misses** on the single engine thread through
-   :func:`repro.core.campaign.run_suite`, lending it the one warm
-   :class:`~repro.core.pool.WorkerPool` shared across all submissions
-   (bounded in-flight compute: one executing job, a bounded queue of
-   waiting jobs).  Every finalized cell is fsynced to a per-job
-   checkpoint journal *before* it is streamed, so a crashed server can
-   recover completed cells on restart (``repro serve --resume``).
-4. **Archive + index**: the job's executed cells are archived as one
-   content-addressed run; each successful cell's digest is durably
-   appended to the cell index, making it a hit for every future
-   submission.  Failures (error/timeout/skipped cells) are archived for
-   the record but never memoized — a re-submission re-executes them.
+A **submission** (handler thread, :meth:`BenchmarkService.submit_events`)
+is ``_resolve`` (spec, dataset provenance, one
+:class:`~repro.store.cellindex.CellIdentity`, a digest per cell) →
+``_classify`` (under the table's lock each cell becomes a *hit* — hot, or
+loaded from the archive through the persistent cell index — a
+*subscription* to an identical cell already executing (request
+coalescing), an *owned miss*, or, on a degraded server, a *rejected*
+miss) → ``_enqueue`` (the owned misses as one job on the bounded queue; a
+full queue fails the claims, so nobody who subscribed to them meanwhile
+waits for a job that never runs) → ``_stream`` (``accepted``, the hits as
+pre-encoded lines, cells as the engine publishes them, a terminal event).
+
+A **job** (the single engine thread, :meth:`BenchmarkService._execute`)
+is ``_plan`` (the smallest axes covering the owned cells, the rest of
+that grid pre-filled from the hot cache) → ``_journal`` (per-job
+checkpoint journal) → ``_run`` (:func:`repro.core.campaign.run_suite` on
+the one warm :class:`~repro.core.pool.WorkerPool` all submissions share;
+each finalized cell is fsynced to the journal *before* it is published)
+→ ``_commit`` (the executed cells archived as one content-addressed run,
+each ok cell's digest durably appended to the cell index and memoized by
+the table; failed cells are archived for the record, never memoized — a
+re-submission re-executes them) → ``_finish`` (journal unlinked, owner
+told the run id).  ``repro serve --resume`` recovers a crashed server's
+journals through the same ``_commit``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -39,12 +46,13 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from queue import Full, Queue, SimpleQueue
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..core.batching import canonical_order
 from ..core.campaign import run_suite
 from ..core.pool import WorkerPool
 from ..core.results import ResultSet, RunResult
+from ..core.spec import BenchmarkSpec
 from ..errors import JournalError, ReproError, ServiceError
 from ..frameworks import Mode
 from ..frameworks.registry import get as get_framework
@@ -52,12 +60,7 @@ from ..graphs.cache import GraphCache
 from ..graphs.datasets import graph_identities
 from ..resilience.journal import CheckpointJournal, campaign_fingerprint, read_journal
 from ..store.archive import RunArchive
-from ..store.cellindex import (
-    cell_digest,
-    identity_hasher,
-    normalize_cell_key,
-)
-from ..store.environment import fingerprint
+from ..store.cellindex import CellIdentity, CellKey
 from ..store.integrity import (
     last_scrub_report,
     open_self_healing_index,
@@ -71,7 +74,7 @@ __all__ = ["BenchmarkService", "ServiceHTTPServer", "serve_forever"]
 
 #: Cells kept in the in-memory hot cache (evicted entries reload from
 #: the archive on next touch; the persistent index is never evicted).
-DEFAULT_RESULT_CACHE_SIZE = 65536
+RESULT_CACHE_SIZE = 65536
 
 #: Campaigns allowed to wait for the engine before submissions bounce.
 DEFAULT_MAX_PENDING_JOBS = 16
@@ -79,13 +82,10 @@ DEFAULT_MAX_PENDING_JOBS = 16
 #: Disk low-watermark: below this many free bytes at the archive root
 #: the service degrades to hits-only read-only mode instead of risking
 #: half-written runs.  Overridable per server (``--min-free-mb``) or via
-#: the environment for subprocess harnesses.
+#: the environment (how the chaos harness forces degraded mode
+#: deterministically in a subprocess).
 DEFAULT_MIN_FREE_BYTES = 64 * 1024 * 1024
-
-#: Environment overrides for the admission watermarks (used by the chaos
-#: harness to force degraded mode deterministically in a subprocess).
 MIN_FREE_BYTES_ENV = "REPRO_MIN_FREE_BYTES"
-MIN_AVAILABLE_MEMORY_ENV = "REPRO_MIN_AVAILABLE_MEMORY"
 
 #: Retry hint carried by ``degraded`` rejection events.
 DEGRADED_RETRY_AFTER_SECONDS = 30.0
@@ -94,16 +94,34 @@ DEGRADED_RETRY_AFTER_SECONDS = 30.0
 DEFAULT_WATCHDOG_INTERVAL = 1.0
 
 
-def available_memory_bytes() -> int | None:
-    """``MemAvailable`` from /proc/meminfo, or None where unreadable."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as stream:
-            for line in stream:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
+def _cell_line(
+    digest: str,
+    key: CellKey,
+    result: RunResult | None,
+    run_id: str | None = None,
+    error: str | None = None,
+) -> bytes:
+    """The one ``cell`` event encoder: a cached cell when it names the
+    archived ``run_id`` it is served from, else a freshly measured one —
+    or, with no ``result`` but an ``error``, one that will not be measured."""
+    event = {
+        "event": "cell",
+        "digest": digest,
+        "cell": list(key),
+        "cached": run_id is not None,
+        "run_id": run_id,
+        "result": None if result is None else result.as_dict(),
+    }
+    if error is not None:
+        event["error"] = error
+    return encode_event(event)
+
+
+def _error_line(request: CampaignRequest, message: str) -> bytes:
+    """The one terminal ``error`` event encoder."""
+    return encode_event(
+        {"event": "error", "campaign": request.campaign_id, "message": message}
+    )
 
 
 class _Inflight:
@@ -116,76 +134,22 @@ class _Inflight:
         self.line: bytes | None = None
 
 
-class _Job:
-    """One enqueued execution: a request's owned misses."""
+class _CellTable:
+    """Every decision about a cell, and no I/O.
 
-    __slots__ = ("request", "spec", "hasher", "owned", "queue", "seq", "datasets")
+    Owns the hot cache (digest → pre-encoded hit line; LRU, the persistent
+    index being complete), the in-flight table, the counters and the one
+    lock that orders them.  Knows no thread, socket, pool, file or clock:
+    the archive is the injected ``load(digest)``, called with the lock
+    held, which yields ``(digest, hit line)`` for every servable cell of
+    the archived run holding ``digest`` — nothing for a miss.
+    """
 
-    def __init__(self, request, spec, hasher, owned, queue, seq, datasets) -> None:
-        self.request = request
-        self.spec = spec
-        self.hasher = hasher
-        #: ``[(digest, cell_key), ...]`` in canonical order.
-        self.owned = owned
-        self.queue = queue
-        self.seq = seq
-        #: Dataset provenance map (ref -> path/digest/format entry) for
-        #: file-backed graphs on the request's axes; empty otherwise.
-        self.datasets = datasets
-
-
-class BenchmarkService:
-    """Memoize-or-execute campaign server core (transport-agnostic)."""
-
-    def __init__(
-        self,
-        archive_dir: str | Path | None = None,
-        jobs: int = 1,
-        cache_dir: str | Path | None = None,
-        journal_dir: str | Path | None = None,
-        max_pending_jobs: int = DEFAULT_MAX_PENDING_JOBS,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-        resume: bool = False,
-        min_free_bytes: int | None = None,
-        min_available_memory_bytes: int | None = None,
-        watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL,
-    ) -> None:
-        self.archive = RunArchive(archive_dir)
-        # A corrupt cell index quarantines + rebuilds from the archive
-        # instead of refusing to start: the index is a cache, the runs
-        # are the source of truth.
-        self.index, self.index_heal_report = open_self_healing_index(self.archive)
-        if min_free_bytes is None:
-            min_free_bytes = int(
-                os.environ.get(MIN_FREE_BYTES_ENV, DEFAULT_MIN_FREE_BYTES)
-            )
-        if min_available_memory_bytes is None:
-            min_available_memory_bytes = int(
-                os.environ.get(MIN_AVAILABLE_MEMORY_ENV, 0)
-            )
-        self.min_free_bytes = int(min_free_bytes)
-        self.min_available_memory_bytes = int(min_available_memory_bytes)
-        self.journal_dir = (
-            Path(journal_dir)
-            if journal_dir is not None
-            else self.archive.root / "journals"
-        )
-        self.jobs = max(1, int(jobs))
-        self.cache = GraphCache(cache_dir) if cache_dir is not None else GraphCache()
+    def __init__(self, load: Callable[[str], Iterable[tuple[str, bytes]]]) -> None:
+        self._load = load
         self._lock = threading.Lock()
-        #: digest → {"line": bytes, "payload": dict, "run_id": str|None,
-        #: "cell": tuple}; LRU over *hot* entries (the index is complete).
-        self._results: "OrderedDict[str, dict]" = OrderedDict()
-        self._result_cache_size = int(result_cache_size)
-        self._inflight: dict[str, _Inflight] = {}
-        self._queue: "Queue[_Job | None]" = Queue(maxsize=max(1, int(max_pending_jobs)))
-        self._pool: WorkerPool | None = None
-        self._job_seq = 0
-        self._started_at = time.time()
-        self._closed = False
-        self._draining = False
-        self._engine_job: _Job | None = None
-        self._watchdog_interval = max(0.05, float(watchdog_interval))
+        self.results: "OrderedDict[str, bytes]" = OrderedDict()
+        self.inflight: dict[str, _Inflight] = {}
         self.stats: dict[str, int] = {
             "submissions": 0,
             "cells_requested": 0,
@@ -202,6 +166,196 @@ class BenchmarkService:
             "runs_quarantined": 0,
             "connections_reset": 0,
         }
+
+    def _hit_line(self, digest: str) -> bytes | None:
+        """Pre-encoded hit event for a digest, or None (lock held)."""
+        line = self.results.get(digest)
+        if line is None:
+            for loaded, loaded_line in self._load(digest):
+                self.results.setdefault(loaded, loaded_line)
+            self._evict()
+            line = self.results.get(digest)
+            if line is None:
+                return None
+        self.results.move_to_end(digest)
+        return line
+
+    def _evict(self) -> None:
+        while len(self.results) > RESULT_CACHE_SIZE:
+            self.results.popitem(last=False)
+
+    def classify(
+        self,
+        cells: list[CellKey],
+        digests: list[str],
+        queue: SimpleQueue,
+        degraded_reasons: list[str] | None,
+    ):
+        """Split one submission's cells into hits, subscriptions, owned
+        misses and rejected misses: ``(hit_lines, owned, pending,
+        rejected)``.
+
+        ``degraded_reasons=None`` means admission has not been probed: if
+        any cell would have to be claimed, nothing is touched and the
+        result is ``None`` — the caller probes and asks again.
+        """
+        hit_lines: list[bytes] = []
+        owned: list[tuple[str, CellKey]] = []
+        pending: set[str] = set()
+        rejected: list[CellKey] = []
+        with self._lock:
+            lines = [self._hit_line(digest) for digest in digests]
+            if degraded_reasons is None and any(
+                line is None and digest not in self.inflight
+                for line, digest in zip(lines, digests)
+            ):
+                return None
+            self.stats["submissions"] += 1
+            self.stats["cells_requested"] += len(cells)
+            if degraded_reasons:
+                self.stats["submissions_degraded"] += 1
+            for key, digest, line in zip(cells, digests, lines):
+                if line is not None:
+                    hit_lines.append(line)
+                    self.stats["cells_hit"] += 1
+                    continue
+                entry = self.inflight.get(digest)
+                if entry is not None:
+                    self.stats["cells_coalesced"] += 1
+                    if entry.line is not None:
+                        # Already finished executing, not yet archived:
+                        # replay the streamed event instead of waiting.
+                        hit_lines.append(entry.line)
+                    else:
+                        entry.subscribers.append(queue)
+                        pending.add(digest)
+                    continue
+                if degraded_reasons:
+                    rejected.append(key)
+                    self.stats["cells_degraded_rejected"] += 1
+                    continue
+                self.inflight[digest] = _Inflight()
+                self.inflight[digest].subscribers.append(queue)
+                owned.append((digest, key))
+                pending.add(digest)
+        return hit_lines, owned, pending, rejected
+
+    def fail(
+        self, owned: list[tuple[str, CellKey]], message: str, counter: str
+    ) -> None:
+        """Give up ``owned`` claims that will never be measured: each
+        leaves the in-flight table, and every subscriber of one not yet
+        published is sent an error ``cell`` line, so nobody waits for it.
+        ``counter`` is the stat that says why — ``jobs_failed`` (the job
+        raised, or the engine died under it) or ``jobs_rejected`` (its
+        owner bounced off a full queue)."""
+        with self._lock:
+            self.stats[counter] += 1
+            for digest, key in owned:
+                entry = self.inflight.pop(digest, None)
+                if entry is None or entry.line is not None:
+                    continue
+                line = _cell_line(digest, key, None, error=message)
+                for subscriber in entry.subscribers:
+                    subscriber.put(("cell", digest, line))
+
+    def publish(self, digest: str, line: bytes) -> None:
+        """A cell finished executing: every subscriber gets its line, and
+        the entry keeps it for submissions arriving before the commit."""
+        with self._lock:
+            self.stats["cells_executed"] += 1
+            entry = self.inflight.get(digest)
+            if entry is not None:
+                entry.line = line
+                for subscriber in entry.subscribers:
+                    subscriber.put(("cell", digest, line))
+
+    def commit(self, cells: list[tuple[str, CellKey, RunResult]], run_id: str) -> None:
+        """``cells`` were archived as ``run_id``: the ok ones become hits,
+        and all of them leave the in-flight table."""
+        with self._lock:
+            for digest, key, result in cells:
+                if result.ok:
+                    self.results[digest] = _cell_line(digest, key, result, run_id)
+                    self.results.move_to_end(digest)
+                self.inflight.pop(digest, None)
+            self._evict()
+
+    def fillers(self, digests: Iterable[str]) -> list[tuple[str, bytes]]:
+        """``(digest, hit line)`` of each digest that is hot right now (no
+        load, no touch: a job's grid-fillers, not a client's read)."""
+        with self._lock:
+            hot = self.results
+            return [(digest, hot[digest]) for digest in digests if digest in hot]
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add to one counter."""
+        with self._lock:
+            self.stats[name] += amount
+
+    def snapshot(self) -> tuple[dict[str, int], int, int]:
+        """``(stats copy, in-flight cells, hot cells)`` at one instant."""
+        with self._lock:
+            return dict(self.stats), len(self.inflight), len(self.results)
+
+
+class _Job(NamedTuple):
+    """One enqueued execution: a request's owned misses."""
+
+    request: CampaignRequest
+    spec: BenchmarkSpec
+    #: Its ``datasets`` is the provenance resolved at submission.
+    identity: CellIdentity
+    #: ``[(digest, cell_key), ...]`` in canonical order.
+    owned: list[tuple[str, CellKey]]
+    queue: SimpleQueue
+    seq: int
+
+
+class BenchmarkService:
+    """Memoize-or-execute campaign server core (transport-agnostic)."""
+
+    def __init__(
+        self,
+        archive_dir: str | Path | None = None,
+        jobs: int = 1,
+        cache_dir: str | Path | None = None,
+        journal_dir: str | Path | None = None,
+        max_pending_jobs: int = DEFAULT_MAX_PENDING_JOBS,
+        resume: bool = False,
+        min_free_bytes: int | None = None,
+        watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL,
+    ) -> None:
+        self.archive = RunArchive(archive_dir)
+        # A corrupt cell index quarantines + rebuilds from the archive
+        # instead of refusing to start: the index is a cache, the runs
+        # are the source of truth.
+        self.index, self.index_heal_report = open_self_healing_index(self.archive)
+        if min_free_bytes is None:
+            min_free_bytes = int(
+                os.environ.get(MIN_FREE_BYTES_ENV, DEFAULT_MIN_FREE_BYTES)
+            )
+        self.min_free_bytes = int(min_free_bytes)
+        self.journal_dir = (
+            Path(journal_dir)
+            if journal_dir is not None
+            else self.archive.root / "journals"
+        )
+        self.jobs = max(1, int(jobs))
+        self.cache = GraphCache(cache_dir) if cache_dir is not None else GraphCache()
+        self._table = _CellTable(self._load)
+        self.stats = self._table.stats
+        self._inflight = self._table.inflight
+        self._queue: "Queue[_Job | None]" = Queue(maxsize=max(1, int(max_pending_jobs)))
+        self._pool: WorkerPool | None = None
+        self._job_seq = itertools.count(1)  # next() is one atomic C call
+        self._started_at = time.time()
+        self._closed = False
+        self._draining = False
+        #: Written by the live engine thread, read by the watchdog only
+        #: once that thread is dead: never two threads at a time.
+        self._engine_job: _Job | None = None
+        self._watchdog_interval = max(0.05, float(watchdog_interval))
         self.recovery_report: list[dict[str, object]] = []
         #: Runs refused at serve time (digest mismatch → quarantined).
         self.integrity_events: list[dict[str, object]] = []
@@ -223,87 +377,106 @@ class BenchmarkService:
     # -- submission (handler threads) -----------------------------------
 
     def submit_events(self, request: CampaignRequest) -> Iterator[bytes]:
-        """Process one submission; yields encoded NDJSON event lines.
+        """Process one submission; returns its encoded NDJSON event lines.
 
-        The generator is the whole request lifecycle: classification runs
-        on first ``next()``, hits stream immediately, and the generator
-        blocks between events while misses execute.
+        Resolve, classify and enqueue happen in the call; the iterator is
+        the stream stage alone — hits at once, then blocking between
+        events while misses execute.
+        """
+        try:
+            spec, identity, cells, digests = self._resolve(request)
+        except ServiceError as exc:
+            return iter((_error_line(request, str(exc)),))
+        queue: SimpleQueue = SimpleQueue()
+        hit_lines, owned, pending, rejected, reasons = self._classify(
+            cells, digests, queue
+        )
+        job: _Job | None = None
+        if owned:
+            job = _Job(request, spec, identity, owned, queue, next(self._job_seq))
+            refusal = self._enqueue(job)
+            if refusal is not None:
+                return iter((_error_line(request, refusal),))
+        return self._stream(
+            request, len(cells), hit_lines, pending, rejected, reasons, queue, job
+        )
+
+    def _resolve(self, request: CampaignRequest):
+        """``(spec, identity, cells, digests)`` of one request.
+
+        Dataset files live on the *server's* filesystem, so a reference
+        that does not resolve is a :class:`~repro.errors.ServiceError`
+        for a structured error event — not a protocol rejection, and
+        certainly not an engine crash.
         """
         spec = request.spec()
-        # Resolve dataset references before anything is classified or
-        # enqueued: the files live on the *server's* filesystem, so an
-        # unresolvable reference is a structured error event, not a
-        # protocol rejection (and certainly not an engine crash).
         try:
             _, datasets = graph_identities(request.graphs)
         except ReproError as exc:
-            yield encode_event(
-                {
-                    "event": "error",
-                    "campaign": request.campaign_id,
-                    "message": f"dataset resolution failed: {exc}",
-                }
-            )
-            return
-        hasher = identity_hasher(spec)
+            raise ServiceError(f"dataset resolution failed: {exc}") from exc
+        identity = CellIdentity(spec, datasets=datasets)
         cells = request.cell_keys()
-        digests = [
-            cell_digest(None, normalize_cell_key(key, datasets), hasher=hasher)
-            for key in cells
-        ]
-        queue: SimpleQueue = SimpleQueue()
-        # Admission control: when disk (or memory) is under its watermark
-        # — or the server is draining for shutdown — new *misses* are
-        # rejected before anything is claimed or enqueued, so a resource-
-        # critical submission can never cause a partial write.  Hits and
-        # coalesced subscriptions are read-only and still served, and
-        # never pay for the probe (it reads the filesystem and /proc): a
-        # first pass that finds a cell to execute changes nothing, the
-        # probe runs outside the lock, and the pass is made again.
-        degraded_reasons: list[str] = []
-        classified = self._classify(cells, digests, queue, None)
+        return spec, identity, cells, [identity.digest(key) for key in cells]
+
+    def _classify(self, cells, digests, queue: SimpleQueue):
+        """Admission: the table's ``classify`` tuple plus the degraded
+        reasons it was decided under.
+
+        With disk under its watermark — or the server draining — new
+        *misses* are rejected before anything is claimed or enqueued, so
+        a resource-critical submission can never cause a partial write.
+        Hits and subscriptions are read-only, still served, and never pay
+        for the probe (it reads the filesystem): a first pass that finds
+        a cell to execute changes nothing, the probe runs outside the
+        lock, and the pass is made again.
+        """
+        reasons: list[str] = []
+        classified = self._table.classify(cells, digests, queue, None)
         if classified is None:
-            degraded_reasons = self.degraded_reasons()
-            classified = self._classify(cells, digests, queue, degraded_reasons)
-        hit_lines, owned, pending, rejected = classified
+            reasons = self.degraded_reasons()
+            classified = self._table.classify(cells, digests, queue, reasons)
+        return (*classified, reasons)
 
-        job: _Job | None = None
-        if owned:
-            with self._lock:
-                self._job_seq += 1
-                seq = self._job_seq
-            job = _Job(request, spec, hasher, owned, queue, seq, datasets)
-            try:
-                self._queue.put_nowait(job)
-            except Full:
-                with self._lock:
-                    for digest, _ in owned:
-                        self._inflight.pop(digest, None)
-                    self.stats["jobs_rejected"] += 1
-                yield encode_event(
-                    {
-                        "event": "error",
-                        "campaign": request.campaign_id,
-                        "message": (
-                            "server at capacity: "
-                            f"{self._queue.maxsize} campaigns already queued"
-                        ),
-                    }
-                )
-                return
+    def _enqueue(self, job: _Job) -> str | None:
+        """Queue a job for the engine; returns None, or why it bounced.
 
+        A bounced job's claims are failed, not dropped: whoever subscribed
+        to one since it was classified gets an error cell, not a wait for
+        a job that will never run.
+        """
+        try:
+            self._queue.put_nowait(job)
+        except Full:
+            refusal = (
+                f"server at capacity: {self._queue.maxsize} campaigns already queued"
+            )
+            self._table.fail(job.owned, refusal, "jobs_rejected")
+            return refusal
+        return None
+
+    def _stream(
+        self,
+        request: CampaignRequest,
+        cells: int,
+        hit_lines: list[bytes],
+        pending: set[str],
+        rejected: list[CellKey],
+        reasons: list[str],
+        queue: SimpleQueue,
+        job: _Job | None,
+    ) -> Iterator[bytes]:
+        """The event stream of one classified (and enqueued) submission."""
         yield encode_event(
             {
                 "event": "accepted",
                 "campaign": request.campaign_id,
-                "cells": len(cells),
+                "cells": cells,
                 "hits": len(hit_lines),
                 "pending": len(pending),
                 **({"rejected": len(rejected)} if rejected else {}),
             }
         )
-        for line in hit_lines:
-            yield line
+        yield from hit_lines
 
         fresh_run_id: str | None = None
         failure: str | None = None
@@ -327,15 +500,8 @@ class BenchmarkService:
                 pending -= {digest for digest, _ in (job.owned if job else [])}
 
         if failure is not None:
-            yield encode_event(
-                {
-                    "event": "error",
-                    "campaign": request.campaign_id,
-                    "message": failure,
-                }
-            )
-            return
-        if rejected:
+            yield _error_line(request, failure)
+        elif rejected:
             # Terminal degraded rejection: every cached cell above was
             # still served; the listed misses were refused without any
             # write.  Structured, never a 5xx.
@@ -343,112 +509,44 @@ class BenchmarkService:
                 {
                     "event": "degraded",
                     "campaign": request.campaign_id,
-                    "cells": len(cells),
+                    "cells": cells,
                     "hits": len(hit_lines),
                     "rejected": len(rejected),
                     "rejected_cells": [list(key) for key in rejected],
-                    "reasons": degraded_reasons,
+                    "reasons": reasons,
                     "retry_after_seconds": DEGRADED_RETRY_AFTER_SECONDS,
                 }
             )
-            return
-        yield encode_event(
-            {
-                "event": "done",
-                "campaign": request.campaign_id,
-                "cells": len(cells),
-                "hits": len(hit_lines),
-                "executed": len(owned),
-                "fresh_run_id": fresh_run_id,
-            }
-        )
+        else:
+            yield encode_event(
+                {
+                    "event": "done",
+                    "campaign": request.campaign_id,
+                    "cells": cells,
+                    "hits": len(hit_lines),
+                    "executed": len(job.owned) if job else 0,
+                    "fresh_run_id": fresh_run_id,
+                }
+            )
 
-    def _classify(
-        self,
-        cells: list[tuple[str, str, str, str]],
-        digests: list[str],
-        queue: SimpleQueue,
-        degraded_reasons: list[str] | None,
-    ):
-        """Split one submission's cells into hits, subscriptions, owned
-        misses and rejected misses: ``(hit_lines, owned, pending,
-        rejected)``.
-
-        ``degraded_reasons=None`` means admission has not been probed: if
-        any cell would have to be claimed, nothing is touched and the
-        result is ``None`` — the caller probes and asks again.
-        """
-        hit_lines: list[bytes] = []
-        owned: list[tuple[str, tuple[str, str, str, str]]] = []
-        pending: set[str] = set()
-        rejected: list[tuple[str, str, str, str]] = []
-        with self._lock:
-            lines = [self._hit_line_locked(digest) for digest in digests]
-            if degraded_reasons is None and any(
-                line is None and digest not in self._inflight
-                for line, digest in zip(lines, digests)
-            ):
-                return None
-            self.stats["submissions"] += 1
-            self.stats["cells_requested"] += len(cells)
-            if degraded_reasons:
-                self.stats["submissions_degraded"] += 1
-            for key, digest, line in zip(cells, digests, lines):
-                if line is not None:
-                    hit_lines.append(line)
-                    self.stats["cells_hit"] += 1
-                    continue
-                entry = self._inflight.get(digest)
-                if entry is not None:
-                    self.stats["cells_coalesced"] += 1
-                    if entry.line is not None:
-                        # Already finished executing, not yet archived:
-                        # replay the streamed event instead of waiting.
-                        hit_lines.append(entry.line)
-                    else:
-                        entry.subscribers.append(queue)
-                        pending.add(digest)
-                    continue
-                if degraded_reasons:
-                    rejected.append(key)
-                    self.stats["cells_degraded_rejected"] += 1
-                    continue
-                self._inflight[digest] = _Inflight()
-                self._inflight[digest].subscribers.append(queue)
-                owned.append((digest, key))
-                pending.add(digest)
-        return hit_lines, owned, pending, rejected
-
-    def submit_collect(
-        self, request: CampaignRequest
-    ) -> list[dict[str, object]]:
+    def submit_collect(self, request: CampaignRequest) -> list[dict[str, object]]:
         """Decoded event list for one submission (test/in-process use)."""
         return [json.loads(line) for line in self.submit_events(request)]
 
-    # -- cache ----------------------------------------------------------
+    # -- the table's way to the archive ---------------------------------
 
-    def _hit_line_locked(self, digest: str) -> bytes | None:
-        """Pre-encoded hit event for a digest, or None (lock held)."""
-        entry = self._results.get(digest)
-        if entry is None:
-            run_id = self.index.run_id_for(digest)
-            if run_id is None:
-                return None
-            self._warm_run_locked(run_id)
-            entry = self._results.get(digest)
-            if entry is None:
-                return None
-        self._results.move_to_end(digest)
-        return entry["line"]
-
-    def _warm_run_locked(self, run_id: str) -> None:
-        """Load one archived run's successful cells into the hot cache.
+    def _load(self, digest: str) -> Iterator[tuple[str, bytes]]:
+        """The table's ``load`` (its lock is held): every ok cell of the
+        archived run that holds ``digest``.
 
         The run is integrity-verified before anything from it is served:
         a run whose payload no longer matches its manifest digests is
         quarantined on the spot and treated as a miss — corrupt bytes
         are never streamed to a client, they are re-measured.
         """
+        run_id = self.index.run_id_for(digest)
+        if run_id is None:
+            return
         try:
             record = self.archive.lookup(run_id)
             problems = verify_run(record.path)
@@ -465,52 +563,13 @@ class BenchmarkService:
             results = record.load_results()
         except (ReproError, OSError, ValueError):
             return
-        spec = record.manifest.get("spec")
-        environment = record.manifest.get("environment")
-        if not isinstance(spec, dict):
+        identity = CellIdentity.recorded(record.manifest)
+        if identity is None:
             return
-        hasher = identity_hasher(
-            spec, environment if isinstance(environment, dict) else None
-        )
-        datasets = record.manifest.get("datasets")
-        datasets = datasets if isinstance(datasets, dict) else None
         for result in results:
-            if not result.ok:
-                continue
-            digest = cell_digest(
-                None, normalize_cell_key(result.cell_key, datasets), hasher=hasher
-            )
-            if digest not in self._results:
-                self._cache_result_locked(
-                    digest, result.cell_key, result.as_dict(), run_id
-                )
-
-    def _cache_result_locked(
-        self,
-        digest: str,
-        cell_key: tuple[str, str, str, str],
-        payload: dict[str, object],
-        run_id: str | None,
-    ) -> None:
-        line = encode_event(
-            {
-                "event": "cell",
-                "digest": digest,
-                "cell": list(cell_key),
-                "cached": True,
-                "run_id": run_id,
-                "result": payload,
-            }
-        )
-        self._results[digest] = {
-            "line": line,
-            "payload": payload,
-            "run_id": run_id,
-            "cell": cell_key,
-        }
-        self._results.move_to_end(digest)
-        while len(self._results) > self._result_cache_size:
-            self._results.popitem(last=False)
+            if result.ok:
+                loaded = identity.digest(result.cell_key)
+                yield loaded, _cell_line(loaded, result.cell_key, result, run_id)
 
     # -- execution engine (single thread) -------------------------------
 
@@ -519,12 +578,10 @@ class BenchmarkService:
             job = self._queue.get()
             if job is None:
                 return
-            with self._lock:
-                self._engine_job = job
+            self._engine_job = job
             try:
                 self._execute(job)
-                with self._lock:
-                    self.stats["jobs_executed"] += 1
+                self._table.count("jobs_executed")
             except Exception as exc:  # noqa: BLE001 - engine must survive
                 self._fail_job(job, exc)
             # Deliberately NOT a finally: a BaseException (SystemExit,
@@ -532,8 +589,7 @@ class BenchmarkService:
             # thread with the job still marked in-flight, and the
             # watchdog uses that mark to resolve the orphaned job's
             # subscribers before restarting the engine.
-            with self._lock:
-                self._engine_job = None
+            self._engine_job = None
 
     def _watchdog_loop(self) -> None:
         """Restart a crashed engine thread without dropping subscribers.
@@ -547,14 +603,12 @@ class BenchmarkService:
         """
         while not self._closed:
             time.sleep(self._watchdog_interval)
-            if self._closed or self._engine.is_alive():
+            # In this order: shutdown() sets _closed *before* it stops the
+            # engine, so an engine seen dead for that reason is seen closed.
+            if self._engine.is_alive() or self._closed:
                 continue
-            with self._lock:
-                if self._closed:
-                    return
-                orphan = self._engine_job
-                self._engine_job = None
-                self.stats["engine_restarts"] += 1
+            orphan, self._engine_job = self._engine_job, None
+            self._table.count("engine_restarts")
             if orphan is not None:
                 self._fail_job(
                     orphan,
@@ -562,173 +616,150 @@ class BenchmarkService:
                 )
             self._engine = self._spawn_engine()
 
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(self.jobs)
-        return self._pool
-
     def _execute(self, job: _Job) -> None:
-        """Run one job's owned misses through the shared warm pool."""
+        """One job's owned misses: plan → journal → run → commit → finish."""
+        axes, completed = self._plan(job)
+        journal = self._journal(job, axes)
+        results = self._run(job, axes, completed, journal)
+        campaign = job.request.campaign_id
+        run_id = self._commit(
+            results,
+            job.identity,
+            # The journal header under the full spec: the archived run and
+            # the journal name the same axes, environment and provenance.
+            {
+                **journal.fingerprint,
+                "spec": job.spec.as_dict(),
+                "service": {"campaign": campaign, "job": job.seq},
+            },
+            f"service:{campaign}",
+        )
+        self._finish(job, journal, run_id)
+
+    def _plan(self, job: _Job):
+        """``(axes, completed)``: what ``run_suite`` is asked for.
+
+        It runs a cross-product grid: the axes are the smallest ``(graphs,
+        modes, kernels, frameworks)`` covering the owned cells, and every
+        other cell of that grid is pre-filled from the hot cache so that
+        nothing already measured re-executes (a filler absent from the
+        cache, e.g. a previously failed cell, simply does).
+        """
         request = job.request
         owned_keys = {key for _, key in job.owned}
-        # run_suite runs a cross-product grid; derive the smallest
-        # axes covering the owned cells (subset of the request axes) and
-        # pre-fill every non-owned grid cell from the cache so nothing
-        # already measured re-executes.
-        graphs = [g for g in request.graphs if any(k[0] == g for k in owned_keys)]
-        modes = [m for m in request.modes if any(k[1] == m for k in owned_keys)]
-        kernels = [k for k in request.kernels if any(c[2] == k for c in owned_keys)]
-        frameworks = [
-            f for f in request.frameworks if any(k[3] == f for k in owned_keys)
-        ]
-        grid = list(canonical_order(graphs, modes, kernels, frameworks))
-        completed: dict[tuple[str, str, str, str], RunResult] = {}
-        with self._lock:
-            for key in grid:
-                if key in owned_keys:
-                    continue
-                digest = cell_digest(
-                    None, normalize_cell_key(key, job.datasets), hasher=job.hasher
-                )
-                entry = self._results.get(digest)
-                if entry is not None:
-                    completed[key] = RunResult.from_dict(entry["payload"])
-                # A grid-filler absent from the cache (e.g. a previously
-                # failed cell) simply re-executes.
-
-        spec = job.spec
-        journal_path = self.journal_dir / f"job-{request.campaign_id}-{job.seq}.jsonl"
-        job_datasets = {
-            ref: entry for ref, entry in job.datasets.items() if ref in graphs
+        axes = tuple(
+            [value for value in axis if any(key[i] == value for key in owned_keys)]
+            for i, axis in enumerate(
+                (request.graphs, request.modes, request.kernels, request.frameworks)
+            )
+        )
+        wanted = {
+            job.identity.digest(key): key
+            for key in canonical_order(*axes)
+            if key not in owned_keys
         }
-        # Opened here, not by run_suite from the path: the header must carry
-        # the provenance in job.datasets — resolved at submission, the
-        # basis of this job's cell digests and of recovery's — not a second
-        # resolution at execution time.
-        journal = CheckpointJournal.create(
-            journal_path,
+        completed = {
+            wanted[digest]: RunResult.from_dict(json.loads(line)["result"])
+            for digest, line in self._table.fillers(wanted)
+        }
+        return axes, completed
+
+    def _journal(self, job: _Job, axes) -> CheckpointJournal:
+        """The job's checkpoint journal, header written — here, not by
+        ``run_suite`` from a path: the header must carry the provenance
+        resolved at submission, the basis of this job's cell digests and
+        of recovery's, not a second resolution at execution time."""
+        graphs, modes, kernels, frameworks = axes
+        datasets = {
+            ref: entry
+            for ref, entry in (job.identity.datasets or {}).items()
+            if ref in graphs
+        }
+        return CheckpointJournal.create(
+            self.journal_dir / f"job-{job.request.campaign_id}-{job.seq}.jsonl",
             campaign_fingerprint(
-                spec,
-                graphs,
-                kernels,
-                modes,
-                frameworks,
-                datasets=job_datasets or None,
+                job.spec, graphs, kernels, modes, frameworks, datasets=datasets or None
             ),
         )
-        executed: list[tuple[str, tuple[str, str, str, str], RunResult]] = []
+
+    def _run(
+        self, job: _Job, axes, completed, journal: CheckpointJournal
+    ) -> list[RunResult]:
+        """Measure the plan on the shared warm pool, publishing each cell
+        as it lands; returns exactly the executed cells, canonical order."""
+        graphs, modes, kernels, frameworks = axes
+        executed: dict[CellKey, RunResult] = {}
 
         def on_result(cell, result: RunResult) -> None:
             key = cell.key
-            digest = cell_digest(
-                None, normalize_cell_key(key, job.datasets), hasher=job.hasher
-            )
-            line = encode_event(
-                {
-                    "event": "cell",
-                    "digest": digest,
-                    "cell": list(key),
-                    "cached": False,
-                    "run_id": None,
-                    "result": result.as_dict(),
-                }
-            )
-            with self._lock:
-                executed.append((digest, key, result))
-                self.stats["cells_executed"] += 1
-                entry = self._inflight.get(digest)
-                if entry is not None:
-                    entry.line = line
-                    for subscriber in entry.subscribers:
-                        subscriber.put(("cell", digest, line))
+            executed[key] = result
+            digest = job.identity.digest(key)
+            self._table.publish(digest, _cell_line(digest, key, result))
 
-        pool = self._ensure_pool()
+        if self._pool is None or self._pool.closed:
+            self._pool = WorkerPool(self.jobs)
         try:
             run_suite(
                 [get_framework(name) for name in frameworks],
                 graphs,
                 kernels=kernels,
                 modes=[Mode(value) for value in modes],
-                spec=spec,
+                spec=job.spec,
                 cache=self.cache,
                 journal=journal,
                 completed=completed,
                 on_result=on_result,
-                pool=pool,
+                pool=self._pool,
             )
         finally:
             journal.close()
+        return [executed[key] for key in canonical_order(*axes) if key in executed]
 
-        # Archive exactly the executed cells as one content-addressed run.
-        position = {key: index for index, key in enumerate(grid)}
-        ordered = sorted(executed, key=lambda item: position[item[1]])
-        results = ResultSet(
-            [result for _, _, result in ordered],
-            meta={
-                "spec": spec.as_dict(),
-                "environment": fingerprint(),
-                "graphs": graphs,
-                "kernels": kernels,
-                "modes": modes,
-                "frameworks": frameworks,
-                "service": {"campaign": request.campaign_id, "job": job.seq},
-                **({"datasets": job_datasets} if job_datasets else {}),
-            },
-        )
-        record = self.archive.archive_run(
-            results, spec=spec, source=f"service:{request.campaign_id}"
-        )
+    def _commit(
+        self,
+        results: list[RunResult],
+        identity: CellIdentity,
+        meta: dict[str, object],
+        source: str,
+    ) -> str:
+        """Cells enter the store — a job's and a recovered journal's
+        alike: archived as one run, the ok ones indexed, then memoized by
+        the table; returns the run id."""
+        run_id = self.archive.archive_run(
+            ResultSet(results, meta=meta), spec=meta["spec"], source=source
+        ).run_id
+        cells = [
+            (identity.digest(result.cell_key), result.cell_key, result)
+            for result in results
+        ]
         self.index.add_many(
-            [
-                (digest, record.run_id, key)
-                for digest, key, result in executed
-                if result.ok
-            ]
+            [(digest, run_id, key) for digest, key, result in cells if result.ok]
         )
-        with self._lock:
-            for digest, key, result in executed:
-                if result.ok:
-                    self._cache_result_locked(
-                        digest, key, result.as_dict(), record.run_id
-                    )
-                self._inflight.pop(digest, None)
-        journal_path.unlink(missing_ok=True)
-        job.queue.put(("finish", record.run_id))
+        self._table.commit(cells, run_id)
+        return run_id
+
+    def _finish(self, job: _Job, journal: CheckpointJournal, run_id: str) -> None:
+        """The cells are durable elsewhere: drop the journal, tell the owner."""
+        journal.path.unlink(missing_ok=True)
+        job.queue.put(("finish", run_id))
 
     def _fail_job(self, job: _Job, exc: BaseException) -> None:
         """Resolve a crashed job: error events out, inflight marks cleared."""
         message = f"campaign execution failed: {type(exc).__name__}: {exc}"
-        with self._lock:
-            self.stats["jobs_failed"] += 1
-            for digest, key in job.owned:
-                entry = self._inflight.pop(digest, None)
-                if entry is None or entry.line is not None:
-                    continue
-                line = encode_event(
-                    {
-                        "event": "cell",
-                        "digest": digest,
-                        "cell": list(key),
-                        "cached": False,
-                        "run_id": None,
-                        "result": None,
-                        "error": message,
-                    }
-                )
-                for subscriber in entry.subscribers:
-                    subscriber.put(("cell", digest, line))
+        self._table.fail(job.owned, message, "jobs_failed")
         job.queue.put(("fatal", message))
 
     # -- recovery -------------------------------------------------------
 
     def _recover_journals(self) -> list[dict[str, object]]:
-        """Archive + index completed cells from crashed jobs' journals.
+        """Commit completed cells from crashed jobs' journals.
 
         Each journal header carries the campaign fingerprint (topology-
-        free spec identity + environment), which is exactly what a cell
-        digest is made of — so recovered cells become ordinary cache
-        hits: a client re-submitting the interrupted campaign gets every
-        journaled cell back with a real run_id and zero re-execution.
+        free spec + environment + dataset provenance), exactly what a
+        :class:`CellIdentity` is made of — so recovered cells become
+        ordinary hits: a client re-submitting the interrupted campaign
+        gets every journaled cell back with a real run_id and zero
+        re-execution.
         """
         reports: list[dict[str, object]] = []
         if not self.journal_dir.is_dir():
@@ -739,41 +770,20 @@ class BenchmarkService:
             except (JournalError, OSError) as exc:
                 reports.append({"journal": path.name, "error": str(exc)})
                 continue
-            spec = recorded.get("spec")
-            environment = recorded.get("environment")
-            datasets = recorded.get("datasets")
-            datasets = datasets if isinstance(datasets, dict) else None
-            if isinstance(spec, dict) and completed:
-                hasher = identity_hasher(
-                    spec, environment if isinstance(environment, dict) else None
-                )
-                results = ResultSet(
-                    list(completed.values()),
-                    meta={
-                        "spec": spec,
-                        "environment": environment,
-                        "service": {"recovered_from": path.name},
-                        **({"datasets": datasets} if datasets else {}),
-                    },
-                )
+            identity = CellIdentity.recorded(recorded)
+            if identity is not None and completed:
+                datasets = identity.datasets
                 try:
-                    record = self.archive.archive_run(
-                        results, spec=spec, source=f"service-recovery:{path.name}"
-                    )
-                    self.index.add_many(
-                        [
-                            (
-                                cell_digest(
-                                    None,
-                                    normalize_cell_key(result.cell_key, datasets),
-                                    hasher=hasher,
-                                ),
-                                record.run_id,
-                                result.cell_key,
-                            )
-                            for result in completed.values()
-                            if result.ok
-                        ]
+                    run_id = self._commit(
+                        list(completed.values()),
+                        identity,
+                        {
+                            "spec": recorded["spec"],
+                            "environment": recorded.get("environment"),
+                            "service": {"recovered_from": path.name},
+                            **({"datasets": datasets} if datasets else {}),
+                        },
+                        f"service-recovery:{path.name}",
                     )
                 except OSError as exc:
                     # Disk trouble mid-recovery (full disk, failing
@@ -788,12 +798,12 @@ class BenchmarkService:
                         }
                     )
                     continue
-                self.stats["cells_recovered"] += len(completed)
+                self._table.count("cells_recovered", len(completed))
                 reports.append(
                     {
                         "journal": path.name,
                         "recovered_cells": len(completed),
-                        "run_id": record.run_id,
+                        "run_id": run_id,
                     }
                 )
             else:
@@ -804,7 +814,7 @@ class BenchmarkService:
     # -- watermarks / degraded mode --------------------------------------
 
     def resource_watermarks(self) -> dict[str, object]:
-        """Current disk/memory readings against the configured floors."""
+        """Current disk reading against the configured floor."""
         # The archive root is created lazily on first write; until then,
         # measure the nearest existing ancestor so a freshly started
         # server still sees disk pressure before it writes anything.
@@ -821,113 +831,93 @@ class BenchmarkService:
             "disk_free_bytes": disk_free,
             "disk_total_bytes": disk_total,
             "min_free_bytes": self.min_free_bytes,
-            "memory_available_bytes": available_memory_bytes(),
-            "min_available_memory_bytes": self.min_available_memory_bytes,
         }
 
-    def degraded_reasons(self) -> list[str]:
+    def degraded_reasons(self, marks: dict[str, object] | None = None) -> list[str]:
         """Why new misses are being refused right now (empty = healthy).
 
-        Draining (graceful shutdown) and watermark breaches both put the
+        Draining (graceful shutdown) and a watermark breach both put the
         service in hits-only read-only mode; the reasons are surfaced
-        verbatim in ``degraded`` events and ``/health``.
+        verbatim in ``degraded`` events and ``/health``.  ``marks`` is a
+        :meth:`resource_watermarks` reading the caller already took.
         """
         reasons: list[str] = []
         if self._draining:
             reasons.append("draining: server is shutting down")
-        marks = self.resource_watermarks()
-        free = marks["disk_free_bytes"]
+        free = (marks or self.resource_watermarks())["disk_free_bytes"]
         if free is not None and free < self.min_free_bytes:
             reasons.append(
                 f"disk critically low: {free} bytes free at "
                 f"{self.archive.root} (floor {self.min_free_bytes})"
             )
-        available = marks["memory_available_bytes"]
-        if (
-            self.min_available_memory_bytes
-            and available is not None
-            and available < self.min_available_memory_bytes
-        ):
-            reasons.append(
-                f"memory critically low: {available} bytes available "
-                f"(floor {self.min_available_memory_bytes})"
-            )
         return reasons
 
     # -- introspection / lifecycle --------------------------------------
+
+    def _observe(self):
+        """``/health`` and ``/status`` read once — one table snapshot, one
+        watermark probe: ``(the keys both report, stats, hot cells,
+        watermarks, last scrub report)``."""
+        stats, inflight, cached = self._table.snapshot()
+        marks = self.resource_watermarks()
+        reasons = self.degraded_reasons(marks)
+        last_scrub = last_scrub_report(self.archive.root)
+        shared = {
+            "degraded": bool(reasons),
+            "degraded_reasons": reasons,
+            "draining": self._draining,
+            "queue_capacity": self._queue.maxsize,
+            "inflight_cells": inflight,
+            "indexed_cells": len(self.index),
+            "quarantine_count": quarantine_count(self.archive.root),
+            "last_scrub_verdict": last_scrub.get("verdict") if last_scrub else None,
+        }
+        return shared, stats, cached, marks, last_scrub
 
     def health(self) -> dict[str, object]:
         """Liveness + capacity payload for ``/health``.
 
         Everything an operator (or the soak harness) needs to judge the
         service at a glance: engine/pool liveness, queue depth against
-        capacity, disk/memory watermarks, degraded state, index size,
+        capacity, the disk watermark, degraded state, index size,
         quarantine count, and the last scrub verdict.
         """
-        with self._lock:
-            engine_alive = self._engine.is_alive()
-            restarts = self.stats["engine_restarts"]
-            inflight = len(self._inflight)
-            quarantined_serving = self.stats["runs_quarantined"]
+        shared, stats, _, marks, last_scrub = self._observe()
+        engine_alive = self._engine.is_alive()
         pool = self._pool
-        reasons = self.degraded_reasons()
-        last_scrub = last_scrub_report(self.archive.root)
         return {
-            "ok": engine_alive and not reasons,
-            "degraded": bool(reasons),
-            "degraded_reasons": reasons,
-            "draining": self._draining,
+            "ok": engine_alive and not shared["degraded"],
+            **shared,
             "engine_alive": engine_alive,
-            "engine_restarts": restarts,
+            "engine_restarts": stats["engine_restarts"],
             "queue_depth": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
-            "inflight_cells": inflight,
             "pool_alive": pool is not None and not pool.closed,
             "pool_jobs": self.jobs,
-            "watermarks": self.resource_watermarks(),
-            "indexed_cells": len(self.index),
+            "watermarks": marks,
             "index_healed_at_startup": self.index_heal_report,
-            "quarantine_count": quarantine_count(self.archive.root),
-            "runs_quarantined_while_serving": quarantined_serving,
+            "runs_quarantined_while_serving": stats["runs_quarantined"],
             "graph_cache": {
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "corrupt": self.cache.corrupt,
                 "corrupt_events": list(self.cache.corrupt_events[-10:]),
             },
-            "last_scrub_verdict": (
-                last_scrub.get("verdict") if last_scrub else None
-            ),
             "last_scrub": last_scrub,
         }
 
     def status(self) -> dict[str, object]:
         """Introspection payload: stats, hit rate, queue/cache depths."""
-        with self._lock:
-            stats = dict(self.stats)
-            inflight = len(self._inflight)
-            cached = len(self._results)
+        shared, stats, cached, _, _ = self._observe()
         requested = stats["cells_requested"]
         served = stats["cells_hit"] + stats["cells_coalesced"]
-        reasons = self.degraded_reasons()
-        last_scrub = last_scrub_report(self.archive.root)
         return {
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "archive": str(self.archive.root),
-            "indexed_cells": len(self.index),
             "hot_cache_cells": cached,
-            "inflight_cells": inflight,
             "queued_jobs": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
             "hit_rate": round(served / requested, 6) if requested else None,
             "recovery": self.recovery_report,
-            "degraded": bool(reasons),
-            "degraded_reasons": reasons,
-            "draining": self._draining,
-            "quarantine_count": quarantine_count(self.archive.root),
-            "last_scrub_verdict": (
-                last_scrub.get("verdict") if last_scrub else None
-            ),
+            **shared,
             **stats,
         }
 
@@ -982,8 +972,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # The client went away, between requests or mid-reply (the
             # engine finishes its job anyway): an event to count, not a
             # traceback.  Anything else stays loud.
-            with self.service._lock:
-                self.service.stats["connections_reset"] += 1
+            self.service._table.count("connections_reset")
 
     def _send_json(self, status: int, payload: dict[str, object]) -> None:
         body = json.dumps(payload, default=str).encode() + b"\n"
@@ -1043,7 +1032,6 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 0,
     ready: Callable[[str, int], None] | None = None,
-    drain_on_sigterm: bool = True,
 ) -> None:
     """Serve until /shutdown, SIGTERM, or KeyboardInterrupt; blocks.
 
@@ -1063,16 +1051,15 @@ def serve_forever(
         service.drain()
         server.shutdown()
 
-    if drain_on_sigterm:
-        try:
-            signal.signal(
-                signal.SIGTERM,
-                lambda signum, frame: threading.Thread(
-                    target=_drain_and_stop, name="sigterm-drain", daemon=True
-                ).start(),
-            )
-        except ValueError:
-            pass  # not the main thread (embedded use); no signal hook
+    try:
+        signal.signal(
+            signal.SIGTERM,
+            lambda signum, frame: threading.Thread(
+                target=_drain_and_stop, name="sigterm-drain", daemon=True
+            ).start(),
+        )
+    except ValueError:
+        pass  # not the main thread (embedded use); no signal hook
     try:
         if ready is not None:
             ready(*server.server_address[:2])

@@ -65,9 +65,15 @@ def default_archive_dir() -> Path:
     return Path("results") / "archive"
 
 
+#: Built once: ``json.dumps`` with non-default arguments constructs an
+#: encoder per call, and the service takes one digest per cell per
+#: submission through this.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: object) -> str:
     """Deterministic JSON text (sorted keys, no whitespace) for hashing."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def write_json_atomic(path: str | Path, payload: object, indent: int = 2) -> None:
@@ -326,13 +332,15 @@ class RunArchive:
         An ambiguous prefix always fails the same way: every matching
         run id listed in sorted order, so the caller can add digits.
         """
+        # Exact id first: it needs no listing, and the service resolves
+        # one per cold hit while holding its lock.
+        if ref != "latest" and (self.runs_dir / ref / "manifest.json").exists():
+            return ref
         entries = self.list_runs()
         if ref == "latest":
             if not entries:
                 raise ArchiveError(f"archive at {self.root} has no runs")
             return str(entries[0]["run_id"])
-        if (self.runs_dir / ref / "manifest.json").exists():
-            return ref
         matches = {
             str(entry["run_id"])
             for entry in entries

@@ -7,11 +7,11 @@ been measured under this spec and environment before, and in which run?"
 — answered without loading a single results.json.  This index is that
 mapping:
 
-* the key is a :func:`cell_digest` — SHA-256 over the campaign's
-  *identity* (the spec minus execution topology, exactly the fields
-  :func:`repro.resilience.journal.campaign_fingerprint` uses, plus the
-  comparability slice of the environment fingerprint) and the cell's
-  canonical ``(graph, mode, kernel, framework)`` key;
+* the key is a :meth:`CellIdentity.digest` — SHA-256 over the campaign's
+  *identity* (the spec minus execution topology, :func:`spec_identity`,
+  which :func:`repro.resilience.journal.campaign_fingerprint` records
+  too, plus the comparability slice of the environment fingerprint) and
+  the cell's canonical ``(graph, mode, kernel, framework)`` key;
 * the value is the ``run_id`` of an archived run containing that cell,
   so a hit is served by reading the archived ResultSet (or a warm cache
   of it) instead of executing anything;
@@ -54,6 +54,7 @@ from .environment import COMPARABILITY_KEYS, fingerprint
 
 __all__ = [
     "CELL_INDEX_VERSION",
+    "CellIdentity",
     "CellIndex",
     "cell_digest",
     "comparable_environment",
@@ -76,9 +77,9 @@ def spec_identity(spec) -> dict[str, object]:
     """The measurement-identity slice of a spec (topology stripped).
 
     Accepts a :class:`~repro.core.spec.BenchmarkSpec` or its dict form.
-    Matches the ``spec`` field of
-    :func:`repro.resilience.journal.campaign_fingerprint` so journal
-    headers and cell digests agree about what "the same campaign" means.
+    :func:`repro.resilience.journal.campaign_fingerprint` records this
+    same slice, so journal headers and cell digests agree about what
+    "the same campaign" means.
     """
     spec_dict = spec.as_dict() if hasattr(spec, "as_dict") else dict(spec)
     return {
@@ -173,6 +174,51 @@ def cell_digest(
     h = identity_hasher(spec, environment) if hasher is None else hasher.copy()
     h.update(canonical_json(list(cell_key)).encode())
     return h.hexdigest()[:16]
+
+
+class CellIdentity:
+    """What makes two measurements the same one: the only digest recipe.
+
+    Built from what names a campaign — a live request's spec under this
+    process's environment, or the ``spec`` / ``environment`` / ``datasets``
+    a journal header or archive manifest :meth:`recorded` — and asked for
+    one :meth:`digest` per cell, so a submission, its journal and its
+    archived run cannot disagree.
+    """
+
+    __slots__ = ("datasets", "_hasher")
+
+    def __init__(
+        self,
+        spec,
+        environment: dict[str, object] | None = None,
+        datasets: dict[str, object] | None = None,
+    ) -> None:
+        #: Provenance map of the campaign's file-backed graphs, or None.
+        self.datasets = datasets or None
+        self._hasher = identity_hasher(spec, environment)
+
+    @classmethod
+    def recorded(cls, record: dict[str, object]) -> "CellIdentity | None":
+        """The identity a manifest or journal header recorded; ``None``
+        without a spec (a hand-archived payload), whose cells no
+        submission can reproduce and so have no digest."""
+        spec = record.get("spec")
+        if not isinstance(spec, dict):
+            return None
+        environment = record.get("environment")
+        datasets = record.get("datasets")
+        return cls(
+            spec,
+            environment if isinstance(environment, dict) else None,
+            datasets if isinstance(datasets, dict) else None,
+        )
+
+    def digest(self, cell_key: Iterable[str]) -> str:
+        """The memo key of one ``(graph, mode, kernel, framework)`` cell."""
+        return cell_digest(
+            None, normalize_cell_key(cell_key, self.datasets), hasher=self._hasher
+        )
 
 
 class CellIndex:
@@ -319,17 +365,9 @@ def derive_index_entries(
             results = record.load_results()
         except (ArchiveError, OSError, ValueError, KeyError):
             continue
-        spec = record.manifest.get("spec")
-        environment = record.manifest.get("environment")
-        if not isinstance(spec, dict):
+        identity = CellIdentity.recorded(record.manifest)
+        if identity is None:
             continue
-        env = environment if isinstance(environment, dict) else None
-        datasets = record.manifest.get("datasets")
-        datasets = datasets if isinstance(datasets, dict) else None
-        hasher = identity_hasher(spec, env)
         for result in results:
-            if not result.ok:
-                continue
-            key = normalize_cell_key(result.cell_key, datasets)
-            digest = cell_digest(spec, key, hasher=hasher)
-            yield digest, run_id, result.cell_key
+            if result.ok:
+                yield identity.digest(result.cell_key), run_id, result.cell_key

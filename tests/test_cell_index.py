@@ -6,17 +6,29 @@ import json
 
 import pytest
 
+import shutil
+from pathlib import Path
+
 from repro.core.results import ResultSet, RunResult
 from repro.core.spec import BenchmarkSpec
 from repro.errors import ArchiveError
 from repro.frameworks import Mode
+from repro.graphs.datasets import graph_identities
+from repro.resilience.journal import (
+    CheckpointJournal,
+    campaign_fingerprint,
+    read_journal,
+)
 from repro.store import RunArchive
 from repro.store.cellindex import (
     CELL_INDEX_VERSION,
+    CellIdentity,
     CellIndex,
     cell_digest,
     comparable_environment,
+    derive_index_entries,
     identity_hasher,
+    normalize_cell_key,
     spec_identity,
 )
 from repro.store.environment import COMPARABILITY_KEYS, fingerprint
@@ -323,3 +335,67 @@ class TestConcurrentWriterTornTail:
             assert "a" * 12 not in index
         finally:
             index.close()
+
+
+class TestCellIdentity:
+    """``CellIdentity`` is the one recipe: it must equal the three-function
+    spelling the frozen benchmark suite still imports, from whichever of a
+    live request, a journal header or an archive manifest it is built."""
+
+    @pytest.fixture()
+    def ref(self, tmp_path):
+        path = tmp_path / "demo.mtx"
+        shutil.copy(Path(__file__).parent / "fixtures" / "demo.mtx", path)
+        return f"file:{path}"
+
+    def test_digest_equals_the_three_function_spelling(self, ref):
+        spec = BenchmarkSpec(scale=8)
+        _, datasets = graph_identities(["kron", ref])
+        identity = CellIdentity(spec, datasets=datasets)
+        hasher = identity_hasher(spec)
+        for key in (CELL, (ref, "baseline", "bfs", "gap")):
+            assert identity.digest(key) == cell_digest(
+                None, normalize_cell_key(key, datasets), hasher=hasher
+            )
+        # The file-backed key is identified by content, not by path.
+        assert identity.digest((ref, "baseline", "bfs", "gap")) != CellIdentity(
+            spec
+        ).digest((ref, "baseline", "bfs", "gap"))
+        assert CellIdentity(spec, datasets={}).datasets is None
+
+    def test_recorded_is_none_without_a_spec(self):
+        assert CellIdentity.recorded({}) is None
+        assert CellIdentity.recorded({"spec": None, "environment": {}}) is None
+        assert CellIdentity.recorded({"spec": "scale=8"}) is None
+
+    def test_request_journal_and_manifest_agree(self, ref, tmp_path):
+        """One measurement, three records of what it was: the digest a
+        submission computes is the one recovery derives from the journal
+        header and the one an index rebuild derives from the manifest —
+        under a topology and a file-backed graph that each could split."""
+        spec = BenchmarkSpec(scale=8, jobs=4, pool="threads", batch_size=7)
+        _, datasets = graph_identities([ref])
+        key = (ref, "baseline", "bfs", "gap")
+        live = CellIdentity(spec, datasets=datasets).digest(key)
+
+        path = tmp_path / "job.jsonl"
+        CheckpointJournal.create(
+            path,
+            campaign_fingerprint(
+                spec, [ref], ["bfs"], ["baseline"], ["gap"], datasets=datasets
+            ),
+        ).close()
+        header, _ = read_journal(path)
+        assert set(header["spec"]) == set(spec_identity(spec))
+        assert CellIdentity.recorded(header).digest(key) == live
+
+        archive = RunArchive(tmp_path / "archive")
+        record = archive.archive_run(
+            ResultSet(
+                [_result(graph=ref)],
+                meta={"environment": fingerprint(), "datasets": datasets},
+            ),
+            spec=spec,
+        )
+        assert CellIdentity.recorded(record.manifest).digest(key) == live
+        assert list(derive_index_entries(archive)) == [(live, record.run_id, key)]

@@ -294,3 +294,53 @@ class TestDroppedConnectionsAreCounted:
             client.submit_and_collect(_request())
         assert _wait_for(lambda: "handler bug" in capsys.readouterr().err)
         assert service.stats["connections_reset"] == 0
+
+
+class TestSubmittingDoesNotLoadTheServer:
+    """``repro submit``, ``repro status`` and the benchmark's load generator
+    import the client from ``repro.service``; none of them runs a server,
+    so none should import (and, under ``PYTHONDONTWRITEBYTECODE``, compile)
+    the server module or ``http.server``."""
+
+    def _fresh_interpreter(self, code: str) -> str:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_client_import_leaves_the_server_unloaded(self):
+        out = self._fresh_interpreter(
+            "import sys\n"
+            "from repro.service import ServiceClient, CampaignRequest\n"
+            "print([m for m in ('repro.service.server', 'http.server')"
+            " if m in sys.modules])\n"
+        )
+        assert out == "[]"
+
+    def test_server_names_import_on_first_use(self):
+        out = self._fresh_interpreter(
+            "import sys\n"
+            "import repro.service\n"
+            "assert 'repro.service.server' not in sys.modules\n"
+            "from repro.service import BenchmarkService, ServiceHTTPServer\n"
+            "from repro.service import serve_forever\n"
+            "from repro.service import server\n"
+            "assert BenchmarkService is server.BenchmarkService\n"
+            "assert sorted(repro.service.__all__) == sorted(set(repro.service.__all__))\n"
+            "assert all(hasattr(repro.service, n) for n in repro.service.__all__)\n"
+            "print('ok')\n"
+        )
+        assert out == "ok"
+        with pytest.raises(AttributeError):
+            import repro.service
+
+            repro.service.no_such_name

@@ -250,6 +250,21 @@ class TestResolve:
         # An exact id resolves even if it is also a prefix of itself.
         assert store.resolve(record.run_id) == record.run_id
 
+    def test_exact_run_id_never_reads_the_listing(self, tmp_path, monkeypatch):
+        """A cold hit looks one run up by its full id, under the service's
+        lock: that must not cost a parse of every run's index entry."""
+        store = RunArchive(tmp_path)
+        record = store.archive_run(_results(_result()))
+
+        def listing_read():
+            raise AssertionError("index.json was read for an exact run id")
+
+        monkeypatch.setattr(store, "_read_index", listing_read)
+        assert store.resolve(record.run_id) == record.run_id
+        assert store.lookup(record.run_id).run_id == record.run_id
+        with pytest.raises(AssertionError):  # a prefix still needs the listing
+            store.resolve(record.run_id[:8])
+
     def test_resolve_falls_back_to_directory_scan(self, tmp_path):
         store = RunArchive(tmp_path)
         record = store.archive_run(_results(_result()))
