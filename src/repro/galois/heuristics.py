@@ -12,24 +12,11 @@ async choice a measurable mistake there.
 
 from __future__ import annotations
 
-import numpy as np
+from ..graphs import CSRGraph, degree_skewed
 
-from ..graphs import CSRGraph
-
-__all__ = ["sampled_power_law", "assume_high_diameter"]
-
-SAMPLE_SIZE = 1000
-SKEW_RATIO = 2.0
-
-
-def sampled_power_law(graph: CSRGraph, seed: int = 0) -> bool:
-    """Sample degrees and test for heavy skew (power-law indicator)."""
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(SAMPLE_SIZE, n))]
-    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
+__all__ = ["assume_high_diameter"]
 
 
 def assume_high_diameter(graph: CSRGraph, seed: int = 0) -> bool:
     """Baseline assumption: not power-law => high diameter (see docstring)."""
-    return not sampled_power_law(graph, seed)
+    return not degree_skewed(graph, seed)

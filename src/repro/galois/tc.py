@@ -11,55 +11,31 @@ which this reproduction honours through the framework's untimed
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation, permute
+from ..graphs import (
+    CSRGraph,
+    degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
+    permute,
+)
+from ..la.intersect import count_forward_triangles
 
 __all__ = ["galois_tc", "galois_relabel"]
-
-SAMPLE_SIZE = 1000
-SKEW_RATIO = 2.0
-
-
-def _relabel_wanted(graph: CSRGraph, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(SAMPLE_SIZE, n))]
-    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
 
 
 def galois_relabel(graph: CSRGraph, seed: int = 0) -> CSRGraph:
     """Degree-sort relabel when the heuristic calls for it (else identity)."""
-    if not _relabel_wanted(graph, seed):
+    if not degree_skewed(graph, seed):
         return graph
     return permute(graph, degree_order_permutation(graph, ascending=True))
 
 
 def galois_tc(graph: CSRGraph, seed: int = 0, skip_relabel: bool = False) -> int:
     """Order-invariant triangle count over forward adjacency lists."""
-    if not skip_relabel and _relabel_wanted(graph, seed):
+    if not skip_relabel and degree_skewed(graph, seed):
         counters.note("relabelled")
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    src, dst = graph.edge_array()
-    keep = dst > src
-    src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=graph.num_vertices)
-    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    total = 0
-    for u in range(graph.num_vertices):
-        row = dst[indptr[u]: indptr[u + 1]]
-        if row.size < 2:
-            continue
-        starts, ends = indptr[row], indptr[row + 1]
-        chunks = [dst[s:e] for s, e in zip(starts, ends) if e > s]
-        if not chunks:
-            continue
-        targets = np.concatenate(chunks)
-        counters.add_edges(targets.size + row.size)
-        position = np.searchsorted(row, targets)
-        position[position == row.size] = 0
-        total += int((row[position] == targets).sum())
+    total, examined = count_forward_triangles(*forward_adjacency(graph))
+    counters.add_edges(examined)
     return total

@@ -14,46 +14,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation
+from ..graphs import (
+    CSRGraph,
+    degree_order_permutation,
+    degree_skewed as worth_relabelling,
+    forward_adjacency,
+    permute,
+)
 from ..la.intersect import count_forward_triangles
 
 __all__ = ["ordered_count", "worth_relabelling", "forward_adjacency", "triangle_count"]
-
-RELABEL_SAMPLES = 1000
-# Degree-skew threshold: relabel when the sampled mean degree is this many
-# times the sampled median (gapbs uses the same style of sample test).
-SKEW_RATIO = 2.0
-
-
-def worth_relabelling(graph: CSRGraph, seed: int = 0) -> bool:
-    """Sampling heuristic: is the degree distribution skewed enough?"""
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(RELABEL_SAMPLES, n))]
-    median = float(np.median(sample))
-    mean = float(sample.mean())
-    return mean > SKEW_RATIO * max(median, 1.0)
-
-
-def forward_adjacency(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of edges oriented low id -> high id (each edge kept once)."""
-    src, dst = graph.edge_array()
-    keep = dst > src
-    src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=graph.num_vertices)
-    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # edge_array emits rows in sorted order, so dst is already row-sorted.
-    return indptr, dst
 
 
 def ordered_count(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Count triangles by intersecting forward lists.
 
-    Both the blocked-vectorized substrate path and the pre-port per-vertex
-    loop live in :func:`repro.la.intersect.count_forward_triangles`; the
-    edge-work accounting (``targets.size + row.size`` per qualifying base
-    vertex) is identical across the two.
+    The closing test is :func:`repro.la.intersect.count_forward_triangles`;
+    it returns the edge-work accounting (``targets.size + row.size`` per
+    qualifying base vertex), reported here.
     """
     total, examined = count_forward_triangles(indptr, indices)
     counters.add_edges(examined)
@@ -70,9 +48,6 @@ def triangle_count(graph: CSRGraph, seed: int = 0, force_relabel: bool | None = 
     if relabel:
         counters.note("relabelled")
         # Ascending degree rank: hubs get high ids, hence short forward lists.
-        perm = degree_order_permutation(graph, ascending=True)
-        from ..graphs import permute
-
-        graph = permute(graph, perm)
+        graph = permute(graph, degree_order_permutation(graph, ascending=True))
     indptr, indices = forward_adjacency(graph)
     return ordered_count(indptr, indices)

@@ -5,8 +5,8 @@ modes — combines heuristic-driven relabeling, SIMD set intersection, and
 cache reuse.  Our analog of the SIMD win is *batch vectorization with
 minimal wedge expansion*: for each oriented edge ``(u, v)`` the kernel
 expands whichever candidate set is smaller — the forward list ``F(v)``, or
-the tail of ``F(u)`` after ``v`` — and tests all candidate closing edges of
-a block in one vectorized binary search over the sorted edge-key array.
+the tail of ``F(u)`` after ``v`` — and closes all candidates of a block in
+one pass of the shared closing test (:func:`repro.la.count_closing`).
 Per edge this costs ``min(|F(v)|, |F(u) after v|)`` instead of ``|F(v)|``,
 the same asymmetry merge-path intersection exploits, and blocks are sized
 so each batch stays cache-resident (GKC's L2-sized buffers).
@@ -17,92 +17,47 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation, permute
+from ..graphs import (
+    CSRGraph,
+    degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
+    permute,
+)
+from ..la import count_closing
 
 __all__ = ["gkc_tc"]
 
-SAMPLE_SIZE = 1000
-SKEW_RATIO = 2.0
 # Wedge-batch budget per block ("cache-resident working set").
-WEDGE_BLOCK = 1 << 16
-
-
-def _relabel_wanted(graph: CSRGraph, seed: int) -> bool:
-    """Degree-skew sampling heuristic (sorting only when it pays)."""
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(SAMPLE_SIZE, n))]
-    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
-
-
-def _count_batch(
-    edge_keys: np.ndarray,
-    anchor: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    pool: np.ndarray,
-    n: int,
-) -> int:
-    """Count closing edges for one wedge batch.
-
-    For wedge ``i`` the candidates are ``pool[starts[i] : starts[i] +
-    lengths[i]]`` and the closing edge sought is ``(anchor[i], w)``.
-    """
-    total_wedges = int(lengths.sum())
-    if total_wedges == 0:
-        return 0
-    anchors = np.repeat(anchor, lengths)
-    offsets = np.arange(total_wedges, dtype=np.int64)
-    begin = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.repeat(starts, lengths) + (offsets - begin)
-    tails = pool[flat]
-    counters.add_edges(total_wedges)
-    keys = anchors * np.int64(n) + tails
-    position = np.searchsorted(edge_keys, keys)
-    position[position == edge_keys.size] = 0
-    return int((edge_keys[position] == keys).sum())
+WEDGE_BLOCK = 1 << 14
 
 
 def gkc_tc(graph: CSRGraph, seed: int = 0) -> int:
     """Triangle count via two-sided batched wedge-closure testing."""
-    if _relabel_wanted(graph, seed):
+    if degree_skewed(graph, seed):
         counters.note("relabelled")
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    n = graph.num_vertices
-    src, dst = graph.edge_array()
-    keep = dst > src
-    src, dst = src[keep], dst[keep]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    num_edges = int(src.size)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    edge_keys = src * np.int64(n) + dst
+    indptr, dst = forward_adjacency(graph)
+    counts = np.diff(indptr)
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), counts)
 
     # Per edge (u, v): either expand F(v) and close against u, or expand the
     # remainder of F(u) after v and close against v — whichever is smaller.
-    positions = np.arange(num_edges, dtype=np.int64)
-    tail_of_u = indptr[src + 1] - (positions + 1)
+    after = np.arange(1, src.size + 1, dtype=np.int64)
+    tail_of_u = indptr[src + 1] - after
     size_of_fv = counts[dst]
     expand_fv = size_of_fv <= tail_of_u
+    counters.add_edges(int(np.minimum(size_of_fv, tail_of_u).sum()))
 
-    # Candidate-pool descriptors for both strategies.
-    anchor = np.where(expand_fv, src, dst)
-    starts = np.where(expand_fv, indptr[dst], positions + 1)
-    lengths = np.where(expand_fv, size_of_fv, tail_of_u)
-
-    total = 0
-    cost = np.concatenate([[0], np.cumsum(lengths)])
-    start_edge = 0
-    while start_edge < num_edges:
-        stop_edge = int(
-            np.searchsorted(cost, cost[start_edge] + WEDGE_BLOCK, side="right")
-        )
-        stop_edge = min(max(stop_edge, start_edge + 1), num_edges)
-        sel = slice(start_edge, stop_edge)
-        total += _count_batch(
-            edge_keys, anchor[sel], starts[sel], lengths[sel], dst, n
-        )
-        start_edge = stop_edge
+    # F(v) against row u: the edges already ascend by u.
+    near = np.flatnonzero(expand_fv)
+    total = count_closing(
+        indptr, dst, src[near], indptr[dst[near]], size_of_fv[near], WEDGE_BLOCK
+    )
+    # Tail of F(u) against row v: regroup those edges by v.
+    far = np.flatnonzero(~expand_fv)
+    far = far[np.argsort(dst[far], kind="stable")]
+    total += count_closing(
+        indptr, dst, dst[far], after[far], tail_of_u[far], WEDGE_BLOCK
+    )
     return total

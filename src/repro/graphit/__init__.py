@@ -97,5 +97,4 @@ class GraphItFramework(Framework):
 
     def triangle_count(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> int:
         undirected = graph.to_undirected() if graph.directed else graph
-        intersect = "merge" if (ctx.optimized and ctx.graph_name == "road") else "hash"
-        return graphit_tc(undirected, seed=ctx.seed, intersect=intersect)
+        return graphit_tc(undirected, seed=ctx.seed)

@@ -10,7 +10,9 @@ records the specializations the paper describes:
   good locality and did not benefit as much";
 * CC on Road: label propagation with short-circuiting;
 * BC on Road: sparse frontier instead of a bitvector;
-* TC on Road: the naive intersection method (better on small graphs).
+* TC on Road: the paper switched to "the naive intersection method"; not
+  modelled — the substrate's closing test (``la.intersect.count_closing``)
+  *is* GraphIt's hash method and is the only one any framework runs.
 """
 
 from __future__ import annotations

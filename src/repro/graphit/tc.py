@@ -1,75 +1,35 @@
-"""GraphIt triangle counting: order-invariant, with a schedulable intersect.
+"""GraphIt triangle counting: order-invariant, hash set intersection.
 
 Table III lists GraphIt's TC as the order-invariant algorithm with
 heuristic relabelling.  The paper's one GraphIt-specific note: its default
 set-intersection method had less branch misprediction (good on the large
 graphs) but was inefficient on small ones — on Road the Optimized run
-switched back to "the naive intersection method used in GAP".  We expose
-both: ``intersect='hash'`` tests membership through a dense stamp table
-(the vectorized analog of the mispredict-friendly method), ``'merge'``
-binary-searches sorted lists as GAP does.
+switched back to "the naive intersection method used in GAP".  The
+substrate's closing test (:func:`repro.la.intersect.count_closing`, a
+dense stamp table) *is* that hash method and every framework here runs on
+it, so there is no second method left to schedule.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation, permute
+from ..graphs import (
+    CSRGraph,
+    degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
+    permute,
+)
+from ..la.intersect import count_forward_triangles
 
 __all__ = ["graphit_tc"]
 
-SAMPLE_SIZE = 1000
-SKEW_RATIO = 2.0
 
-
-def _relabel_wanted(graph: CSRGraph, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(SAMPLE_SIZE, n))]
-    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
-
-
-def graphit_tc(graph: CSRGraph, seed: int = 0, intersect: str = "hash") -> int:
-    """Order-invariant TC; ``intersect`` picks the set-intersection method."""
-    if _relabel_wanted(graph, seed):
+def graphit_tc(graph: CSRGraph, seed: int = 0) -> int:
+    """Order-invariant TC over forward adjacency lists."""
+    if degree_skewed(graph, seed):
         counters.note("relabelled")
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    n = graph.num_vertices
-    src, dst = graph.edge_array()
-    keep = dst > src
-    src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    total = 0
-    if intersect == "hash":
-        stamp = np.zeros(n, dtype=bool)
-        for u in range(n):
-            row = dst[indptr[u]: indptr[u + 1]]
-            if row.size < 2:
-                continue
-            stamp[row] = True
-            starts, ends = indptr[row], indptr[row + 1]
-            chunks = [dst[s:e] for s, e in zip(starts, ends) if e > s]
-            if chunks:
-                targets = np.concatenate(chunks)
-                counters.add_edges(targets.size + row.size)
-                total += int(stamp[targets].sum())
-            stamp[row] = False
-    else:
-        for u in range(n):
-            row = dst[indptr[u]: indptr[u + 1]]
-            if row.size < 2:
-                continue
-            starts, ends = indptr[row], indptr[row + 1]
-            chunks = [dst[s:e] for s, e in zip(starts, ends) if e > s]
-            if not chunks:
-                continue
-            targets = np.concatenate(chunks)
-            counters.add_edges(targets.size + row.size)
-            position = np.searchsorted(row, targets)
-            position[position == row.size] = 0
-            total += int((row[position] == targets).sum())
+    total, examined = count_forward_triangles(*forward_adjacency(graph))
+    counters.add_edges(examined)
     return total

@@ -44,6 +44,8 @@ from .statistics import (
 )
 from .transforms import (
     degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
     induced_subgraph,
     lower_triangle_counts,
     permute,
@@ -69,6 +71,8 @@ __all__ = [
     "classify_degree_distribution",
     "undirected_bfs_depths",
     "degree_order_permutation",
+    "degree_skewed",
+    "forward_adjacency",
     "induced_subgraph",
     "lower_triangle_counts",
     "permute",

@@ -18,19 +18,59 @@ __all__ = [
     "permute",
     "degree_order_permutation",
     "relabel_by_degree",
+    "degree_skewed",
+    "forward_adjacency",
     "induced_subgraph",
     "lower_triangle_counts",
 ]
 
 
+RELABEL_SAMPLES = 1000
+# Degree-skew threshold: relabel when the sampled mean degree is this many
+# times the sampled median (gapbs uses the same style of sample test).
+SKEW_RATIO = 2.0
+
+
+def _relabel_rows(
+    num_vertices: int,
+    degrees: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray | None,
+    perm: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One CSR side under ``perm``: rows renumbered, each row re-sorted."""
+    rows = perm[np.repeat(np.arange(num_vertices, dtype=np.int64), degrees)]
+    cols = perm[indices]
+    # The input is deduplicated, so the keys are distinct and one sort orders it.
+    order = np.argsort(rows * num_vertices + cols)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
+    return indptr, cols[order], None if weights is None else weights[order]
+
+
 def permute(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
     """Relabel vertices: vertex ``v`` becomes ``perm[v]``.
 
-    Weights travel with their edges.  The result is rebuilt in CSR form so
-    adjacency stays sorted.
+    Weights travel with their edges.  A CSR graph is already free of
+    self-loops and duplicates, so the result is built CSR -> CSR with one
+    sort per stored direction and adjacency stays sorted.
     """
-    edges = graph.to_edge_list().relabeled(perm)
-    return CSRGraph.from_edge_list(edges, directed=graph.directed)
+    n = graph.num_vertices
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (n,):
+        raise GraphFormatError(
+            f"permutation length {perm.shape} != num_vertices {n}"
+        )
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise GraphFormatError("perm is not a permutation of 0..n-1")
+    out = _relabel_rows(n, graph.out_degrees, graph.indices, graph.weights, perm)
+    if graph.directed:
+        into = _relabel_rows(
+            n, graph.in_degrees, graph.in_indices, graph.in_weights, perm
+        )
+    else:
+        into = out
+    return CSRGraph(n, *out, *into, directed=graph.directed)
 
 
 def degree_order_permutation(graph: CSRGraph, ascending: bool = True) -> np.ndarray:
@@ -97,3 +137,26 @@ def lower_triangle_counts(graph: CSRGraph) -> np.ndarray:
     src, dst = graph.edge_array()
     lower = src > dst
     return np.bincount(src[lower], minlength=graph.num_vertices)
+
+
+def degree_skewed(graph: CSRGraph, seed: int = 0) -> bool:
+    """Sampling heuristic: is the degree distribution skewed enough?
+
+    The one test every framework's TC (and Galois' bulk-synchronous vs
+    asynchronous choice) uses to decide whether a degree relabel pays:
+    sampled mean degree above ``SKEW_RATIO`` times the sampled median.
+    """
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    sample = graph.out_degrees[rng.integers(0, n, size=min(RELABEL_SAMPLES, n))]
+    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
+
+
+def forward_adjacency(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of edges oriented low id -> high id (each edge kept once)."""
+    src, dst = graph.edge_array()
+    keep = dst > src
+    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=graph.num_vertices), out=indptr[1:])
+    # edge_array emits rows in sorted order, so dst is already row-sorted.
+    return indptr, dst[keep]

@@ -2,12 +2,12 @@
 
 One optimized CSR primitive tier under all framework reimplementations:
 edge gathers (:mod:`.gather`), first-writer frontier bookkeeping
-(:mod:`.frontier`), masked/semiring SpMV (:mod:`.spmv`), forward-adjacency
-intersection (:mod:`.intersect`), and the direction-optimizing push/pull
-policy (:mod:`.direction`).  Each primitive has one implementation; the
-formulations the kernels used before the port are the oracle the tests
-compare against (``tests/reference/la_oracle.py``).  See
-``docs/KERNEL_SUBSTRATE.md``.
+(:mod:`.frontier`), masked/semiring SpMV (:mod:`.spmv`), the wedge-closing
+test under every triangle count (:mod:`.intersect`), and the
+direction-optimizing push/pull policy (:mod:`.direction`).  Each primitive
+has one implementation; the formulations the kernels used before the port
+are the oracle the tests compare against
+(``tests/reference/la_oracle.py``).  See ``docs/KERNEL_SUBSTRATE.md``.
 """
 
 from .direction import ALPHA, BETA, DirectionOptimizer
@@ -18,6 +18,7 @@ from .frontier import (
     unique_ids,
 )
 from .gather import gather_edges, gather_edges_weighted
+from .intersect import count_closing, count_forward_triangles
 from .spmv import masked_pull_claim, plus_times_operator, spmv_min_plus
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "unique_ids",
     "gather_edges",
     "gather_edges_weighted",
+    "count_closing",
+    "count_forward_triangles",
     "masked_pull_claim",
     "plus_times_operator",
     "spmv_min_plus",

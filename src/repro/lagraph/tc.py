@@ -15,31 +15,17 @@ our SciPy-based ``mxm_masked`` has the same materialize-then-reduce shape.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation
+from ..graphs import CSRGraph, degree_order_permutation, degree_skewed
 from ..semiring import PLUS_PAIR, Matrix, mxm_masked, reduce_matrix
 
 __all__ = ["lagraph_tc"]
-
-SAMPLE_SIZE = 1000
-SKEW_RATIO = 2.0
-
-
-def _presort_wanted(graph: CSRGraph, seed: int) -> bool:
-    """Sampling heuristic for the optional degree-sort permutation."""
-    rng = np.random.default_rng(seed)
-    sample = graph.out_degrees[
-        rng.integers(0, graph.num_vertices, size=min(SAMPLE_SIZE, graph.num_vertices))
-    ]
-    return float(sample.mean()) > SKEW_RATIO * max(float(np.median(sample)), 1.0)
 
 
 def lagraph_tc(graph: CSRGraph, seed: int = 0) -> int:
     """Triangle count via the masked ``plus_pair`` matrix product."""
     matrix = Matrix.from_graph(graph)
-    if _presort_wanted(graph, seed):
+    if degree_skewed(graph, seed):
         counters.note("relabelled")
         perm = degree_order_permutation(graph, ascending=True)
         matrix = matrix.permuted(perm)

@@ -21,7 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..graphs import CSRGraph, degree_order_permutation, permute
+from ..graphs import (
+    CSRGraph,
+    degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
+    permute,
+)
 from ..la import first_occurrence_mask, gather_edges_weighted, relax_minimum
 from ..la.intersect import count_forward_triangles
 from .substrate import VertexSubset, edge_map
@@ -196,18 +202,9 @@ def ligra_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
 
 def ligra_tc(graph: CSRGraph, seed: int = 0) -> int:
     """Order-invariant triangle count with the degree-relabel heuristic."""
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sample = graph.out_degrees[rng.integers(0, n, size=min(1000, n))]
-    if float(sample.mean()) > 2.0 * max(float(np.median(sample)), 1.0):
+    if degree_skewed(graph, seed):
         counters.note("relabelled")
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    src, dst = graph.edge_array()
-    keep = dst > src
-    src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total, examined = count_forward_triangles(indptr, dst)
+    total, examined = count_forward_triangles(*forward_adjacency(graph))
     counters.add_edges(examined)
     return total

@@ -57,6 +57,7 @@ class NWGraphFramework(Framework):
         unmodelled=(
             "hyperthreading (the paper's entire Baseline->Optimized delta)",
             "TBB / std::async parallel backends",
+            "cyclic row distribution in TC (load balance only)",
         ),
     )
 

@@ -1,4 +1,4 @@
-"""NWGraph triangle counting: relabel on the edge list, cyclic row split.
+"""NWGraph triangle counting: relabel on the edge list, then the shared count.
 
 Two NWGraph choices the paper highlights:
 
@@ -7,9 +7,9 @@ Two NWGraph choices the paper highlights:
   relabeling on the compressed graph" — and the relabel *is* timed while
   the final compression is not (GAP timing rules);
 * rows are distributed **cyclically** across workers, which gave
-  near-optimal load balance on skewed Web.  We keep the cyclic split as the
-  unit of work (it also shapes the work counters) even though execution is
-  sequential here.
+  near-optimal load balance on skewed Web.  That is a scheduling choice
+  with no effect on a sequential count or its work counters, so it is
+  recorded as unmodelled rather than looped over.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
+from ..la.intersect import count_forward_triangles
 
 __all__ = ["nwgraph_tc"]
-
-NUM_CYCLIC_BLOCKS = 32
 
 
 def nwgraph_tc(graph: CSRGraph) -> int:
@@ -42,23 +41,9 @@ def nwgraph_tc(graph: CSRGraph) -> int:
     src, dst = src[keep], dst[keep]
     sort_order = np.lexsort((dst, src))
     src, dst = src[sort_order], dst[sort_order]
-    counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    total = 0
-    for block in range(NUM_CYCLIC_BLOCKS):
-        rows = np.arange(block, n, NUM_CYCLIC_BLOCKS, dtype=np.int64)
-        rows = rows[counts[rows] >= 2]
-        for u in rows:
-            row = dst[indptr[u]: indptr[u + 1]]
-            starts, ends = indptr[row], indptr[row + 1]
-            chunks = [dst[s:e] for s, e in zip(starts, ends) if e > s]
-            if not chunks:
-                continue
-            targets = np.concatenate(chunks)
-            counters.add_edges(targets.size + row.size)
-            position = np.searchsorted(row, targets)
-            position[position == row.size] = 0
-            total += int((row[position] == targets).sum())
+    total, examined = count_forward_triangles(indptr, dst)
+    counters.add_edges(examined)
     return total

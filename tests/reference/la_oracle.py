@@ -5,7 +5,8 @@ primitive it judges and is, verbatim, the hot-loop code the framework
 kernels ran before they were moved onto the shared tier: three-``np.repeat``
 gathers with no full-sweep fast path, ``np.unique`` first-writer claims, a
 gather + prefix-sum (+, x) product, row-at-a-time (min, +), a per-vertex
-triangle loop, and a pull step that always scans the whole in-adjacency.
+triangle loop, GKC's wedge batches closed by one binary search of the
+sorted edge keys, and a pull step that always scans the whole in-adjacency.
 Unit tests call ``la_oracle.primitive(x)`` beside ``primitive(x)``;
 :func:`oracle_engine` runs a *whole kernel* on these formulations, which
 is how ``tests/test_la_differential.py`` proves the port changed
@@ -39,6 +40,7 @@ __all__ = [
     "spmv_min_plus",
     "masked_pull_claim",
     "count_forward_triangles",
+    "count_closing",
     "oracle_engine",
 ]
 
@@ -190,6 +192,59 @@ def count_forward_triangles(
     return total, examined
 
 
+def _count_batch(
+    edge_keys: np.ndarray,
+    anchor: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    pool: np.ndarray,
+    n: int,
+) -> int:
+    total_wedges = int(lengths.sum())
+    if total_wedges == 0:
+        return 0
+    anchors = np.repeat(anchor, lengths)
+    offsets = np.arange(total_wedges, dtype=np.int64)
+    begin = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    flat = np.repeat(starts, lengths) + (offsets - begin)
+    tails = pool[flat]
+    keys = anchors * np.int64(n) + tails
+    position = np.searchsorted(edge_keys, keys)
+    position[position == edge_keys.size] = 0
+    return int((edge_keys[position] == keys).sum())
+
+
+def count_closing(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    anchors: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    block_wedges: int,
+) -> int:
+    # GKC's pre-port batch loop; the sorted key list is the CSR itself.
+    n = indptr.size - 1
+    num_groups = int(anchors.size)
+    if num_groups == 0 or indices.size == 0:
+        return 0
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    edge_keys = owners * np.int64(n) + indices
+    total = 0
+    cost = np.concatenate([[0], np.cumsum(lengths)])
+    start_edge = 0
+    while start_edge < num_groups:
+        stop_edge = int(
+            np.searchsorted(cost, cost[start_edge] + block_wedges, side="right")
+        )
+        stop_edge = min(max(stop_edge, start_edge + 1), num_groups)
+        sel = slice(start_edge, stop_edge)
+        total += _count_batch(
+            edge_keys, anchors[sel], starts[sel], lengths[sel], indices, n
+        )
+        start_edge = stop_edge
+    return total
+
+
 # --- running a whole kernel on the oracle --------------------------------------
 
 # optimized primitive -> its oracle, keyed by function identity.
@@ -199,7 +254,7 @@ _ORACLES: dict[types.FunctionType, types.FunctionType] = {
         (gather, (flat_edge_index, gather_edges, gather_edges_weighted)),
         (frontier, (claim_first_writer, first_occurrence_mask, unique_ids)),
         (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim)),
-        (intersect, (count_forward_triangles,)),
+        (intersect, (count_forward_triangles, count_closing)),
     )
     for oracle in oracles
 }

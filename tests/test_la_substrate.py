@@ -21,22 +21,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import networkx as nx
+
 import repro.gapbs.bfs
+import repro.gkc.tc
 import repro.la
 from repro.core import GraphCase, SourcePicker, counters
 from repro.frameworks import Mode, RunContext, get
+from repro.frameworks.registry import FRAMEWORK_NAMES
+from repro.generators import build_graph
+from repro.graphs import forward_adjacency
 from repro.la import (
     ALPHA,
     BETA,
     DirectionOptimizer,
+    count_closing,
+    count_forward_triangles,
     gather_edges,
     gather_edges_weighted,
     masked_pull_claim,
     plus_times_operator,
     spmv_min_plus,
 )
+from repro.la import intersect
 from repro.la.gather import flat_edge_index, is_full_range
 from tests.reference import la_oracle
+from tests.conftest import GRAPHS, to_networkx
 from tests.reference.la_oracle import oracle_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -215,6 +225,16 @@ class TestOneEngine:
         assert offenders == []
         assert not (SRC / "repro" / "la" / "config.py").exists()
 
+    def test_no_tc_kernel_keeps_its_own_loop_or_search(self):
+        """Every wedge-checking TC closes through ``repro.la.intersect``."""
+        offenders = [
+            f"{path.relative_to(SRC)}: {needle}"
+            for path in sorted((SRC / "repro").glob("*/tc.py"))
+            for needle in ("for u in", "searchsorted")
+            if needle in path.read_text()
+        ]
+        assert offenders == []
+
     def test_every_exported_primitive_has_a_caller(self):
         """A name in ``repro.la.__all__`` earns its place by being imported
         somewhere under ``src/repro`` outside ``la/``."""
@@ -288,6 +308,115 @@ class TestGather:
         np.testing.assert_array_equal(o[0], r[0])
         np.testing.assert_array_equal(o[1], r[1])
         assert o[2] == r[2]
+
+
+def _random_groups(rng, dtype, n=40, num_groups=300):
+    """A sorted-row CSR and closing groups with every awkward shape."""
+    dense = rng.random((n, n)) < 0.15
+    dense[n - 1, ::3] = True  # the last row is non-empty and gets anchored
+    indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))]).astype(np.int64)
+    indices = np.nonzero(dense)[1].astype(dtype)
+    anchors = np.sort(rng.integers(0, n, size=num_groups))  # repeats
+    anchors[-5:] = n - 1
+    starts = rng.integers(0, indices.size, size=num_groups)
+    lengths = np.minimum(rng.integers(0, 12, size=num_groups), indices.size - starts)
+    lengths[::7] = 0
+    return dense, indptr, indices, anchors, starts, lengths
+
+
+class TestCountClosing:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("block_wedges", [1, 7, 1 << 20])
+    def test_matches_oracle_and_definition(self, dtype, block_wedges):
+        dense, indptr, indices, anchors, starts, lengths = _random_groups(
+            np.random.default_rng(11), dtype
+        )
+        by_definition = sum(
+            int(dense[a, indices[s: s + k]].sum())
+            for a, s, k in zip(anchors, starts, lengths)
+        )
+        args = (indptr, indices, anchors, starts, lengths, block_wedges)
+        assert count_closing(*args) == la_oracle.count_closing(*args) == by_definition
+        assert by_definition > 0
+
+    def test_no_groups(self):
+        indptr, indices, _ = _csr(np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        assert count_closing(indptr, indices, empty, empty, empty, 8) == 0
+        zero = np.zeros(3, dtype=np.int64)
+        assert count_closing(indptr, indices, zero, zero, zero, 8) == 0
+
+    def test_stamps_do_not_outlive_their_block(self, monkeypatch):
+        """One row per block: block 1 re-uses the very slots block 0 stamped.
+        Row 0 holds {2, 3}; the second group asks whether 2 or 3 lie in row 1
+        (= {4}) — they would, had block 0's stamps not been taken back."""
+        indptr = np.array([0, 2, 3, 3, 3, 3], dtype=np.int64)
+        indices = np.array([2, 3, 4], dtype=np.int64)
+        monkeypatch.setattr(intersect, "STAMP_BLOCK_BYTES", 5)
+        anchors = np.array([0, 1], dtype=np.int64)
+        starts = np.array([0, 0], dtype=np.int64)
+        lengths = np.array([2, 2], dtype=np.int64)
+        assert count_closing(indptr, indices, anchors, starts, lengths, 1 << 20) == 2
+        assert count_closing(
+            indptr, indices, anchors[1:], starts[1:], lengths[1:], 1 << 20
+        ) == 0
+
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 12])
+    def test_stamp_table_is_bounded_by_the_budget(self, kron, monkeypatch, budget):
+        sizes = []
+
+        class _Recorder(_NumpySpy):
+            def zeros(self, shape, dtype=float):
+                sizes.append(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+                return np.zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(intersect, "STAMP_BLOCK_BYTES", budget)
+        monkeypatch.setattr(intersect, "np", _Recorder())
+        fwd = forward_adjacency(kron)
+        assert count_forward_triangles(*fwd) == la_oracle.count_forward_triangles(*fwd)
+        assert sizes and max(sizes) <= max(budget, kron.num_vertices)
+
+
+class TestTriangleCounting:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_forward_count_matches_oracle(self, kron, dtype):
+        indptr, indices = forward_adjacency(kron)
+        indices = indices.astype(dtype)
+        triangles, examined = count_forward_triangles(indptr, indices)
+        assert (triangles, examined) == la_oracle.count_forward_triangles(indptr, indices)
+        assert triangles > 0 and examined > 0
+
+    def test_empty_forward_adjacency(self):
+        assert count_forward_triangles(
+            np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int64)
+        ) == (0, 0)
+
+    def test_block_boundaries_change_neither_count_nor_work(self, kron_case, monkeypatch):
+        """One row per stamp block, one group per wedge block."""
+        graph = kron_case.undirected
+
+        def run_all():
+            out = {}
+            for name in FRAMEWORK_NAMES:
+                with counters.counting() as work:
+                    triangles = get(name).triangle_count(graph)
+                out[name] = (triangles, work.edges_examined)
+            return out
+
+        expected = run_all()
+        monkeypatch.setattr(intersect, "STAMP_BLOCK_BYTES", graph.num_vertices)
+        monkeypatch.setattr(intersect, "INTERSECT_BLOCK_EDGES", 1)
+        monkeypatch.setattr(repro.gkc.tc, "WEDGE_BLOCK", 1)
+        assert run_all() == expected
+        assert len({triangles for triangles, _ in expected.values()}) == 1
+
+    @pytest.mark.parametrize("graph_name", GRAPHS)
+    def test_every_framework_matches_networkx(self, graph_name):
+        graph = build_graph(graph_name, scale=8)
+        undirected = graph.to_undirected() if graph.directed else graph
+        expected = sum(nx.triangles(to_networkx(undirected)).values()) // 3
+        for name in FRAMEWORK_NAMES:
+            assert get(name).triangle_count(undirected) == expected, name
 
 
 class TestPlusTimes:

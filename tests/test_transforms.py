@@ -7,6 +7,8 @@ from repro.errors import GraphFormatError
 from repro.graphs import (
     CSRGraph,
     degree_order_permutation,
+    degree_skewed,
+    forward_adjacency,
     induced_subgraph,
     lower_triangle_counts,
     permute,
@@ -40,6 +42,69 @@ class TestPermute:
         assert sorted(graph.out_degrees.tolist()) == sorted(
             relabeled.out_degrees.tolist()
         )
+
+
+def _csr_arrays(graph):
+    return {
+        name: getattr(graph, name)
+        for name in (
+            "indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"
+        )
+    }
+
+
+class TestPermuteIsTheEdgeListRelabel:
+    """``permute`` goes CSR -> CSR; the edge-list round trip is its oracle."""
+
+    @pytest.fixture(params=["directed", "weighted", "undirected"])
+    def view(self, request, corpus, weighted_corpus):
+        return {
+            "directed": corpus["twitter"],
+            "weighted": weighted_corpus["web"],
+            "undirected": corpus["kron"],
+        }[request.param]
+
+    def test_arrays_equal_the_round_trip(self, view):
+        perm = np.random.default_rng(3).permutation(view.num_vertices)
+        expected = CSRGraph.from_edge_list(
+            view.to_edge_list().relabeled(perm), directed=view.directed
+        )
+        got = permute(view, perm)
+        assert got.directed == expected.directed
+        assert got.num_vertices == expected.num_vertices
+        for name, array in _csr_arrays(expected).items():
+            mine = getattr(got, name)
+            if array is None:
+                assert mine is None, name
+            else:
+                assert mine.dtype == array.dtype, name
+                np.testing.assert_array_equal(mine, array, err_msg=name)
+        # An undirected graph's in-adjacency aliases its out-adjacency.
+        assert (got.in_indices is got.indices) == (not view.directed)
+
+    def test_rejects_a_non_permutation(self, tiny_graph):
+        with pytest.raises(GraphFormatError, match="not a permutation"):
+            permute(tiny_graph, np.array([0, 0, 2, 3, 4, 5, 6]))
+
+    def test_rejects_a_wrong_length(self, tiny_graph):
+        with pytest.raises(GraphFormatError, match="permutation length"):
+            permute(tiny_graph, np.arange(6))
+
+
+class TestSharedTcPreprocessing:
+    def test_forward_adjacency_keeps_each_edge_once(self, triangle_graph):
+        indptr, indices = forward_adjacency(triangle_graph)
+        assert indices.size == triangle_graph.num_undirected_edges
+        owners = np.repeat(np.arange(triangle_graph.num_vertices), np.diff(indptr))
+        assert np.all(indices > owners)
+        keys = owners * triangle_graph.num_vertices + indices
+        assert np.all(np.diff(keys) > 0)  # row-major sorted, no sort needed
+
+    def test_degree_skewed_is_seeded(self, corpus):
+        assert degree_skewed(corpus["kron"], seed=5) == degree_skewed(
+            corpus["kron"], seed=5
+        )
+        assert degree_skewed(corpus["kron"]) and not degree_skewed(corpus["urand"])
 
 
 class TestDegreeOrder:
