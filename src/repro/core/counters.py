@@ -89,11 +89,11 @@ def add_vertices(count: int) -> None:
         stack[-1].vertices_touched += int(count)
 
 
-def add_round() -> None:
-    """Report one synchronization round (frontier step, bucket, ...)."""
+def add_round(count: int = 1) -> None:
+    """Report synchronization rounds (frontier step, bucket, ...)."""
     stack = _stack()
     if stack:
-        stack[-1].rounds += 1
+        stack[-1].rounds += int(count)
 
 
 def add_iteration() -> None:

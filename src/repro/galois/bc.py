@@ -16,72 +16,25 @@ synchronous variant.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges, unique_ids
+from ..la import brandes_backward, brandes_sweep, gather_edges, unique_ids
 from ..worklist import for_each_eager
 
 __all__ = ["galois_bc", "galois_bc_async"]
 
 
-def _forward(graph: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """BFS with path counting; returns (depth, sigma, levels)."""
-    n = graph.num_vertices
-    depth = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    depth[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
-    level = 0
-    while frontier.size:
-        counters.add_round()
-        srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
-        counters.add_edges(tgts.size)
-        fresh_mask = depth[tgts] < 0
-        depth[tgts[fresh_mask]] = level + 1
-        on_next = depth[tgts] == level + 1
-        np.add.at(sigma, tgts[on_next], sigma[srcs[on_next]])
-        frontier = unique_ids(tgts[fresh_mask], n)
-        if frontier.size:
-            levels.append(frontier)
-        level += 1
-    return depth, sigma, levels
-
-
-def _backward(
-    graph: CSRGraph,
-    depth: np.ndarray,
-    sigma: np.ndarray,
-    levels: list[np.ndarray],
-    source: int,
-    scores: np.ndarray,
-) -> None:
-    """Dependency accumulation by re-expanding each level (no saved DAG)."""
-    delta = np.zeros_like(sigma)
-    for level_index in range(len(levels) - 2, -1, -1):
-        counters.add_round()
-        members = levels[level_index]
-        # Re-expand and re-filter: the work GAP's successor bitmap skips.
-        srcs, tgts = gather_edges(graph.indptr, graph.indices, members)
-        counters.add_edges(tgts.size)
-        succ = depth[tgts] == depth[srcs] + 1
-        srcs, tgts = srcs[succ], tgts[succ]
-        if srcs.size:
-            contributions = (sigma[srcs] / sigma[tgts]) * (1.0 + delta[tgts])
-            np.add.at(delta, srcs, contributions)
-    delta[source] = 0.0
-    scores += delta
-
-
 def galois_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Accumulate Brandes dependencies from the given roots (bulk-sync)."""
-    scores = np.zeros(graph.num_vertices, dtype=np.float64)
-    for source in np.asarray(sources, dtype=np.int64):
-        depth, sigma, levels = _forward(graph, int(source))
-        _backward(graph, depth, sigma, levels, int(source), scores)
+    scores, examined, eccentricities = brandes_sweep(
+        graph.indptr, graph.indices, sources, saved_successors=False
+    )
+    counters.add_edges(examined)
+    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
     return scores
 
 
@@ -141,9 +94,24 @@ def _forward_async(
 
 
 def galois_bc_async(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
-    """Asynchronous-forward Brandes (the Baseline choice on uniform graphs)."""
-    scores = np.zeros(graph.num_vertices, dtype=np.float64)
-    for source in np.asarray(sources, dtype=np.int64):
-        depth, sigma, levels = _forward_async(graph, int(source))
-        _backward(graph, depth, sigma, levels, int(source), scores)
+    """Asynchronous-forward Brandes (the Baseline choice on uniform graphs).
+
+    Label correction has no levels to share, so the forward phase runs per
+    root; the roots' settled state is then lifted (root ``r``'s vertex ``v``
+    is ``r * n + v``) into the synchronous variant's backward sweep.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    depths, sigmas, levels = zip(*(_forward_async(graph, int(s)) for s in sources))
+    lifted = (
+        [members + root * graph.num_vertices for members in own]
+        for root, own in enumerate(levels)
+    )
+    exhausted = np.empty(0, dtype=np.int64)
+    scores, examined, eccentricities = brandes_backward(
+        graph.indptr, graph.indices, sources,
+        np.concatenate(depths), np.concatenate(sigmas),
+        [np.concatenate(level) for level in zip_longest(*lifted, fillvalue=exhausted)],
+    )
+    counters.add_edges(examined)
+    counters.add_round(int(eccentricities.sum()))
     return scores

@@ -57,7 +57,7 @@ def sync_delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.nda
         members = obim.drain_priority(priority)
         counters.add_round()
         # Lazy deletion: drop entries whose distance moved to another bucket.
-        members = np.unique(members)
+        members = unique_ids(members, n)
         live = (dist[members] // delta).astype(np.int64) == priority
         members = members[live]
         if members.size == 0:

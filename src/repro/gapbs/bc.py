@@ -6,8 +6,9 @@ The GAP reference records each vertex's *successors* during the forward
 pass (in the C++ code, as a bitmap over edges) so the backward pass replays
 exactly the shortest-path DAG instead of re-scanning and re-filtering the
 adjacency — the optimization the paper credits for GAP beating Galois on
-uniform graphs.  We keep the same structure: the forward pass stores the
-per-level DAG edge arrays, and the backward pass consumes them directly.
+uniform graphs.  That choice is the ``saved_successors`` flavour of the
+shared multi-root sweep (:mod:`repro.la.sweep`), which advances all of a
+trial's roots one level per step.
 
 Following the GAP benchmark, BC is approximated from a handful of roots
 (4 per trial) and paths are counted on the unweighted directed graph.
@@ -19,72 +20,17 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges, unique_ids
+from ..la import brandes_sweep
 
-__all__ = ["brandes_bc", "brandes_forward", "brandes_backward"]
-
-
-def brandes_forward(
-    graph: CSRGraph, source: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """BFS from ``source`` counting shortest paths.
-
-    Returns ``(depth, sigma, levels, dag_edges)`` where ``levels[d]`` lists
-    the vertices at depth ``d`` and ``dag_edges[d]`` holds the saved
-    successor edges from depth ``d`` to ``d + 1``.
-    """
-    n = graph.num_vertices
-    depth = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    depth[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    levels: list[np.ndarray] = [frontier]
-    dag_edges: list[tuple[np.ndarray, np.ndarray]] = []
-
-    level = 0
-    while frontier.size:
-        counters.add_round()
-        sources, targets = gather_edges(graph.indptr, graph.indices, frontier)
-        counters.add_edges(targets.size)
-        undiscovered = depth[targets] < 0
-        depth[targets[undiscovered]] = level + 1
-        on_next = depth[targets] == level + 1
-        succ_src, succ_dst = sources[on_next], targets[on_next]
-        dag_edges.append((succ_src, succ_dst))
-        np.add.at(sigma, succ_dst, sigma[succ_src])
-        frontier = unique_ids(targets[undiscovered], n)
-        if frontier.size:
-            levels.append(frontier)
-        level += 1
-    return depth, sigma, levels, dag_edges
-
-
-def brandes_backward(
-    sigma: np.ndarray,
-    levels: list[np.ndarray],
-    dag_edges: list[tuple[np.ndarray, np.ndarray]],
-    scores: np.ndarray,
-    source: int,
-) -> None:
-    """Accumulate dependencies over the saved DAG into ``scores``."""
-    delta = np.zeros_like(sigma)
-    for level in range(len(levels) - 2, -1, -1):
-        counters.add_round()
-        succ_src, succ_dst = dag_edges[level]
-        counters.add_edges(succ_src.size)
-        if succ_src.size:
-            contributions = (sigma[succ_src] / sigma[succ_dst]) * (1.0 + delta[succ_dst])
-            np.add.at(delta, succ_src, contributions)
-    delta[source] = 0.0
-    scores += delta
+__all__ = ["brandes_bc"]
 
 
 def brandes_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Approximate BC by accumulating Brandes dependencies from ``sources``."""
-    scores = np.zeros(graph.num_vertices, dtype=np.float64)
-    for source in np.asarray(sources, dtype=np.int64):
-        depth, sigma, levels, dag_edges = brandes_forward(graph, int(source))
-        del depth
-        brandes_backward(sigma, levels, dag_edges, scores, int(source))
+    scores, examined, eccentricities = brandes_sweep(
+        graph.indptr, graph.indices, sources, saved_successors=True
+    )
+    counters.add_edges(examined)
+    # Per root: ecc + 1 forward levels, ecc backward levels.
+    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
     return scores

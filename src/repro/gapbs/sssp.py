@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges_weighted, relax_minimum
+from ..la import gather_edges_weighted, relax_minimum, unique_ids
 
 __all__ = ["delta_stepping"]
 
@@ -77,7 +77,7 @@ def delta_stepping(
         pending = buckets.pop(current)
         while pending:
             counters.add_round()
-            members = np.unique(np.concatenate(pending))
+            members = unique_ids(np.concatenate(pending), n)
             pending = []
             # Lazy deletion: keep only vertices still in this bucket.
             in_bucket = (dist[members] // delta).astype(np.int64) == current

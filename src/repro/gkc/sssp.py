@@ -34,7 +34,7 @@ def gkc_sssp(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
         members = buckets.pop(current).drain()
         while members.size:
             counters.add_round()
-            members = np.unique(members)
+            members = unique_ids(members, n)
             members = members[(dist[members] // delta).astype(np.int64) == current]
             if members.size == 0:
                 break

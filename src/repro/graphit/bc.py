@@ -35,7 +35,7 @@ def graphit_bc(graph: CSRGraph, sources: np.ndarray, schedule: Schedule) -> np.n
         level = 0
         levels: list[np.ndarray] = [np.array([source], dtype=np.int64)]
 
-        def count_paths(srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        def count_paths(srcs: np.ndarray, dsts: np.ndarray, weights: None) -> np.ndarray:
             del weights
             np.add.at(sigma, dsts, sigma[srcs])
             return first_occurrence_mask(dsts, n)
@@ -53,26 +53,19 @@ def graphit_bc(graph: CSRGraph, sources: np.ndarray, schedule: Schedule) -> np.n
                 levels.append(members)
 
         delta = np.zeros(n, dtype=np.float64)
+
+        def push_dependency(srcs: np.ndarray, dsts: np.ndarray, weights: None) -> None:
+            # Running on the transpose: srcs are level-d vertices, dsts
+            # their in-neighbors in the original graph.  Plain ``apply``:
+            # nothing downstream reads a modified set.
+            del weights
+            predecessor = depth[dsts] == depth[srcs] - 1
+            srcs, dsts = srcs[predecessor], dsts[predecessor]
+            np.add.at(delta, dsts, (sigma[dsts] / sigma[srcs]) * (1.0 + delta[srcs]))
+
         for level_index in range(len(levels) - 1, 0, -1):
             counters.add_round()
-            members = levels[level_index]
-
-            def push_dependency(
-                srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray
-            ) -> np.ndarray:
-                # Running on the transpose: srcs are level-d vertices, dsts
-                # their in-neighbors in the original graph.
-                del weights
-                predecessor = depth[dsts] == depth[srcs] - 1
-                np.add.at(
-                    delta,
-                    dsts[predecessor],
-                    (sigma[dsts[predecessor]] / sigma[srcs[predecessor]])
-                    * (1.0 + delta[srcs[predecessor]]),
-                )
-                return np.zeros(dsts.size, dtype=bool)
-
-            level_set = VertexSet.from_ids(n, members, schedule.frontier)
+            level_set = VertexSet.from_ids(n, levels[level_index], schedule.frontier)
             edgeset_apply_from(transpose, level_set, push_dependency, schedule)
         delta[source] = 0.0
         scores += delta

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
+from ..la import unique_ids
 
 __all__ = ["BucketPriorityQueue"]
 
@@ -39,10 +40,13 @@ class BucketPriorityQueue:
         return not self._buckets
 
     def pop_lowest(self) -> tuple[int, np.ndarray]:
-        """Remove and return the entire lowest-priority bucket."""
+        """Remove and return the lowest-priority bucket, as pushed.
+
+        A vertex pushed twice appears twice: :meth:`process` dedups against
+        the distance array, whose size a bare queue does not know.
+        """
         lowest = min(self._buckets)
-        chunks = self._buckets.pop(lowest)
-        return lowest, np.unique(np.concatenate(chunks))
+        return lowest, np.concatenate(self._buckets.pop(lowest))
 
     def process(self, relax, dist: np.ndarray, delta: int) -> None:
         """Drain the queue in priority order.
@@ -55,6 +59,7 @@ class BucketPriorityQueue:
         """
         while not self.empty():
             priority, members = self.pop_lowest()
+            members = unique_ids(members, dist.size)
             # Lazy deletion: drop entries re-bucketed elsewhere.
             members = members[(dist[members] // delta).astype(np.int64) == priority]
             while members.size:

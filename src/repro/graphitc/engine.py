@@ -10,10 +10,11 @@ The *algorithm* side of a GraphIt program reduces to two constructs:
 
 The *schedule* decides direction (sparse push, dense pull, or the hybrid
 that picks per step), frontier layout, deduplication, and tiling.  Edge
-functions receive ``(sources, destinations, weights)`` and return the mask
-of destination entries they modified; state lives in the caller's arrays,
-mirroring GraphIt's vertex-data model where the compiler inserts the
-atomics.
+functions receive ``(sources, destinations, weights)`` — ``weights`` is
+``None`` on an unweighted graph — and return the mask of destination entries
+they modified (``applyModified``), or ``None`` when no output set is wanted
+(plain ``apply``); state lives in the caller's arrays, mirroring GraphIt's
+vertex-data model where the compiler inserts the atomics.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ __all__ = ["edgeset_apply_from", "edgeset_apply_all", "SegmentedEdges"]
 # outgoing-edge volume exceeds this fraction of all edges.
 HYBRID_EDGE_FRACTION = 20
 
-EdgeFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+EdgeFunction = Callable[
+    [np.ndarray, np.ndarray, "np.ndarray | None"], "np.ndarray | None"
+]
 
 
 def _expand(
@@ -42,10 +45,9 @@ def _expand(
     indices: np.ndarray,
     weights: np.ndarray | None,
     vertices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     if weights is None:
-        sources, targets = gather_edges(indptr, indices, vertices)
-        return sources, targets, np.ones(targets.size, dtype=np.float64)
+        return *gather_edges(indptr, indices, vertices), None
     sources, targets, edge_weights = gather_edges_weighted(
         indptr, indices, weights, vertices
     )
@@ -58,7 +60,7 @@ def edgeset_apply_from(
     apply_fn: EdgeFunction,
     schedule: Schedule,
     to_filter: np.ndarray | None = None,
-) -> VertexSet:
+) -> VertexSet | None:
     """Apply ``apply_fn`` to the edges leaving ``frontier``.
 
     Args:
@@ -72,7 +74,8 @@ def edgeset_apply_from(
             clause, e.g. "not yet visited").
 
     Returns:
-        The vertexset of modified destinations, in the schedule's layout.
+        The vertexset of modified destinations, in the schedule's layout;
+        ``None`` when ``apply_fn`` returned no mask.
     """
     direction = schedule.direction
     if direction is Direction.DENSE_PULL_SPARSE_PUSH:
@@ -93,18 +96,22 @@ def edgeset_apply_from(
         )
         counters.add_edges(srcs.size)
         hits = bits.contains(srcs)
-        srcs, dsts, weights = srcs[hits], dsts[hits], weights[hits]
+        srcs, dsts = srcs[hits], dsts[hits]
+        weights = None if weights is None else weights[hits]
     else:
         members = frontier.to_layout(FrontierLayout.SPARSE_ARRAY).ids()
         srcs, dsts, weights = _expand(graph.indptr, graph.indices, graph.weights, members)
         counters.add_edges(srcs.size)
         if to_filter is not None and dsts.size:
             allowed = to_filter[dsts]
-            srcs, dsts, weights = srcs[allowed], dsts[allowed], weights[allowed]
+            srcs, dsts = srcs[allowed], dsts[allowed]
+            weights = None if weights is None else weights[allowed]
 
     if dsts.size == 0:
         return VertexSet(graph.num_vertices, schedule.frontier)
     modified = apply_fn(srcs, dsts, weights)
+    if modified is None:
+        return None
     out = dsts[modified]
     if schedule.deduplicate:
         out = unique_ids(out, graph.num_vertices)
@@ -146,10 +153,9 @@ class SegmentedEdges:
     def apply(self, apply_fn: EdgeFunction) -> None:
         """Run the edge function segment by segment."""
         counters.add_edges(self.num_edges)
-        weights = np.empty(0)
         for sources, targets in self.segments:
             counters.note("cache_segments")
-            apply_fn(sources, targets, weights)
+            apply_fn(sources, targets, None)
 
 
 def edgeset_apply_all(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
+from ..la import unique_ids
 from .schedule import FrontierLayout
 
 __all__ = ["VertexSet"]
@@ -40,7 +41,7 @@ class VertexSet:
         if layout is FrontierLayout.BITVECTOR:
             vs._bits[ids] = True
         else:
-            vs._ids = np.unique(ids)
+            vs._ids = unique_ids(ids, n)
         return vs
 
     def size(self) -> int:
@@ -52,7 +53,7 @@ class VertexSet:
     def ids(self) -> np.ndarray:
         """Member ids as a sorted array (materializes from a bitvector)."""
         if self.layout is FrontierLayout.BITVECTOR:
-            return np.flatnonzero(self._bits)
+            return self._bits.nonzero()[0]
         return self._ids
 
     def contains(self, ids: np.ndarray) -> np.ndarray:

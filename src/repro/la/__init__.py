@@ -3,7 +3,8 @@
 One optimized CSR primitive tier under all framework reimplementations:
 edge gathers (:mod:`.gather`), first-writer frontier bookkeeping
 (:mod:`.frontier`), masked/semiring SpMV (:mod:`.spmv`), the wedge-closing
-test under every triangle count (:mod:`.intersect`), and the
+test under every triangle count (:mod:`.intersect`), the multi-root
+Brandes sweep under the per-root BCs (:mod:`.sweep`), and the
 direction-optimizing push/pull policy (:mod:`.direction`).  Each primitive
 has one implementation; the formulations the kernels used before the port
 are the oracle the tests compare against
@@ -20,6 +21,7 @@ from .frontier import (
 from .gather import gather_edges, gather_edges_weighted
 from .intersect import count_closing, count_forward_triangles
 from .spmv import masked_pull_claim, plus_times_operator, spmv_min_plus
+from .sweep import brandes_backward, brandes_sweep
 
 __all__ = [
     "ALPHA",
@@ -36,4 +38,6 @@ __all__ = [
     "masked_pull_claim",
     "plus_times_operator",
     "spmv_min_plus",
+    "brandes_backward",
+    "brandes_sweep",
 ]

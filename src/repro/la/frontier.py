@@ -13,7 +13,7 @@ gets identical semantics in O(E + V) without sorting:
 
 * **first-writer claim** — NumPy fancy assignment is last-writer-wins, so
   assigning the *reversed* arrays makes the first occurrence win;
-* **dedup via flags** — a boolean scratch array plus ``flatnonzero``
+* **dedup via flags** — a boolean scratch array plus ``nonzero``
   yields the same sorted unique ids as ``np.unique``.
 """
 
@@ -69,7 +69,7 @@ def unique_ids(keys: np.ndarray, num_vertices: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     flags = np.zeros(num_vertices, dtype=bool)
     flags[keys] = True
-    return np.flatnonzero(flags)
+    return flags.nonzero()[0]
 
 
 def relax_minimum(

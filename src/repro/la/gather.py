@@ -47,17 +47,17 @@ def flat_edge_index(
     Public for callers that gather auxiliary per-edge arrays (values,
     weights) themselves.
     """
+    # In-place / method form: small frontiers pay per NumPy call, not per edge.
     starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
+    counts = indptr[rows + 1]
+    counts -= starts
+    ends = counts.cumsum()
     total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        empty = np.empty(0, dtype=rows.dtype)
-        return empty, np.empty(0, dtype=np.int64), 0
-    owners = np.repeat(rows, counts)
-    shift = starts - (ends - counts)
-    flat = np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
-    return owners, flat, total
+    shift = starts - ends
+    shift += counts
+    flat = shift.repeat(counts)
+    flat += np.arange(total)
+    return rows.repeat(counts), flat, total
 
 
 def gather_edges(
@@ -71,9 +71,7 @@ def gather_edges(
     """
     if is_full_range(rows, indptr.size - 1):
         return np.repeat(rows, np.diff(indptr)), indices
-    owners, flat, total = flat_edge_index(indptr, rows)
-    if total == 0:
-        return owners, np.empty(0, dtype=indices.dtype)
+    owners, flat, _ = flat_edge_index(indptr, rows)
     return owners, indices[flat]
 
 
@@ -86,7 +84,5 @@ def gather_edges_weighted(
     """Like :func:`gather_edges` but also returns per-edge weights."""
     if is_full_range(rows, indptr.size - 1):
         return np.repeat(rows, np.diff(indptr)), indices, weights
-    owners, flat, total = flat_edge_index(indptr, rows)
-    if total == 0:
-        return owners, np.empty(0, dtype=indices.dtype), np.empty(0, dtype=weights.dtype)
+    owners, flat, _ = flat_edge_index(indptr, rows)
     return owners, indices[flat], weights[flat]

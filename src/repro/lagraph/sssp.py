@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
+from ..la import unique_ids
 from ..semiring import MIN_PLUS, Matrix, Vector, vxm
 
 __all__ = ["lagraph_sssp"]
@@ -57,7 +58,7 @@ def lagraph_sssp(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
             idx, vals = idx[better], vals[better]
             np.minimum.at(dist, idx, vals)
             in_bucket = (dist[idx] >= lo) & (dist[idx] < hi)
-            members = np.unique(idx[in_bucket])
+            members = unique_ids(idx[in_bucket], n)
         max_bucket = max(max_bucket, bucket)
         bucket += 1
     counters.note("buckets_processed", float(max_bucket + 1))

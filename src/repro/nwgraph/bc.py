@@ -5,7 +5,8 @@ search.  Performance, however, is still competitive, with the exception of
 Road" — where the per-round range-view overheads (the analog of NWGraph's
 STL-vector overheads) dominate the many short levels.  The forward pass is
 push-only; the backward pass re-filters the adjacency by depth (no saved
-successor structure).
+successor structure) — the re-expanding flavour of :mod:`repro.la.sweep`,
+run over the out-edge range view.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..la import unique_ids
+from ..la import brandes_sweep
 from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_bc"]
@@ -22,43 +23,10 @@ __all__ = ["nwgraph_bc"]
 
 def nwgraph_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Brandes BC from the given roots over range views."""
-    n = graph.num_vertices
     view = AdjacencyView.out_edges(graph)
-    scores = np.zeros(n, dtype=np.float64)
-
-    for source in np.asarray(sources, dtype=np.int64):
-        depth = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n, dtype=np.float64)
-        depth[source] = 0
-        sigma[source] = 1.0
-        frontier = np.array([source], dtype=np.int64)
-        levels = [frontier]
-        level = 0
-        while frontier.size:
-            counters.add_round()
-            srcs, tgts = view.expand(frontier)
-            counters.add_edges(tgts.size)
-            fresh_mask = depth[tgts] < 0
-            depth[tgts[fresh_mask]] = level + 1
-            on_next = depth[tgts] == level + 1
-            np.add.at(sigma, tgts[on_next], sigma[srcs[on_next]])
-            frontier = unique_ids(tgts[fresh_mask], n)
-            if frontier.size:
-                levels.append(frontier)
-            level += 1
-
-        delta = np.zeros(n, dtype=np.float64)
-        for level_index in range(len(levels) - 2, -1, -1):
-            counters.add_round()
-            members = levels[level_index]
-            srcs, tgts = view.expand(members)
-            counters.add_edges(tgts.size)
-            succ = depth[tgts] == depth[srcs] + 1
-            srcs, tgts = srcs[succ], tgts[succ]
-            if srcs.size:
-                np.add.at(
-                    delta, srcs, (sigma[srcs] / sigma[tgts]) * (1.0 + delta[tgts])
-                )
-        delta[source] = 0.0
-        scores += delta
+    scores, examined, eccentricities = brandes_sweep(
+        view.indptr, view.indices, sources, saved_successors=False
+    )
+    counters.add_edges(examined)
+    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
     return scores

@@ -32,7 +32,7 @@ def nwgraph_sssp(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
         pending = buckets.pop(current)
         while pending:
             counters.add_round()
-            members = np.unique(np.concatenate(pending))
+            members = unique_ids(np.concatenate(pending), n)
             pending = []
             members = members[(dist[members] // delta).astype(np.int64) == current]
             if members.size == 0:

@@ -6,7 +6,9 @@ kernels ran before they were moved onto the shared tier: three-``np.repeat``
 gathers with no full-sweep fast path, ``np.unique`` first-writer claims, a
 gather + prefix-sum (+, x) product, row-at-a-time (min, +), a per-vertex
 triangle loop, GKC's wedge batches closed by one binary search of the
-sorted edge keys, and a pull step that always scans the whole in-adjacency.
+sorted edge keys, a pull step that always scans the whole in-adjacency, and
+Brandes one root at a time (GAP's forward and saved-successor backward,
+Galois' re-expanding backward).
 Unit tests call ``la_oracle.primitive(x)`` beside ``primitive(x)``;
 :func:`oracle_engine` runs a *whole kernel* on these formulations, which
 is how ``tests/test_la_differential.py`` proves the port changed
@@ -26,8 +28,9 @@ from typing import Callable, Collection, Iterator
 
 import numpy as np
 
+from repro.core import counters
 from repro.frameworks import EXTENDED_FRAMEWORK_NAMES, get
-from repro.la import frontier, gather, intersect, spmv
+from repro.la import frontier, gather, intersect, spmv, sweep
 
 __all__ = [
     "flat_edge_index",
@@ -41,6 +44,8 @@ __all__ = [
     "masked_pull_claim",
     "count_forward_triangles",
     "count_closing",
+    "brandes_sweep",
+    "brandes_backward",
     "oracle_engine",
 ]
 
@@ -245,6 +250,143 @@ def count_closing(
     return total
 
 
+# --- la.sweep ----------------------------------------------------------------
+# The three per-root loops as ``gapbs/bc.py`` and ``galois/bc.py`` ran them,
+# reporting into ``counters`` as they did; the two primitives below run them
+# root by root under a private counter set and return what it collected.
+
+def _forward(
+    indptr: np.ndarray, indices: np.ndarray, source: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    n = indptr.size - 1
+    depth = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    depth[source] = 0
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    levels: list[np.ndarray] = [frontier]
+    dag_edges: list[tuple[np.ndarray, np.ndarray]] = []
+
+    level = 0
+    while frontier.size:
+        counters.add_round()
+        sources, targets = gather_edges(indptr, indices, frontier)
+        counters.add_edges(targets.size)
+        undiscovered = depth[targets] < 0
+        depth[targets[undiscovered]] = level + 1
+        on_next = depth[targets] == level + 1
+        succ_src, succ_dst = sources[on_next], targets[on_next]
+        dag_edges.append((succ_src, succ_dst))
+        np.add.at(sigma, succ_dst, sigma[succ_src])
+        frontier = unique_ids(targets[undiscovered], n)
+        if frontier.size:
+            levels.append(frontier)
+        level += 1
+    return depth, sigma, levels, dag_edges
+
+
+def _replay_successors(
+    sigma: np.ndarray,
+    levels: list[np.ndarray],
+    dag_edges: list[tuple[np.ndarray, np.ndarray]],
+    scores: np.ndarray,
+    source: int,
+) -> None:
+    delta = np.zeros_like(sigma)
+    for level in range(len(levels) - 2, -1, -1):
+        counters.add_round()
+        succ_src, succ_dst = dag_edges[level]
+        counters.add_edges(succ_src.size)
+        if succ_src.size:
+            contributions = (sigma[succ_src] / sigma[succ_dst]) * (1.0 + delta[succ_dst])
+            np.add.at(delta, succ_src, contributions)
+    delta[source] = 0.0
+    scores += delta
+
+
+def _reexpand_levels(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    depth: np.ndarray,
+    sigma: np.ndarray,
+    levels: list[np.ndarray],
+    source: int,
+    scores: np.ndarray,
+) -> None:
+    delta = np.zeros_like(sigma)
+    for level_index in range(len(levels) - 2, -1, -1):
+        counters.add_round()
+        members = levels[level_index]
+        # Re-expand and re-filter: the work GAP's successor bitmap skips.
+        srcs, tgts = gather_edges(indptr, indices, members)
+        counters.add_edges(tgts.size)
+        succ = depth[tgts] == depth[srcs] + 1
+        srcs, tgts = srcs[succ], tgts[succ]
+        if srcs.size:
+            contributions = (sigma[srcs] / sigma[tgts]) * (1.0 + delta[tgts])
+            np.add.at(delta, srcs, contributions)
+    delta[source] = 0.0
+    scores += delta
+
+
+def brandes_sweep(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    roots: np.ndarray,
+    saved_successors: bool,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    scores = np.zeros(indptr.size - 1, dtype=np.float64)
+    eccentricities = []
+    with counters.counting() as work:
+        for source in np.asarray(roots, dtype=np.int64):
+            depth, sigma, levels, dag_edges = _forward(indptr, indices, int(source))
+            if saved_successors:
+                _replay_successors(sigma, levels, dag_edges, scores, int(source))
+            else:
+                _reexpand_levels(indptr, indices, depth, sigma, levels, int(source), scores)
+            eccentricities.append(len(levels) - 1)
+    return scores, work.edges_examined, np.array(eccentricities, dtype=np.int64)
+
+
+def brandes_backward(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    roots: np.ndarray,
+    depth: np.ndarray,
+    sigma: np.ndarray,
+    levels: list[np.ndarray],
+    successors: list[list[tuple[np.ndarray, np.ndarray]]] | None = None,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Un-lifts each root's slice of the forward state and runs its loop."""
+    n = indptr.size - 1
+    scores = np.zeros(n, dtype=np.float64)
+    eccentricities = []
+
+    def own(ids: np.ndarray, base: int) -> np.ndarray:
+        return (ids >= base) & (ids < base + n)
+
+    with counters.counting() as work:
+        for root, source in enumerate(np.asarray(roots, dtype=np.int64)):
+            base = root * n
+            mine = slice(base, base + n)
+            own_levels = [lvl[own(lvl, base)] - base for lvl in levels]
+            own_levels = [lvl for lvl in own_levels if lvl.size]
+            if successors is None:
+                _reexpand_levels(
+                    indptr, indices, depth[mine], sigma[mine], own_levels, int(source), scores
+                )
+            else:
+                dag_edges = []
+                for groups in successors:
+                    src = np.concatenate([s for s, _ in groups])
+                    dst = np.concatenate([d for _, d in groups])
+                    keep = own(src, base)
+                    dag_edges.append((src[keep] - base, dst[keep] - base))
+                _replay_successors(sigma[mine], own_levels, dag_edges, scores, int(source))
+            eccentricities.append(len(own_levels) - 1)
+    return scores, work.edges_examined, np.array(eccentricities, dtype=np.int64)
+
+
 # --- running a whole kernel on the oracle --------------------------------------
 
 # optimized primitive -> its oracle, keyed by function identity.
@@ -255,6 +397,7 @@ _ORACLES: dict[types.FunctionType, types.FunctionType] = {
         (frontier, (claim_first_writer, first_occurrence_mask, unique_ids)),
         (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim)),
         (intersect, (count_forward_triangles, count_closing)),
+        (sweep, (brandes_sweep, brandes_backward)),
     )
     for oracle in oracles
 }

@@ -7,13 +7,18 @@ zeros, so this module pins, for every registered framework, that BFS and
 CC on a fixed graph actually populate them with sane values.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.core import BenchmarkSpec, GraphCase, SourcePicker, counters, run_cell
-from repro.frameworks import KERNELS, Mode, RunContext, get
+from repro.core import BenchmarkSpec, GraphCase, SourcePicker, counters, run_cell, run_suite
+from repro.frameworks import KERNELS, Mode, RunContext, all_frameworks, get
 from repro.frameworks.registry import EXTENDED_FRAMEWORK_NAMES
+from repro.generators import GRAPH_NAMES
 
 COUNTER_SCALE = 7
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +177,36 @@ class TestSyncPullEarlyExit:
             parents_direct = sync_bfs(case.graph, source, pull_early_exit=True)
         assert (parents_adapter == parents_direct).all()
         assert adapter.edges_examined == direct.edges_examined
+
+
+def test_paper_matrix_work_counters_are_pinned():
+    """Every cell of the paper matrix does exactly the work it did before.
+
+    ``tests/fixtures/work_counters_scale6.json`` holds ``edges_examined`` /
+    ``rounds`` / ``iterations`` / ``extras`` of the 360 cells (six
+    frameworks, five graphs, six kernels, both modes) at scale 6, seed 7,
+    one trial per kernel.  A change that means to move a counter
+    regenerates the file and says so; a constant-factor optimization must
+    pass against the file as committed.
+    """
+    pinned = json.loads((FIXTURES / "work_counters_scale6.json").read_text())
+    spec = BenchmarkSpec(scale=6, seed=7, trials={kernel: 1 for kernel in KERNELS})
+    results = run_suite(
+        list(all_frameworks().values()), list(GRAPH_NAMES), KERNELS, spec=spec
+    )
+    measured = {
+        f"{r.framework}/{r.kernel}/{r.graph}/{r.mode.value}": {
+            "edges_examined": r.edges_examined,
+            "rounds": r.rounds,
+            "iterations": r.iterations,
+            "extras": r.extras,
+        }
+        for r in results
+    }
+    assert measured.keys() == pinned.keys()
+    moved = {
+        cell: {"pinned": pinned[cell], "measured": measured[cell]}
+        for cell in pinned
+        if measured[cell] != pinned[cell]
+    }
+    assert not moved, f"{len(moved)} cells changed their work: {json.dumps(moved, indent=1)}"

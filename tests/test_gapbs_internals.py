@@ -5,12 +5,12 @@ import pytest
 
 from repro.core import counters
 from repro.core.bitmap import Bitmap
-from repro.gapbs.bc import brandes_backward, brandes_forward
 from repro.gapbs.bfs import direction_optimizing_bfs, pull_step, push_step
 from repro.gapbs.pagerank import segment_sums
 from repro.gapbs.sssp import delta_stepping
 from repro.gapbs.tc import forward_adjacency, ordered_count, worth_relabelling
 from repro.graphs import CSRGraph
+from repro.la.sweep import brandes_backward, brandes_forward
 
 
 class TestBFSSteps:
@@ -86,27 +86,35 @@ class TestDeltaStepping:
 
 
 class TestBrandesPieces:
+    """GAP's BC is the saved-successors flavour of ``repro.la.sweep``."""
+
+    # Diamond: 0->1, 0->2, 1->3, 2->3.
+    DIAMOND = (4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]))
+
     def test_forward_sigma_counts_paths(self):
-        # Diamond: 0->1, 0->2, 1->3, 2->3 gives sigma[3] = 2.
-        graph = CSRGraph.from_arrays(
-            4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
+        graph = CSRGraph.from_arrays(*self.DIAMOND)
+        depth, sigma, levels, dag, examined = brandes_forward(
+            graph.indptr, graph.indices, np.array([0]), save_successors=True
         )
-        depth, sigma, levels, dag = brandes_forward(graph, 0)
         assert sigma[3] == 2.0
         assert depth[3] == 2
-        assert len(levels) == 3
+        assert len(levels) == len(dag) == 3
+        assert examined == graph.num_edges
 
     def test_backward_splits_dependency(self):
-        graph = CSRGraph.from_arrays(
-            4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
+        graph = CSRGraph.from_arrays(*self.DIAMOND)
+        roots = np.array([0])
+        depth, sigma, levels, dag, _ = brandes_forward(
+            graph.indptr, graph.indices, roots, save_successors=True
         )
-        _, sigma, levels, dag = brandes_forward(graph, 0)
-        scores = np.zeros(4)
-        brandes_backward(sigma, levels, dag, scores, 0)
+        scores, examined, eccentricities = brandes_backward(
+            graph.indptr, graph.indices, roots, depth, sigma, levels, dag
+        )
         # 1 and 2 each carry half of the single dependency on 3.
         assert scores[1] == pytest.approx(0.5)
         assert scores[2] == pytest.approx(0.5)
         assert scores[0] == 0.0
+        assert examined == 4 and eccentricities.tolist() == [2]
 
 
 class TestTCPieces:
