@@ -90,7 +90,7 @@ def main() -> None:
     print(
         f"\nfrontier trace from junction {source}: {trace.num_rounds} rounds, "
         f"peak frontier {trace.peak_frontier} "
-        f"({trace.pull_rounds} would run bottom-up)"
+        f"({trace.pull_rounds} ran bottom-up)"
     )
     print("  " + sparkline(trace.frontier_sizes()))
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "WorkCounters",
     "counting",
     "add_edges",
     "add_round",
+    "add_steps",
     "add_iteration",
     "add_vertices",
     "note",
@@ -96,11 +97,24 @@ def add_round(count: int = 1) -> None:
         stack[-1].rounds += int(count)
 
 
-def add_iteration() -> None:
-    """Report one full-sweep iteration (PR iteration, SV pass, ...)."""
+def add_steps(steps: Iterable) -> None:
+    """Report a traversal's step record (``la.direction.Step``).
+
+    A round is a step: the frontier it expanded and the edges it examined.
+    The emptied frontier that ends a traversal is not one.
+    """
     stack = _stack()
     if stack:
-        stack[-1].iterations += 1
+        for step in steps:
+            stack[-1].rounds += 1
+            stack[-1].edges_examined += int(step.edges_examined)
+
+
+def add_iteration(count: int = 1) -> None:
+    """Report full-sweep iterations (PR iteration, SV pass, ...)."""
+    stack = _stack()
+    if stack:
+        stack[-1].iterations += int(count)
 
 
 def note(key: str, value: float = 1.0) -> None:

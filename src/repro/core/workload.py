@@ -3,9 +3,9 @@
 The GAP benchmark "was designed in conjunction with a workload
 characterization" (Beamer et al., IISWC'15) whose central observation the
 paper repeats: topology drives behaviour.  This module makes that
-observable per run — it traces a BFS frontier round by round (size, edge
-volume, and the push/pull decision a direction-optimizing traversal would
-take), which is the data behind the classic direction-optimization plots.
+observable per run — it reads the round-by-round record of the reference
+BFS (frontier size, edges examined, and the push/pull direction each round
+ran in), which is the data behind the classic direction-optimization plots.
 
 ``sparkline`` renders a trace as inline ASCII for the examples.
 """
@@ -17,20 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs import CSRGraph
+from ..la import DirectionOptimizer, direction_optimizing_traversal
 
 __all__ = ["RoundTrace", "FrontierTrace", "trace_bfs", "sparkline"]
-
-ALPHA = 15
-BETA = 18
 
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """One BFS round: frontier composition and the direction verdict."""
+    """One BFS round: the frontier, the work, and the direction it ran in."""
 
     round_index: int
     frontier_size: int
-    frontier_edges: int
+    edges_examined: int
     discovered: int
     direction: str  # "push" | "pull"
 
@@ -44,7 +42,7 @@ class FrontierTrace:
 
     @property
     def num_rounds(self) -> int:
-        """Number of traversal rounds until the frontier emptied."""
+        """Number of traversal rounds: steps taken until one found nothing."""
         return len(self.rounds)
 
     @property
@@ -54,7 +52,7 @@ class FrontierTrace:
 
     @property
     def pull_rounds(self) -> int:
-        """Rounds a direction-optimizing traversal would run bottom-up."""
+        """Rounds the traversal ran bottom-up."""
         return sum(1 for r in self.rounds if r.direction == "pull")
 
     def frontier_sizes(self) -> list[int]:
@@ -63,48 +61,22 @@ class FrontierTrace:
 
 
 def trace_bfs(graph: CSRGraph, source: int) -> FrontierTrace:
-    """Trace a BFS from ``source``, recording per-round frontier shape.
+    """Trace GAP's BFS from ``source``, recording per-round frontier shape.
 
-    The traversal itself is a plain level-synchronous BFS; the *direction*
-    column records what GAP's alpha/beta heuristics would choose at each
-    round, so the trace shows where a direction-optimizing run would
-    switch without perturbing the measurement.
+    The rounds are the step record the shared traversal returns under the
+    reference's scout rule, so the *direction* column is what the kernel
+    did at each round, not a second opinion about it.
     """
-    n = graph.num_vertices
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    edges_remaining = graph.num_edges
-    rounds: list[RoundTrace] = []
-    round_index = 0
-    pulling = False
-
-    while frontier.size:
-        frontier_edges = int(graph.out_degrees[frontier].sum())
-        edges_remaining -= frontier_edges
-        if not pulling and frontier_edges > max(edges_remaining, 1) // ALPHA:
-            pulling = True
-        elif pulling and frontier.size < n // BETA:
-            pulling = False
-        starts = graph.indptr[frontier]
-        ends = graph.indptr[frontier + 1]
-        chunks = [graph.indices[s:e] for s, e in zip(starts, ends) if e > s]
-        targets = (
-            np.unique(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-        )
-        fresh = targets[~visited[targets]]
-        visited[fresh] = True
-        rounds.append(
-            RoundTrace(
-                round_index=round_index,
-                frontier_size=int(frontier.size),
-                frontier_edges=frontier_edges,
-                discovered=int(fresh.size),
-                direction="pull" if pulling else "push",
-            )
-        )
-        frontier = fresh
-        round_index += 1
+    policy = DirectionOptimizer(graph.num_vertices, graph.num_edges)
+    _, steps = direction_optimizing_traversal(
+        graph.indptr, graph.indices, graph.in_indptr, graph.in_indices, source, policy
+    )
+    # What a step discovered is the frontier of the next; the last found nothing.
+    discovered = [step.frontier_size for step in steps[1:]] + [0]
+    rounds = [
+        RoundTrace(index, step.frontier_size, step.edges_examined, found, step.direction)
+        for index, (step, found) in enumerate(zip(steps, discovered))
+    ]
     return FrontierTrace(source=source, rounds=rounds)
 
 

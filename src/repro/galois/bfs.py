@@ -1,11 +1,13 @@
 """Galois BFS: bulk-synchronous direction-optimizing + asynchronous variant.
 
 Per Table III, Galois' BFS is direction-optimizing with an additional
-asynchronous variant.  The async variant is a label-correcting push BFS
-over a sparse chunked worklist: depth updates propagate eagerly without
-round barriers, which pays off on high-diameter graphs (the paper measures
-Galois 3.6x faster than GAP on Road) and wastes work on low-diameter ones
-(the Baseline Urand regression the paper describes).
+asynchronous variant.  The bulk-synchronous one is the reference's
+traversal under the reference's scout rule (:mod:`repro.la.direction`).
+The async variant is a label-correcting push BFS over a sparse chunked
+worklist: depth updates propagate eagerly without round barriers, which
+pays off on high-diameter graphs (the paper measures Galois 3.6x faster
+than GAP on Road) and wastes work on low-diameter ones (the Baseline Urand
+regression the paper describes).
 """
 
 from __future__ import annotations
@@ -13,16 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.bitmap import Bitmap
 from ..graphs import CSRGraph
-from ..la import claim_first_writer, gather_edges
-from ..la.spmv import masked_pull_claim
+from ..la import DirectionOptimizer, direction_optimizing_traversal, gather_edges
 from ..worklist import for_each_eager
 
 __all__ = ["sync_bfs", "async_bfs"]
-
-ALPHA = 15
-BETA = 18
 
 
 def sync_bfs(
@@ -31,49 +28,19 @@ def sync_bfs(
     """Bulk-synchronous direction-optimizing BFS (same algorithm as GAP).
 
     ``pull_early_exit=True`` (Optimized mode) lets each unvisited row stop
-    scanning its in-adjacency at the first frontier parent via the shared
-    ``masked_pull_claim`` kernel; parents are identical either way, only
-    the edges-examined counter shrinks.
+    scanning its in-adjacency at the first frontier parent; parents are
+    identical either way, only the edges-examined counter shrinks.
     """
-    n = graph.num_vertices
-    parents = np.full(n, -1, dtype=np.int64)
-    parents[source] = source
-    frontier = np.array([source], dtype=np.int64)
-    out_degrees = graph.out_degrees
-    edges_remaining = graph.num_edges
-
-    while frontier.size:
-        counters.add_round()
-        scout = int(out_degrees[frontier].sum())
-        edges_remaining -= scout
-        if scout > max(edges_remaining, 1) // ALPHA:
-            bits = Bitmap.from_indices(n, frontier)
-            while frontier.size and frontier.size > n // BETA:
-                counters.add_round()
-                unvisited = np.flatnonzero(parents < 0)
-                fresh, examined = masked_pull_claim(
-                    graph.in_indptr,
-                    graph.in_indices,
-                    unvisited,
-                    bits.bits,
-                    parents,
-                    early_exit=pull_early_exit,
-                )
-                counters.add_edges(examined)
-                if fresh.size == 0:
-                    frontier = np.empty(0, dtype=np.int64)
-                    break
-                frontier = fresh
-                bits = Bitmap.from_indices(n, frontier)
-            if frontier.size == 0:
-                break
-        srcs, tgts = gather_edges(graph.indptr, graph.indices, frontier)
-        counters.add_edges(tgts.size)
-        unclaimed = parents[tgts] < 0
-        srcs, tgts = srcs[unclaimed], tgts[unclaimed]
-        if tgts.size == 0:
-            break
-        frontier = claim_first_writer(parents, tgts, srcs, n)
+    parents, steps = direction_optimizing_traversal(
+        graph.indptr,
+        graph.indices,
+        graph.in_indptr,
+        graph.in_indices,
+        source,
+        DirectionOptimizer(graph.num_vertices, graph.num_edges),
+        pull_early_exit,
+    )
+    counters.add_steps(steps)
     return parents
 
 

@@ -8,7 +8,8 @@ diameter — Galois PR is 3.6x GAP on Road — because each sweep can carry a
 contribution across many hops.  We realize the in-place discipline with
 *blocked* sweeps: vertices are processed in consecutive blocks, each block
 reading the freshest scores (Jacobi within a block, Gauss-Seidel across
-blocks), which preserves the faster convergence while staying vectorized.
+blocks), which preserves the faster convergence while staying vectorized —
+:func:`repro.la.blocked_gauss_seidel` over equal blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
+from ..la import blocked_gauss_seidel
 
 __all__ = ["gauss_seidel_pagerank"]
 
@@ -28,35 +30,18 @@ def gauss_seidel_pagerank(
     damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
-    num_blocks: int = NUM_BLOCKS,
 ) -> np.ndarray:
     """PageRank with blocked in-place (Gauss-Seidel) sweeps."""
-    n = graph.num_vertices
-    base = (1.0 - damping) / n
-    scores = np.full(n, 1.0 / n, dtype=np.float64)
-    out_degrees = graph.out_degrees.astype(np.float64)
-    has_out = out_degrees > 0
-    safe_degrees = np.where(has_out, out_degrees, 1.0)
-
-    bounds = np.linspace(0, n, num_blocks + 1, dtype=np.int64)
-    for _ in range(max_iterations):
-        counters.add_iteration()
-        counters.add_edges(graph.num_edges)
-        previous = scores.copy()
-        for b in range(num_blocks):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if lo == hi:
-                continue
-            # Pull the in-neighbors of this block using *current* scores.
-            gathered = graph.in_indices[graph.in_indptr[lo]: graph.in_indptr[hi]]
-            contrib = np.where(
-                has_out[gathered], scores[gathered] / safe_degrees[gathered], 0.0
-            )
-            prefix = np.concatenate([[0.0], np.cumsum(contrib)])
-            offsets = graph.in_indptr[lo: hi + 1] - graph.in_indptr[lo]
-            sums = prefix[offsets[1:]] - prefix[offsets[:-1]]
-            scores[lo:hi] = base + damping * sums
-        change = float(np.abs(scores - previous).sum())
-        if change < tolerance:
-            break
+    bounds = np.linspace(0, graph.num_vertices, NUM_BLOCKS + 1, dtype=np.int64)
+    scores, iterations = blocked_gauss_seidel(
+        graph.in_indptr,
+        graph.in_indices,
+        graph.out_degrees,
+        bounds,
+        damping,
+        tolerance,
+        max_iterations,
+    )
+    counters.add_iteration(iterations)
+    counters.add_edges(iterations * graph.num_edges)
     return scores

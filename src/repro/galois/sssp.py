@@ -1,11 +1,13 @@
 """Galois SSSP: delta-stepping on an OBIM priority worklist.
 
 The bulk-synchronous variant drains one priority bucket per round (a global
-barrier each time the bucket refills); the asynchronous variant pops chunks
-in priority order and relaxes them eagerly, letting fresh distances flow
-into later chunks without barriers.  Galois has no bucket-fusion
-optimization — the paper attributes GAP's SSSP edge over Galois exactly to
-that — and the async variant is what narrows the gap on Road.
+barrier each time the bucket refills), which is plain unfused
+:func:`repro.la.delta_stepping`; the asynchronous variant pops chunks in
+priority order and relaxes them eagerly through the same ``relax``, letting
+fresh distances flow into later chunks without barriers.  Galois has no
+bucket-fusion optimization — the paper attributes GAP's SSSP edge over
+Galois exactly to that — and the async variant is what narrows the gap on
+Road.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges_weighted, unique_ids
+from ..la import delta_stepping, relax
 from ..worklist import OrderedByIntegerMetric
 
 __all__ = ["sync_delta_stepping", "async_delta_stepping"]
@@ -22,49 +24,13 @@ __all__ = ["sync_delta_stepping", "async_delta_stepping"]
 ASYNC_CHUNK = 1024
 
 
-def _relax_chunk(
-    graph: CSRGraph, chunk: np.ndarray, dist: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relax all out-edges of ``chunk``; returns (improved vertices, dists)."""
-    srcs, tgts, weights = gather_edges_weighted(
-        graph.indptr, graph.indices, graph.weights, chunk
-    )
-    counters.add_edges(tgts.size)
-    if tgts.size == 0:
-        return tgts, np.empty(0, dtype=np.float64)
-    candidate = dist[srcs] + weights
-    better = candidate < dist[tgts]
-    tgts, candidate = tgts[better], candidate[better]
-    if tgts.size == 0:
-        return tgts, candidate
-    np.minimum.at(dist, tgts, candidate)
-    improved = unique_ids(tgts, graph.num_vertices)
-    return improved, dist[improved]
-
-
 def sync_delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
     """Bulk-synchronous delta-stepping; one barrier per bucket refill."""
-    n = graph.num_vertices
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[source] = 0.0
-    obim = OrderedByIntegerMetric()
-    obim.push(np.array([source], dtype=np.int64), np.array([0], dtype=np.int64))
-
-    while True:
-        priority = obim.current_priority()
-        if priority is None:
-            break
-        members = obim.drain_priority(priority)
-        counters.add_round()
-        # Lazy deletion: drop entries whose distance moved to another bucket.
-        members = unique_ids(members, n)
-        live = (dist[members] // delta).astype(np.int64) == priority
-        members = members[live]
-        if members.size == 0:
-            continue
-        improved, new_dist = _relax_chunk(graph, members, dist)
-        if improved.size:
-            obim.push(improved, (new_dist // delta).astype(np.int64))
+    dist, examined, rounds, _ = delta_stepping(
+        graph.indptr, graph.indices, graph.weights, source, delta
+    )
+    counters.add_edges(examined)
+    counters.add_round(rounds)
     return dist
 
 
@@ -97,10 +63,12 @@ def async_delta_stepping(
         # every pop is processed with its *current* distance (an entry whose
         # bucket has since improved just relaxes early — harmless).
         queued[chunk] = False
-        improved, new_dist = _relax_chunk(graph, chunk, dist)
+        improved, examined = relax(
+            graph.indptr, graph.indices, graph.weights, chunk, dist
+        )
+        counters.add_edges(examined)
         if improved.size:
-            fresh = ~queued[improved]
-            improved, new_dist = improved[fresh], new_dist[fresh]
+            improved = improved[~queued[improved]]
             queued[improved] = True
-            obim.push(improved, (new_dist // delta).astype(np.int64))
+            obim.push(improved, (dist[improved] // delta).astype(np.int64))
     return dist

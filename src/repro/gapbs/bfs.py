@@ -9,9 +9,9 @@ The reference alternates between two strategies per round:
 
 The switch uses GAP's two heuristics: go bottom-up when the frontier's
 outgoing edge count exceeds ``edges_remaining / alpha``, and back top-down
-when the frontier shrinks below ``n / beta``.  Both step kernels sit on the
-:mod:`repro.la` substrate; the ALPHA/BETA policy itself lives in
-:class:`repro.la.DirectionOptimizer` so the other frameworks share it.
+when the frontier shrinks below ``n / beta``.  The loop, its two steps and
+the policy are :mod:`repro.la.direction`; this file is GAP's choice of
+policy — the scout rule with Beamer's constants.
 """
 
 from __future__ import annotations
@@ -19,67 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.bitmap import Bitmap
 from ..graphs import CSRGraph
-from ..la import DirectionOptimizer, claim_first_writer, gather_edges, masked_pull_claim
-from ..la.direction import ALPHA, BETA
+from ..la import ALPHA, DirectionOptimizer, direction_optimizing_traversal
 
-__all__ = ["direction_optimizing_bfs", "push_step", "pull_step"]
-
-
-def push_step(
-    graph: CSRGraph, frontier: np.ndarray, parents: np.ndarray
-) -> np.ndarray:
-    """Top-down step: returns the next frontier, updating ``parents``.
-
-    First-writer-wins parent assignment, like the compare-and-swap in the
-    reference code: of all frontier edges into an unvisited target, the one
-    appearing first claims it.
-    """
-    sources, targets = gather_edges(graph.indptr, graph.indices, frontier)
-    counters.add_edges(targets.size)
-    unvisited = parents[targets] < 0
-    sources, targets = sources[unvisited], targets[unvisited]
-    if targets.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return claim_first_writer(parents, targets, sources, graph.num_vertices)
-
-
-def pull_step(
-    graph: CSRGraph,
-    frontier_bits: Bitmap,
-    parents: np.ndarray,
-    early_exit: bool = False,
-) -> np.ndarray:
-    """Bottom-up step: unvisited vertices search in-neighbors for a parent.
-
-    By default every unvisited vertex scans its full in-adjacency — the
-    bitmap layout's worst case, kept as the counter-parity baseline.  With
-    ``early_exit`` the substrate's chunked scan stops paying for a vertex
-    once a frontier in-neighbor is found (the vectorized analog of the
-    reference C++ ``break``), which strictly reduces ``edges_examined``
-    without changing any parent.
-    """
-    unvisited = np.flatnonzero(parents < 0)
-    if unvisited.size == 0:
-        return np.empty(0, dtype=np.int64)
-    fresh, examined = masked_pull_claim(
-        graph.in_indptr,
-        graph.in_indices,
-        unvisited,
-        frontier_bits.bits,
-        parents,
-        early_exit=early_exit,
-    )
-    counters.add_edges(examined)
-    return fresh
+__all__ = ["direction_optimizing_bfs"]
 
 
 def direction_optimizing_bfs(
     graph: CSRGraph,
     source: int,
     alpha: int = ALPHA,
-    beta: int = BETA,
     pull_early_exit: bool = False,
 ) -> np.ndarray:
     """Full direction-optimizing BFS; returns the GAP parent array.
@@ -90,28 +39,17 @@ def direction_optimizing_bfs(
     changes the *counted* work, so the default stays off for parity with
     the legacy accounting).
     """
-    n = graph.num_vertices
-    parents = np.full(n, -1, dtype=np.int64)
-    parents[source] = source
-    frontier = np.array([source], dtype=np.int64)
-    out_degrees = graph.out_degrees
-    policy = DirectionOptimizer(n, graph.num_edges, alpha=max(alpha, 1), beta=beta)
-
-    while frontier.size:
-        counters.add_round()
-        scout_count = policy.scout_count(out_degrees, frontier)
-        policy.charge(scout_count)
-        if alpha > 0 and policy.wants_pull(scout_count):
-            # Bottom-up regime: loop pull steps until the frontier is small.
-            counters.note("direction_switches")
-            frontier_bits = Bitmap.from_indices(n, frontier)
-            while frontier.size and not policy.frontier_is_small(frontier.size):
-                frontier = pull_step(
-                    graph, frontier_bits, parents, early_exit=pull_early_exit
-                )
-                frontier_bits = Bitmap.from_indices(n, frontier)
-                counters.add_round()
-            if frontier.size == 0:
-                break
-        frontier = push_step(graph, frontier, parents)
+    policy = DirectionOptimizer(graph.num_vertices, graph.num_edges, alpha=alpha)
+    parents, steps = direction_optimizing_traversal(
+        graph.indptr,
+        graph.indices,
+        graph.in_indptr,
+        graph.in_indices,
+        source,
+        policy,
+        pull_early_exit,
+    )
+    counters.add_steps(steps)
+    if policy.switches:
+        counters.note("direction_switches", float(policy.switches))
     return parents

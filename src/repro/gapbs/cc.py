@@ -11,72 +11,13 @@ Afforest exploits the fact that most real graphs have one giant component:
 The paper highlights (following Sutton et al.) that the skip is least
 effective on Urand, whose uniform topology leaves more vertices outside the
 sampled component — our reproduction preserves that effect because phase 3's
-work is measured per-edge.
+work is measured per-edge.  The three phases are
+:func:`repro.core.hooking.afforest`; the reference runs them with the plain
+finish.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core import counters
-from ..core.hooking import compress, converge, hook_pass, majority_component
-from ..graphs import CSRGraph
-from ..la import gather_edges
+from ..core.hooking import afforest
 
 __all__ = ["afforest"]
-
-NEIGHBOR_ROUNDS = 2
-
-
-def _kth_neighbor_edges(graph: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (u, k-th out-neighbor of u) for vertices with degree > k."""
-    has_kth = graph.out_degrees > k
-    src = np.flatnonzero(has_kth)
-    dst = graph.indices[graph.indptr[src] + k]
-    return src, dst
-
-
-def _remaining_edges(
-    graph: CSRGraph, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All out- (and, for directed graphs, in-) edges of ``vertices``."""
-    src_out, dst_out = gather_edges(graph.indptr, graph.indices, vertices)
-    if not graph.directed:
-        return src_out, dst_out
-    # Weak connectivity on directed graphs also needs incoming edges.
-    src_in, dst_in = gather_edges(graph.in_indptr, graph.in_indices, vertices)
-    return np.concatenate([src_out, src_in]), np.concatenate([dst_out, dst_in])
-
-
-def afforest(
-    graph: CSRGraph,
-    seed: int = 0,
-    neighbor_rounds: int = NEIGHBOR_ROUNDS,
-) -> np.ndarray:
-    """Compute weakly connected component labels via Afforest."""
-    n = graph.num_vertices
-    comp = np.arange(n, dtype=np.int64)
-
-    # Phase 1: link only the first `neighbor_rounds` neighbors of each vertex.
-    for k in range(neighbor_rounds):
-        counters.add_round()
-        src, dst = _kth_neighbor_edges(graph, k)
-        hook_pass(comp, src, dst)
-    compress(comp)
-
-    # Phase 2: identify the (probable) giant component by sampling.
-    rng = np.random.default_rng(seed)
-    giant = majority_component(comp, rng)
-
-    # Phase 3: finish only the vertices outside the giant component,
-    # iterating to convergence so every stray label is resolved.  Unlike the
-    # C++ code (whose Link retries a CAS until the union lands) our hook
-    # pass can lose contended unions, so the finish phase re-examines *all*
-    # edges of outside vertices rather than skipping the neighbor rounds.
-    outside = np.flatnonzero(comp != giant)
-    counters.note("vertices_outside_giant", float(outside.size))
-    if outside.size:
-        src, dst = _remaining_edges(graph, outside)
-        converge(comp, src, dst)
-    compress(comp)
-    return comp

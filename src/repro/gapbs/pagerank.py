@@ -17,13 +17,7 @@ from ..core import counters
 from ..graphs import CSRGraph
 from ..la import plus_times_operator
 
-__all__ = ["jacobi_pagerank", "segment_sums"]
-
-
-def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row sums of a CSR-gathered value array (empty rows give 0)."""
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+__all__ = ["jacobi_pagerank"]
 
 
 def jacobi_pagerank(
@@ -44,8 +38,7 @@ def jacobi_pagerank(
     out_degrees = graph.out_degrees.astype(np.float64)
     safe_degrees = np.where(out_degrees > 0, out_degrees, 1.0)
     # The pull SpMV over the in-adjacency, built once and applied every
-    # Jacobi sweep (substrate-optimized path: SciPy's compiled matvec;
-    # reference path: the original gather + prefix-sum segment_sums).
+    # Jacobi sweep.
     pull = plus_times_operator(graph.in_indptr, graph.in_indices)
 
     for _ in range(max_iterations):

@@ -1,7 +1,7 @@
 """Graph Kernel Collection (GKC): hardware-conscious direct kernels.
 
-Black-box library kernels built HPC-style: local output buffers sized to
-cache, batched (SIMD-analog) set intersection, heuristic-driven relabeling.
+Black-box library kernels built HPC-style: cache-sized working sets,
+batched (SIMD-analog) set intersection, heuristic-driven relabeling.
 Kernels follow Table III's GKC column: direction-optimizing BFS,
 delta-stepping SSSP, hybrid Shiloach–Vishkin CC, Gauss-Seidel PR, Brandes
 BC, and Lee–Low TC.  The paper's Baseline-to-Optimized delta for GKC came
@@ -18,7 +18,6 @@ from ..frameworks.base import Framework, FrameworkAttributes, RunContext
 from ..graphs import CSRGraph
 from .bc import gkc_bc
 from .bfs import gkc_bfs
-from .buffers import LocalBuffer
 from .cc import gkc_cc
 from .pagerank import gkc_pagerank
 from .sssp import gkc_sssp
@@ -26,7 +25,6 @@ from .tc import gkc_tc
 
 __all__ = [
     "GKCFramework",
-    "LocalBuffer",
     "gkc_bfs",
     "gkc_sssp",
     "gkc_cc",
@@ -58,6 +56,7 @@ class GKCFramework(Framework):
         },
         unmodelled=(
             "AVX-256 inline assembly / anti-compiler volatile kernels",
+            "thread-local cache-sized output buffers",
             "hyperthreading (the paper's Baseline->Optimized delta)",
         ),
     )

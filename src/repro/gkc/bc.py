@@ -3,9 +3,7 @@
 GKC's BC tracks the GAP reference closely in the paper (97–107% across the
 board); like GAP it records the shortest-path DAG during the forward pass
 so the backward accumulation replays it without re-filtering the adjacency
-(the ``saved_successors`` flavour of :mod:`repro.la.sweep`).  Each root's
-per-level frontier goes through the local-buffer discipline: one flush per
-frontier produced.
+(the ``saved_successors`` flavour of :mod:`repro.la.sweep`).
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ def gkc_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     scores, examined, eccentricities = brandes_sweep(
         graph.indptr, graph.indices, sources, saved_successors=True
     )
-    levels_below_roots = int(eccentricities.sum())
     counters.add_edges(examined)
-    counters.add_round(2 * levels_below_roots + eccentricities.size)
-    if levels_below_roots:
-        counters.note("buffer_flushes", float(levels_below_roots))
+    # Per root: ecc + 1 forward levels, ecc backward levels.
+    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
     return scores

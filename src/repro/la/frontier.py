@@ -1,4 +1,4 @@
-"""Frontier bookkeeping: first-writer claims, dedup, and min-relaxation.
+"""Frontier bookkeeping: first-writer claims, dedup, min-relaxation, Δ-stepping.
 
 Every frontier kernel in the repository used one sorting idiom for
 "CAS-like" updates::
@@ -15,17 +15,25 @@ gets identical semantics in O(E + V) without sorting:
   assigning the *reversed* arrays makes the first occurrence win;
 * **dedup via flags** — a boolean scratch array plus ``nonzero``
   yields the same sorted unique ids as ``np.unique``.
+
+On top of the min-relaxation sits the one bucketed SSSP of Table III:
+:func:`delta_stepping` is the body GAP, Galois' bulk-synchronous variant,
+GKC and NWGraph all run, bucket fusion being GAP's argument to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .gather import gather_edges_weighted
+
 __all__ = [
     "claim_first_writer",
     "first_occurrence_mask",
     "unique_ids",
     "relax_minimum",
+    "relax",
+    "delta_stepping",
 ]
 
 
@@ -88,3 +96,81 @@ def relax_minimum(
         return np.empty(0, dtype=np.int64)
     np.minimum.at(dist, targets, candidates)
     return unique_ids(targets, num_vertices)
+
+
+def relax(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    frontier: np.ndarray,
+    dist: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Relax every out-edge of ``frontier`` into ``dist``.
+
+    Returns ``(improved vertices, edges examined)``; ``dist`` is updated in
+    place to the minimum over the strictly improving candidates.
+    """
+    sources, targets, edge_weights = gather_edges_weighted(
+        indptr, indices, weights, frontier
+    )
+    candidate = dist[sources] + edge_weights
+    better = candidate < dist[targets]
+    improved = relax_minimum(dist, targets[better], candidate[better], dist.size)
+    return improved, int(targets.size)
+
+
+def delta_stepping(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    source: int,
+    delta: int,
+    fusion_threshold: int = 0,
+) -> tuple[np.ndarray, int, int, int]:
+    """Δ-stepping (Meyer & Sanders) from ``source`` over buckets of width ``delta``.
+
+    Buckets settle in priority order; every refill of the current bucket
+    costs a synchronized round, unless it holds at most ``fusion_threshold``
+    vertices, in which case it is drained on the spot (GraphIt's *bucket
+    fusion*, Zhang et al. CGO'20 — above the threshold a real
+    implementation re-balances across threads, which is a round).  Returns
+    ``(distances, edges examined, rounds, fused rounds)``, ``inf`` for
+    unreachable vertices; nothing is reported to ``counters``.
+    """
+    n = indptr.size - 1
+    dist = np.full(n, np.inf, dtype=np.float64)
+    dist[source] = 0.0
+    # Buckets stored sparsely: bucket index -> list of member arrays (lazy
+    # deletion: membership is re-checked against dist when popped).
+    buckets: dict[int, list[np.ndarray]] = {0: [np.array([source], dtype=np.int64)]}
+    examined = rounds = fused_rounds = 0
+
+    def relax_from(frontier: np.ndarray, current: int) -> np.ndarray:
+        """Relax ``frontier``, file what improved; return the refill of ``current``."""
+        nonlocal examined
+        improved, edges = relax(indptr, indices, weights, frontier, dist)
+        examined += edges
+        landing = (dist[improved] // delta).astype(np.int64)
+        same = landing == current
+        others, other_buckets = improved[~same], landing[~same]
+        for later in np.unique(other_buckets):
+            buckets.setdefault(int(later), []).append(others[other_buckets == later])
+        return improved[same]
+
+    while buckets:
+        current = min(buckets)
+        pending = buckets.pop(current)
+        while pending:
+            rounds += 1
+            members = unique_ids(np.concatenate(pending), n)
+            pending = []
+            frontier = members[(dist[members] // delta).astype(np.int64) == current]
+            if frontier.size == 0:
+                continue
+            refills = relax_from(frontier, current)
+            while 0 < refills.size <= fusion_threshold:
+                fused_rounds += 1
+                refills = relax_from(refills, current)
+            if refills.size:
+                pending.append(refills)
+    return dist, examined, rounds, fused_rounds

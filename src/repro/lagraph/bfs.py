@@ -21,12 +21,10 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
+from ..la import DirectionOptimizer
 from ..semiring import ANY_SECONDI, Matrix, Vector, mxv, vxm
 
 __all__ = ["lagraph_bfs"]
-
-ALPHA = 15
-BETA = 18
 
 
 def lagraph_bfs(graph: CSRGraph, source: int) -> np.ndarray:
@@ -38,15 +36,14 @@ def lagraph_bfs(graph: CSRGraph, source: int) -> np.ndarray:
     pi = Vector.from_entries(n, np.array([source]), np.array([float(source)]))
     q = Vector.from_entries(n, np.array([source]), np.array([float(source)]))
     out_degrees = graph.out_degrees
-    edges_remaining = graph.num_edges
+    policy = DirectionOptimizer(n, graph.num_edges)
 
     while q.nvals:
         counters.add_round()
-        frontier = q.indices()
-        scout = int(out_degrees[frontier].sum())
-        edges_remaining -= scout
-        use_pull = scout > max(edges_remaining, 1) // ALPHA or q.nvals > n // BETA
-        if use_pull:
+        scout = policy.scout_count(out_degrees, q.indices())
+        policy.charge(scout)
+        # Either condition pulls: a costly push, or a frontier not yet small.
+        if policy.wants_pull(scout) or not policy.frontier_is_small(q.nvals):
             q.to_dense()  # bitmap conversion, timed (see module docstring)
             q = mxv(transpose, q, ANY_SECONDI, mask=pi, complement=True)
         else:

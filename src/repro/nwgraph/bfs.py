@@ -5,7 +5,7 @@ implementation with a simple direction optimized search and no fine tuning
 of the switching criteria", and notes its performance is sensitive to that
 heuristic.  We keep exactly that character: the switch is on frontier
 *size* alone (no edge-count scouting like GAP's alpha test), with fixed
-untuned thresholds.
+untuned thresholds, handed to the shared traversal as its policy.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import counters
-from ..core.bitmap import Bitmap
 from ..graphs import CSRGraph
-from ..la import claim_first_writer
-from ..la.spmv import masked_pull_claim
+from ..la import DirectionOptimizer, direction_optimizing_traversal
 from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_bfs"]
@@ -31,46 +29,24 @@ def nwgraph_bfs(
 ) -> np.ndarray:
     """Direction-optimizing BFS over adjacency ranges; returns parents.
 
-    The pull phase goes through the shared ``masked_pull_claim`` kernel
-    (the in-adjacency range of every unvisited vertex, restricted to the
-    frontier bitmap); ``pull_early_exit=True`` stops each range scan at
-    the first frontier parent without changing the parents found.
+    ``pull_early_exit=True`` stops each in-range scan at the first frontier
+    parent without changing the parents found.
     """
-    n = graph.num_vertices
     out_view = AdjacencyView.out_edges(graph)
-    parents = np.full(n, -1, dtype=np.int64)
-    parents[source] = source
-    frontier = np.array([source], dtype=np.int64)
-    pulling = False
-
-    while frontier.size:
-        counters.add_round()
-        fraction = frontier.size / n
-        if not pulling and fraction > PULL_THRESHOLD:
-            pulling = True
-        elif pulling and fraction < PUSH_THRESHOLD:
-            pulling = False
-        if pulling:
-            bits = Bitmap.from_indices(n, frontier)
-            unvisited = np.flatnonzero(parents < 0)
-            fresh, examined = masked_pull_claim(
-                graph.in_indptr,
-                graph.in_indices,
-                unvisited,
-                bits.bits,
-                parents,
-                early_exit=pull_early_exit,
-            )
-            counters.add_edges(examined)
-            if fresh.size == 0:
-                break
-            frontier = fresh
-        else:
-            srcs, tgts = out_view.expand(frontier)
-            counters.add_edges(tgts.size)
-            unclaimed = parents[tgts] < 0
-            srcs, tgts = srcs[unclaimed], tgts[unclaimed]
-            if tgts.size == 0:
-                break
-            frontier = claim_first_writer(parents, tgts, srcs, n)
+    in_view = AdjacencyView.in_edges(graph)
+    policy = DirectionOptimizer(
+        graph.num_vertices,
+        graph.num_edges,
+        size_fractions=(PULL_THRESHOLD, PUSH_THRESHOLD),
+    )
+    parents, steps = direction_optimizing_traversal(
+        out_view.indptr,
+        out_view.indices,
+        in_view.indptr,
+        in_view.indices,
+        source,
+        policy,
+        pull_early_exit,
+    )
+    counters.add_steps(steps)
     return parents

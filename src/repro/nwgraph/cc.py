@@ -3,48 +3,21 @@
 Table III lists NWGraph's CC as Afforest; the paper notes CC (with BC) is
 one of the kernels NWGraph parallelizes purely through C++ execution
 policies — the "hands-off" approach its authors consider a feature.  The
-algorithm matches the GAP reference's three phases; only the substrate
-(range views + std-style algorithms) differs.
+algorithm is the GAP reference's three phases with the plain finish
+(:func:`repro.core.hooking.afforest`); only the substrate differed, and a
+sequential port has no execution policy to differ by.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
-from ..core.hooking import compress, converge, hook_pass, majority_component
+from ..core.hooking import afforest
 from ..graphs import CSRGraph
-from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_cc"]
 
-NEIGHBOR_ROUNDS = 2
-
 
 def nwgraph_cc(graph: CSRGraph, seed: int = 0) -> np.ndarray:
-    """Afforest over range views; returns component labels."""
-    n = graph.num_vertices
-    out_view = AdjacencyView.out_edges(graph)
-    comp = np.arange(n, dtype=np.int64)
-
-    degrees = out_view.degrees()
-    for k in range(NEIGHBOR_ROUNDS):
-        counters.add_round()
-        src = np.flatnonzero(degrees > k)
-        dst = out_view.indices[out_view.indptr[src] + k]
-        hook_pass(comp, src, dst)
-    compress(comp)
-
-    giant = majority_component(comp, np.random.default_rng(seed))
-    outside = np.flatnonzero(comp != giant)
-    counters.note("vertices_outside_giant", float(outside.size))
-    if outside.size:
-        src, dst = out_view.expand(outside)
-        if graph.directed:
-            in_view = AdjacencyView.in_edges(graph)
-            src_in, dst_in = in_view.expand(outside)
-            src = np.concatenate([src, src_in])
-            dst = np.concatenate([dst, dst_in])
-        converge(comp, src, dst)
-    compress(comp)
-    return comp
+    """Afforest; returns component labels."""
+    return afforest(graph, seed)

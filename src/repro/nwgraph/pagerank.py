@@ -3,8 +3,9 @@
 The paper: "NWGraph used the Gauss-Seidel algorithm and saw performance in
 line with that observed for the other frameworks using that algorithm."
 As with Galois, the in-place discipline is realized with blocked sweeps —
-each block pulls the freshest scores — implemented here with the range
-substrate's scan helpers.
+each block pulls the freshest scores —
+:func:`repro.la.blocked_gauss_seidel` over equal blocks of the in-edge
+range view.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 
 from ..core import counters
 from ..graphs import CSRGraph
-from ..ranges import AdjacencyView, exclusive_scan
+from ..la import blocked_gauss_seidel
+from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_pagerank"]
 
@@ -25,36 +27,19 @@ def nwgraph_pagerank(
     damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
-    num_blocks: int = NUM_BLOCKS,
 ) -> np.ndarray:
     """Blocked Gauss-Seidel PageRank; returns converged scores."""
-    n = graph.num_vertices
     in_view = AdjacencyView.in_edges(graph)
-    out_degrees = graph.out_degrees.astype(np.float64)
-    has_out = out_degrees > 0
-    safe_degrees = np.where(has_out, out_degrees, 1.0)
-    base = (1.0 - damping) / n
-    scores = np.full(n, 1.0 / n, dtype=np.float64)
-
-    bounds = np.linspace(0, n, num_blocks + 1, dtype=np.int64)
-    for _ in range(max_iterations):
-        counters.add_iteration()
-        counters.add_edges(graph.num_edges)
-        previous = scores.copy()
-        for b in range(num_blocks):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if lo == hi:
-                continue
-            gathered = in_view.indices[in_view.indptr[lo]: in_view.indptr[hi]]
-            contrib = np.where(
-                has_out[gathered], scores[gathered] / safe_degrees[gathered], 0.0
-            )
-            # Row sums via exclusive scan: sum(row) = scan[end] - scan[start].
-            scan = exclusive_scan(np.concatenate([contrib, [0.0]]))
-            offsets = in_view.indptr[lo: hi + 1] - in_view.indptr[lo]
-            sums = scan[offsets[1:]] - scan[offsets[:-1]]
-            scores[lo:hi] = base + damping * sums
-        change = float(np.abs(scores - previous).sum())
-        if change < tolerance:
-            break
+    bounds = np.linspace(0, len(in_view), NUM_BLOCKS + 1, dtype=np.int64)
+    scores, iterations = blocked_gauss_seidel(
+        in_view.indptr,
+        in_view.indices,
+        graph.out_degrees,
+        bounds,
+        damping,
+        tolerance,
+        max_iterations,
+    )
+    counters.add_iteration(iterations)
+    counters.add_edges(iterations * graph.num_edges)
     return scores

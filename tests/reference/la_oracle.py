@@ -6,9 +6,13 @@ kernels ran before they were moved onto the shared tier: three-``np.repeat``
 gathers with no full-sweep fast path, ``np.unique`` first-writer claims, a
 gather + prefix-sum (+, x) product, row-at-a-time (min, +), a per-vertex
 triangle loop, GKC's wedge batches closed by one binary search of the
-sorted edge keys, a pull step that always scans the whole in-adjacency, and
+sorted edge keys, a pull step that always scans the whole in-adjacency,
 Brandes one root at a time (GAP's forward and saved-successor backward,
-Galois' re-expanding backward).
+Galois' re-expanding backward), and the four kernel bodies that existed
+three to five times before each became one: Galois' copy of the
+direction-optimizing loop, GAP's Δ-stepping with its own relax, Galois'
+Afforest with its edge-blocked finish, and Galois' prefix-sum Gauss-Seidel
+sweeps (with GAP's ``segment_sums``).
 Unit tests call ``la_oracle.primitive(x)`` beside ``primitive(x)``;
 :func:`oracle_engine` runs a *whole kernel* on these formulations, which
 is how ``tests/test_la_differential.py`` proves the port changed
@@ -28,9 +32,12 @@ from typing import Callable, Collection, Iterator
 
 import numpy as np
 
-from repro.core import counters
+from repro.core import counters, hooking
+from repro.core.hooking import compress, converge, hook_pass, majority_component
 from repro.frameworks import EXTENDED_FRAMEWORK_NAMES, get
-from repro.la import frontier, gather, intersect, spmv, sweep
+from repro.la import direction, gather, intersect, spmv, sweep
+from repro.la import frontier as frontier_module
+from repro.la.direction import DirectionOptimizer, Step
 
 __all__ = [
     "flat_edge_index",
@@ -39,6 +46,13 @@ __all__ = [
     "claim_first_writer",
     "first_occurrence_mask",
     "unique_ids",
+    "relax",
+    "delta_stepping",
+    "direction_optimizing_traversal",
+    "afforest",
+    "converge_in_blocks",
+    "segment_sums",
+    "blocked_gauss_seidel",
     "plus_times_operator",
     "spmv_min_plus",
     "masked_pull_claim",
@@ -116,6 +130,85 @@ def unique_ids(keys: np.ndarray, num_vertices: int) -> np.ndarray:
     return np.unique(keys)
 
 
+# GAP's ``_relax`` and ``delta_stepping`` as ``gapbs/sssp.py`` ran them (its
+# ``bucket_fusion=False`` branch was, bit for bit, the loops of
+# ``galois.sync_delta_stepping``, ``gkc_sssp`` and ``nwgraph_sssp``), counting
+# into locals instead of ``counters``.
+
+def relax(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    frontier: np.ndarray,
+    dist: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    sources, targets, edge_weights = gather_edges_weighted(indptr, indices, weights, frontier)
+    examined = int(targets.size)
+    if examined == 0:
+        return np.empty(0, dtype=np.int64), 0
+    candidate = dist[sources] + edge_weights
+    better = candidate < dist[targets]
+    targets, candidate = targets[better], candidate[better]
+    return frontier_module.relax_minimum(dist, targets, candidate, dist.size), examined
+
+
+def delta_stepping(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    source: int,
+    delta: int,
+    fusion_threshold: int = 0,
+) -> tuple[np.ndarray, int, int, int]:
+    n = indptr.size - 1
+    dist = np.full(n, np.inf, dtype=np.float64)
+    dist[source] = 0.0
+    buckets: dict[int, list[np.ndarray]] = {0: [np.array([source], dtype=np.int64)]}
+    examined = rounds = fused_rounds = 0
+
+    while buckets:
+        current = min(buckets)
+        pending = buckets.pop(current)
+        while pending:
+            rounds += 1
+            members = unique_ids(np.concatenate(pending), n)
+            pending = []
+            # Lazy deletion: keep only vertices still in this bucket.
+            in_bucket = (dist[members] // delta).astype(np.int64) == current
+            frontier = members[in_bucket]
+            if frontier.size == 0:
+                continue
+            improved, edges = relax(indptr, indices, weights, frontier, dist)
+            examined += edges
+            if improved.size == 0:
+                continue
+            new_bucket = (dist[improved] // delta).astype(np.int64)
+            same = new_bucket == current
+            refills = improved[same]
+            others, other_buckets = improved[~same], new_bucket[~same]
+            for later in np.unique(other_buckets):
+                buckets.setdefault(int(later), []).append(others[other_buckets == later])
+            if refills.size == 0:
+                continue
+            if refills.size <= fusion_threshold:
+                # Fused: drain the refill right now without a global round.
+                while refills.size and refills.size <= fusion_threshold:
+                    fused_rounds += 1
+                    improved, edges = relax(indptr, indices, weights, refills, dist)
+                    examined += edges
+                    nb = (dist[improved] // delta).astype(np.int64)
+                    same = nb == current
+                    others, other_buckets = improved[~same], nb[~same]
+                    for later in np.unique(other_buckets):
+                        buckets.setdefault(int(later), []).append(others[other_buckets == later])
+                    refills = improved[same]
+                if refills.size:
+                    pending.append(refills)
+            else:
+                pending.append(refills)
+    return dist, examined, rounds, fused_rounds
+
+
 # --- la.spmv -----------------------------------------------------------------
 
 def plus_times_operator(
@@ -169,6 +262,151 @@ def masked_pull_claim(
         return np.empty(0, dtype=np.int64), examined
     fresh = claim_first_writer(parents, sources, targets, parents.size)
     return fresh, examined
+
+
+def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums of a CSR-gathered value array (empty rows give 0)."""
+    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+
+
+def blocked_gauss_seidel(
+    in_indptr: np.ndarray,
+    in_indices: np.ndarray,
+    out_degrees: np.ndarray,
+    bounds: np.ndarray,
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, int]:
+    """``galois.gauss_seidel_pagerank`` as it ran: per block, gather the
+    in-neighbors' current contributions and prefix-sum them into row sums."""
+    n = in_indptr.size - 1
+    base = (1.0 - damping) / n
+    scores = np.full(n, 1.0 / n, dtype=np.float64)
+    out_degrees = out_degrees.astype(np.float64)
+    has_out = out_degrees > 0
+    safe_degrees = np.where(has_out, out_degrees, 1.0)
+
+    iterations = 0
+    for _ in range(max_iterations):
+        iterations += 1
+        previous = scores.copy()
+        for b in range(bounds.size - 1):
+            lo, hi = int(bounds[b]), int(bounds[b + 1])
+            if lo == hi:
+                continue
+            # Pull the in-neighbors of this block using *current* scores.
+            gathered = in_indices[in_indptr[lo]: in_indptr[hi]]
+            contrib = np.where(
+                has_out[gathered], scores[gathered] / safe_degrees[gathered], 0.0
+            )
+            sums = segment_sums(contrib, in_indptr[lo: hi + 1] - in_indptr[lo])
+            scores[lo:hi] = base + damping * sums
+        change = float(np.abs(scores - previous).sum())
+        if change < tolerance:
+            break
+    return scores, iterations
+
+
+# --- la.direction ------------------------------------------------------------
+
+def direction_optimizing_traversal(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    in_indptr: np.ndarray,
+    in_indices: np.ndarray,
+    source: int,
+    policy: DirectionOptimizer,
+    pull_early_exit: bool = False,
+) -> tuple[np.ndarray, list[Step]]:
+    """``galois.sync_bfs`` as it ran (``gkc_bfs`` and GAP's loop were the
+    same text): its inline ALPHA / BETA tests asked of ``policy``, and each
+    step appended to the record where it used to ``add_round``."""
+    n = indptr.size - 1
+    parents = np.full(n, -1, dtype=np.int64)
+    parents[source] = source
+    frontier = np.array([source], dtype=np.int64)
+    out_degrees = np.diff(indptr)
+    steps: list[Step] = []
+
+    while frontier.size:
+        scout = policy.scout_count(out_degrees, frontier)
+        policy.charge(scout)
+        if policy.wants_pull(scout, frontier.size):
+            policy.switches += 1
+            bits = np.zeros(n, dtype=bool)
+            bits[frontier] = True
+            while frontier.size and not policy.frontier_is_small(frontier.size):
+                unvisited = np.flatnonzero(parents < 0)
+                fresh, examined = masked_pull_claim(
+                    in_indptr, in_indices, unvisited, bits, parents,
+                    early_exit=pull_early_exit,
+                )
+                steps.append(Step("pull", int(frontier.size), examined))
+                if fresh.size == 0:
+                    frontier = np.empty(0, dtype=np.int64)
+                    break
+                frontier = fresh
+                bits = np.zeros(n, dtype=bool)
+                bits[frontier] = True
+            if frontier.size == 0:
+                break
+        srcs, tgts = gather_edges(indptr, indices, frontier)
+        steps.append(Step("push", int(frontier.size), int(tgts.size)))
+        unclaimed = parents[tgts] < 0
+        srcs, tgts = srcs[unclaimed], tgts[unclaimed]
+        if tgts.size == 0:
+            break
+        frontier = claim_first_writer(parents, tgts, srcs, n)
+    return parents, steps
+
+
+# --- core.hooking ------------------------------------------------------------
+# ``galois_afforest`` as ``galois/cc.py`` ran it (``gapbs.afforest`` and
+# ``nwgraph_cc`` were its ``edge_blocking=False`` path), the finish phase an
+# argument where it was a flag.
+
+def converge_in_blocks(comp: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    block_edges = hooking.EDGE_BLOCK
+    if src.size > block_edges:
+        # Blocked finish: converge block by block; compressing between
+        # blocks shortens the chains later blocks must walk.
+        for start in range(0, src.size, block_edges):
+            counters.add_round()
+            converge(comp, src[start: start + block_edges], dst[start: start + block_edges])
+    # A final global pass guarantees cross-block merges are complete.
+    converge(comp, src, dst)
+
+
+def afforest(graph, seed: int = 0, finish=converge) -> np.ndarray:
+    n = graph.num_vertices
+    comp = np.arange(n, dtype=np.int64)
+
+    for k in range(hooking.NEIGHBOR_ROUNDS):
+        counters.add_round()
+        has_kth = graph.out_degrees > k
+        src = np.flatnonzero(has_kth)
+        dst = graph.indices[graph.indptr[src] + k]
+        hook_pass(comp, src, dst)
+    compress(comp)
+
+    rng = np.random.default_rng(seed)
+    giant = majority_component(comp, rng)
+    outside = np.flatnonzero(comp != giant)
+    counters.note("vertices_outside_giant", float(outside.size))
+    if outside.size == 0:
+        return comp
+
+    src_out, dst_out = gather_edges(graph.indptr, graph.indices, outside)
+    if not graph.directed:
+        src, dst = src_out, dst_out
+    else:
+        src_in, dst_in = gather_edges(graph.in_indptr, graph.in_indices, outside)
+        src, dst = np.concatenate([src_out, src_in]), np.concatenate([dst_out, dst_in])
+    finish(comp, src, dst)
+    compress(comp)
+    return comp
 
 
 # --- la.intersect ------------------------------------------------------------
@@ -394,8 +632,11 @@ _ORACLES: dict[types.FunctionType, types.FunctionType] = {
     getattr(module, oracle.__name__): oracle
     for module, oracles in (
         (gather, (flat_edge_index, gather_edges, gather_edges_weighted)),
-        (frontier, (claim_first_writer, first_occurrence_mask, unique_ids)),
-        (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim)),
+        (frontier_module, (claim_first_writer, first_occurrence_mask, unique_ids)),
+        (frontier_module, (relax, delta_stepping)),
+        (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim, blocked_gauss_seidel)),
+        (direction, (direction_optimizing_traversal,)),
+        (hooking, (afforest, converge_in_blocks)),
         (intersect, (count_forward_triangles, count_closing)),
         (sweep, (brandes_sweep, brandes_backward)),
     )

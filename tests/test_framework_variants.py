@@ -126,15 +126,6 @@ class TestNWGraphDetails:
 
 
 class TestGKCDetails:
-    def test_sssp_buffered_buckets_note_flushes(self, weighted_corpus):
-        from repro.gkc.sssp import gkc_sssp
-
-        graph = weighted_corpus["kron"]
-        source = int(np.flatnonzero(graph.out_degrees > 0)[0])
-        with counters.counting() as work:
-            gkc_sssp(graph, source, delta=16)
-        assert work.extras.get("buffer_flushes", 0) > 0
-
     def test_sv_working_set_shrinks(self, corpus):
         """The hybrid refinement: settled edges leave the working set, so
         total edge work is below passes * |E|."""

@@ -4,42 +4,48 @@ import numpy as np
 import pytest
 
 from repro.core import counters
-from repro.core.bitmap import Bitmap
-from repro.gapbs.bfs import direction_optimizing_bfs, pull_step, push_step
-from repro.gapbs.pagerank import segment_sums
+from repro.gapbs.bfs import direction_optimizing_bfs
 from repro.gapbs.sssp import delta_stepping
 from repro.gapbs.tc import forward_adjacency, ordered_count, worth_relabelling
 from repro.graphs import CSRGraph
+from repro.la.direction import pull_step, push_step
 from repro.la.sweep import brandes_backward, brandes_forward
+from tests.reference.la_oracle import segment_sums
 
 
 class TestBFSSteps:
+    """The two steps of the shared traversal (``repro.la.direction``)."""
+
     def test_push_step_claims_targets(self, tiny_graph):
         parents = np.full(7, -1, dtype=np.int64)
         parents[0] = 0
-        frontier = push_step(tiny_graph, np.array([0]), parents)
+        frontier, examined = push_step(
+            tiny_graph.indptr, tiny_graph.indices, np.array([0]), parents
+        )
         assert sorted(frontier.tolist()) == [1, 2]
         assert parents[1] == 0 and parents[2] == 0
+        assert examined == tiny_graph.out_degree(0)
 
     def test_push_step_first_writer_wins(self, tiny_graph):
         # 0 and 1 both point at 2; the first edge in expansion order wins.
         parents = np.full(7, -1, dtype=np.int64)
         parents[0] = 0
         parents[1] = 1
-        push_step(tiny_graph, np.array([0, 1]), parents)
+        push_step(tiny_graph.indptr, tiny_graph.indices, np.array([0, 1]), parents)
         assert parents[2] in (0, 1)
 
     def test_push_step_ignores_visited(self, tiny_graph):
         parents = np.full(7, -1, dtype=np.int64)
         parents[[0, 1, 2]] = [0, 0, 0]
-        frontier = push_step(tiny_graph, np.array([1]), parents)
+        frontier, _ = push_step(tiny_graph.indptr, tiny_graph.indices, np.array([1]), parents)
         assert frontier.size == 0  # 1 -> 2 already claimed
 
     def test_pull_step_finds_parents(self, tiny_graph):
         parents = np.full(7, -1, dtype=np.int64)
         parents[0] = 0
-        bits = Bitmap.from_indices(7, np.array([0]))
-        frontier = pull_step(tiny_graph, bits, parents)
+        frontier, _ = pull_step(
+            tiny_graph.in_indptr, tiny_graph.in_indices, np.array([0]), parents
+        )
         assert sorted(frontier.tolist()) == [1, 2]
 
     def test_full_bfs_counts_direction_switches(self, corpus):
@@ -51,6 +57,8 @@ class TestBFSSteps:
 
 
 class TestSegmentSums:
+    """The row-sum helper of the prefix-sum Gauss-Seidel oracle."""
+
     def test_basic(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         indptr = np.array([0, 2, 2, 4])

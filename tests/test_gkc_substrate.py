@@ -1,41 +1,10 @@
-"""Tests for GKC's substrate pieces: local buffers and the TC batcher."""
+"""Tests for GKC's substrate piece: the TC batcher."""
 
 import numpy as np
 
 from repro.core import counters
-from repro.gkc import LocalBuffer
 from repro.gkc.tc import gkc_tc
 from repro.graphs import CSRGraph
-
-
-class TestLocalBuffer:
-    def test_accumulates_and_drains(self):
-        buf = LocalBuffer(capacity=100)
-        buf.push(np.array([1, 2]))
-        buf.push(np.array([3]))
-        assert len(buf) == 3
-        assert buf.drain().tolist() == [1, 2, 3]
-        assert len(buf) == 0
-
-    def test_flush_at_capacity(self):
-        buf = LocalBuffer(capacity=2)
-        with counters.counting() as work:
-            buf.push(np.array([1, 2, 3]))  # exceeds capacity: flushes
-            buf.push(np.array([4]))
-        assert work.extras.get("buffer_flushes", 0) >= 1
-        assert buf.drain().tolist() == [1, 2, 3, 4]
-
-    def test_empty_push_is_noop(self):
-        buf = LocalBuffer()
-        buf.push(np.empty(0, dtype=np.int64))
-        assert len(buf) == 0
-        assert buf.drain().size == 0
-
-    def test_double_drain(self):
-        buf = LocalBuffer()
-        buf.push(np.array([1]))
-        buf.drain()
-        assert buf.drain().size == 0
 
 
 class TestGkcTcBatching:
