@@ -7,10 +7,10 @@ mid-campaign, repeatedly.  This soak drives exactly that and then holds
 the storage tier to its contract:
 
 * **soak rounds** — each round restarts the server (``--resume``) on the
-  same archive with a *randomized but deterministic* I/O fault plan
-  (``REPRO_IO_FAULTS``) and compute fault plan (``REPRO_FAULTS``)
-  injected through the environment, drives a small client fleet through
-  overlapping campaigns, and SIGKILLs the whole process group mid-work.
+  same archive with a *randomized but deterministic* fault plan of
+  storage and cell faults injected through ``REPRO_FAULTS``, drives a
+  small client fleet through overlapping campaigns, and SIGKILLs the
+  whole process group mid-work.
   Client-side transport errors are expected; *corruption* is not: every
   ``cell`` event a client ever receives is recorded by digest.
 * **degraded round** — the server is restarted with an impossible disk
@@ -91,7 +91,7 @@ DEGRADED_CAMPAIGN = {
     "modes": "baseline", "scale": 6,
 }
 
-#: Path substrings the random I/O plans aim at.  Loud faults (enospc,
+#: Path substrings the random storage faults aim at.  Loud faults (enospc,
 #: torn-write, fsync-fail) may hit anything — they fail the operation
 #: before anything is promised.  Silent bit-flips are aimed at the
 #: *checksummed replayable* surfaces (cell index, journals), where
@@ -102,7 +102,8 @@ LOUD_TARGETS = ("cell_index", "journals", "runs", "manifest.json")
 FLIP_TARGETS = ("cell_index", "journals")
 
 
-def _random_io_plan(rng: random.Random, flip_archive: bool) -> list[dict]:
+def _random_plan(rng: random.Random, flip_archive: bool) -> list[dict]:
+    """One round's plan: one to three storage faults, maybe a cell fault."""
     plan: list[dict] = []
     for _ in range(rng.randrange(1, 4)):
         kind = rng.choice(("enospc", "torn-write", "fsync-fail", "bit-flip"))
@@ -110,21 +111,16 @@ def _random_io_plan(rng: random.Random, flip_archive: bool) -> list[dict]:
             target = rng.choice(FLIP_TARGETS)
         else:
             target = rng.choice(LOUD_TARGETS)
-        plan.append({"kind": kind, "path": target, "count": rng.randrange(0, 5)})
+        plan.append({"kind": kind, "path": target, "first": rng.randrange(0, 5)})
     if flip_archive:
         # The served-corrupt scenario: one archived results.json is
         # silently damaged during staging; scrub must catch it.
         plan.append({"kind": "bit-flip", "path": "results.json",
-                     "count": rng.randrange(0, 2)})
+                     "first": rng.randrange(0, 2)})
+    if rng.random() >= 0.5:
+        # A first-attempt error on one kernel: the retry policy absorbs it.
+        plan.append({"kind": "error", "kernel": rng.choice(("bfs", "cc", "pr"))})
     return plan
-
-
-def _random_compute_plan(rng: random.Random) -> list[dict]:
-    if rng.random() < 0.5:
-        return []
-    # A first-attempt error on one kernel: the retry policy absorbs it.
-    return [{"kind": "error", "kernel": rng.choice(("bfs", "cc", "pr")),
-             "attempts": [0]}]
 
 
 def _start_server(
@@ -143,7 +139,7 @@ def _start_server(
     env = dict(os.environ, PYTHONPATH=SRC, **extra_env)
     # A plan left over from the caller's environment must not leak into
     # rounds that did not ask for it.
-    for key in ("REPRO_IO_FAULTS", "REPRO_FAULTS", "REPRO_MIN_FREE_BYTES"):
+    for key in ("REPRO_FAULTS", "REPRO_MIN_FREE_BYTES"):
         if key not in extra_env:
             env.pop(key, None)
     proc = subprocess.Popen(
@@ -188,18 +184,16 @@ def run_soak(
     completed: dict[tuple[str, ...], str] = {}  # cell key -> digest
     transport_errors = 0
     kills = 0
-    io_plans: list[list[dict]] = []
+    plans: list[list[dict]] = []
 
     # -- soak rounds: faults + fleet + SIGKILL ---------------------------
     for round_no in range(rounds):
         flip_archive = round_no == rounds - 1
-        io_plan = _random_io_plan(rng, flip_archive)
-        compute_plan = _random_compute_plan(rng)
-        io_plans.append(io_plan)
-        env = {"REPRO_IO_FAULTS": json.dumps(io_plan)}
-        if compute_plan:
-            env["REPRO_FAULTS"] = json.dumps(compute_plan)
-        proc, port = _start_server(tmp, resume=round_no > 0, extra_env=env)
+        plan = _random_plan(rng, flip_archive)
+        plans.append(plan)
+        proc, port = _start_server(
+            tmp, resume=round_no > 0, extra_env={"REPRO_FAULTS": json.dumps(plan)}
+        )
 
         errors_lock = threading.Lock()
         round_errors = [0]
@@ -345,7 +339,7 @@ def run_soak(
             "sigkills": kills,
             "cells_completed": len(completed),
             "client_transport_errors": transport_errors,
-            "io_plans": io_plans,
+            "plans": plans,
         },
         "degraded": {
             "rejected_cells": degraded_rejected,

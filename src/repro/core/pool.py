@@ -38,8 +38,10 @@ import multiprocessing
 import pickle
 import signal
 import time
+from contextlib import ExitStack
 from typing import Mapping
 
+from .. import faults
 from .runner import failed_result, run_attempt
 from .sharedmem import AttachedCase, SharedCaseHandle, attach_case
 from .spec import BenchmarkSpec
@@ -85,6 +87,7 @@ def _worker_main(slot: int, tasks, results) -> None:
     Runs on the worker's main thread, so the cell's in-process SIGALRM
     deadline is armed and catches interruptible overruns without costing a
     process kill; the parent's hard kill is the backstop for the rest.
+    Each campaign's fault plan is installed for as long as it runs.
     """
     if hasattr(signal, "SIGTERM"):
         # Undo any graceful_shutdown handler inherited over fork: a worker
@@ -95,6 +98,7 @@ def _worker_main(slot: int, tasks, results) -> None:
     corpus: _LazyCorpus | None = None
     frameworks: _LazyFrameworks | None = None
     telemetry = Telemetry()
+    plan_scope = ExitStack()
     try:
         while True:
             task = tasks.get()
@@ -103,7 +107,9 @@ def _worker_main(slot: int, tasks, results) -> None:
                 return
             kind = task[0]
             if kind == "campaign":
-                _, seq, spec, handles, blobs, track_memory = task
+                _, seq, spec, handles, blobs, track_memory, plan = task
+                plan_scope.close()
+                plan_scope.enter_context(faults.installed(*plan))
                 if corpus is not None:
                     corpus.close()
                 corpus = _LazyCorpus(handles)
@@ -129,6 +135,7 @@ def _worker_main(slot: int, tasks, results) -> None:
                 telemetry.spans.clear()
                 results.put(("cell", slot, seq, cell.index, attempt, result, spans))
     finally:
+        plan_scope.close()
         if corpus is not None:
             corpus.close()
 
@@ -204,7 +211,8 @@ class WorkerPool:
 
         Dead workers are replaced first, so a reused pool always starts a
         campaign at full strength.  Frameworks are pickled once here and
-        unpickled lazily in workers on first use.
+        unpickled lazily in workers on first use.  The fault plan active
+        here now is the one the workers run the campaign under.
         """
         if self._closed:
             # A long-lived owner (the benchmark service) must hear about a
@@ -212,7 +220,9 @@ class WorkerPool:
             raise RuntimeError("WorkerPool is shut down; create a new pool")
         self._seq += 1
         blobs = {name: pickle.dumps(fw) for name, fw in frameworks.items()}
-        self._campaign = (spec, dict(handles), blobs, track_memory)
+        self._campaign = (
+            spec, dict(handles), blobs, track_memory, faults.active_plan()
+        )
         for slot in list(self._slots):
             if not self._slots[slot]["process"].is_alive():
                 self.respawn(slot)  # respawn sends the campaign message

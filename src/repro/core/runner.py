@@ -31,14 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import faults
 from ..errors import TrialTimeoutError
 from ..frameworks.base import Framework, Mode, RunContext
 from ..generators import build_graph, weighted_version
 from ..graphs import CSRGraph
 from ..graphs.cache import GraphCache
-# Submodule-direct import: the fault module is layering-free, while the
-# repro.resilience package as a whole sits above repro.core.
-from ..resilience.faults import active_plan, corrupt_cache, fire, transform_output
 from . import counters as counters_mod
 from . import verify
 from .batching import Cell
@@ -158,11 +156,6 @@ def build_case(
         return case
 
     if cache is not None:
-        plan = active_plan(spec)
-        if plan:
-            # Fault-injection point: damage the artifact *before* the load
-            # so the checksum-validated degrade-to-miss path is exercised.
-            corrupt_cache(plan, cache, graph_name, spec.scale, spec.seed)
         seen = len(cache.corrupt_events)
         views = cache.load_views(graph_name, spec.scale, spec.seed)
         _note_corruption(seen)
@@ -260,7 +253,6 @@ def run_cell(
     faults, so "fail on attempt 0 only" plans are expressible).
     """
     tel = telemetry if telemetry is not None else Telemetry()
-    plan = active_plan(spec)
     ctx = RunContext(
         mode=mode,
         graph_name=case.name,
@@ -316,11 +308,9 @@ def run_cell(
                     # scope, so an injected hang times out exactly like a
                     # genuinely hung kernel.
                     with deadline:
-                        if plan:
-                            fire(
-                                plan, framework.name, kernel,
-                                case.name, mode.value, attempt,
-                            )
+                        faults.fire(
+                            framework.name, kernel, case.name, mode.value, attempt
+                        )
                         start = time.perf_counter()
                         out = framework.run_kernel(
                             kernel, prepared, ctx,
@@ -340,11 +330,9 @@ def run_cell(
 
                 if trial == 0:
                     work = trial_work
-                    if plan:
-                        output = transform_output(
-                            plan, framework.name, kernel,
-                            case.name, mode.value, attempt, output,
-                        )
+                    output = faults.transform_output(
+                        framework.name, kernel, case.name, mode.value, attempt, output
+                    )
                     if spec.verify:
                         cell.attributes["phase"] = "verify"
                         verify_start = time.perf_counter()

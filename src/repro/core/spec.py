@@ -98,11 +98,6 @@ class BenchmarkSpec:
     #: remaining cells become ``skipped`` results (0 = breaker disabled).
     #: See :mod:`repro.resilience.breaker`.
     breaker_threshold: int = 0
-    #: Deterministic fault-injection plan for tests and chaos CI
-    #: (:class:`repro.resilience.faults.FaultSpec` tuple).  Travels to
-    #: worker processes with the spec; excluded from ``as_dict`` so fault
-    #: plans never enter run identities or resume fingerprints.
-    faults: tuple = ()
 
     def __post_init__(self) -> None:
         unknown = set(self.trials) - set(KERNELS)

@@ -18,7 +18,7 @@ cuts it from the file before its first append — appending after a
 fragment would fuse the next record with it.  A damaged line *before*
 the final one is **interior damage**: a strict reader refuses the file.
 
-Every byte goes through the :mod:`repro.iofaults` shim keyed on the
+Every byte goes through the :mod:`repro.faults` shim keyed on the
 *destination* path.  A leaf module — stdlib, :mod:`repro.errors` and the
 shim — so ``core``, ``graphs``, ``resilience`` and ``store`` import it.
 """
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorruptLogError
-from .iofaults import shim_fsync, shim_replace, shim_write
+from .faults import shim_fsync, shim_replace, shim_write
 
 __all__ = [
     "AppendLog",

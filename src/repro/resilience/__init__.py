@@ -1,4 +1,4 @@
-"""Campaign resilience: checkpoint/resume, retries, breakers, fault injection.
+"""Campaign resilience: checkpoint/resume, retries, breakers, signals.
 
 Long multi-framework campaigns (the paper's Tables IV/V are 360 cells)
 fail in mundane ways: a worker OOMs, the machine reboots, one framework
@@ -18,29 +18,17 @@ this package makes the campaign layer *survive and degrade gracefully*:
   breaker: after K consecutive hard failures the remaining cells of that
   combo become structured ``skipped`` results instead of burning their
   full timeout budget.
-* :mod:`~repro.resilience.faults` — a deterministic fault-injection
-  harness (hooks via spec or the ``REPRO_FAULTS`` env var) that forces
-  crash / hang / OOM / wrong-result / cache-corruption at a chosen
-  cell and attempt, so all of the above is tested without timing-flaky
-  tests and is reusable for chaos CI.
 * :mod:`~repro.resilience.signals` — SIGTERM-to-exception translation so
   a terminated campaign still flushes its journal and unlinks its
   shared-memory segments on the way out.
+
+All of the above is tested by injecting faults at exact points through
+the leaf module :mod:`repro.faults`, without timing-flaky tests.
 
 See ``docs/RESILIENCE.md`` for formats, semantics, and the hook reference.
 """
 
 from .breaker import CircuitBreaker
-from .faults import FaultSpec, active_plan, parse_plan
-from ..iofaults import (
-    IOFaultSpec,
-    active_io_plan,
-    clear_io_plan,
-    fired_io_faults,
-    install_io_plan,
-    io_faults,
-    parse_io_plan,
-)
 from .journal import (
     JOURNAL_VERSION,
     CheckpointJournal,
@@ -55,19 +43,10 @@ __all__ = [
     "CLASS_TRANSIENT",
     "CheckpointJournal",
     "CircuitBreaker",
-    "FaultSpec",
-    "IOFaultSpec",
     "JOURNAL_VERSION",
     "RetryPolicy",
-    "active_io_plan",
-    "active_plan",
     "campaign_fingerprint",
     "classify_failure",
-    "clear_io_plan",
-    "fired_io_faults",
     "graceful_shutdown",
-    "install_io_plan",
-    "io_faults",
-    "parse_io_plan",
     "read_journal",
 ]

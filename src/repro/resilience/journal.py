@@ -24,9 +24,10 @@ All completed cells are skipped on resume regardless of status: an
 outcome, and re-running it would make a resumed campaign diverge from an
 uninterrupted one.  Delete the journal to re-measure from scratch.
 
-Fault-injection plans (``BenchmarkSpec.faults``) are deliberately outside
-the fingerprint: killing a campaign with an injected crash and resuming
-it without the fault is precisely the crash/resume test protocol.
+Fault-injection plans (:mod:`repro.faults`) are no part of the spec, so
+they stay outside the fingerprint: killing a campaign with an injected
+crash and resuming it without the fault is precisely the crash/resume
+test protocol.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def campaign_fingerprint(
     """Identity of a campaign for resume validation.
 
     Two campaigns with equal fingerprints produce interchangeable cells:
-    the same spec (trials, scale, seed, timeout — fault plans excluded)
-    over the same axes.  The environment rides along so resume can refuse
-    a journal written on a non-comparable machine.
+    the same spec (trials, scale, seed, timeout) over the same axes.  The
+    environment rides along so resume can refuse a journal written on a
+    non-comparable machine.
 
     Execution topology — ``jobs``, ``pool``, ``batch_size`` — is *not*
     identity: the backend equivalence matrix guarantees cells are

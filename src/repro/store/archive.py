@@ -38,7 +38,7 @@ from ..core.results import ResultSet
 from ..core.telemetry import Span
 from ..durable import atomic_write
 from ..errors import ArchiveError
-from ..iofaults import shim_replace
+from ..faults import shim_replace
 from .environment import fingerprint, version_string
 
 __all__ = [
@@ -99,6 +99,17 @@ def bench_payload(name: str, data: dict[str, object]) -> dict[str, object]:
 
 def _utc_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _index_entry(manifest: dict[str, object], run_id: str = "") -> dict[str, object]:
+    """A run's ``index.json`` listing entry, taken from its manifest."""
+    return {
+        "run_id": manifest.get("run_id", run_id),
+        "created_at": manifest.get("created_at", ""),
+        "cells": manifest.get("cells", 0),
+        "failures": manifest.get("failures", 0),
+        "source": manifest.get("source"),
+    }
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,11 @@ class RunArchive:
         ).hexdigest()[:12]
         run_dir = self.runs_dir / run_id
         if (run_dir / "manifest.json").exists():
-            return self._record(run_id)
+            # The run may have landed without being listed (a crash or a
+            # failed write between its rename and the index update).
+            record = self._record(run_id)
+            self._index_add(_index_entry(record.manifest))
+            return record
 
         span_records = [
             span.as_dict() if isinstance(span, Span) else dict(span)
@@ -243,15 +258,7 @@ class RunArchive:
             if staging.exists():
                 shutil.rmtree(staging, ignore_errors=True)
 
-        self._index_add(
-            {
-                "run_id": run_id,
-                "created_at": manifest["created_at"],
-                "cells": manifest["cells"],
-                "failures": manifest["failures"],
-                "source": source,
-            }
-        )
+        self._index_add(_index_entry(manifest))
         return RunRecord(run_id=run_id, path=run_dir, manifest=manifest)
 
     # -- index ----------------------------------------------------------
@@ -278,15 +285,7 @@ class RunArchive:
                 manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
                 continue
-            entries.append(
-                {
-                    "run_id": manifest.get("run_id", run_dir.name),
-                    "created_at": manifest.get("created_at", ""),
-                    "cells": manifest.get("cells", 0),
-                    "failures": manifest.get("failures", 0),
-                    "source": manifest.get("source"),
-                }
-            )
+            entries.append(_index_entry(manifest, run_dir.name))
         entries.sort(key=lambda entry: str(entry.get("created_at", "")))
         if entries:
             self._write_index(entries)

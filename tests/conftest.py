@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import BenchmarkSpec, run_suite
+from repro.faults import installed
 from repro.frameworks import FRAMEWORK_NAMES, KERNELS, get
 from repro.generators import build_graph, weighted_version
 from repro.graphs import CSRGraph, EdgeList
@@ -40,11 +41,12 @@ BACKENDS = {
 PROCESS_BACKENDS = ("process", "process-batched")
 
 
-def run_on(backend, frameworks, graphs, spec_fields=None, **kwargs):
-    """``run_suite`` on one member of :data:`BACKENDS`.
+def run_on(backend, frameworks, graphs, spec_fields=None, faults=(), **kwargs):
+    """``run_suite`` on one member of :data:`BACKENDS`, under ``faults``.
 
     The spec is scale 8 with one trial per kernel, then the backend's own
-    fields, then ``spec_fields``; everything else goes to ``run_suite``.
+    fields, then ``spec_fields``; ``faults`` is the whole fault plan for
+    the call; everything else goes to ``run_suite``.
     """
     jobs, backend_fields = BACKENDS[backend]
     spec = BenchmarkSpec(
@@ -55,7 +57,8 @@ def run_on(backend, frameworks, graphs, spec_fields=None, **kwargs):
             **(spec_fields or {}),
         }
     )
-    return run_suite(frameworks, graphs, spec=spec, jobs=jobs, **kwargs)
+    with installed(*faults):
+        return run_suite(frameworks, graphs, spec=spec, jobs=jobs, **kwargs)
 
 
 _TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")

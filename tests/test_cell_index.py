@@ -266,10 +266,10 @@ class TestConcurrentWriterTornTail:
         from pathlib import Path
 
         src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_IO_FAULTS"}
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
         env["PYTHONPATH"] = src
         if faults is not None:
-            env["REPRO_IO_FAULTS"] = faults
+            env["REPRO_FAULTS"] = faults
         prelude = (
             "from repro.store.cellindex import CellIndex\n"
             f"index = CellIndex({str(str(tmp_path / 'cell_index.jsonl'))!r})\n"

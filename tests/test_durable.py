@@ -34,7 +34,7 @@ from repro.durable import AppendLog, atomic_write, seal_line
 from repro.errors import CorruptLogError, JournalError
 from repro.frameworks import Mode
 from repro.graphs import GraphCache
-from repro.iofaults import IOFaultSpec, clear_io_plan, fired_io_faults, io_faults
+from repro.faults import Fault, fired, installed
 from repro.resilience.journal import CheckpointJournal, read_journal
 from repro.store import RunArchive
 from repro.store import archive as archive_mod
@@ -49,10 +49,8 @@ FINGERPRINT = {"spec": {"scale": 8}, "graphs": ["kron"]}
 
 
 @pytest.fixture(autouse=True)
-def _clean_plan():
-    clear_io_plan()
-    yield
-    clear_io_plan()
+def _no_env_plan(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
 def _result(kernel="bfs"):
@@ -85,23 +83,23 @@ class TestAtomicWrite:
         assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
 
     @pytest.mark.parametrize(
-        "spec",
+        "fault",
         [
-            IOFaultSpec("enospc", operation="write"),
-            IOFaultSpec("torn-write"),
-            IOFaultSpec("fsync-fail"),
-            IOFaultSpec("enospc", operation="replace"),
+            Fault("enospc", operation="write"),
+            Fault("torn-write"),
+            Fault("fsync-fail"),
+            Fault("enospc", operation="replace"),
         ],
-        ids=lambda spec: f"{spec.kind}-{spec.operation or 'any'}",
+        ids=lambda fault: f"{fault.kind}-{fault.operation or 'any'}",
     )
-    def test_failure_keeps_the_previous_bytes(self, tmp_path, spec):
+    def test_failure_keeps_the_previous_bytes(self, tmp_path, fault):
         target = tmp_path / "out.bin"
         atomic_write(target, b"old")
-        with io_faults(spec):
+        with installed(fault):
             with pytest.raises(OSError):
                 atomic_write(target, b"new and longer")
             # Keyed on the destination, never on the temp name.
-            assert [f["path"] for f in fired_io_faults()] == [str(target)]
+            assert [f["path"] for f in fired()] == [str(target)]
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
@@ -212,10 +210,10 @@ class TestAppendLog:
         intact = _seed_log(path)
         log, _ = AppendLog.open(path, HEADER)
         # Fail the second of three writes, or the call's one fsync.
-        with io_faults(IOFaultSpec(kind, count=0 if kind == "fsync-fail" else 1)):
+        with installed(Fault(kind, first=0 if kind == "fsync-fail" else 1)):
             with pytest.raises(OSError):
                 log.append([{"n": 2}, {"n": 3}, {"n": 4}])
-            assert fired_io_faults()
+            assert fired()
         # Unacknowledged: a reader sees at most a damaged end...
         assert [r.get("n") for r in AppendLog.read(path)][:3] == [None, 0, 1]
         log.append([{"n": 5}])
@@ -287,10 +285,10 @@ class TestTornLogStaysAppendable:
         path = tmp_path / "j.jsonl"
         journal = CheckpointJournal.create(path, FINGERPRINT)
         journal.record(_result("bfs"))
-        with io_faults(IOFaultSpec("torn-write", path="j.jsonl")):
+        with installed(Fault("torn-write", path="j.jsonl")):
             with pytest.raises(OSError):
                 journal.record(_result("cc"))
-            assert fired_io_faults()
+            assert fired()
         journal.close()
 
         resumed, completed = CheckpointJournal.resume(path, FINGERPRINT)
@@ -306,10 +304,10 @@ class TestTornLogStaysAppendable:
 
     def test_journal_torn_header_resumes_as_a_fresh_campaign(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with io_faults(IOFaultSpec("torn-write", path="j.jsonl")):
+        with installed(Fault("torn-write", path="j.jsonl")):
             with pytest.raises(OSError):
                 CheckpointJournal.create(path, FINGERPRINT)
-            assert fired_io_faults()
+            assert fired()
         assert path.stat().st_size > 0  # a header fragment is on disk
         with pytest.raises(JournalError, match="no header"):
             read_journal(path)  # nothing to recover, and it says so
@@ -325,10 +323,10 @@ class TestTornLogStaysAppendable:
         path = tmp_path / "cell_index.jsonl"
         index = CellIndex(path)
         index.add("d1", "run-a", _key("bfs"))
-        with io_faults(IOFaultSpec("torn-write", path="cell_index")):
+        with installed(Fault("torn-write", path="cell_index")):
             with pytest.raises(OSError):
                 index.add("d2", "run-b", _key("cc"))
-            assert fired_io_faults()
+            assert fired()
         index.close()
 
         with CellIndex(path) as reopened:
@@ -345,10 +343,10 @@ class TestTornLogStaysAppendable:
     def test_cell_index_torn_header(self, tmp_path):
         path = tmp_path / "cell_index.jsonl"
         index = CellIndex(path)
-        with io_faults(IOFaultSpec("torn-write", path="cell_index")):
+        with installed(Fault("torn-write", path="cell_index")):
             with pytest.raises(OSError):
                 index.add("d0", "run-z", _key("bfs"))
-            assert fired_io_faults()
+            assert fired()
         index.close()
         assert path.stat().st_size > 0
 
@@ -360,7 +358,7 @@ class TestTornLogStaysAppendable:
 
     def test_cell_index_failed_add_is_not_remembered(self, tmp_path):
         with CellIndex(tmp_path / "cell_index.jsonl") as index:
-            with io_faults(IOFaultSpec("fsync-fail", path="cell_index")):
+            with installed(Fault("fsync-fail", path="cell_index")):
                 with pytest.raises(OSError):
                     index.add("d1", "run-a", _key("bfs"))
             assert "d1" not in index  # memory never runs ahead of disk
@@ -376,10 +374,10 @@ class TestResultsFileFaults:
         out = tmp_path / "out.json"
         ResultSet([_result()]).save_json(out)
         before = out.read_bytes()
-        with io_faults(IOFaultSpec(kind, path="out.json")):
+        with installed(Fault(kind, path="out.json")):
             with pytest.raises(OSError):
                 ResultSet([_result(), _result("cc")]).save_json(out)
-            assert fired_io_faults()
+            assert fired()
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -395,9 +393,9 @@ class TestGraphCacheFaults:
 
     def test_bit_flip_on_the_way_to_disk_is_a_miss(self, tmp_path):
         cache = GraphCache(tmp_path)
-        with io_faults(IOFaultSpec("bit-flip", path=".npz")):
+        with installed(Fault("bit-flip", path=".npz")):
             self._store(cache)  # silent: the store "succeeds"
-            assert [f["kind"] for f in fired_io_faults()] == ["bit-flip"]
+            assert [f["kind"] for f in fired()] == ["bit-flip"]
         # The sidecar was taken from the intended bytes, so the damaged
         # artifact cannot bless itself.
         assert cache.load_views("kron", self.SCALE, 0) is None
@@ -407,10 +405,10 @@ class TestGraphCacheFaults:
     def test_failed_store_keeps_the_previous_artifact(self, tmp_path, kind):
         cache = GraphCache(tmp_path)
         self._store(cache)
-        with io_faults(IOFaultSpec(kind, path=".npz")):
+        with installed(Fault(kind, path=".npz")):
             with pytest.raises(OSError):
                 self._store(cache)
-            assert fired_io_faults()
+            assert fired()
         assert cache.load_views("kron", self.SCALE, 0) is not None
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
@@ -428,13 +426,13 @@ def _crash_points(kind, flow):
     """
     for k in range(1000):
         acknowledged = []
-        with io_faults(IOFaultSpec(kind, count=k)):
+        with installed(Fault(kind, first=k)):
             try:
                 flow(k, acknowledged)
             except OSError:
                 pass
-            fired = fired_io_faults()
-        if not fired:
+            crashed = bool(fired())
+        if not crashed:
             assert k > 0, f"{kind} never fired: the flow did no such I/O"
             return
         yield k, acknowledged
@@ -540,9 +538,13 @@ def test_every_archive_and_index_crash_point_recovers(tmp_path, kind, monkeypatc
                     assert index.run_id_for(digest) == new_run, where
         assert scrub(archive).verdict == "clean", where
 
-        # Re-running the interrupted step on the recovered store succeeds.
+        # Re-running the interrupted step on the recovered store succeeds,
+        # and lists a run that landed before its index.json update failed.
         archive_and_index(root, second, [])
-        with CellIndex.for_archive(RunArchive(root)) as index:
+        archive = RunArchive(root)
+        assert new_run in {str(entry["run_id"]) for entry in archive.list_runs()}, where
+        assert archive.resolve("latest") == new_run, where
+        with CellIndex.for_archive(archive) as index:
             assert len(index) == 3, where
     # Two staged run files + index.json + two index lines are written;
     # each atomic write is also an fsync and a rename, plus the run
@@ -562,8 +564,8 @@ def test_the_primitive_exists_once():
     """
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     allowed = {
-        r"\bos\.replace\(": {"iofaults.py"},
-        r"\bos\.fsync\(": {"iofaults.py"},
+        r"\bos\.replace\(": {"faults.py"},
+        r"\bos\.fsync\(": {"faults.py"},
         r"\bmkstemp\(": {"durable.py"},
         r"\b(verify_line|seal_line)\(": {"durable.py"},
     }

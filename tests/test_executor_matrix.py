@@ -35,7 +35,7 @@ from repro.core import Telemetry
 from repro.errors import CellFailedError, TrialTimeoutError, VerificationError
 from repro.frameworks import Mode, RunContext
 from repro.gapbs import GAPReference
-from repro.resilience.faults import FaultSpec
+from repro.faults import Fault
 
 from .conftest import BACKENDS, PROCESS_BACKENDS, run_on
 
@@ -98,12 +98,12 @@ def _run(mode_name, frameworks, kernels, spec_extra, graphs=("kron",), **kwargs)
 def _fault_campaign(mode_name, telemetry=None):
     """Fast cells + verification failure + crash-class fault, per mode."""
     kind = "crash" if mode_name in PROCESS_BACKENDS else "error"
-    fault = FaultSpec(kind=kind, framework="gap", kernel="cc")
     return _run(
         mode_name,
         [GAPReference(), BrokenTC()],
         ["bfs", "cc", "tc"],
-        {"faults": (fault,)},
+        {},
+        faults=(Fault(kind, framework="gap", kernel="cc"),),
         telemetry=telemetry,
     )
 
@@ -213,10 +213,8 @@ def test_progress_fires_once_per_executed_attempt_never_for_skips(backend):
         backend,
         [GAPReference()],
         ["bfs", "cc"],
-        {
-            "breaker_threshold": 1,
-            "faults": (FaultSpec(kind="error", framework="gap", kernel="cc"),),
-        },
+        {"breaker_threshold": 1},
+        faults=(Fault("error", framework="gap", kernel="cc"),),
         # Four graphs: even two in-flight three-cell batches leave a queued
         # one for the opened breaker to prune.
         graphs=("kron", "road", "urand", "twitter"),
@@ -235,7 +233,8 @@ def test_progress_fires_again_for_a_retry(backend):
         backend,
         [GAPReference()],
         ["bfs"],
-        {"retries": 1, "faults": (FaultSpec(kind="oom", kernel="bfs", attempts=(0,)),)},
+        {"retries": 1},
+        faults=(Fault("oom", kernel="bfs"),),
         progress=seen.append,
     )
     assert result.ok and result.attempts == 2
@@ -255,10 +254,8 @@ def test_on_result_follows_the_journal_append(backend, tmp_path):
         backend,
         [GAPReference()],
         ["bfs", "cc", "pr"],
-        {
-            "breaker_threshold": 1,
-            "faults": (FaultSpec(kind="error", kernel="cc"),),
-        },
+        {"breaker_threshold": 1},
+        faults=(Fault("error", kernel="cc"),),
         graphs=("kron", "road"),
         journal=str(journal),
         on_result=on_result,
@@ -280,7 +277,8 @@ def test_completed_cells_are_prefilled_not_executed(backend, tmp_path):
         backend,
         [GAPReference()],
         kernels,
-        {"faults": (FaultSpec(kind="error", kernel="bfs"), FaultSpec(kind="error", kernel="cc"))},
+        {},
+        faults=(Fault("error", kernel="bfs"), Fault("error", kernel="cc")),
         completed=held,
         journal=str(journal),
         progress=seen.append,
@@ -317,11 +315,10 @@ def test_journal_resumes_on_any_backend(writer, backend, tmp_path):
     a strict-aborted campaign on one backend resumes on every other."""
     journal = tmp_path / "campaign.jsonl"
     kernels = ["bfs", "cc", "pr"]
-    fault = FaultSpec(kind="error", kernel="cc", attempts=(0,))
     with pytest.raises((ValueError, CellFailedError)):
         _run(
-            writer, [GAPReference()], kernels, {"faults": (fault,)},
-            strict=True, journal=str(journal),
+            writer, [GAPReference()], kernels, {},
+            faults=(Fault("error", kernel="cc"),), strict=True, journal=str(journal),
         )
     assert len(journal.read_bytes().splitlines()) == 2  # header + bfs
 
@@ -330,8 +327,9 @@ def test_journal_resumes_on_any_backend(writer, backend, tmp_path):
         backend,
         [GAPReference()],
         kernels,
+        {},
         # Poison: if bfs were re-executed instead of restored, it would fail.
-        {"faults": (FaultSpec(kind="error", kernel="bfs"),)},
+        faults=(Fault("error", kernel="bfs"),),
         journal=str(journal),
         resume=True,
         progress=seen.append,
@@ -352,7 +350,8 @@ def test_serial_journal_is_in_canonical_cell_order(tmp_path):
         "serial",
         [GAPReference()],
         ["bfs", "cc"],
-        {"retries": 1, "faults": (FaultSpec(kind="oom", kernel="bfs", graph="kron", attempts=(0,)),)},
+        {"retries": 1},
+        faults=(Fault("oom", kernel="bfs", graph="kron"),),
         graphs=("kron", "road"),
         journal=str(journal),
         progress=seen.append,
@@ -365,10 +364,12 @@ def test_serial_journal_is_in_canonical_cell_order(tmp_path):
 
 def test_strict_raises_the_live_exception_only_inline(backend):
     """Inline still holds the exception object; workers return only text."""
-    fault = FaultSpec(kind="error", kernel="bfs")
     expected = ValueError if backend == "serial" else CellFailedError
     with pytest.raises(expected) as excinfo:
-        _run(backend, [GAPReference()], ["bfs"], {"faults": (fault,)}, strict=True)
+        _run(
+            backend, [GAPReference()], ["bfs"], {},
+            faults=(Fault("error", kernel="bfs"),), strict=True,
+        )
     if backend != "serial":
         assert "baseline/kron/bfs/gap" in str(excinfo.value)
 

@@ -10,8 +10,8 @@ Tier-1 guarantees pinned here:
 * the circuit breaker opens after K *consecutive* hard failures of one
   (framework, kernel) combo and converts its remaining cells to
   structured ``skipped`` results;
-* fault injection fires at the exact (cell, attempt) requested, and the
-  serial runner survives every fault kind with the right status;
+* the serial runner survives every cell fault kind with the right
+  status (the fault plan itself is ``test_faults.py``);
 * the CLI rejects out-of-range ``--jobs`` / ``--retries`` / ``--timeout``
   with clear argparse errors.
 """
@@ -26,10 +26,10 @@ from repro.core import BenchmarkSpec, Telemetry, run_suite
 from repro.core.results import RunResult
 from repro.core.telemetry import JsonlSink
 from repro.errors import JournalError
+from repro.faults import Fault, fired, installed
 from repro.frameworks import KERNELS, Mode
 from repro.gapbs import GAPReference
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultSpec, active_plan, parse_plan
 from repro.resilience.journal import CheckpointJournal, campaign_fingerprint
 from repro.resilience.retry import (
     CLASS_DETERMINISTIC,
@@ -239,39 +239,6 @@ def test_breaker_disabled_at_zero_threshold():
     assert not breaker.is_open("gap", "tc")
 
 
-# -- fault plans -------------------------------------------------------------
-
-
-def test_fault_spec_matching_and_wildcards():
-    fault = FaultSpec(kind="oom", kernel="cc", attempts=(0, 1))
-    assert fault.matches("gap", "cc", "kron", "baseline", 0)
-    assert fault.matches("other", "cc", "road", "optimized", 1)  # wildcards
-    assert not fault.matches("gap", "bfs", "kron", "baseline", 0)
-    assert not fault.matches("gap", "cc", "kron", "baseline", 2)
-    persistent = FaultSpec(kind="error")
-    assert persistent.matches("any", "thing", "at", "all", 7)
-
-
-def test_fault_plan_json_round_trip():
-    plan = (FaultSpec(kind="crash", kernel="cc", attempts=(0,)),)
-    text = json.dumps([fault.as_dict() for fault in plan])
-    assert parse_plan(text) == plan
-    with pytest.raises(ValueError):
-        FaultSpec(kind="nonsense")
-    with pytest.raises(ValueError):
-        parse_plan('{"kind": "crash"}')  # must be a list
-
-
-def test_active_plan_merges_spec_and_environment(monkeypatch):
-    spec_fault = FaultSpec(kind="oom", kernel="pr")
-    env_fault = FaultSpec(kind="error", kernel="tc")
-    monkeypatch.setenv("REPRO_FAULTS", json.dumps([env_fault.as_dict()]))
-    spec = _spec(faults=(spec_fault,))
-    assert active_plan(spec) == (spec_fault, env_fault)
-    monkeypatch.delenv("REPRO_FAULTS")
-    assert active_plan(spec) == (spec_fault,)
-
-
 # -- serial campaign integration --------------------------------------------
 
 
@@ -288,12 +255,9 @@ def _serial_campaign(spec, kernels=("bfs",), graphs=("kron",), telemetry=None, *
 
 
 def test_serial_oom_fault_is_retried_to_success():
-    spec = _spec(
-        retries=2,
-        faults=(FaultSpec(kind="oom", kernel="bfs", attempts=(0, 1)),),
-    )
     telemetry = Telemetry()
-    results = _serial_campaign(spec, telemetry=telemetry)
+    with installed(Fault("oom", kernel="bfs", times=2)):
+        results = _serial_campaign(_spec(retries=2), telemetry=telemetry)
     (result,) = results
     assert result.ok and result.attempts == 3
     # One span per executed attempt, the last one ok.
@@ -303,30 +267,22 @@ def test_serial_oom_fault_is_retried_to_success():
 
 
 def test_serial_deterministic_error_is_never_retried():
-    spec = _spec(
-        retries=3, faults=(FaultSpec(kind="error", kernel="bfs"),)
-    )
-    (result,) = _serial_campaign(spec)
+    with installed(Fault("error", kernel="bfs", times=None)):
+        (result,) = _serial_campaign(_spec(retries=3))
     assert result.status == "error" and result.attempts == 1
     assert "ValueError" in result.error
 
 
 def test_serial_wrong_result_fails_verification_without_retry():
-    spec = _spec(
-        retries=3, faults=(FaultSpec(kind="wrong-result", kernel="bfs"),)
-    )
-    (result,) = _serial_campaign(spec)
+    with installed(Fault("wrong-result", kernel="bfs", times=None)):
+        (result,) = _serial_campaign(_spec(retries=3))
     assert result.status == "error" and not result.verified
     assert result.attempts == 1  # deterministic: retrying would mask a bug
 
 
 def test_serial_hang_times_out_and_is_not_retried():
-    spec = _spec(
-        trial_timeout=0.3,
-        retries=3,
-        faults=(FaultSpec(kind="hang", kernel="bfs"),),
-    )
-    (result,) = _serial_campaign(spec)
+    with installed(Fault("hang", kernel="bfs", times=None)):
+        (result,) = _serial_campaign(_spec(trial_timeout=0.3, retries=3))
     assert result.status == "timeout" and result.attempts == 1
 
 
@@ -334,22 +290,23 @@ def test_serial_cache_corruption_degrades_to_regeneration(tmp_path):
     from repro.graphs import GraphCache
 
     cache = GraphCache(tmp_path)
-    warm = _serial_campaign(_spec(), cache=cache)  # populate the artifact
+    # The artifact is damaged on its way to disk; its sidecar is not.
+    with installed(Fault("bit-flip", path=".npz")):
+        warm = _serial_campaign(_spec(), cache=cache)
+        assert [f["kind"] for f in fired()] == ["bit-flip"]
     assert all(r.ok for r in warm)
-    spec = _spec(faults=(FaultSpec(kind="cache-corrupt", graph="kron"),))
-    (result,) = _serial_campaign(spec, cache=cache)
+    (result,) = _serial_campaign(_spec(), cache=cache)
     assert result.ok  # corruption surfaced as a miss, never a wrong result
+    assert cache.corrupt_events[-1]["reason"] == "checksum-mismatch"
 
 
 def test_serial_breaker_skips_remaining_combo_cells():
-    spec = _spec(
-        breaker_threshold=1,
-        faults=(FaultSpec(kind="error", kernel="cc", graph="kron"),),
-    )
     telemetry = Telemetry()
-    results = _serial_campaign(
-        spec, kernels=("cc", "bfs"), graphs=("kron", "road"), telemetry=telemetry
-    )
+    with installed(Fault("error", kernel="cc", graph="kron")):
+        results = _serial_campaign(
+            _spec(breaker_threshold=1), kernels=("cc", "bfs"), graphs=("kron", "road"),
+            telemetry=telemetry,
+        )
     by_key = {r.cell_key: r for r in results}
     assert by_key[("kron", "baseline", "cc", "gap")].status == "error"
     skipped = by_key[("road", "baseline", "cc", "gap")]

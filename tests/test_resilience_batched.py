@@ -24,7 +24,7 @@ import pytest
 from repro.errors import CellFailedError
 from repro.frameworks import Mode
 from repro.gapbs import GAPReference
-from repro.resilience.faults import CRASH_EXIT_CODE, FaultSpec
+from repro.faults import CRASH_EXIT_CODE, Fault
 
 from .conftest import run_on
 
@@ -46,11 +46,9 @@ def test_worker_crash_mid_batch_loses_only_the_in_flight_cell():
     # One batch of three cells: [bfs, cc, pr].  The crash fires on cc, so
     # bfs has already been reported (synchronously) and pr is still
     # unstarted in the dead worker's batch tail.
-    spec = dict(
-        batch_size=3,
-        faults=(FaultSpec(kind="crash", kernel="cc", attempts=(0,)),),
+    results = _campaign(
+        dict(batch_size=3), ("bfs", "cc", "pr"), faults=(Fault("crash", kernel="cc"),)
     )
-    results = _campaign(spec, ("bfs", "cc", "pr"))
     by_kernel = {r.kernel: r for r in results}
     assert by_kernel["bfs"].ok and by_kernel["bfs"].attempts == 1
     crashed = by_kernel["cc"]
@@ -61,12 +59,10 @@ def test_worker_crash_mid_batch_loses_only_the_in_flight_cell():
 
 
 def test_crashed_batch_member_is_retried_without_rerunning_siblings():
-    spec = dict(
-        batch_size=3,
-        retries=1,
-        faults=(FaultSpec(kind="crash", kernel="cc", attempts=(0,)),),
+    results = _campaign(
+        dict(batch_size=3, retries=1), ("bfs", "cc", "pr"),
+        faults=(Fault("crash", kernel="cc"),),
     )
-    results = _campaign(spec, ("bfs", "cc", "pr"))
     by_kernel = {r.kernel: r for r in results}
     assert all(r.ok for r in results)
     assert by_kernel["cc"].attempts == 2  # lost once, re-run once
@@ -81,12 +77,10 @@ def test_breaker_prunes_combo_cells_from_queued_batches_individually():
     # when kron/cc's failure opens the cc breaker.  urand/cc must be
     # pruned out of the queued batch as 'skipped' while its sibling
     # urand/pr still runs.
-    spec = dict(
-        batch_size=2,
-        breaker_threshold=1,
-        faults=(FaultSpec(kind="error", kernel="cc"),),
+    results = _campaign(
+        dict(batch_size=2, breaker_threshold=1), ("cc", "pr"),
+        graphs=("kron", "road", "urand"), faults=(Fault("error", kernel="cc"),),
     )
-    results = _campaign(spec, ("cc", "pr"), graphs=("kron", "road", "urand"))
     by_key = {(r.graph, r.kernel): r for r in results}
     assert len(results) == 6
     assert by_key[("kron", "cc")].status == "error"
@@ -104,26 +98,20 @@ def test_resume_skips_completed_batch_members(tmp_path):
     journal = tmp_path / "campaign.jsonl"
     # A single batch [bfs, cc, pr] under strict mode: bfs settles into the
     # journal, cc's injected failure aborts the campaign, pr never settles.
-    spec = dict(
-        batch_size=3,
-        faults=(FaultSpec(kind="error", kernel="cc", attempts=(0,)),),
-    )
     with pytest.raises(CellFailedError):
         _campaign(
-            spec, ("bfs", "cc", "pr"), strict=True, journal=str(journal)
+            dict(batch_size=3), ("bfs", "cc", "pr"),
+            faults=(Fault("error", kernel="cc"),), strict=True, journal=str(journal),
         )
     journaled = journal.read_bytes().splitlines()
     assert len(journaled) == 2  # header + the one settled batch member
 
     # Resume without the fault.  The bfs poison fault proves the resumed
     # run trusts the journal: if bfs were re-executed it would fail.
-    resumed_spec = dict(
-        batch_size=3,
-        faults=(FaultSpec(kind="error", kernel="bfs"),),
-    )
     results = _campaign(
-        resumed_spec,
+        dict(batch_size=3),
         ("bfs", "cc", "pr"),
+        faults=(Fault("error", kernel="bfs"),),
         journal=str(journal),
         resume=True,
     )

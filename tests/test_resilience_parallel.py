@@ -26,7 +26,7 @@ import pytest
 from repro.core import Telemetry
 from repro.frameworks import Mode
 from repro.gapbs import GAPReference
-from repro.resilience.faults import CRASH_EXIT_CODE, FaultSpec
+from repro.faults import CRASH_EXIT_CODE, Fault
 
 from .conftest import run_on
 
@@ -46,11 +46,10 @@ def _parallel_campaign(spec, kernels=("bfs",), graphs=("kron",), **kw):
 
 
 def test_worker_crash_is_retried_on_replacement_worker():
-    spec = dict(
-        retries=1, faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0,)),)
-    )
     telemetry = Telemetry()
-    results = _parallel_campaign(spec, telemetry=telemetry)
+    results = _parallel_campaign(
+        dict(retries=1), faults=(Fault("crash", kernel="bfs"),), telemetry=telemetry
+    )
     (result,) = results
     assert result.ok and result.attempts == 2
     statuses = sorted(s.status for s in telemetry.spans)
@@ -58,12 +57,11 @@ def test_worker_crash_is_retried_on_replacement_worker():
 
 
 def test_crash_loop_falls_back_to_in_parent_execution():
-    spec = dict(
-        retries=2,
-        faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0, 1)),),
-    )
     seen = []
-    results = _parallel_campaign(spec, progress=seen.append)
+    results = _parallel_campaign(
+        dict(retries=2), faults=(Fault("crash", kernel="bfs", times=2),),
+        progress=seen.append,
+    )
     (result,) = results
     # Two dead workers, then the cell runs to completion in the parent.
     assert result.ok and result.attempts == 3
@@ -71,8 +69,9 @@ def test_crash_loop_falls_back_to_in_parent_execution():
 
 
 def test_worker_crash_without_retries_is_an_error_result():
-    spec = dict(faults=(FaultSpec(kind="crash", kernel="bfs", attempts=(0,)),))
-    results = _parallel_campaign(spec, kernels=("bfs", "cc"))
+    results = _parallel_campaign(
+        dict(), faults=(Fault("crash", kernel="bfs"),), kernels=("bfs", "cc")
+    )
     by_key = {r.cell_key: r for r in results}
     crashed = by_key[("kron", "baseline", "bfs", "gap")]
     assert crashed.status == "error" and crashed.attempts == 1
@@ -81,10 +80,10 @@ def test_worker_crash_without_retries_is_an_error_result():
 
 
 def test_parallel_breaker_prunes_undispatched_combo_cells():
-    spec = dict(
-        breaker_threshold=1, faults=(FaultSpec(kind="error", kernel="cc"),)
+    results = _parallel_campaign(
+        dict(breaker_threshold=1), faults=(Fault("error", kernel="cc"),),
+        kernels=("cc",), graphs=("kron", "road", "urand"),
     )
-    results = _parallel_campaign(spec, kernels=("cc",), graphs=("kron", "road", "urand"))
     statuses = {r.graph: r.status for r in results}
     assert len(results) == 3
     # Two cells dispatch to the two workers and fail; the breaker opens on
@@ -151,7 +150,7 @@ def test_cli_kill_and_resume_matches_uninterrupted_run(tmp_path):
         tmp_path,
         "--journal",
         str(journal),
-        faults=[{"kind": "crash", "kernel": "cc", "attempts": [0]}],
+        faults=[{"kind": "crash", "kernel": "cc"}],
     )
     assert killed.returncode == CRASH_EXIT_CODE, killed.stderr
     lines = journal.read_bytes().splitlines()

@@ -14,7 +14,7 @@ from repro.core.spec import SourcePicker
 from repro.errors import VerificationError
 from repro.frameworks import KERNELS, Mode, RunContext
 from repro.gapbs import GAPReference
-from repro.resilience.faults import FaultSpec
+from repro.faults import Fault, installed
 
 
 TINY_SPEC = BenchmarkSpec(scale=8, trials={k: 1 for k in KERNELS})
@@ -103,19 +103,15 @@ def test_warm_oracle_memo_rejects_corrupted_output_like_a_cold_one(kernel):
     """The memo holds the oracle, never a verdict: a passing cell warms it,
     and the next cell's corrupted trial-0 output fails exactly as it does
     against a case that has verified nothing yet."""
-    corrupting = BenchmarkSpec(
-        scale=8,
-        trials={k: 1 for k in KERNELS},
-        faults=(FaultSpec(kind="wrong-result", kernel=kernel),),
-    )
     messages = []
     for warm in (False, True):
         fresh = GraphCase.build("kron", scale=8)
         if warm:
             run_cell(GAPReference(), kernel, fresh, Mode.BASELINE, TINY_SPEC)
         assert [key[0] for key in fresh.oracles] == ([kernel] if warm else [])
-        with pytest.raises(VerificationError) as failure:
-            run_cell(GAPReference(), kernel, fresh, Mode.OPTIMIZED, corrupting)
+        with installed(Fault("wrong-result", kernel=kernel)):
+            with pytest.raises(VerificationError) as failure:
+                run_cell(GAPReference(), kernel, fresh, Mode.OPTIMIZED, TINY_SPEC)
         messages.append(str(failure.value))
     assert messages[0] == messages[1]
 
