@@ -8,8 +8,8 @@ matrix-vector products LAGraph builds its kernels from, written by hand.
   semiring;
 * triangle counting is the masked product ``C<L> = L * U'`` over
   ``plus_pair``;
-* a custom semiring (max_times, a "widest path" variant) shows the
-  engine is not limited to the built-ins.
+* one PageRank step is the pull product ``A' * (r / d_out)`` over
+  ``plus_second``, which reads only the structure of ``A``.
 
 Usage::
 
@@ -23,15 +23,14 @@ import numpy as np
 from repro import build_graph, weighted_version
 from repro.semiring import (
     ANY_SECONDI,
-    MAX,
     MIN_PLUS,
     PLUS_PAIR,
-    TIMES_OP,
+    PLUS_SECOND,
     Matrix,
     Vector,
     mxm_masked,
+    mxv,
     reduce_matrix,
-    semiring,
     vxm,
 )
 
@@ -41,7 +40,7 @@ def bfs_by_hand(graph, source: int) -> np.ndarray:
     n = graph.num_vertices
     adjacency = Matrix.from_graph(graph)
     pi = Vector.from_entries(n, np.array([source]), np.array([float(source)]))
-    q = pi.dup()
+    q = Vector.from_entries(n, np.array([source]), np.array([float(source)]))
     level = 0
     while q.nvals:
         level += 1
@@ -88,12 +87,13 @@ def main() -> None:
     closed = mxm_masked(lower, upper.T, PLUS_PAIR, mask=lower)
     print(f"  -> {int(reduce_matrix(closed))} triangles\n")
 
-    print("custom semiring (max_times - widest multiplicative path step):")
-    max_times = semiring(MAX, TIMES_OP)
-    reliability = Vector.from_entries(n, np.array([source]), np.array([1.0]))
-    step = vxm(reliability, adjacency, max_times)
-    print(f"  one step reaches {step.nvals} vertices; "
-          f"best single-hop weight {step.reduce(MAX):.0f}")
+    print("one PageRank pull  r' = A' * (r / d_out)  over plus_second:")
+    degrees = graph.out_degrees.astype(np.float64)
+    scores = np.full(n, 1.0 / n)
+    share = np.where(degrees > 0, scores / np.maximum(degrees, 1.0), 0.0)
+    pulled = mxv(Matrix.from_graph(graph).T, Vector.full(n, share), PLUS_SECOND)
+    print(f"  {pulled.nvals} vertices receive rank; "
+          f"largest share {pulled.to_numpy().max():.5f}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ The package implements, in pure Python/NumPy:
   kernels (BFS, SSSP, PR, CC, BC, TC);
 * six frameworks' execution models — the GAP reference (`repro.gapbs`),
   SuiteSparse:GraphBLAS + LAGraph (`repro.semiring` + `repro.lagraph`),
-  Galois (`repro.worklist` + `repro.galois`), NWGraph (`repro.ranges` +
-  `repro.nwgraph`), GraphIt (`repro.graphitc` + `repro.graphit`), and the
+  Galois (`repro.worklist` + `repro.galois`), NWGraph (`repro.nwgraph`),
+  GraphIt (`repro.graphitc` + `repro.graphit`), and the
   Graph Kernel Collection (`repro.gkc`);
 * the benchmarking harness that regenerates the paper's Tables I–V
   (`repro.core`);

@@ -17,11 +17,9 @@ import numpy as np
 from ..core import counters
 from ..graphs import CSRGraph
 from ..la import delta_stepping, relax
-from ..worklist import OrderedByIntegerMetric
+from ..worklist import ASYNC_CHUNK_SIZE, OrderedByIntegerMetric
 
 __all__ = ["sync_delta_stepping", "async_delta_stepping"]
-
-ASYNC_CHUNK = 1024
 
 
 def sync_delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
@@ -35,7 +33,7 @@ def sync_delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.nda
 
 
 def async_delta_stepping(
-    graph: CSRGraph, source: int, delta: int = 16, chunk_size: int = ASYNC_CHUNK
+    graph: CSRGraph, source: int, delta: int = 16, chunk_size: int = ASYNC_CHUNK_SIZE
 ) -> np.ndarray:
     """Asynchronous delta-stepping: eager chunk-at-a-time relaxation.
 

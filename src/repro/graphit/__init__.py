@@ -57,7 +57,7 @@ class GraphItFramework(Framework):
             "tc": "Order invariant + heuristic relabel",
         },
         unmodelled=(
-            "compiler autotuner (OpenTuner)",
+            "OpenTuner search over the schedule space",
             "cache-tiling locality benefit (structure executed, effect not)",
         ),
     )

@@ -6,7 +6,6 @@ with a :class:`Schedule` that encodes the optimization decisions the
 GraphIt scheduling language would.
 """
 
-from .autotuner import TuningResult, autotune
 from .buckets import BucketPriorityQueue
 from .engine import SegmentedEdges, edgeset_apply_all, edgeset_apply_from
 from .schedule import Direction, FrontierLayout, Schedule
@@ -14,8 +13,6 @@ from .vertexset import VertexSet
 
 __all__ = [
     "BucketPriorityQueue",
-    "TuningResult",
-    "autotune",
     "Direction",
     "FrontierLayout",
     "Schedule",

@@ -6,7 +6,7 @@ Road" — where the per-round range-view overheads (the analog of NWGraph's
 STL-vector overheads) dominate the many short levels.  The forward pass is
 push-only; the backward pass re-filters the adjacency by depth (no saved
 successor structure) — the re-expanding flavour of :mod:`repro.la.sweep`,
-run over the out-edge range view.
+run over the graph's out-edge CSR arrays.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ import numpy as np
 from ..core import counters
 from ..graphs import CSRGraph
 from ..la import brandes_sweep
-from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_bc"]
 
 
 def nwgraph_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
-    """Brandes BC from the given roots over range views."""
-    view = AdjacencyView.out_edges(graph)
+    """Brandes BC from the given roots over the out-edge ranges."""
     scores, examined, eccentricities = brandes_sweep(
-        view.indptr, view.indices, sources, saved_successors=False
+        graph.indptr, graph.indices, sources, saved_successors=False
     )
     counters.add_edges(examined)
     counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)

@@ -15,7 +15,6 @@ import numpy as np
 from ..core import counters
 from ..graphs import CSRGraph
 from ..la import DirectionOptimizer, direction_optimizing_traversal
-from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_bfs"]
 
@@ -32,18 +31,16 @@ def nwgraph_bfs(
     ``pull_early_exit=True`` stops each in-range scan at the first frontier
     parent without changing the parents found.
     """
-    out_view = AdjacencyView.out_edges(graph)
-    in_view = AdjacencyView.in_edges(graph)
     policy = DirectionOptimizer(
         graph.num_vertices,
         graph.num_edges,
         size_fractions=(PULL_THRESHOLD, PUSH_THRESHOLD),
     )
     parents, steps = direction_optimizing_traversal(
-        out_view.indptr,
-        out_view.indices,
-        in_view.indptr,
-        in_view.indices,
+        graph.indptr,
+        graph.indices,
+        graph.in_indptr,
+        graph.in_indices,
         source,
         policy,
         pull_early_exit,

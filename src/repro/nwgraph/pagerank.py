@@ -4,8 +4,8 @@ The paper: "NWGraph used the Gauss-Seidel algorithm and saw performance in
 line with that observed for the other frameworks using that algorithm."
 As with Galois, the in-place discipline is realized with blocked sweeps —
 each block pulls the freshest scores —
-:func:`repro.la.blocked_gauss_seidel` over equal blocks of the in-edge
-range view.
+:func:`repro.la.blocked_gauss_seidel` over equal vertex blocks of the
+in-edge CSR arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from ..core import counters
 from ..graphs import CSRGraph
 from ..la import blocked_gauss_seidel
-from ..ranges import AdjacencyView
 
 __all__ = ["nwgraph_pagerank"]
 
@@ -29,11 +28,10 @@ def nwgraph_pagerank(
     max_iterations: int = 100,
 ) -> np.ndarray:
     """Blocked Gauss-Seidel PageRank; returns converged scores."""
-    in_view = AdjacencyView.in_edges(graph)
-    bounds = np.linspace(0, len(in_view), NUM_BLOCKS + 1, dtype=np.int64)
+    bounds = np.linspace(0, graph.num_vertices, NUM_BLOCKS + 1, dtype=np.int64)
     scores, iterations = blocked_gauss_seidel(
-        in_view.indptr,
-        in_view.indices,
+        graph.in_indptr,
+        graph.in_indices,
         graph.out_degrees,
         bounds,
         damping,

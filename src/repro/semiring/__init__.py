@@ -6,73 +6,22 @@ over semirings.  The LAGraph-style graph algorithms built on top live in
 ``repro.lagraph``; this layer knows nothing about graphs.
 """
 
-from .elementwise import apply_masked, ewise_add, ewise_mult, extract
 from .matrix import Matrix
-from .operations import mxm_masked, mxv, reduce_matrix, reduce_rows, vxm
-from .ops import (
-    ANY,
-    ANY_SECONDI,
-    FIRST,
-    FIRSTI,
-    LOR,
-    MAX,
-    MIN,
-    MIN_OP,
-    MIN_PLUS,
-    MIN_SECOND,
-    PAIR,
-    PLUS,
-    PLUS_FIRST,
-    PLUS_OP,
-    PLUS_PAIR,
-    PLUS_SECOND,
-    PLUS_TIMES,
-    SECOND,
-    SECONDI,
-    TIMES,
-    TIMES_OP,
-    BinaryOp,
-    Monoid,
-    Semiring,
-    semiring,
-)
+from .operations import mxm_masked, mxv, reduce_matrix, vxm
+from .ops import ANY_SECONDI, MIN, MIN_PLUS, MIN_SECOND, PLUS_PAIR, PLUS_SECOND
 from .vector import Vector
 
 __all__ = [
     "Matrix",
     "Vector",
-    "apply_masked",
-    "ewise_add",
-    "ewise_mult",
-    "extract",
-    "BinaryOp",
-    "Monoid",
-    "Semiring",
-    "semiring",
     "vxm",
     "mxv",
     "mxm_masked",
     "reduce_matrix",
-    "reduce_rows",
-    "ANY",
     "MIN",
-    "MAX",
-    "PLUS",
-    "TIMES",
-    "LOR",
-    "FIRST",
-    "SECOND",
-    "PAIR",
-    "FIRSTI",
-    "SECONDI",
-    "PLUS_OP",
-    "MIN_OP",
-    "TIMES_OP",
     "ANY_SECONDI",
     "MIN_PLUS",
-    "PLUS_TIMES",
     "PLUS_SECOND",
-    "PLUS_FIRST",
     "PLUS_PAIR",
     "MIN_SECOND",
 ]

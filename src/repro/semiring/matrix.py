@@ -101,16 +101,6 @@ class Matrix:
         """Whether the matrix is pattern-only (implicit value 1)."""
         return self.values is None
 
-    def row(self, i: int) -> np.ndarray:
-        """Column indices of row ``i``."""
-        return self.indices[self.indptr[i]: self.indptr[i + 1]]
-
-    def row_values(self, i: int) -> np.ndarray:
-        """Values of row ``i`` (ones when iso)."""
-        if self.values is None:
-            return np.ones(self.indptr[i + 1] - self.indptr[i])
-        return self.values[self.indptr[i]: self.indptr[i + 1]]
-
     def row_degrees(self) -> np.ndarray:
         """Entries per row."""
         return np.diff(self.indptr)

@@ -27,7 +27,7 @@ from .matrix import Matrix
 from .ops import PLUS, Semiring
 from .vector import Vector
 
-__all__ = ["vxm", "mxv", "mxm_masked", "reduce_matrix", "reduce_rows"]
+__all__ = ["vxm", "mxv", "mxm_masked", "reduce_matrix"]
 
 
 def _expand_rows(
@@ -175,23 +175,3 @@ def reduce_matrix(matrix: Matrix, monoid=PLUS) -> float:
         return float(values[0])
     return float(monoid.reducer.reduce(values))
 
-
-def reduce_rows(matrix: Matrix, monoid=PLUS) -> Vector:
-    """Row-wise reduction ``w[i] = monoid over row i`` (GrB_Matrix_reduce).
-
-    Rows with no stored entries are structurally absent in the result,
-    per GraphBLAS semantics (absent, not identity).
-    """
-    degrees = matrix.row_degrees()
-    occupied = np.flatnonzero(degrees > 0)
-    if occupied.size == 0:
-        return Vector.empty(matrix.nrows)
-    values = matrix.value_array()
-    if monoid.is_any:
-        reduced = values[matrix.indptr[occupied]]
-    elif monoid.reducer is np.add:
-        prefix = np.concatenate([[0.0], np.cumsum(values.astype(np.float64))])
-        reduced = (prefix[matrix.indptr[1:]] - prefix[matrix.indptr[:-1]])[occupied]
-    else:
-        reduced = monoid.reducer.reduceat(values, matrix.indptr[occupied])
-    return Vector.from_entries(matrix.nrows, occupied, reduced)

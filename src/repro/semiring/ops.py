@@ -7,13 +7,12 @@ paper use a small set of these:
 
 * ``any_secondi`` — BFS: "adopt any parent; the value is the parent's id";
 * ``min_plus`` — SSSP's tropical semiring;
-* ``plus_second`` / ``plus_times`` — PageRank's SpMV (structure-only / classic);
-* ``plus_first`` — betweenness centrality's path-count accumulation;
+* ``plus_second`` — PageRank's structure-only SpMV;
 * ``plus_pair`` — triangle counting ("multiply" is the constant 1);
 * ``min_second`` — FastSV's label minimization.
 
-Positional operators (``secondi``, ``firsti``) return an *index* of an
-operand rather than a value; the engine passes operand indices alongside
+Positional operators (``secondi``) return an *index* of an operand
+rather than a value; the engine passes operand indices alongside
 values so they can be expressed uniformly.
 """
 
@@ -33,24 +32,15 @@ __all__ = [
     "Semiring",
     "ANY",
     "MIN",
-    "MAX",
     "PLUS",
-    "TIMES",
-    "LOR",
-    "FIRST",
     "SECOND",
     "PAIR",
-    "FIRSTI",
     "SECONDI",
     "PLUS_OP",
-    "MIN_OP",
-    "TIMES_OP",
     "semiring",
     "ANY_SECONDI",
     "MIN_PLUS",
-    "PLUS_TIMES",
     "PLUS_SECOND",
-    "PLUS_FIRST",
     "PLUS_PAIR",
     "MIN_SECOND",
 ]
@@ -61,7 +51,7 @@ class BinaryOp:
     """A multiplicative operator ``z = f(x, y)``.
 
     ``fn`` receives ``(x_values, y_values, x_indices, y_indices)`` so that
-    positional operators (GraphBLAS ``FIRSTI``/``SECONDI``) can be expressed
+    positional operators (GraphBLAS ``SECONDI``) can be expressed
     with the same interface; value-only operators ignore the index arrays.
     """
 
@@ -158,20 +148,12 @@ class Semiring:
 
 ANY = Monoid("any", None, 0.0)
 MIN = Monoid("min", np.minimum, np.inf)
-MAX = Monoid("max", np.maximum, -np.inf)
 PLUS = Monoid("plus", np.add, 0.0)
-TIMES = Monoid("times", np.multiply, 1.0)
-LOR = Monoid("lor", np.logical_or, False)
 
 
 # ---------------------------------------------------------------------------
 # Standard multiplicative operators
 # ---------------------------------------------------------------------------
-
-def _first(x, y, ix, iy):
-    del y, ix, iy
-    return x
-
 
 def _second(x, y, ix, iy):
     del x, ix, iy
@@ -183,26 +165,9 @@ def _pair(x, y, ix, iy):
     return np.ones_like(x, dtype=np.int64) if hasattr(x, "dtype") else 1
 
 
-def _times(x, y, ix, iy):
-    del ix, iy
-    return x * y
-
-
 def _plus(x, y, ix, iy):
     del ix, iy
     return x + y
-
-
-def _min(x, y, ix, iy):
-    del ix, iy
-    return np.minimum(x, y)
-
-
-def _firsti(x, y, ix, iy):
-    del x, y, iy
-    if ix is None:
-        raise InvalidValueError("FIRSTI requires first-operand indices")
-    return ix
 
 
 def _secondi(x, y, ix, iy):
@@ -212,13 +177,9 @@ def _secondi(x, y, ix, iy):
     return iy
 
 
-FIRST = BinaryOp("first", _first)
 SECOND = BinaryOp("second", _second)
 PAIR = BinaryOp("pair", _pair)
-TIMES_OP = BinaryOp("times", _times)
 PLUS_OP = BinaryOp("plus", _plus)
-MIN_OP = BinaryOp("min", _min)
-FIRSTI = BinaryOp("firsti", _firsti, positional=True)
 SECONDI = BinaryOp("secondi", _secondi, positional=True)
 
 
@@ -230,8 +191,6 @@ def semiring(add: Monoid, multiply: BinaryOp) -> Semiring:
 # The semirings named in the paper's Section III-A.
 ANY_SECONDI = semiring(ANY, SECONDI)
 MIN_PLUS = semiring(MIN, PLUS_OP)
-PLUS_TIMES = semiring(PLUS, TIMES_OP)
 PLUS_SECOND = semiring(PLUS, SECOND)
-PLUS_FIRST = semiring(PLUS, FIRST)
 PLUS_PAIR = semiring(PLUS, PAIR)
 MIN_SECOND = semiring(MIN, SECOND)

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..core import counters
 from ..errors import DimensionMismatchError, InvalidValueError
-from .ops import Monoid
 
 __all__ = ["Vector"]
 
@@ -67,15 +66,6 @@ class Vector:
     @classmethod
     def empty(cls, n: int) -> "Vector":
         return cls(n)
-
-    def dup(self) -> "Vector":
-        """Deep copy."""
-        v = Vector(self.n)
-        v.mode = self.mode
-        v.idx = self.idx.copy()
-        v.vals = self.vals.copy()
-        v.present = None if self.present is None else self.present.copy()
-        return v
 
     # ------------------------------------------------------------------
     # Storage-format control (timed, as in SuiteSparse)
@@ -157,38 +147,8 @@ class Vector:
         return out
 
     # ------------------------------------------------------------------
-    # Element-wise operations
+    # Masked assignment
     # ------------------------------------------------------------------
-
-    def reduce(self, monoid: Monoid) -> float:
-        """Reduce all present values with the monoid."""
-        _, vals = self.entries()
-        if vals.size == 0:
-            return monoid.identity
-        if monoid.is_any:
-            return float(vals[0])
-        return float(monoid.reducer.reduce(vals))
-
-    def apply(self, fn) -> "Vector":
-        """New vector with ``fn`` applied to every present value."""
-        idx, vals = self.entries()
-        return Vector.from_entries(self.n, idx.copy(), fn(vals))
-
-    def select(self, keep) -> "Vector":
-        """New vector keeping entries where ``keep(values, indices)`` holds."""
-        idx, vals = self.entries()
-        mask = keep(vals, idx)
-        return Vector.from_entries(self.n, idx[mask], vals[mask])
-
-    def assign_scalar(
-        self,
-        value: float,
-        mask: "Vector | None" = None,
-        complement: bool = False,
-    ) -> None:
-        """``w<mask> = value`` over the mask's structural support."""
-        targets = _mask_targets(self.n, mask, complement)
-        self._assign_at(targets, np.full(targets.size, value, dtype=np.float64))
 
     def assign_vector(
         self,
@@ -226,14 +186,3 @@ class Vector:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Vector(n={self.n}, nvals={self.nvals}, mode={self.mode})"
 
-
-def _mask_targets(n: int, mask: "Vector | None", complement: bool) -> np.ndarray:
-    """Indices a masked assignment writes to."""
-    if mask is None:
-        return np.arange(n, dtype=np.int64)
-    support = mask.indices()
-    if not complement:
-        return support
-    allowed = np.ones(n, dtype=bool)
-    allowed[support] = False
-    return np.flatnonzero(allowed)

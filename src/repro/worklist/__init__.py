@@ -1,12 +1,10 @@
-"""Galois-style runtime substrate: worklists and operator executors."""
+"""Galois-style runtime substrate: worklists and the asynchronous executor."""
 
-from .executor import ASYNC_CHUNK_SIZE, for_each_eager, for_each_round
-from .worklists import ChunkedWorklist, OrderedByIntegerMetric
+from .executor import ASYNC_CHUNK_SIZE, for_each_eager
+from .worklists import OrderedByIntegerMetric
 
 __all__ = [
     "ASYNC_CHUNK_SIZE",
-    "ChunkedWorklist",
     "OrderedByIntegerMetric",
     "for_each_eager",
-    "for_each_round",
 ]

@@ -1,18 +1,15 @@
-"""Operator-formulation executors: bulk-synchronous and asynchronous.
+"""The asynchronous operator executor.
 
 Galois programs are written as an *operator* applied to active vertices
-(the paper's Section III-B).  The executor decides the schedule:
-
-* ``for_each_round`` — bulk-synchronous: drain everything queued, apply the
-  operator, queue the newly activated vertices for the *next* round.  One
-  round == one global barrier.
-* ``for_each_eager`` — asynchronous: pop chunks and apply the operator
-  immediately; newly activated vertices go back into the *same* worklist
-  and can be processed within what a BSP execution would call the current
-  round.  No barriers — updated labels are visible to later chunks at once,
-  which converges faster on high-diameter graphs (fewer redundant
-  re-activations) at the cost of redundant work on low-diameter ones,
-  exactly the trade-off the paper measures on Road vs Urand.
+(the paper's Section III-B), and the executor decides the schedule.
+``for_each_eager`` pops chunks and applies the operator immediately; newly
+activated vertices go back into the *same* worklist and can be processed
+within what a BSP execution would call the current round.  No barriers —
+updated labels are visible to later chunks at once, which converges faster
+on high-diameter graphs (fewer redundant re-activations) at the cost of
+redundant work on low-diameter ones, exactly the trade-off the paper
+measures on Road vs Urand.  Galois' bulk-synchronous variants run the
+shared ``repro.la`` bodies instead.
 
 Operators are *bulk*: they receive a chunk (array) of active vertices and
 return the vertices they activated.  This matches Galois' chunked execution
@@ -28,7 +25,7 @@ import numpy as np
 from ..core import counters
 from .worklists import ChunkedWorklist
 
-__all__ = ["for_each_round", "for_each_eager"]
+__all__ = ["ASYNC_CHUNK_SIZE", "for_each_eager"]
 
 BulkOperator = Callable[[np.ndarray], np.ndarray]
 
@@ -36,22 +33,6 @@ BulkOperator = Callable[[np.ndarray], np.ndarray]
 # amortizes, small enough that freshly-updated labels still propagate
 # within what a BSP execution would call a round.
 ASYNC_CHUNK_SIZE = 1024
-
-
-def for_each_round(initial: np.ndarray, operator: BulkOperator) -> int:
-    """Bulk-synchronous execution; returns the number of rounds."""
-    worklist = ChunkedWorklist()
-    worklist.push(initial)
-    rounds = 0
-    while worklist:
-        rounds += 1
-        counters.add_round()
-        active = np.unique(worklist.drain_all())
-        counters.add_vertices(active.size)
-        activated = operator(active)
-        if activated.size:
-            worklist.push(activated)
-    return rounds
 
 
 def for_each_eager(

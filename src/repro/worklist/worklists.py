@@ -7,8 +7,8 @@ same worklists enable *asynchronous* execution without round barriers.
 
 We model a worklist as a queue of vertex *chunks* (NumPy arrays), matching
 Galois' chunked work-stealing queues: operators are applied to one chunk at
-a time, and the executor's draining policy (per-round vs eager) realizes
-bulk-synchronous vs asynchronous semantics.
+a time, and work pushed mid-run is popped in the same pass, with no round
+barrier.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ class ChunkedWorklist:
             size += int(piece.size)
         return np.concatenate(pieces)
 
-    def drain_all(self) -> np.ndarray:
-        """Remove everything currently queued as one array (round barrier)."""
-        if not self._chunks:
-            return np.empty(0, dtype=np.int64)
-        merged = np.concatenate(list(self._chunks))
-        self._chunks.clear()
-        return merged
-
-    def __len__(self) -> int:
-        return sum(chunk.size for chunk in self._chunks)
-
     def __bool__(self) -> bool:
         return bool(self._chunks)
 
@@ -113,11 +102,6 @@ class OrderedByIntegerMetric:
         if not self._buckets[priority]:
             del self._buckets[priority]
         return priority, chunk
-
-    def drain_priority(self, priority: int) -> np.ndarray:
-        """Drain one bucket completely (bulk-synchronous bucket step)."""
-        bucket = self._buckets.pop(priority, None)
-        return bucket.drain_all() if bucket else np.empty(0, dtype=np.int64)
 
     def __bool__(self) -> bool:
         return self.current_priority() is not None

@@ -70,9 +70,3 @@ def test_direction_optimization_study():
     out = run_example("direction_optimization_study.py", "10")
     assert "bottom-up window" in out
     assert "pure push" in out
-
-
-def test_autotune_schedules():
-    out = run_example("autotune_schedules.py", "10", "6")
-    assert "autotuned" in out
-    assert "evals" in out

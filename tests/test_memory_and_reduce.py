@@ -1,11 +1,6 @@
-"""Tests for the memory-footprint estimates and matrix row reduction."""
-
-import numpy as np
-import pytest
+"""Tests for the memory-footprint estimates."""
 
 from repro.core.memory import INDEX_WIDTH, csr_bytes, framework_footprints
-from repro.semiring import MAX, MIN, PLUS, Matrix, reduce_rows
-from repro.graphs import CSRGraph
 
 
 class TestFootprints:
@@ -42,46 +37,3 @@ class TestFootprints:
         row = framework_footprints(corpus["urand"])[0].as_row()
         assert "Total (MiB)" in row and "Index width" in row
 
-
-class TestReduceRows:
-    @pytest.fixture
-    def weighted_matrix(self):
-        graph = CSRGraph.from_arrays(
-            4,
-            np.array([0, 0, 2]),
-            np.array([1, 2, 3]),
-            np.array([5.0, 3.0, 7.0]),
-        )
-        return Matrix.from_graph(graph, use_weights=True)
-
-    def test_plus(self, weighted_matrix):
-        reduced = reduce_rows(weighted_matrix, PLUS)
-        assert reduced.indices().tolist() == [0, 2]
-        assert reduced.entries()[1].tolist() == [8.0, 7.0]
-
-    def test_min(self, weighted_matrix):
-        reduced = reduce_rows(weighted_matrix, MIN)
-        assert reduced.entries()[1].tolist() == [3.0, 7.0]
-
-    def test_max(self, weighted_matrix):
-        reduced = reduce_rows(weighted_matrix, MAX)
-        assert reduced.entries()[1].tolist() == [5.0, 7.0]
-
-    def test_empty_rows_absent(self, weighted_matrix):
-        reduced = reduce_rows(weighted_matrix, PLUS)
-        assert not bool(reduced.contains(np.array([1]))[0])
-
-    def test_iso_matrix_counts_degrees(self, corpus):
-        matrix = Matrix.from_graph(corpus["kron"])
-        reduced = reduce_rows(matrix, PLUS)
-        degrees = corpus["kron"].out_degrees
-        occupied = np.flatnonzero(degrees > 0)
-        assert np.array_equal(
-            reduced.entries()[1], degrees[occupied].astype(float)
-        )
-
-    def test_empty_matrix(self):
-        graph = CSRGraph.from_arrays(
-            3, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        )
-        assert reduce_rows(Matrix.from_graph(graph), PLUS).nvals == 0

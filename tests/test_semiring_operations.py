@@ -10,10 +10,8 @@ from repro.graphs import CSRGraph
 from repro.semiring import (
     ANY_SECONDI,
     MIN_PLUS,
-    PLUS,
     PLUS_PAIR,
     PLUS_SECOND,
-    PLUS_TIMES,
     Matrix,
     Vector,
     mxm_masked,
@@ -21,6 +19,11 @@ from repro.semiring import (
     reduce_matrix,
     vxm,
 )
+from repro.semiring.ops import PLUS, BinaryOp, semiring
+
+# Classic plus-times, built here: no kernel runs it, but it is the semiring
+# whose products have a plain dense oracle.
+PLUS_TIMES = semiring(PLUS, BinaryOp("times", lambda x, y, ix, iy: x * y))
 
 
 def dense_reference_vxm(u, a, add, multiply, n):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidValueError
-from repro.semiring import (
+from repro.semiring.ops import (
     ANY,
     ANY_SECONDI,
-    FIRST,
-    FIRSTI,
     MIN,
     MIN_PLUS,
     PAIR,
@@ -18,7 +16,6 @@ from repro.semiring import (
     PLUS_PAIR,
     SECOND,
     SECONDI,
-    TIMES_OP,
     semiring,
 )
 
@@ -27,21 +24,16 @@ class TestBinaryOps:
     def test_first_second(self):
         x = np.array([1.0, 2.0])
         y = np.array([3.0, 4.0])
-        assert FIRST.apply(x, y).tolist() == [1.0, 2.0]
         assert SECOND.apply(x, y).tolist() == [3.0, 4.0]
 
     def test_pair_is_one(self):
         x = np.array([9.0, 9.0])
         assert PAIR.apply(x, x).tolist() == [1, 1]
 
-    def test_times(self):
-        assert TIMES_OP.apply(np.array([2.0]), np.array([3.0])).tolist() == [6.0]
-
     def test_positional_ops(self):
         x = np.array([0.0, 0.0])
         ix = np.array([7, 8])
         iy = np.array([5, 6])
-        assert FIRSTI.apply(x, x, ix=ix, iy=iy).tolist() == [7, 8]
         assert SECONDI.apply(x, x, ix=ix, iy=iy).tolist() == [5, 6]
 
     def test_positional_requires_indices(self):
@@ -49,8 +41,8 @@ class TestBinaryOps:
             SECONDI.apply(np.array([1.0]), np.array([1.0]))
 
     def test_positional_flag(self):
-        assert SECONDI.positional and FIRSTI.positional
-        assert not FIRST.positional
+        assert SECONDI.positional
+        assert not SECOND.positional
 
 
 class TestMonoids:

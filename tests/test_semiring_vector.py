@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import counters
 from repro.errors import DimensionMismatchError, InvalidValueError
-from repro.semiring import MIN, PLUS, Vector
+from repro.semiring import Vector
 
 
 def sparse_vectors(n=16):
@@ -43,12 +43,6 @@ class TestConstruction:
 
     def test_empty(self):
         assert Vector.empty(3).nvals == 0
-
-    def test_dup_is_independent(self):
-        v = Vector.from_entries(4, np.array([0]), np.array([1.0]))
-        w = v.dup()
-        w.assign_scalar(9.0)
-        assert v.nvals == 1
 
 
 class TestFormats:
@@ -87,35 +81,6 @@ class TestFormats:
 
 
 class TestOps:
-    def test_reduce_min(self):
-        v = Vector.from_entries(5, np.array([0, 2]), np.array([4.0, -1.0]))
-        assert v.reduce(MIN) == -1.0
-
-    def test_reduce_empty_gives_identity(self):
-        assert Vector.empty(5).reduce(PLUS) == 0.0
-
-    def test_apply(self):
-        v = Vector.from_entries(5, np.array([1]), np.array([3.0]))
-        w = v.apply(lambda x: x * 2)
-        assert w.values_at(np.array([1]))[0] == 6.0
-
-    def test_select(self):
-        v = Vector.from_entries(5, np.array([1, 2, 3]), np.array([1.0, -2.0, 3.0]))
-        w = v.select(lambda vals, idx: vals > 0)
-        assert w.indices().tolist() == [1, 3]
-
-    def test_assign_scalar_masked(self):
-        v = Vector.empty(5)
-        mask = Vector.from_entries(5, np.array([1, 3]), np.array([1.0, 1.0]))
-        v.assign_scalar(7.0, mask=mask)
-        assert v.indices().tolist() == [1, 3]
-
-    def test_assign_scalar_complement(self):
-        v = Vector.empty(4)
-        mask = Vector.from_entries(4, np.array([0]), np.array([1.0]))
-        v.assign_scalar(5.0, mask=mask, complement=True)
-        assert v.indices().tolist() == [1, 2, 3]
-
     def test_assign_vector_overwrites(self):
         v = Vector.from_entries(4, np.array([0]), np.array([1.0]))
         u = Vector.from_entries(4, np.array([0, 2]), np.array([9.0, 8.0]))

@@ -1,17 +1,11 @@
 """Tests for the Galois-style worklist substrate."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import counters
-from repro.worklist import (
-    ChunkedWorklist,
-    OrderedByIntegerMetric,
-    for_each_eager,
-    for_each_round,
-)
+from repro.worklist import OrderedByIntegerMetric, for_each_eager
+from repro.worklist.worklists import ChunkedWorklist
 
 
 class TestChunkedWorklist:
@@ -38,18 +32,6 @@ class TestChunkedWorklist:
         chunk = wl.pop()
         assert chunk.size == 10
 
-    def test_drain_all(self):
-        wl = ChunkedWorklist()
-        wl.push(np.array([1]))
-        wl.push(np.array([2, 3]))
-        assert sorted(wl.drain_all().tolist()) == [1, 2, 3]
-        assert not wl
-
-    def test_len(self):
-        wl = ChunkedWorklist()
-        wl.push(np.arange(7))
-        assert len(wl) == 7
-
     def test_empty_push_ignored(self):
         wl = ChunkedWorklist()
         wl.push(np.empty(0, dtype=np.int64))
@@ -66,13 +48,6 @@ class TestOBIM:
         while (popped := obim.pop_chunk()) is not None:
             order.append(popped[0])
         assert order == [0, 1, 2]
-
-    def test_drain_priority(self):
-        obim = OrderedByIntegerMetric()
-        obim.push(np.array([1, 2]), np.array([5, 5]))
-        obim.push(np.array([3]), np.array([7]))
-        assert sorted(obim.drain_priority(5).tolist()) == [1, 2]
-        assert obim.current_priority() == 7
 
     def test_same_priority_grouped(self):
         obim = OrderedByIntegerMetric()
@@ -108,28 +83,6 @@ class TestOBIM:
 
 
 class TestExecutors:
-    def test_round_executor_counts_rounds(self):
-        # Chain activation: 0 -> 1 -> 2 -> stop.
-        state = {"next": [np.array([1]), np.array([2]), np.empty(0, dtype=np.int64)]}
-
-        def operator(active):
-            return state["next"].pop(0)
-
-        with counters.counting() as work:
-            rounds = for_each_round(np.array([0]), operator)
-        assert rounds == 3
-        assert work.rounds == 3
-
-    def test_round_executor_deduplicates_within_round(self):
-        seen = []
-
-        def operator(active):
-            seen.append(active.tolist())
-            return np.empty(0, dtype=np.int64)
-
-        for_each_round(np.array([3, 3, 1]), operator)
-        assert seen == [[1, 3]]
-
     def test_eager_executor_processes_pushes(self):
         visited = []
 
