@@ -9,7 +9,8 @@ single-process NumPy, so the comparison is structural:
   dead-band around 100% is treated as agreeing with either side.
 * **rank correlation** — per framework, Spearman correlation between the
   paper's 30 cell values and the reproduction's (does the same kernel x
-  graph pattern emerge?).
+  graph pattern emerge?), computed in NumPy as the Pearson correlation
+  (``np.corrcoef``) of the two vectors' average ranks.
 * **winner overlap** — per Table IV cell, whether the paper's class of
   winner matches (exact winner matching is too strict given how close the
   top frameworks run; the reports list both).
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..frameworks.base import KERNELS, Mode
 from .paper_data import PAPER_GRAPH_ORDER, PAPER_TABLE5, paper_table5
@@ -135,6 +135,23 @@ def framework_rank_correlation(
         measured = np.array([c.measured_percent for c in cells])
         if paper.size < 3:
             continue
-        rho, _ = stats.spearmanr(paper, measured)
-        correlations[framework] = float(rho)
+        rank_pair = np.vstack((_average_ranks(paper), _average_ranks(measured)))
+        correlations[framework] = float(np.corrcoef(rank_pair)[0, 1])
     return correlations
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their average rank; NaN stays NaN.
+
+    The ranking SciPy's ``rankdata`` gives by default; a NaN rank makes
+    the coefficient NaN, as ``spearmanr`` returns for input with a NaN.
+    """
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    tie_group = np.cumsum(starts) - 1
+    bounds = np.flatnonzero(np.r_[starts, True])
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[:-1] + bounds[1:] + 1)[tie_group]
+    ranks[np.isnan(values)] = np.nan
+    return ranks

@@ -1,6 +1,8 @@
 """Tests for the paper-data tables, shape comparator, and programmability."""
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.comparison import (
     CellComparison,
@@ -19,6 +21,21 @@ from repro.core.programmability import kernel_sloc, programmability_table
 from repro.core.results import ResultSet, RunResult
 from repro.errors import UnknownFrameworkError, UnknownKernelError
 from repro.frameworks import FRAMEWORK_NAMES, KERNELS, Mode
+
+
+_RNG = np.random.default_rng(29)
+
+# (paper, measured) per framework; the NumPy coefficient must match SciPy's.
+RANK_CASES = {
+    "perfect": ([10.0, 20.0, 30.0], [1.0, 2.0, 3.0]),
+    "n3": ([5.0, 1.0, 3.0], [2.0, 9.0, 4.0]),
+    "reversal": (list(range(1, 31)), list(range(30, 0, -1))),
+    "random": (_RNG.random(30) * 400, _RNG.random(30) * 400),
+    "random-ties": (_RNG.integers(0, 6, 30), _RNG.integers(0, 4, 30)),
+    "random-ties-one-side": (_RNG.integers(0, 3, 30), _RNG.random(30)),
+    "constant": ([100.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
+    "nan": ([1.0, 2.0, 3.0, 4.0], [1.0, float("nan"), 3.0, 4.0]),
+}
 
 
 class TestPaperData:
@@ -97,13 +114,19 @@ class TestComparator:
         assert summary["direction_agreement"] == 0.5
         assert len(summary["disagreements"]) == 1
 
-    def test_rank_correlation_perfect(self):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # constant input
+    @pytest.mark.parametrize("paper, measured", RANK_CASES.values(), ids=RANK_CASES.keys())
+    def test_rank_correlation_matches_scipy(self, paper, measured):
         comparisons = [
-            CellComparison("x", "bfs", "road", Mode.BASELINE, 10.0, 1.0),
-            CellComparison("x", "bfs", "kron", Mode.BASELINE, 20.0, 2.0),
-            CellComparison("x", "bfs", "web", Mode.BASELINE, 30.0, 3.0),
+            CellComparison("x", "bfs", f"g{i}", Mode.BASELINE, float(p), float(m))
+            for i, (p, m) in enumerate(zip(paper, measured))
         ]
-        assert framework_rank_correlation(comparisons)["x"] == pytest.approx(1.0)
+        rho = framework_rank_correlation(comparisons)["x"]
+        expected = stats.spearmanr(paper, measured)[0]
+        if np.isnan(expected):
+            assert np.isnan(rho)
+        else:
+            assert rho == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestProgrammability:
