@@ -50,7 +50,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.core import GraphCase, SourcePicker, counters
+from repro import counters
+from repro.core import GraphCase, SourcePicker
 from repro.frameworks import KERNELS, RunContext, get
 from repro.store import bench_payload, write_json_atomic
 from tests.reference.la_oracle import oracle_engine

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from repro import build_graph, weighted_version
-from repro.core import counters
+from repro import counters
 from repro.core.spec import DELTA_BY_GRAPH, SourcePicker
 from repro.frameworks import RunContext, get
 

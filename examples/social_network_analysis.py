@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from repro import build_graph
-from repro.core import counters
+from repro import counters
 from repro.core.spec import SourcePicker
 from repro.frameworks import RunContext, get
 from repro.gapbs.tc import triangle_count as gap_tc

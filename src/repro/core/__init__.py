@@ -1,9 +1,7 @@
-"""Benchmark-suite core: shared primitives, spec, runner, verification, tables.
+"""Benchmark-suite core: spec, runner, verification, telemetry, tables.
 
 Submodules:
 
-* ``bitmap`` / ``hooking`` — shared vectorized primitives.
-* ``counters`` — machine-independent work metrics.
 * ``spec`` — the GAP benchmark rules (trials, sources, parameters).
 * ``verify`` — per-kernel output verification oracles.
 * ``telemetry`` — span tracing, JSONL sinks, per-trial deadlines.
@@ -16,9 +14,7 @@ Submodules:
 * ``results`` / ``tables`` — result records and Table I–V renderers.
 """
 
-from . import counters
 from .batching import Cell, plan_batches
-from .bitmap import Bitmap
 from .campaign import run_suite
 from .pool import WorkerPool
 from .results import ResultSet, RunResult
@@ -30,7 +26,6 @@ from .workload import FrontierTrace, sparkline, trace_bfs
 
 __all__ = [
     "BenchmarkSpec",
-    "Bitmap",
     "Cell",
     "FrontierTrace",
     "GraphCase",
@@ -43,7 +38,6 @@ __all__ = [
     "TrialDeadline",
     "WorkerPool",
     "build_case",
-    "counters",
     "plan_batches",
     "delta_sweep",
     "direction_threshold_sweep",

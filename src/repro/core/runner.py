@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import counters as counters_mod
 from .. import faults
 from ..errors import TrialTimeoutError
 from ..frameworks.base import Framework, Mode, RunContext
 from ..generators import build_graph, weighted_version
 from ..graphs import CSRGraph
 from ..graphs.cache import GraphCache
-from . import counters as counters_mod
 from . import verify
 from .batching import Cell
 from .memory import track_peak_memory

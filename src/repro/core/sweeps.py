@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from .. import counters
 from ..gapbs.bfs import direction_optimizing_bfs
 from ..gapbs.sssp import delta_stepping
 from ..generators import build_graph, weighted_version
 from ..graphs import CSRGraph
-from . import counters
 from .spec import SourcePicker
 
 __all__ = ["delta_sweep", "direction_threshold_sweep", "scale_sweep"]

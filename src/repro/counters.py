@@ -8,13 +8,15 @@ vertices touched.  These counters make the paper's work-efficiency claims
 in fewer iterations than Jacobi, label propagation scans O(E·D) edges on
 Road) directly observable and testable.
 
-Frameworks report into the *active* counter set, enabled with::
+Kernels report into the *active* counter set, enabled with::
 
     with counting() as counters:
         framework.bfs(graph, 0)
     print(counters.edges_examined, counters.rounds)
 
-When no counter set is active, reporting is a cheap no-op.
+When no counter set is active, reporting is a cheap no-op.  This is a
+leaf module: it imports nothing from ``repro``, so every layer down to
+the shared ``repro.la`` bodies, which count their own work, can report.
 """
 
 from __future__ import annotations

@@ -23,10 +23,6 @@ class DimensionMismatchError(GraphBLASError):
     """Operands of a linear-algebra operation have incompatible shapes."""
 
 
-class DomainMismatchError(GraphBLASError):
-    """Operands of a linear-algebra operation have incompatible types."""
-
-
 class InvalidValueError(GraphBLASError):
     """An argument value is outside the accepted domain."""
 

@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import brandes_backward, brandes_sweep, gather_edges, unique_ids
 from ..worklist import for_each_eager
@@ -30,12 +30,7 @@ __all__ = ["galois_bc", "galois_bc_async"]
 
 def galois_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Accumulate Brandes dependencies from the given roots (bulk-sync)."""
-    scores, examined, eccentricities = brandes_sweep(
-        graph.indptr, graph.indices, sources, saved_successors=False
-    )
-    counters.add_edges(examined)
-    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
-    return scores
+    return brandes_sweep(graph.indptr, graph.indices, sources, saved_successors=False)
 
 
 def _forward_async(
@@ -107,11 +102,8 @@ def galois_bc_async(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
         for root, own in enumerate(levels)
     )
     exhausted = np.empty(0, dtype=np.int64)
-    scores, examined, eccentricities = brandes_backward(
+    return brandes_backward(
         graph.indptr, graph.indices, sources,
         np.concatenate(depths), np.concatenate(sigmas),
         [np.concatenate(level) for level in zip_longest(*lifted, fillvalue=exhausted)],
     )
-    counters.add_edges(examined)
-    counters.add_round(int(eccentricities.sum()))
-    return scores

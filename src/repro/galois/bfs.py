@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import DirectionOptimizer, direction_optimizing_traversal, gather_edges
 from ..worklist import for_each_eager
@@ -31,7 +31,7 @@ def sync_bfs(
     scanning its in-adjacency at the first frontier parent; parents are
     identical either way, only the edges-examined counter shrinks.
     """
-    parents, steps = direction_optimizing_traversal(
+    parents, _ = direction_optimizing_traversal(
         graph.indptr,
         graph.indices,
         graph.in_indptr,
@@ -40,7 +40,6 @@ def sync_bfs(
         DirectionOptimizer(graph.num_vertices, graph.num_edges),
         pull_early_exit,
     )
-    counters.add_steps(steps)
     return parents
 
 

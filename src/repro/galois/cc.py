@@ -8,14 +8,14 @@ used an *edge-blocking* variant of the finish phase for better load
 balance; we expose that as ``edge_blocking=True`` (the finish edges are
 processed in fixed-size blocks with compression between blocks, letting
 early blocks shrink the label chains later blocks walk) — the finish
-argument of :func:`repro.core.hooking.afforest`.
+argument of :func:`repro.la.hooking.afforest`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.hooking import afforest, converge, converge_in_blocks
+from ..la.hooking import afforest, converge, converge_in_blocks
 from ..graphs import CSRGraph
 
 __all__ = ["galois_afforest"]

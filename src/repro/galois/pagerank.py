@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import blocked_gauss_seidel
 
@@ -33,7 +32,7 @@ def gauss_seidel_pagerank(
 ) -> np.ndarray:
     """PageRank with blocked in-place (Gauss-Seidel) sweeps."""
     bounds = np.linspace(0, graph.num_vertices, NUM_BLOCKS + 1, dtype=np.int64)
-    scores, iterations = blocked_gauss_seidel(
+    return blocked_gauss_seidel(
         graph.in_indptr,
         graph.in_indices,
         graph.out_degrees,
@@ -42,6 +41,3 @@ def gauss_seidel_pagerank(
         tolerance,
         max_iterations,
     )
-    counters.add_iteration(iterations)
-    counters.add_edges(iterations * graph.num_edges)
-    return scores

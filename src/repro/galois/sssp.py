@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import delta_stepping, relax
 from ..worklist import ASYNC_CHUNK_SIZE, OrderedByIntegerMetric
@@ -24,12 +24,7 @@ __all__ = ["sync_delta_stepping", "async_delta_stepping"]
 
 def sync_delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
     """Bulk-synchronous delta-stepping; one barrier per bucket refill."""
-    dist, examined, rounds, _ = delta_stepping(
-        graph.indptr, graph.indices, graph.weights, source, delta
-    )
-    counters.add_edges(examined)
-    counters.add_round(rounds)
-    return dist
+    return delta_stepping(graph.indptr, graph.indices, graph.weights, source, delta)
 
 
 def async_delta_stepping(

@@ -11,7 +11,7 @@ which this reproduction honours through the framework's untimed
 
 from __future__ import annotations
 
-from ..core import counters
+from .. import counters
 from ..graphs import (
     CSRGraph,
     degree_order_permutation,
@@ -36,6 +36,4 @@ def galois_tc(graph: CSRGraph, seed: int = 0, skip_relabel: bool = False) -> int
     if not skip_relabel and degree_skewed(graph, seed):
         counters.note("relabelled")
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    total, examined = count_forward_triangles(*forward_adjacency(graph))
-    counters.add_edges(examined)
-    return total
+    return count_forward_triangles(*forward_adjacency(graph))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import ALPHA, DirectionOptimizer, direction_optimizing_traversal
 
@@ -40,7 +40,7 @@ def direction_optimizing_bfs(
     the legacy accounting).
     """
     policy = DirectionOptimizer(graph.num_vertices, graph.num_edges, alpha=alpha)
-    parents, steps = direction_optimizing_traversal(
+    parents, _ = direction_optimizing_traversal(
         graph.indptr,
         graph.indices,
         graph.in_indptr,
@@ -49,7 +49,6 @@ def direction_optimizing_bfs(
         policy,
         pull_early_exit,
     )
-    counters.add_steps(steps)
     if policy.switches:
         counters.note("direction_switches", float(policy.switches))
     return parents

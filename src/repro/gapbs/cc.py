@@ -12,12 +12,12 @@ The paper highlights (following Sutton et al.) that the skip is least
 effective on Urand, whose uniform topology leaves more vertices outside the
 sampled component — our reproduction preserves that effect because phase 3's
 work is measured per-edge.  The three phases are
-:func:`repro.core.hooking.afforest`; the reference runs them with the plain
+:func:`repro.la.hooking.afforest`; the reference runs them with the plain
 finish.
 """
 
 from __future__ import annotations
 
-from ..core.hooking import afforest
+from ..la.hooking import afforest
 
 __all__ = ["afforest"]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import la
-from ..core import counters
 from ..graphs import CSRGraph
 
 __all__ = ["delta_stepping"]
@@ -50,7 +49,7 @@ def delta_stepping(
     Returns:
         float64 distances, ``inf`` for unreachable vertices.
     """
-    dist, examined, rounds, fused_rounds = la.delta_stepping(
+    return la.delta_stepping(
         graph.indptr,
         graph.indices,
         graph.weights,
@@ -58,8 +57,3 @@ def delta_stepping(
         delta,
         FUSION_THRESHOLD if bucket_fusion else 0,
     )
-    counters.add_edges(examined)
-    counters.add_round(rounds)
-    if fused_rounds:
-        counters.note("fused_rounds", float(fused_rounds))
-    return dist

@@ -6,14 +6,14 @@ forward-neighbor lists.  Ranking by degree (the relabel) makes the forward
 lists of high-degree vertices short, which is a huge win on skewed graphs —
 so, as in the reference code, a sampling heuristic decides whether the
 relabel is worth its cost, and when applied the relabel time **is** counted
-(a GAP benchmark rule the paper calls out).
+(a GAP benchmark rule the paper calls out).  The ordered count is
+:func:`repro.la.intersect.count_forward_triangles`, which reports the edge
+work (``targets.size + row.size`` per qualifying base vertex).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core import counters
+from .. import counters
 from ..graphs import (
     CSRGraph,
     degree_order_permutation,
@@ -23,19 +23,7 @@ from ..graphs import (
 )
 from ..la.intersect import count_forward_triangles
 
-__all__ = ["ordered_count", "worth_relabelling", "forward_adjacency", "triangle_count"]
-
-
-def ordered_count(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Count triangles by intersecting forward lists.
-
-    The closing test is :func:`repro.la.intersect.count_forward_triangles`;
-    it returns the edge-work accounting (``targets.size + row.size`` per
-    qualifying base vertex), reported here.
-    """
-    total, examined = count_forward_triangles(indptr, indices)
-    counters.add_edges(examined)
-    return total
+__all__ = ["worth_relabelling", "forward_adjacency", "triangle_count"]
 
 
 def triangle_count(graph: CSRGraph, seed: int = 0, force_relabel: bool | None = None) -> int:
@@ -49,5 +37,4 @@ def triangle_count(graph: CSRGraph, seed: int = 0, force_relabel: bool | None = 
         counters.note("relabelled")
         # Ascending degree rank: hubs get high ids, hence short forward lists.
         graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    indptr, indices = forward_adjacency(graph)
-    return ordered_count(indptr, indices)
+    return count_forward_triangles(*forward_adjacency(graph))

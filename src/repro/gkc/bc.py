@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import brandes_sweep
 
@@ -19,10 +18,4 @@ __all__ = ["gkc_bc"]
 
 def gkc_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Brandes BC with saved per-level DAG edges."""
-    scores, examined, eccentricities = brandes_sweep(
-        graph.indptr, graph.indices, sources, saved_successors=True
-    )
-    counters.add_edges(examined)
-    # Per root: ecc + 1 forward levels, ecc backward levels.
-    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
-    return scores
+    return brandes_sweep(graph.indptr, graph.indices, sources, saved_successors=True)

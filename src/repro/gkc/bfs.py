@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import DirectionOptimizer, direction_optimizing_traversal
 
@@ -29,7 +28,7 @@ def gkc_bfs(
     matching GKC's hand-tuned "break out of the inner loop" discipline.
     Parents are identical; only edges examined drop.
     """
-    parents, steps = direction_optimizing_traversal(
+    parents, _ = direction_optimizing_traversal(
         graph.indptr,
         graph.indices,
         graph.in_indptr,
@@ -38,5 +37,4 @@ def gkc_bfs(
         DirectionOptimizer(graph.num_vertices, graph.num_edges),
         pull_early_exit,
     )
-    counters.add_steps(steps)
     return parents

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
-from ..core.hooking import compress
+from .. import counters
+from ..la.hooking import compress
 from ..graphs import CSRGraph
 
 __all__ = ["gkc_cc"]

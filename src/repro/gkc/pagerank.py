@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import blocked_gauss_seidel
 
@@ -34,7 +33,7 @@ def gkc_pagerank(
     n = graph.num_vertices
     block = min(BLOCK_VERTICES, -(-n // MIN_BLOCKS))
     bounds = np.append(np.arange(0, n, block, dtype=np.int64), n)
-    scores, iterations = blocked_gauss_seidel(
+    return blocked_gauss_seidel(
         graph.in_indptr,
         graph.in_indices,
         graph.out_degrees,
@@ -43,6 +42,3 @@ def gkc_pagerank(
         tolerance,
         max_iterations,
     )
-    counters.add_iteration(iterations)
-    counters.add_edges(iterations * graph.num_edges)
-    return scores

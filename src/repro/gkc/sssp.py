@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import delta_stepping
 
@@ -21,9 +20,4 @@ __all__ = ["gkc_sssp"]
 
 def gkc_sssp(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
     """Unfused delta-stepping; returns distances."""
-    dist, examined, rounds, _ = delta_stepping(
-        graph.indptr, graph.indices, graph.weights, source, delta
-    )
-    counters.add_edges(examined)
-    counters.add_round(rounds)
-    return dist
+    return delta_stepping(graph.indptr, graph.indices, graph.weights, source, delta)

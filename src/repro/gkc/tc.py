@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import (
     CSRGraph,
     degree_order_permutation,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphitc import Schedule, VertexSet, edgeset_apply_from
 from ..graphs import CSRGraph
 from ..la import first_occurrence_mask

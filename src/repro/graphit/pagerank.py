@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphitc import Schedule, SegmentedEdges, edgeset_apply_all
 from ..graphs import CSRGraph
 

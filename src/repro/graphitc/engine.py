@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import gather_edges, gather_edges_weighted, unique_ids
 from .schedule import Direction, FrontierLayout, Schedule

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..la import unique_ids
 from .schedule import FrontierLayout
 

@@ -5,12 +5,15 @@ edge gathers (:mod:`.gather`), first-writer frontier bookkeeping and the
 one Δ-stepping on top of it (:mod:`.frontier`), masked/semiring SpMV and
 the blocked Gauss-Seidel sweeps over it (:mod:`.spmv`), the wedge-closing
 test under every triangle count (:mod:`.intersect`), the multi-root
-Brandes sweep under the per-root BCs (:mod:`.sweep`), and the
+Brandes sweep under the per-root BCs (:mod:`.sweep`), the
 direction-optimizing traversal with its push/pull policy
-(:mod:`.direction`).  Each primitive and each kernel body has one
+(:mod:`.direction`), and Afforest beside its hooking moves
+(:mod:`.hooking`).  Each primitive and each kernel body has one
 implementation; the formulations the kernels used before the port
 are the oracle the tests compare against
-(``tests/reference/la_oracle.py``).  See ``docs/KERNEL_SUBSTRATE.md``.
+(``tests/reference/la_oracle.py``).  Primitives return what they
+examined; each body reports its own work to :mod:`repro.counters` once
+per call and returns only its output.  See ``docs/KERNEL_SUBSTRATE.md``.
 """
 
 from .direction import ALPHA, DirectionOptimizer, direction_optimizing_traversal

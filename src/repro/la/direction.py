@@ -15,10 +15,11 @@ switch direction, not in what a step does.  This module holds both halves:
   whenever the policy wants it a run of pull steps until the frontier is
   small again.
 
-Nothing here reports to ``counters``: the traversal returns one
-:class:`Step` per step taken (direction, frontier size, edges examined) and
-the calling framework reports it — a round is a step, and a workload trace
-(``core/workload.py``) is the same record read differently.
+The steps report nothing; the traversal reports its work once per call —
+a round is a step, with the edges that step examined — and still returns
+one :class:`Step` per step taken (direction, frontier size, edges
+examined), because a workload trace (``core/workload.py``) is the same
+record read differently.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import counters
 from .frontier import claim_first_writer
 from .gather import gather_edges
 from .spmv import masked_pull_claim
@@ -172,7 +174,7 @@ def direction_optimizing_traversal(
 
     ``parents[v]`` is the vertex ``v`` was first reached from (``-1`` when
     unreached, the source its own parent).  The traversal ends with the
-    step that discovers nothing.
+    step that discovers nothing; every step is reported to ``counters``.
     """
     n = indptr.size - 1
     parents = np.full(n, -1, dtype=np.int64)
@@ -197,4 +199,5 @@ def direction_optimizing_traversal(
         fresh, examined = push_step(indptr, indices, frontier, parents)
         steps.append(Step("push", int(frontier.size), examined))
         frontier = fresh
+    counters.add_steps(steps)
     return parents, steps

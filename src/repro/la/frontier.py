@@ -18,13 +18,16 @@ gets identical semantics in O(E + V) without sorting:
 
 On top of the min-relaxation sits the one bucketed SSSP of Table III:
 :func:`delta_stepping` is the body GAP, Galois' bulk-synchronous variant,
-GKC and NWGraph all run, bucket fusion being GAP's argument to it.
+GKC and NWGraph all run, bucket fusion being GAP's argument to it.  The
+primitives report nothing (``relax`` returns the edges it examined); the
+body reports its work to ``counters`` once per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import counters
 from .gather import gather_edges_weighted
 
 __all__ = [
@@ -126,7 +129,7 @@ def delta_stepping(
     source: int,
     delta: int,
     fusion_threshold: int = 0,
-) -> tuple[np.ndarray, int, int, int]:
+) -> np.ndarray:
     """Δ-stepping (Meyer & Sanders) from ``source`` over buckets of width ``delta``.
 
     Buckets settle in priority order; every refill of the current bucket
@@ -134,8 +137,8 @@ def delta_stepping(
     vertices, in which case it is drained on the spot (GraphIt's *bucket
     fusion*, Zhang et al. CGO'20 — above the threshold a real
     implementation re-balances across threads, which is a round).  Returns
-    ``(distances, edges examined, rounds, fused rounds)``, ``inf`` for
-    unreachable vertices; nothing is reported to ``counters``.
+    the distances, ``inf`` for unreachable vertices, and reports the edges
+    examined, the rounds and (when there are any) the ``fused_rounds``.
     """
     n = indptr.size - 1
     dist = np.full(n, np.inf, dtype=np.float64)
@@ -173,4 +176,8 @@ def delta_stepping(
                 refills = relax_from(refills, current)
             if refills.size:
                 pending.append(refills)
-    return dist, examined, rounds, fused_rounds
+    counters.add_edges(examined)
+    counters.add_round(rounds)
+    if fused_rounds:
+        counters.note("fused_rounds", float(fused_rounds))
+    return dist

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
+from .. import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges
-from . import counters
+from .gather import gather_edges
 
 __all__ = [
     "compress",

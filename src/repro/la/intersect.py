@@ -13,14 +13,17 @@ memory is a fixed budget at any ``n`` and nothing is O(n^2).
 :func:`count_forward_triangles` is the order-invariant count over a
 forward (low id -> high id) adjacency stated as such groups: one per
 forward edge ``(u, v)``, anchored on ``u``, with candidates ``F(v)``.  It
-returns ``(triangles, edges_examined)``; the work accounting is the
-per-vertex loop's — ``targets.size + row.size`` for every base vertex with
-a non-empty wedge set — so blocking changes the time, not the count.
+returns the triangles and reports the edges it examined to ``counters``;
+the work accounting is the per-vertex loop's — ``targets.size + row.size``
+for every base vertex with a non-empty wedge set — so blocking changes the
+time, not the count.  :func:`count_closing`, a primitive, reports nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .. import counters
 
 __all__ = [
     "count_closing",
@@ -111,23 +114,20 @@ def count_closing(
     return total
 
 
-def count_forward_triangles(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[int, int]:
+def count_forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Count triangles in a forward (low -> high oriented) CSR adjacency."""
     if indices.size == 0:
-        return 0, 0
+        return 0
     deg = np.diff(indptr)
     # Per forward edge (u, v): |F(v)|; summed per u, the wedge count of u.
     fanout = deg[indices]
     prefix = np.concatenate([[0], np.cumsum(fanout)])
     wedges_per_u = prefix[indptr[1:]] - prefix[indptr[:-1]]
     qualifying = (deg >= 2) & (wedges_per_u > 0)
-    examined = int(wedges_per_u[qualifying].sum() + deg[qualifying].sum())
+    counters.add_edges(int(wedges_per_u[qualifying].sum() + deg[qualifying].sum()))
     owners = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
     edges = np.flatnonzero(qualifying[owners])
     heads = indices[edges]
-    triangles = count_closing(
+    return count_closing(
         indptr, indices, owners[edges], indptr[heads], deg[heads], INTERSECT_BLOCK_EDGES
     )
-    return triangles, examined

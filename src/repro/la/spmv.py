@@ -21,9 +21,10 @@ that engine for the reproduction.  Four tiers:
   the frontier bitmap), with an optional chunked early-exit scan that
   stops paying for a row's in-adjacency once a parent is found.
 
-Work accounting stays with the callers: every function returns (or lets
-the caller compute) the number of edges actually examined, and never
-touches the counters itself.
+Work accounting: a primitive returns (or lets the caller compute) the
+number of edges it actually examined and reports nothing; the one body
+here, :func:`blocked_gauss_seidel`, reports its sweeps to ``counters``
+once per call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .. import counters
 from .gather import gather_edges
 from .frontier import claim_first_writer
 
@@ -83,16 +85,16 @@ def blocked_gauss_seidel(
     damping: float,
     tolerance: float,
     max_iterations: int,
-) -> tuple[np.ndarray, int]:
-    """PageRank by blocked in-place sweeps: ``(scores, iterations)``.
+) -> np.ndarray:
+    """PageRank by blocked in-place sweeps; returns the scores.
 
     Rows ``bounds[b]:bounds[b + 1]`` form block ``b``.  A sweep updates the
     blocks in order, each pulling its in-neighbors' *current* contributions
     — Jacobi within a block, Gauss-Seidel across blocks — with one compiled
     matvec per block over row slices built once per call.  One block is the
     Jacobi sweep of :func:`plus_times_operator`, bit for bit.  Vertices with
-    no out-edges contribute nothing; a sweep examines every edge once;
-    convergence is an L1 change below ``tolerance``.
+    no out-edges contribute nothing; a sweep is an iteration and examines
+    every edge once; convergence is an L1 change below ``tolerance``.
     """
     n = in_indptr.size - 1
     base = (1.0 - damping) / n
@@ -117,7 +119,9 @@ def blocked_gauss_seidel(
             np.divide(block_scores, block_divisor, out=block_contrib)
         if float(np.abs(scores - previous).sum()) < tolerance:
             break
-    return scores, iterations
+    counters.add_iteration(iterations)
+    counters.add_edges(iterations * in_indices.size)
+    return scores
 
 
 def spmv_min_plus(

@@ -10,10 +10,10 @@ NumPy calls per level changes, which is all a short frontier pays for.
 
 The backward pass has the two flavours of the paper's Table III: replay
 the **saved successors** of the forward pass (GAP, GKC), or **re-expand**
-each level and re-filter its edges by depth (NWGraph, Galois).  Nothing
-here reports to ``counters``: the exact work (``examined`` edges, per-root
-eccentricities) is returned and the calling framework reports it, with
-``rounds = sum(2 * ecc + 1)`` for a forward and a backward pass per root.
+each level and re-filter its edges by depth (NWGraph, Galois).  Each pass
+reports its own work to ``counters`` once per call: the edges it examined,
+and per root ``ecc + 1`` forward levels or ``ecc`` backward ones, so a
+sweep is ``sum(2 * ecc + 1)`` rounds, as if each root ran its own loop.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .. import counters
 from .frontier import unique_ids
 from .gather import gather_edges
 
@@ -77,10 +78,10 @@ def _expand(
 
 def brandes_forward(
     indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray, save_successors: bool
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[list[Edges]], int]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[list[Edges]]]:
     """Level-synchronous BFS with path counting from every root at once.
 
-    Returns lifted ``(depth, sigma, levels, successors, examined)``:
+    Returns lifted ``(depth, sigma, levels, successors)``:
     ``levels[d]`` is the sorted lifted ids at depth ``d`` and, when asked
     for, ``successors[d]`` the shortest-path DAG edges from depth ``d`` to
     ``d + 1`` (one pair per root group).
@@ -111,7 +112,10 @@ def brandes_forward(
             successors.append(saved)
         fresh = discovered[0] if len(discovered) == 1 else np.concatenate(discovered)
         frontier = unique_ids(fresh, depth.size)
-    return depth, sigma, levels, successors, examined
+    eccentricity = depth.reshape(len(roots), num_vertices).max(axis=1)
+    counters.add_edges(examined)
+    counters.add_round(int(eccentricity.sum()) + len(roots))
+    return depth, sigma, levels, successors
 
 
 def brandes_backward(
@@ -122,13 +126,12 @@ def brandes_backward(
     sigma: np.ndarray,
     levels: list[np.ndarray],
     successors: list[list[Edges]] | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dependency accumulation over lifted forward state.
+) -> np.ndarray:
+    """Dependency accumulation over lifted forward state; returns the scores.
 
     With ``successors`` the saved DAG is replayed; without, every level is
     re-expanded and its edges re-filtered by depth.  Each root's
     dependencies exclude the root itself and are added in root order.
-    Returns ``(scores, examined, eccentricities)``.
     """
     num_vertices = indptr.size - 1
     degrees = np.diff(indptr)
@@ -159,19 +162,20 @@ def brandes_backward(
     scores = np.zeros(num_vertices, dtype=np.float64)
     for dependencies in per_root:
         scores += dependencies
-    return scores, examined, eccentricity
+    counters.add_edges(examined)
+    counters.add_round(int(eccentricity.sum()))
+    return scores
 
 
 def brandes_sweep(
     indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray, saved_successors: bool
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Brandes dependencies of ``roots``: ``(scores, examined, eccentricities)``."""
+) -> np.ndarray:
+    """Brandes dependencies of ``roots``, summed over the roots."""
     roots = np.asarray(roots, dtype=np.int64)
-    depth, sigma, levels, successors, forward_examined = brandes_forward(
+    depth, sigma, levels, successors = brandes_forward(
         indptr, indices, roots, saved_successors
     )
-    scores, backward_examined, eccentricities = brandes_backward(
+    return brandes_backward(
         indptr, indices, roots, depth, sigma, levels,
         successors if saved_successors else None,
     )
-    return scores, forward_examined + backward_examined, eccentricities

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import DirectionOptimizer
 from ..semiring import ANY_SECONDI, Matrix, Vector, mxv, vxm

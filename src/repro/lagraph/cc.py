@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..semiring import MIN, MIN_SECOND, Matrix, Vector, mxv
 

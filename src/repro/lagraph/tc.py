@@ -15,7 +15,7 @@ our SciPy-based ``mxm_masked`` has the same materialize-then-reduce shape.
 
 from __future__ import annotations
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph, degree_order_permutation, degree_skewed
 from ..semiring import PLUS_PAIR, Matrix, mxm_masked, reduce_matrix
 

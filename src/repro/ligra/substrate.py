@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..graphs import CSRGraph
 from ..la import gather_edges, unique_ids
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import brandes_sweep
 
@@ -22,9 +21,4 @@ __all__ = ["nwgraph_bc"]
 
 def nwgraph_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """Brandes BC from the given roots over the out-edge ranges."""
-    scores, examined, eccentricities = brandes_sweep(
-        graph.indptr, graph.indices, sources, saved_successors=False
-    )
-    counters.add_edges(examined)
-    counters.add_round(int(2 * eccentricities.sum()) + eccentricities.size)
-    return scores
+    return brandes_sweep(graph.indptr, graph.indices, sources, saved_successors=False)

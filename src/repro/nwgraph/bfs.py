@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import DirectionOptimizer, direction_optimizing_traversal
 
@@ -36,7 +35,7 @@ def nwgraph_bfs(
         graph.num_edges,
         size_fractions=(PULL_THRESHOLD, PUSH_THRESHOLD),
     )
-    parents, steps = direction_optimizing_traversal(
+    parents, _ = direction_optimizing_traversal(
         graph.indptr,
         graph.indices,
         graph.in_indptr,
@@ -45,5 +44,4 @@ def nwgraph_bfs(
         policy,
         pull_early_exit,
     )
-    counters.add_steps(steps)
     return parents

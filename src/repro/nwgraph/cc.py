@@ -4,7 +4,7 @@ Table III lists NWGraph's CC as Afforest; the paper notes CC (with BC) is
 one of the kernels NWGraph parallelizes purely through C++ execution
 policies — the "hands-off" approach its authors consider a feature.  The
 algorithm is the GAP reference's three phases with the plain finish
-(:func:`repro.core.hooking.afforest`); only the substrate differed, and a
+(:func:`repro.la.hooking.afforest`); only the substrate differed, and a
 sequential port has no execution policy to differ by.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.hooking import afforest
+from ..la.hooking import afforest
 from ..graphs import CSRGraph
 
 __all__ = ["nwgraph_cc"]

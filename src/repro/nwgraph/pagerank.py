@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la import blocked_gauss_seidel
 
@@ -29,7 +28,7 @@ def nwgraph_pagerank(
 ) -> np.ndarray:
     """Blocked Gauss-Seidel PageRank; returns converged scores."""
     bounds = np.linspace(0, graph.num_vertices, NUM_BLOCKS + 1, dtype=np.int64)
-    scores, iterations = blocked_gauss_seidel(
+    return blocked_gauss_seidel(
         graph.in_indptr,
         graph.in_indices,
         graph.out_degrees,
@@ -38,6 +37,3 @@ def nwgraph_pagerank(
         tolerance,
         max_iterations,
     )
-    counters.add_iteration(iterations)
-    counters.add_edges(iterations * graph.num_edges)
-    return scores

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
 from ..graphs import CSRGraph
 from ..la.intersect import count_forward_triangles
 
@@ -44,6 +43,4 @@ def nwgraph_tc(graph: CSRGraph) -> int:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    total, examined = count_forward_triangles(indptr, dst)
-    counters.add_edges(examined)
-    return total
+    return count_forward_triangles(indptr, dst)

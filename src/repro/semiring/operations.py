@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..core import counters
+from .. import counters
 from ..errors import DimensionMismatchError
 from ..la.gather import flat_edge_index
 from .matrix import Matrix

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from ..errors import DimensionMismatchError, InvalidValueError
 
 __all__ = ["Vector"]

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import counters
+from .. import counters
 from .worklists import ChunkedWorklist
 
 __all__ = ["ASYNC_CHUNK_SIZE", "for_each_eager"]

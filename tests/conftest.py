@@ -16,6 +16,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import counters
 from repro.core import BenchmarkSpec, run_suite
 from repro.faults import installed
 from repro.frameworks import FRAMEWORK_NAMES, KERNELS, get
@@ -140,6 +141,13 @@ def triangle_graph() -> CSRGraph:
     src = [0, 1, 2, 2, 4, 4, 4, 5, 5, 6]
     dst = [1, 2, 0, 3, 5, 6, 7, 6, 7, 7]
     return CSRGraph.from_arrays(8, np.array(src), np.array(dst), directed=False)
+
+
+def counted(body, *args, **kwargs):
+    """``(output, work)``: what ``body`` returned and the work it reported."""
+    with counters.counting() as work:
+        output = body(*args, **kwargs)
+    return output, work
 
 
 def to_networkx(graph: CSRGraph, weighted: bool = False) -> nx.Graph:

@@ -12,7 +12,9 @@ Galois' re-expanding backward), and the four kernel bodies that existed
 three to five times before each became one: Galois' copy of the
 direction-optimizing loop, GAP's Δ-stepping with its own relax, Galois'
 Afforest with its edge-blocked finish, and Galois' prefix-sum Gauss-Seidel
-sweeps (with GAP's ``segment_sums``).
+sweeps (with GAP's ``segment_sums``).  Like the ``repro.la`` bodies, the
+oracle bodies report their work to ``counters`` and return only their
+output; the primitives return what they examined.
 Unit tests call ``la_oracle.primitive(x)`` beside ``primitive(x)``;
 :func:`oracle_engine` runs a *whole kernel* on these formulations, which
 is how ``tests/test_la_differential.py`` proves the port changed
@@ -32,12 +34,12 @@ from typing import Callable, Collection, Iterator
 
 import numpy as np
 
-from repro.core import counters, hooking
-from repro.core.hooking import compress, converge, hook_pass, majority_component
+from repro import counters
 from repro.frameworks import EXTENDED_FRAMEWORK_NAMES, get
-from repro.la import direction, gather, intersect, spmv, sweep
+from repro.la import direction, gather, hooking, intersect, spmv, sweep
 from repro.la import frontier as frontier_module
 from repro.la.direction import DirectionOptimizer, Step
+from repro.la.hooking import compress, converge, hook_pass, majority_component
 
 __all__ = [
     "flat_edge_index",
@@ -133,7 +135,7 @@ def unique_ids(keys: np.ndarray, num_vertices: int) -> np.ndarray:
 # GAP's ``_relax`` and ``delta_stepping`` as ``gapbs/sssp.py`` ran them (its
 # ``bucket_fusion=False`` branch was, bit for bit, the loops of
 # ``galois.sync_delta_stepping``, ``gkc_sssp`` and ``nwgraph_sssp``), counting
-# into locals instead of ``counters``.
+# into ``counters`` as it went.
 
 def relax(
     indptr: np.ndarray,
@@ -159,18 +161,17 @@ def delta_stepping(
     source: int,
     delta: int,
     fusion_threshold: int = 0,
-) -> tuple[np.ndarray, int, int, int]:
+) -> np.ndarray:
     n = indptr.size - 1
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     buckets: dict[int, list[np.ndarray]] = {0: [np.array([source], dtype=np.int64)]}
-    examined = rounds = fused_rounds = 0
 
     while buckets:
         current = min(buckets)
         pending = buckets.pop(current)
         while pending:
-            rounds += 1
+            counters.add_round()
             members = unique_ids(np.concatenate(pending), n)
             pending = []
             # Lazy deletion: keep only vertices still in this bucket.
@@ -179,7 +180,7 @@ def delta_stepping(
             if frontier.size == 0:
                 continue
             improved, edges = relax(indptr, indices, weights, frontier, dist)
-            examined += edges
+            counters.add_edges(edges)
             if improved.size == 0:
                 continue
             new_bucket = (dist[improved] // delta).astype(np.int64)
@@ -193,9 +194,9 @@ def delta_stepping(
             if refills.size <= fusion_threshold:
                 # Fused: drain the refill right now without a global round.
                 while refills.size and refills.size <= fusion_threshold:
-                    fused_rounds += 1
+                    counters.note("fused_rounds")
                     improved, edges = relax(indptr, indices, weights, refills, dist)
-                    examined += edges
+                    counters.add_edges(edges)
                     nb = (dist[improved] // delta).astype(np.int64)
                     same = nb == current
                     others, other_buckets = improved[~same], nb[~same]
@@ -206,7 +207,7 @@ def delta_stepping(
                     pending.append(refills)
             else:
                 pending.append(refills)
-    return dist, examined, rounds, fused_rounds
+    return dist
 
 
 # --- la.spmv -----------------------------------------------------------------
@@ -278,7 +279,7 @@ def blocked_gauss_seidel(
     damping: float,
     tolerance: float,
     max_iterations: int,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """``galois.gauss_seidel_pagerank`` as it ran: per block, gather the
     in-neighbors' current contributions and prefix-sum them into row sums."""
     n = in_indptr.size - 1
@@ -288,9 +289,9 @@ def blocked_gauss_seidel(
     has_out = out_degrees > 0
     safe_degrees = np.where(has_out, out_degrees, 1.0)
 
-    iterations = 0
     for _ in range(max_iterations):
-        iterations += 1
+        counters.add_iteration()
+        counters.add_edges(in_indices.size)
         previous = scores.copy()
         for b in range(bounds.size - 1):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
@@ -306,7 +307,7 @@ def blocked_gauss_seidel(
         change = float(np.abs(scores - previous).sum())
         if change < tolerance:
             break
-    return scores, iterations
+    return scores
 
 
 # --- la.direction ------------------------------------------------------------
@@ -322,7 +323,8 @@ def direction_optimizing_traversal(
 ) -> tuple[np.ndarray, list[Step]]:
     """``galois.sync_bfs`` as it ran (``gkc_bfs`` and GAP's loop were the
     same text): its inline ALPHA / BETA tests asked of ``policy``, and each
-    step appended to the record where it used to ``add_round``."""
+    step appended to the record where it used to ``add_round``; the record
+    is reported at the end."""
     n = indptr.size - 1
     parents = np.full(n, -1, dtype=np.int64)
     parents[source] = source
@@ -359,10 +361,11 @@ def direction_optimizing_traversal(
         if tgts.size == 0:
             break
         frontier = claim_first_writer(parents, tgts, srcs, n)
+    counters.add_steps(steps)
     return parents, steps
 
 
-# --- core.hooking ------------------------------------------------------------
+# --- la.hooking --------------------------------------------------------------
 # ``galois_afforest`` as ``galois/cc.py`` ran it (``gapbs.afforest`` and
 # ``nwgraph_cc`` were its ``edge_blocking=False`` path), the finish phase an
 # argument where it was a flag.
@@ -411,11 +414,8 @@ def afforest(graph, seed: int = 0, finish=converge) -> np.ndarray:
 
 # --- la.intersect ------------------------------------------------------------
 
-def count_forward_triangles(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[int, int]:
+def count_forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
     total = 0
-    examined = 0
     num_vertices = indptr.size - 1
     for u in range(num_vertices):
         row = indices[indptr[u]: indptr[u + 1]]
@@ -428,11 +428,11 @@ def count_forward_triangles(
         if not chunks:
             continue
         targets = np.concatenate(chunks)
-        examined += targets.size + row.size
+        counters.add_edges(targets.size + row.size)
         position = np.searchsorted(row, targets)
         position[position == row.size] = 0
         total += int((row[position] == targets).sum())
-    return total, examined
+    return total
 
 
 def _count_batch(
@@ -490,8 +490,8 @@ def count_closing(
 
 # --- la.sweep ----------------------------------------------------------------
 # The three per-root loops as ``gapbs/bc.py`` and ``galois/bc.py`` ran them,
-# reporting into ``counters`` as they did; the two primitives below run them
-# root by root under a private counter set and return what it collected.
+# reporting into ``counters`` as they did; the two bodies below run them
+# root by root.
 
 def _forward(
     indptr: np.ndarray, indices: np.ndarray, source: int
@@ -572,18 +572,15 @@ def brandes_sweep(
     indices: np.ndarray,
     roots: np.ndarray,
     saved_successors: bool,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> np.ndarray:
     scores = np.zeros(indptr.size - 1, dtype=np.float64)
-    eccentricities = []
-    with counters.counting() as work:
-        for source in np.asarray(roots, dtype=np.int64):
-            depth, sigma, levels, dag_edges = _forward(indptr, indices, int(source))
-            if saved_successors:
-                _replay_successors(sigma, levels, dag_edges, scores, int(source))
-            else:
-                _reexpand_levels(indptr, indices, depth, sigma, levels, int(source), scores)
-            eccentricities.append(len(levels) - 1)
-    return scores, work.edges_examined, np.array(eccentricities, dtype=np.int64)
+    for source in np.asarray(roots, dtype=np.int64):
+        depth, sigma, levels, dag_edges = _forward(indptr, indices, int(source))
+        if saved_successors:
+            _replay_successors(sigma, levels, dag_edges, scores, int(source))
+        else:
+            _reexpand_levels(indptr, indices, depth, sigma, levels, int(source), scores)
+    return scores
 
 
 def brandes_backward(
@@ -594,35 +591,32 @@ def brandes_backward(
     sigma: np.ndarray,
     levels: list[np.ndarray],
     successors: list[list[tuple[np.ndarray, np.ndarray]]] | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> np.ndarray:
     """Un-lifts each root's slice of the forward state and runs its loop."""
     n = indptr.size - 1
     scores = np.zeros(n, dtype=np.float64)
-    eccentricities = []
 
     def own(ids: np.ndarray, base: int) -> np.ndarray:
         return (ids >= base) & (ids < base + n)
 
-    with counters.counting() as work:
-        for root, source in enumerate(np.asarray(roots, dtype=np.int64)):
-            base = root * n
-            mine = slice(base, base + n)
-            own_levels = [lvl[own(lvl, base)] - base for lvl in levels]
-            own_levels = [lvl for lvl in own_levels if lvl.size]
-            if successors is None:
-                _reexpand_levels(
-                    indptr, indices, depth[mine], sigma[mine], own_levels, int(source), scores
-                )
-            else:
-                dag_edges = []
-                for groups in successors:
-                    src = np.concatenate([s for s, _ in groups])
-                    dst = np.concatenate([d for _, d in groups])
-                    keep = own(src, base)
-                    dag_edges.append((src[keep] - base, dst[keep] - base))
-                _replay_successors(sigma[mine], own_levels, dag_edges, scores, int(source))
-            eccentricities.append(len(own_levels) - 1)
-    return scores, work.edges_examined, np.array(eccentricities, dtype=np.int64)
+    for root, source in enumerate(np.asarray(roots, dtype=np.int64)):
+        base = root * n
+        mine = slice(base, base + n)
+        own_levels = [lvl[own(lvl, base)] - base for lvl in levels]
+        own_levels = [lvl for lvl in own_levels if lvl.size]
+        if successors is None:
+            _reexpand_levels(
+                indptr, indices, depth[mine], sigma[mine], own_levels, int(source), scores
+            )
+        else:
+            dag_edges = []
+            for groups in successors:
+                src = np.concatenate([s for s, _ in groups])
+                dst = np.concatenate([d for _, d in groups])
+                keep = own(src, base)
+                dag_edges.append((src[keep] - base, dst[keep] - base))
+            _replay_successors(sigma[mine], own_levels, dag_edges, scores, int(source))
+    return scores
 
 
 # --- running a whole kernel on the oracle --------------------------------------

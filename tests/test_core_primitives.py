@@ -1,44 +1,12 @@
-"""Tests for shared core primitives: bitmap, the CSR gather, hooking, counters."""
+"""Tests for shared primitives: the CSR gather, hooking, counters."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import counters
-from repro.core.bitmap import Bitmap
-from repro.core.hooking import compress, converge, hook_pass, majority_component
+from repro import counters
 from repro.la import gather_edges, gather_edges_weighted
-
-
-class TestBitmap:
-    def test_set_and_contains(self):
-        b = Bitmap(8)
-        b.set(np.array([1, 5]))
-        assert b.contains(np.array([0, 1, 5])).tolist() == [False, True, True]
-        assert 5 in b and 0 not in b
-
-    def test_scalar_contains(self):
-        b = Bitmap(4)
-        b.set(2)
-        assert b.contains(2) is True
-
-    def test_clear(self):
-        b = Bitmap.from_indices(8, np.array([1, 2, 3]))
-        b.clear(np.array([2]))
-        assert b.to_indices().tolist() == [1, 3]
-        b.clear()
-        assert b.count() == 0
-
-    def test_count_and_len(self):
-        b = Bitmap.from_indices(8, np.array([0, 7]))
-        assert b.count() == len(b) == 2
-
-    def test_swap(self):
-        a = Bitmap.from_indices(4, np.array([0]))
-        b = Bitmap.from_indices(4, np.array([1, 2]))
-        a.swap(b)
-        assert a.to_indices().tolist() == [1, 2]
-        assert b.to_indices().tolist() == [0]
+from repro.la.hooking import compress, converge, hook_pass, majority_component
 
 
 class TestExpandFrontier:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import BenchmarkSpec, GraphCase, SourcePicker, counters, run_cell, run_suite
+from repro import counters
+from repro.core import BenchmarkSpec, GraphCase, SourcePicker, run_cell, run_suite
 from repro.frameworks import KERNELS, Mode, RunContext, get
 from repro.frameworks.registry import EXTENDED_FRAMEWORK_NAMES
 from repro.generators import GRAPH_NAMES

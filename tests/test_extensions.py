@@ -49,7 +49,7 @@ class TestCDLP:
         assert labels[1] == 0
 
     def test_respects_iteration_budget(self, corpus):
-        from repro.core import counters
+        from repro import counters
 
         with counters.counting() as work:
             cdlp(corpus["road"], max_iterations=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.frameworks import Mode, RunContext, get
 from repro.generators import build_graph, weighted_version
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.gapbs.bfs import direction_optimizing_bfs
 from repro.gapbs.sssp import delta_stepping
-from repro.gapbs.tc import forward_adjacency, ordered_count, worth_relabelling
+from repro.gapbs.tc import forward_adjacency, worth_relabelling
 from repro.graphs import CSRGraph
 from repro.la.direction import pull_step, push_step
+from repro.la.intersect import count_forward_triangles
 from repro.la.sweep import brandes_backward, brandes_forward
 from tests.reference.la_oracle import segment_sums
 
@@ -101,28 +102,31 @@ class TestBrandesPieces:
 
     def test_forward_sigma_counts_paths(self):
         graph = CSRGraph.from_arrays(*self.DIAMOND)
-        depth, sigma, levels, dag, examined = brandes_forward(
-            graph.indptr, graph.indices, np.array([0]), save_successors=True
-        )
+        with counters.counting() as work:
+            depth, sigma, levels, dag = brandes_forward(
+                graph.indptr, graph.indices, np.array([0]), save_successors=True
+            )
         assert sigma[3] == 2.0
         assert depth[3] == 2
         assert len(levels) == len(dag) == 3
-        assert examined == graph.num_edges
+        assert work.edges_examined == graph.num_edges and work.rounds == 3
 
     def test_backward_splits_dependency(self):
         graph = CSRGraph.from_arrays(*self.DIAMOND)
         roots = np.array([0])
-        depth, sigma, levels, dag, _ = brandes_forward(
+        depth, sigma, levels, dag = brandes_forward(
             graph.indptr, graph.indices, roots, save_successors=True
         )
-        scores, examined, eccentricities = brandes_backward(
-            graph.indptr, graph.indices, roots, depth, sigma, levels, dag
-        )
+        with counters.counting() as work:
+            scores = brandes_backward(
+                graph.indptr, graph.indices, roots, depth, sigma, levels, dag
+            )
         # 1 and 2 each carry half of the single dependency on 3.
         assert scores[1] == pytest.approx(0.5)
         assert scores[2] == pytest.approx(0.5)
         assert scores[0] == 0.0
-        assert examined == 4 and eccentricities.tolist() == [2]
+        # Eccentricity 2: two backward levels.
+        assert work.edges_examined == 4 and work.rounds == 2
 
 
 class TestTCPieces:
@@ -133,7 +137,7 @@ class TestTCPieces:
 
     def test_ordered_count_triangle(self, triangle_graph):
         indptr, indices = forward_adjacency(triangle_graph)
-        assert ordered_count(indptr, indices) == 5
+        assert count_forward_triangles(indptr, indices) == 5
 
     def test_worth_relabelling_detects_skew(self, corpus):
         assert worth_relabelling(corpus["kron"])

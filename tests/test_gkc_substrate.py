@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import counters
+from repro import counters
 from repro.gkc.tc import gkc_tc
 from repro.graphs import CSRGraph
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import counters
+from repro import counters
 from repro.graphitc import (
     Direction,
     FrontierLayout,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.errors import SchedulingError
 from repro.graphitc import (
     BucketPriorityQueue,

@@ -63,7 +63,7 @@ class TestPR:
         assert (scores > 0).all()
 
     def test_tolerance_controls_convergence(self, framework, corpus):
-        from repro.core import counters
+        from repro import counters
 
         with counters.counting() as loose:
             framework.pagerank(corpus["twitter"], tolerance=1e-2)

@@ -1,11 +1,12 @@
 """The four shared kernel bodies against their oracles.
 
 Direction-optimizing BFS (``la.direction``), Δ-stepping (``la.frontier``),
-blocked Gauss-Seidel PageRank (``la.spmv``) and Afforest (``core.hooking``)
-each exist once and are called by three to four frameworks with their
-differences as arguments.  ``tests/reference/la_oracle.py`` keeps the text
-they replaced; ``repro.core.verify`` keeps oracles that share nothing with
-either.  Here each body meets both, on small random graphs where every
+blocked Gauss-Seidel PageRank (``la.spmv``) and Afforest (``la.hooking``)
+each exist once, are called by three to four frameworks with their
+differences as arguments, and report their own work to ``counters``.
+``tests/reference/la_oracle.py`` keeps the text they replaced;
+``repro.core.verify`` keeps oracles that share nothing with either.  Here
+each body meets both, on small random graphs where every
 awkward shape occurs: unreachable and isolated vertices, sinks, a frontier
 already small when a pull is wanted, empty blocks, more blocks than rows.
 """
@@ -15,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import counters, hooking
-from repro.core.hooking import afforest, converge, converge_in_blocks
+from repro import counters
 from repro.core.verify import cc_oracle, reference_bfs_depths, sssp_oracle
 from repro.gapbs.pagerank import jacobi_pagerank
 from repro.graphs import CSRGraph
@@ -26,7 +26,10 @@ from repro.la import (
     delta_stepping,
     direction_optimizing_traversal,
 )
+from repro.la import hooking
 from repro.la.direction import BETA, Step
+from repro.la.hooking import afforest, converge, converge_in_blocks
+from tests.conftest import counted
 from tests.reference import la_oracle
 
 
@@ -94,13 +97,19 @@ def policies(graph, alpha, fractions):
 
 def assert_traversal(graph, source, make_policy):
     ours_policy, oracle_policy, machine = make_policy(), make_policy(), make_policy()
-    parents, steps = direction_optimizing_traversal(*csr4(graph), source, ours_policy)
-    ref_parents, ref_steps = la_oracle.direction_optimizing_traversal(
-        *csr4(graph), source, oracle_policy
+    (parents, steps), work = counted(
+        direction_optimizing_traversal, *csr4(graph), source, ours_policy
+    )
+    (ref_parents, ref_steps), ref_work = counted(
+        la_oracle.direction_optimizing_traversal, *csr4(graph), source, oracle_policy
     )
     assert parents.tobytes() == ref_parents.tobytes()
     assert steps == ref_steps == expected_steps(graph, source, machine)
     assert ours_policy.switches == oracle_policy.switches == machine.switches
+    # A round is a step, with the edges that step examined.
+    assert work == ref_work
+    assert work.rounds == len(steps)
+    assert work.edges_examined == sum(s.edges_examined for s in steps)
 
     # A valid BFS tree: every parent edge exists and descends one level.
     depths = reference_bfs_depths(graph, source)
@@ -227,13 +236,16 @@ def test_traversal_is_the_policy_run_over_bfs_levels(graph, data, alpha, fractio
 
 
 def assert_delta_stepping(graph, source, delta, fusion_threshold):
-    arrays = (graph.indptr, graph.indices, graph.weights)
-    dist, examined, rounds, fused = delta_stepping(*arrays, source, delta, fusion_threshold)
-    ref = la_oracle.delta_stepping(*arrays, source, delta, fusion_threshold)
-    assert dist.tobytes() == ref[0].tobytes()
-    assert (examined, rounds, fused) == ref[1:]
+    """``(dist, edges, rounds, fused rounds)`` as reported, checked against the oracle."""
+    args = (graph.indptr, graph.indices, graph.weights, source, delta, fusion_threshold)
+    dist, work = counted(delta_stepping, *args)
+    ref_dist, ref_work = counted(la_oracle.delta_stepping, *args)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert work == ref_work
+    assert set(work.extras) <= {"fused_rounds"} and work.iterations == 0
     np.testing.assert_array_equal(dist, sssp_oracle(graph, source))
-    return dist, examined, rounds, fused
+    fused = int(work.extras.get("fused_rounds", 0))
+    return dist, work.edges_examined, work.rounds, fused
 
 
 @pytest.mark.tier2
@@ -271,26 +283,28 @@ def pagerank_args(graph):
 
 
 def assert_gauss_seidel(graph, bounds, tolerance=1e-6, max_iterations=60):
+    """``(scores, iterations)`` as reported, checked against the oracle."""
     bounds = np.asarray(bounds, dtype=np.int64)
     args = (*pagerank_args(graph), bounds, 0.85, tolerance, max_iterations)
-    scores, iterations = blocked_gauss_seidel(*args)
-    ref_scores, ref_iterations = la_oracle.blocked_gauss_seidel(*args)
-    assert iterations == ref_iterations
+    scores, work = counted(blocked_gauss_seidel, *args)
+    ref_scores, ref_work = counted(la_oracle.blocked_gauss_seidel, *args)
+    assert work == ref_work
+    assert work.edges_examined == work.iterations * graph.num_edges
     np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
-    return scores, iterations
+    return scores, work.iterations
 
 
 class TestGaussSeidelNamedCases:
     def test_one_block_is_the_jacobi_sweep_bitwise(self, corpus):
         for name in ("road", "web", "kron"):
             graph = corpus[name]
-            with counters.counting() as work:
-                jacobi = jacobi_pagerank(graph)
-            scores, iterations = blocked_gauss_seidel(
-                *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 1e-4, 100
+            jacobi, work = counted(jacobi_pagerank, graph)
+            scores, sweeps = counted(
+                blocked_gauss_seidel,
+                *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 1e-4, 100,
             )
             assert scores.tobytes() == jacobi.tobytes(), name
-            assert iterations == work.iterations, name
+            assert sweeps == work, name
 
     def test_empty_blocks_are_skipped(self, corpus):
         graph = corpus["twitter"]
@@ -327,10 +341,11 @@ class TestGaussSeidelNamedCases:
 
     def test_max_iterations_is_a_cap(self, corpus):
         graph = corpus["road"]
-        _, iterations = blocked_gauss_seidel(
-            *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 0.0, 3
+        _, work = counted(
+            blocked_gauss_seidel,
+            *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 0.0, 3,
         )
-        assert iterations == 3
+        assert work.iterations == 3
 
 
 @pytest.mark.tier2

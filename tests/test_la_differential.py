@@ -19,7 +19,8 @@ The matrix runs at the tier-2 grid (scale-7 road/kron/urand).
 import numpy as np
 import pytest
 
-from repro.core import GraphCase, SourcePicker, counters
+from repro import counters
+from repro.core import GraphCase, SourcePicker
 from repro.frameworks import KERNELS, RunContext, get
 from repro.frameworks.registry import FRAMEWORK_NAMES
 from tests.reference.la_oracle import oracle_engine

@@ -4,9 +4,10 @@
 lifted ids ``r * n + v``; the oracle in ``tests/reference/la_oracle.py`` is
 the per-root loops the frameworks ran before (GAP's forward pass and
 saved-successor replay, Galois' re-expanding backward pass).  The contract
-is exact: scores **bitwise** equal, ``examined`` equal, per-root
-eccentricities equal — for both backward flavours, for roots that run out
-at different depths, and however the group budget cuts a level.
+is exact: scores **bitwise** equal and the reported work (edges examined,
+one round per level per root) equal — for both backward flavours, for
+roots that run out at different depths, and however the group budget cuts
+a level.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.la import sweep
+from tests.conftest import counted
 from tests.reference import la_oracle
 
 FLAVOURS = pytest.mark.parametrize("saved_successors", [True, False], ids=["saved", "reexpand"])
@@ -31,27 +33,27 @@ def csr(num_vertices, edges, dtype=np.int64):
 
 def assert_matches_oracle(indptr, indices, roots, saved_successors):
     roots = np.asarray(roots, dtype=np.int64)
-    scores, examined, eccentricities = sweep.brandes_sweep(
-        indptr, indices, roots, saved_successors
-    )
-    ref_scores, ref_examined, ref_eccentricities = la_oracle.brandes_sweep(
-        indptr, indices, roots, saved_successors
+    scores, work = counted(sweep.brandes_sweep, indptr, indices, roots, saved_successors)
+    ref_scores, ref_work = counted(
+        la_oracle.brandes_sweep, indptr, indices, roots, saved_successors
     )
     assert scores.tobytes() == ref_scores.tobytes()
-    assert examined == ref_examined
-    assert eccentricities.tolist() == ref_eccentricities.tolist()
+    assert work == ref_work
 
     # The backward pass alone, as galois_bc_async calls it.
-    depth, sigma, levels, successors, _ = sweep.brandes_forward(
-        indptr, indices, roots, save_successors=saved_successors
+    (depth, sigma, levels, successors), forward = counted(
+        sweep.brandes_forward, indptr, indices, roots, save_successors=saved_successors
     )
     state = (indptr, indices, roots, depth, sigma, levels)
     replayed = successors if saved_successors else None
-    ours = sweep.brandes_backward(*state, replayed)
-    theirs = la_oracle.brandes_backward(*state, replayed)
-    assert ours[0].tobytes() == theirs[0].tobytes() == scores.tobytes()
-    assert ours[1] == theirs[1]
-    assert ours[2].tolist() == theirs[2].tolist() == eccentricities.tolist()
+    ours, backward = counted(sweep.brandes_backward, *state, replayed)
+    theirs, ref_backward = counted(la_oracle.brandes_backward, *state, replayed)
+    assert ours.tobytes() == theirs.tobytes() == scores.tobytes()
+    assert backward == ref_backward
+    # A forward level and a backward one per level below it, for each root.
+    assert forward.rounds == backward.rounds + roots.size
+    assert forward.rounds + backward.rounds == work.rounds
+    assert forward.edges_examined + backward.edges_examined == work.edges_examined
 
 
 # A path 0 -> 1 -> ... -> 5 with a shortcut, a diamond hanging off it, a
@@ -72,8 +74,9 @@ class TestNamedCases:
 
     def test_single_vertex_component_and_unreachable(self, saved_successors):
         indptr, indices = csr(*PATH_AND_DIAMOND)
-        _, _, eccentricities = sweep.brandes_sweep(indptr, indices, [9, 0], saved_successors)
-        assert eccentricities.tolist() == [0, 3]
+        _, work = counted(sweep.brandes_sweep, indptr, indices, [9, 0], saved_successors)
+        # Eccentricities 0 and 3: (2 * 0 + 1) + (2 * 3 + 1) rounds.
+        assert work.rounds == 8
         assert_matches_oracle(indptr, indices, [9, 0, 9], saved_successors)
 
     def test_one_root(self, saved_successors):

@@ -4,7 +4,7 @@ cross-framework correctness suite): semiring usage and format behaviour."""
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.frameworks import get
 from repro.generators import weighted_version
 from repro.lagraph import fastsv, lagraph_bfs, lagraph_pagerank, lagraph_sssp, lagraph_tc

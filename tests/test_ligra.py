@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.frameworks import FRAMEWORK_NAMES, get
 from repro.generators import weighted_version
 from repro.ligra import VertexSubset, edge_map, vertex_map

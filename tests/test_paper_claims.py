@@ -9,7 +9,7 @@ what the reproduction is supposed to preserve.
 import numpy as np
 import pytest
 
-from repro.core import counters
+from repro import counters
 from repro.frameworks import Mode, RunContext, get
 from repro.generators import build_graph, weighted_version
 

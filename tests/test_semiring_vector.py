@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import counters
+from repro import counters
 from repro.errors import DimensionMismatchError, InvalidValueError
 from repro.semiring import Vector
 
