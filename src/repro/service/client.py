@@ -7,7 +7,8 @@ these concurrently to model a fleet of submitters — and decodes the
 server's chunked NDJSON stream incrementally, so callers see each cell
 event the moment the server flushes it.  The connection only *stays*
 persistent because every reply is read to its last chunk before the next
-request is written: one submission is one request on one socket.
+request is written: one submission is one request on one socket, put
+on it in one write (``http.client`` alone sends a head and a body as two).
 
 Submissions are *idempotent* on the server (every cell is memoized, and
 identical in-flight cells coalesce), which makes client-side retry safe:
@@ -44,6 +45,29 @@ _TERMINAL_EVENTS = ("done", "error", "degraded")
 _CONNECTION_ERRORS = (OSError, http.client.BadStatusLine)
 
 
+class _Connection(http.client.HTTPConnection):
+    """An HTTP connection that puts each request on the socket in one
+    write: ``http.client`` sends a request's head and its body as two,
+    and a submission pays for the second one on both ends of the wire."""
+
+    _held: list[bytes] | None = None
+
+    def request(self, *args, **kwargs) -> None:
+        self._held = []
+        try:
+            super().request(*args, **kwargs)
+            data = b"".join(self._held)
+        finally:
+            self._held = None
+        super().send(data)
+
+    def send(self, data) -> None:
+        if self._held is None:
+            super().send(data)
+        else:
+            self._held.append(data)
+
+
 class ServiceClient:
     """Persistent-connection client for one service endpoint."""
 
@@ -62,16 +86,14 @@ class ServiceClient:
         self.max_attempts = max(1, int(max_attempts))
         #: Base delay of the jittered exponential backoff between attempts.
         self.backoff = float(backoff)
-        self._conn: http.client.HTTPConnection | None = None
+        self._conn: _Connection | None = None
         #: The last response handed out; its reply must be read to the
         #: end before the socket can carry another request.
         self._response: http.client.HTTPResponse | None = None
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            self._conn = _Connection(self.host, self.port, timeout=self.timeout)
             self._conn.connect()
             # Mirror the server: without TCP_NODELAY, Nagle holds each
             # small request/event segment for the delayed-ACK timer.

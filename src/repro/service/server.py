@@ -5,7 +5,8 @@ core — the hot cache, the in-flight table, the counters and the one lock,
 the archive behind one injected ``load`` callable.
 :class:`BenchmarkService` is the shell of threads and files around it,
 one method per stage so that a stage boundary is a function boundary;
-the HTTP layer at the bottom of the module is a thin threaded front end.
+the HTTP layer at the bottom of the module is a thin threaded front end
+that sends each group of ready events in one write.
 
 A **submission** (handler thread, :meth:`BenchmarkService.submit_events`)
 is ``_resolve`` (spec, dataset provenance, one
@@ -17,7 +18,8 @@ coalescing), an *owned miss*, or, on a degraded server, a *rejected*
 miss) → ``_enqueue`` (the owned misses as one job on the bounded queue; a
 full queue fails the claims, so nobody who subscribed to them meanwhile
 waits for a job that never runs) → ``_stream`` (``accepted``, the hits as
-pre-encoded lines, cells as the engine publishes them, a terminal event).
+pre-encoded lines, cells as the engine publishes them, a terminal event —
+grouped by readiness, an empty line wherever the stream is about to wait).
 
 A **job** (the single engine thread, :meth:`BenchmarkService._execute`)
 is ``_plan`` (the smallest axes covering the owned cells, the rest of
@@ -35,6 +37,7 @@ journals through the same ``_commit``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -45,7 +48,7 @@ import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from queue import Full, Queue, SimpleQueue
+from queue import Empty, Full, Queue, SimpleQueue
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..core.batching import canonical_order
@@ -377,11 +380,15 @@ class BenchmarkService:
     # -- submission (handler threads) -----------------------------------
 
     def submit_events(self, request: CampaignRequest) -> Iterator[bytes]:
-        """Process one submission; returns its encoded NDJSON event lines.
+        """Process one submission; returns its encoded NDJSON event lines,
+        grouped by readiness.
 
         Resolve, classify and enqueue happen in the call; the iterator is
         the stream stage alone — hits at once, then blocking between
-        events while misses execute.
+        events while misses execute.  Where the stream is about to block,
+        it yields an empty line (never an event): every line since the
+        last one was ready together and can leave in one write.  A pure
+        hit has no such line at all.
         """
         try:
             spec, identity, cells, digests = self._resolve(request)
@@ -465,7 +472,8 @@ class BenchmarkService:
         queue: SimpleQueue,
         job: _Job | None,
     ) -> Iterator[bytes]:
-        """The event stream of one classified (and enqueued) submission."""
+        """The event stream of one classified (and enqueued) submission,
+        an empty line before each wait (see :meth:`submit_events`)."""
         yield encode_event(
             {
                 "event": "accepted",
@@ -482,7 +490,11 @@ class BenchmarkService:
         failure: str | None = None
         awaiting_finish = job is not None
         while pending or awaiting_finish:
-            message = queue.get()
+            try:
+                message = queue.get_nowait()
+            except Empty:
+                yield b""
+                message = queue.get()
             kind = message[0]
             if kind == "cell":
                 _, digest, line = message
@@ -531,7 +543,7 @@ class BenchmarkService:
 
     def submit_collect(self, request: CampaignRequest) -> list[dict[str, object]]:
         """Decoded event list for one submission (test/in-process use)."""
-        return [json.loads(line) for line in self.submit_events(request)]
+        return [json.loads(line) for line in self.submit_events(request) if line]
 
     # -- the table's way to the archive ---------------------------------
 
@@ -950,13 +962,23 @@ class BenchmarkService:
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes: POST /submit (NDJSON stream), GET /status, GET /healthz,
     POST /shutdown.  HTTP/1.1 with keep-alive; /submit streams via
-    chunked transfer-encoding so clients see cells as they land."""
+    chunked transfer-encoding so clients see cells as they land.
+
+    One write per group of ready events: ``wfile`` is buffered, and it is
+    flushed only where the event stream is about to wait and after each
+    request (``handle_one_request`` does that).  So a pure hit — headers,
+    ``accepted``, every cell, ``done`` and the zero-length chunk — is one
+    send, a JSON reply is one send, and a miss sends each group of cells
+    the moment it lands.  A group larger than the buffer goes out in
+    buffer-sized sends, one chunk per event as always.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
-    # Nagle + delayed ACK turns each small chunked write into a 40ms
-    # stall; a streaming event protocol must flush segments immediately.
+    # Nagle + delayed ACK turns each small write into a 40ms stall; a
+    # streaming event protocol must send its segments immediately.
     disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the service is chatty enough through its event streams
@@ -973,12 +995,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # engine finishes its job anyway): an event to count, not a
             # traceback.  Anything else stays loud.
             self.service._table.count("connections_reset")
+            # Drop what the dead socket did not take, or ``finish`` would
+            # fail to flush it a second time, with a traceback.
+            with contextlib.suppress(OSError):
+                self.wfile.close()
 
-    def _send_json(self, status: int, payload: dict[str, object]) -> None:
+    def handle_expect_100(self) -> bool:
+        # The interim reply must leave before the body is waited for.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _send_json(
+        self, status: int, payload: dict[str, object], close: bool = False
+    ) -> None:
         body = json.dumps(payload, default=str).encode() + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -993,7 +1029,27 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
+    def _read_body(self) -> bytes | None:
+        """The request body, consumed exactly — or None, once a JSON
+        refusal has been sent and the connection marked to close: a body
+        left on a kept-alive socket would be parsed as the next request."""
+        declared = self.headers.get("Content-Length", "0").strip()
+        if "Transfer-Encoding" in self.headers:
+            status, error = 411, "send a Content-Length, not a Transfer-Encoding"
+        elif not declared.isdecimal():
+            status, error = 400, f"bad Content-Length {declared!r}"
+        else:
+            raw = self.rfile.read(int(declared))
+            if len(raw) == int(declared):
+                return raw
+            status, error = 400, f"body ended after {len(raw)} of {declared} bytes"
+        self._send_json(status, {"error": error}, close=True)
+        return None
+
     def do_POST(self) -> None:
+        raw = self._read_body()
+        if raw is None:
+            return
         if self.path == "/shutdown":
             self._send_json(200, {"ok": True, "shutting_down": True})
             threading.Thread(target=self.server.shutdown, daemon=True).start()
@@ -1002,8 +1058,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length) if length else b""
             request = CampaignRequest.from_dict(json.loads(raw or b"{}"))
         except (ServiceError, json.JSONDecodeError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
@@ -1013,7 +1067,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         for line in self.service.submit_events(request):
-            self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
+            if line:
+                self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
+            else:
+                self.wfile.flush()  # the stream waits: send what is ready
         self.wfile.write(b"0\r\n\r\n")
 
 

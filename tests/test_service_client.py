@@ -283,6 +283,28 @@ class TestDroppedConnectionsAreCounted:
         time.sleep(0.1)
         assert service.stats["connections_reset"] == 1
 
+    def test_reset_at_flush_time_is_a_stat_not_a_traceback(
+        self, server, service, monkeypatch, capsys
+    ):
+        # The miss waits on the engine, so ``accepted`` is flushed alone;
+        # its cells meet the reset at the next flush, and what the socket
+        # did not take must not be flushed again on the way out.
+        gate = threading.Event()
+        execute = service._execute
+
+        def held_execute(job):
+            gate.wait(30.0)
+            execute(job)
+
+        monkeypatch.setattr(service, "_execute", held_execute)
+        try:
+            self._reset_mid_reply(server, json.dumps(_request().as_dict()).encode())
+        finally:
+            gate.set()
+        assert _wait_for(lambda: service.stats["connections_reset"] == 1)
+        assert _wait_for(lambda: server.accepted[-1].fileno() == -1)  # finished
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_other_handler_exceptions_stay_loud(
         self, client, service, monkeypatch, capsys
     ):
