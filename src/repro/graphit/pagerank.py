@@ -46,7 +46,7 @@ def graphit_pagerank(
     # Cache-tiling preprocessing, built once and amortized over iterations
     # (the paper: "amortized within 2-5 iterations").
     segmented = (
-        SegmentedEdges(graph, schedule.num_segments, pull=True)
+        SegmentedEdges(graph, schedule.num_segments)
         if schedule.num_segments > 1
         else None
     )

@@ -4,17 +4,18 @@ The *algorithm* side of a GraphIt program reduces to two constructs:
 
 * ``edgeset_apply_from`` — apply a vectorized edge function to the edges
   leaving a frontier ("from" set), optionally restricted by a destination
-  filter; returns the set of modified destinations (``applyModified``);
+  filter; returns the set of modified destinations (``applyModified``).
+  The traversal is :func:`repro.la.edge_map`, the operator Ligra's
+  ``edgeMap`` runs too; the schedule adds the direction, the frontier
+  layout and its conversions;
 * ``edgeset_apply_all`` — apply an edge function to every edge (topology-
   driven operators like PageRank), optionally cache-tiled into segments.
 
-The *schedule* decides direction (sparse push, dense pull, or the hybrid
-that picks per step), frontier layout, deduplication, and tiling.  Edge
-functions receive ``(sources, destinations, weights)`` — ``weights`` is
-``None`` on an unweighted graph — and return the mask of destination entries
-they modified (``applyModified``), or ``None`` when no output set is wanted
-(plain ``apply``); state lives in the caller's arrays, mirroring GraphIt's
-vertex-data model where the compiler inserts the atomics.
+Edge functions receive ``(sources, destinations, weights)`` — ``weights``
+is ``None`` on an unweighted graph — and return the mask of destination
+entries they modified (``applyModified``), or ``None`` when no output set
+is wanted (plain ``apply``); state lives in the caller's arrays, mirroring
+GraphIt's vertex-data model where the compiler inserts the atomics.
 """
 
 from __future__ import annotations
@@ -25,33 +26,16 @@ import numpy as np
 
 from .. import counters
 from ..graphs import CSRGraph
-from ..la import gather_edges, gather_edges_weighted, unique_ids
+from ..la import edge_map, gather_edges
+from ..la.edgemap import volume_wants_pull
 from .schedule import Direction, FrontierLayout, Schedule
 from .vertexset import VertexSet
 
 __all__ = ["edgeset_apply_from", "edgeset_apply_all", "SegmentedEdges"]
 
-# Hybrid threshold, as in GraphIt's generated code: pull when the frontier's
-# outgoing-edge volume exceeds this fraction of all edges.
-HYBRID_EDGE_FRACTION = 20
-
 EdgeFunction = Callable[
     [np.ndarray, np.ndarray, "np.ndarray | None"], "np.ndarray | None"
 ]
-
-
-def _expand(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray | None,
-    vertices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    if weights is None:
-        return *gather_edges(indptr, indices, vertices), None
-    sources, targets, edge_weights = gather_edges_weighted(
-        indptr, indices, weights, vertices
-    )
-    return sources, targets, edge_weights.astype(np.float64)
 
 
 def edgeset_apply_from(
@@ -68,7 +52,10 @@ def edgeset_apply_from(
         frontier: The "from" vertexset.
         apply_fn: Vectorized edge function; returns the boolean mask of
             modified destination entries.
-        schedule: Direction / layout / dedup decisions.
+        schedule: Direction and layout decisions.  The hybrid direction
+            is the volume rule of :func:`repro.la.edge_map`; a pull needs
+            a bitvector frontier, a push a sparse one, and a frontier in
+            the other layout is converted (``frontier_conversions``).
         to_filter: Optional boolean array over vertices; only edges whose
             destination passes the filter are applied (GraphIt's ``to``
             clause, e.g. "not yet visited").
@@ -77,44 +64,24 @@ def edgeset_apply_from(
         The vertexset of modified destinations, in the schedule's layout;
         ``None`` when ``apply_fn`` returned no mask.
     """
-    direction = schedule.direction
-    if direction is Direction.DENSE_PULL_SPARSE_PUSH:
-        scout = int(graph.out_degrees[frontier.ids()].sum()) + frontier.size()
-        use_pull = scout > graph.num_edges // HYBRID_EDGE_FRACTION
-        direction = Direction.DENSE_PULL if use_pull else Direction.SPARSE_PUSH
-
-    if direction is Direction.DENSE_PULL:
-        # Iterate candidate destinations, scanning in-edges for frontier hits.
-        bits = frontier.to_layout(FrontierLayout.BITVECTOR)
-        candidates = (
-            np.flatnonzero(to_filter)
-            if to_filter is not None
-            else np.arange(graph.num_vertices, dtype=np.int64)
-        )
-        dsts, srcs, weights = _expand(
-            graph.in_indptr, graph.in_indices, graph.in_weights, candidates
-        )
-        counters.add_edges(srcs.size)
-        hits = bits.contains(srcs)
-        srcs, dsts = srcs[hits], dsts[hits]
-        weights = None if weights is None else weights[hits]
+    members = frontier.ids()
+    if schedule.direction is Direction.DENSE_PULL_SPARSE_PUSH:
+        pull = volume_wants_pull(graph, members)
     else:
-        members = frontier.to_layout(FrontierLayout.SPARSE_ARRAY).ids()
-        srcs, dsts, weights = _expand(graph.indptr, graph.indices, graph.weights, members)
-        counters.add_edges(srcs.size)
-        if to_filter is not None and dsts.size:
-            allowed = to_filter[dsts]
-            srcs, dsts = srcs[allowed], dsts[allowed]
-            weights = None if weights is None else weights[allowed]
-
-    if dsts.size == 0:
-        return VertexSet(graph.num_vertices, schedule.frontier)
-    modified = apply_fn(srcs, dsts, weights)
-    if modified is None:
+        pull = schedule.direction is Direction.DENSE_PULL
+    frontier = frontier.to_layout(
+        FrontierLayout.BITVECTOR if pull else FrontierLayout.SPARSE_ARRAY
+    )
+    out = edge_map(
+        graph,
+        members,
+        apply_fn,
+        to_filter,
+        pull=pull,
+        frontier_bits=frontier.bits() if pull else None,
+    )
+    if out is None:
         return None
-    out = dsts[modified]
-    if schedule.deduplicate:
-        out = unique_ids(out, graph.num_vertices)
     return VertexSet.from_ids(graph.num_vertices, out, schedule.frontier)
 
 
@@ -128,8 +95,7 @@ class SegmentedEdges:
     invocation and reused every iteration.
     """
 
-    def __init__(self, graph: CSRGraph, num_segments: int, pull: bool = True) -> None:
-        del pull  # the edge set is the same either way; see below
+    def __init__(self, graph: CSRGraph, num_segments: int) -> None:
         # Edges sorted by source are exactly the out-CSR's storage order, so
         # the partition falls out of ``indptr`` directly — no argsort.  (The
         # historical construction expanded the in-adjacency and stably
@@ -173,12 +139,12 @@ def edgeset_apply_all(
     """
     if schedule.num_segments > 1:
         if segmented is None:
-            segmented = SegmentedEdges(graph, schedule.num_segments, pull)
+            segmented = SegmentedEdges(graph, schedule.num_segments)
         segmented.apply(apply_fn)
         return
     indptr = graph.in_indptr if pull else graph.indptr
     indices = graph.in_indices if pull else graph.indices
     all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
     counters.add_edges(indices.size)
-    owners, others, weights = _expand(indptr, indices, None, all_vertices)
-    apply_fn(others if pull else owners, owners if pull else others, weights)
+    owners, others = gather_edges(indptr, indices, all_vertices)
+    apply_fn(others if pull else owners, owners if pull else others, None)

@@ -3,7 +3,7 @@
 GraphIt's core idea (Section III-D of the paper) is that the *algorithm*
 ("apply this function over these edges") says nothing about *how* to run
 it; a separate schedule composes direction choice, frontier data layout,
-deduplication, parallelization, and cache/NUMA tiling.  This module is the
+parallelization, and cache/NUMA tiling.  This module is the
 schedule side: a validated, declarative description the execution engine
 interprets.  Invalid combinations raise :class:`SchedulingError` at
 construction — GraphIt's compiler, likewise, rejects them statically.
@@ -43,7 +43,6 @@ class Schedule:
         direction: Traversal direction policy.
         frontier: Active-set layout; bitvectors win when frontiers are
             large, sparse arrays when small (the paper's BC discussion).
-        deduplicate: Remove duplicate activations within a step.
         num_segments: Cache-tiling segment count for full-edge sweeps
             (GraphIt's Optimized PR); 0 disables tiling.
         bucket_fusion: For ordered (priority-bucket) operators: process
@@ -53,7 +52,6 @@ class Schedule:
 
     direction: Direction = Direction.DENSE_PULL_SPARSE_PUSH
     frontier: FrontierLayout = FrontierLayout.SPARSE_ARRAY
-    deduplicate: bool = True
     num_segments: int = 0
     bucket_fusion: bool = False
     delta: int = 16

@@ -1,11 +1,12 @@
 """GraphIt vertexsets: active-vertex collections with schedulable layout.
 
 A vertexset is the DSL's frontier abstraction.  The *algorithm* only ever
-asks for membership, size, and iteration; the *schedule* decides whether
-the backing store is a sparse index array or a dense bitvector, and the
-engine converts between them as the schedule demands.  Conversions report
-to the work counters: the paper attributes real costs to frontier/vertexset
-creation mechanics (GAP vs GraphIt BFS on Road).
+asks for its ids and size; the *schedule* decides whether the backing
+store is a sparse index array or a dense bitvector, and the engine
+converts between them as the traversal direction demands, handing the
+bitvector itself to a pull.  Conversions report to the work counters: the
+paper attributes real costs to frontier/vertexset creation mechanics (GAP
+vs GraphIt BFS on Road).
 """
 
 from __future__ import annotations
@@ -56,15 +57,9 @@ class VertexSet:
             return self._bits.nonzero()[0]
         return self._ids
 
-    def contains(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean membership test for an id array."""
-        if self.layout is FrontierLayout.BITVECTOR:
-            return self._bits[ids]
-        position = np.searchsorted(self._ids, ids)
-        if self._ids.size == 0:
-            return np.zeros(np.shape(ids), dtype=bool)
-        position = np.minimum(position, self._ids.size - 1)
-        return self._ids[position] == ids
+    def bits(self) -> np.ndarray:
+        """Membership as a boolean array over vertices (the bitvector itself)."""
+        return self.to_layout(FrontierLayout.BITVECTOR)._bits
 
     def to_layout(self, layout: FrontierLayout) -> "VertexSet":
         """Convert to the requested layout (a timed, counted operation)."""

@@ -7,7 +7,8 @@ the blocked Gauss-Seidel sweeps over it (:mod:`.spmv`), the wedge-closing
 test under every triangle count (:mod:`.intersect`), the multi-root
 Brandes sweep under the per-root BCs (:mod:`.sweep`), the
 direction-optimizing traversal with its push/pull policy
-(:mod:`.direction`), and Afforest beside its hooking moves
+(:mod:`.direction`), the frontier operator of Ligra and GraphIt with its
+volume rule (:mod:`.edgemap`), and Afforest beside its hooking moves
 (:mod:`.hooking`).  Each primitive and each kernel body has one
 implementation; the formulations the kernels used before the port
 are the oracle the tests compare against
@@ -17,15 +18,15 @@ per call and returns only its output.  See ``docs/KERNEL_SUBSTRATE.md``.
 """
 
 from .direction import ALPHA, DirectionOptimizer, direction_optimizing_traversal
+from .edgemap import edge_map
 from .frontier import (
     claim_first_writer,
     delta_stepping,
     first_occurrence_mask,
     relax,
-    relax_minimum,
     unique_ids,
 )
-from .gather import gather_edges, gather_edges_weighted
+from .gather import gather_edges
 from .intersect import count_closing, count_forward_triangles
 from .spmv import (
     blocked_gauss_seidel,
@@ -39,14 +40,13 @@ __all__ = [
     "ALPHA",
     "DirectionOptimizer",
     "direction_optimizing_traversal",
+    "edge_map",
     "claim_first_writer",
     "first_occurrence_mask",
-    "relax_minimum",
     "relax",
     "delta_stepping",
     "unique_ids",
     "gather_edges",
-    "gather_edges_weighted",
     "count_closing",
     "count_forward_triangles",
     "masked_pull_claim",

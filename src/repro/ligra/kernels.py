@@ -1,13 +1,17 @@
-"""The six GAP kernels written against the Ligra-style substrate.
+"""The six GAP kernels written against the shared frontier operator.
 
-Algorithm choices follow the classic frontier-based formulations that
-distinguish this framework from the paper's six:
+Frontiers are sorted int64 id arrays, as in :mod:`repro.la.direction`, and
+every edge pass is one call of :func:`repro.la.edge_map` (Ligra's
+``edgeMap``, volume rule included).  Algorithm choices follow the classic
+frontier-based formulations that distinguish this framework from the
+paper's six:
 
 * BFS — parents via edgeMap with a first-writer update (the adaptive
   edgeMap *is* direction optimization);
-* SSSP — frontier-based Bellman-Ford relaxation (no buckets: every round
-  relaxes the whole improved frontier, paying extra work on weighted
-  graphs but needing no priority structure);
+* SSSP — frontier-based Bellman-Ford relaxation through
+  :func:`repro.la.relax` (no buckets: every round relaxes the whole
+  improved frontier, paying extra work on weighted graphs but needing no
+  priority structure);
 * CC — min-label propagation over frontiers (only changed vertices stay
   active, unlike GraphIt's full-sweep variant);
 * PR — Jacobi via a dense edgeMap each iteration;
@@ -28,9 +32,8 @@ from ..graphs import (
     forward_adjacency,
     permute,
 )
-from ..la import first_occurrence_mask, gather_edges_weighted, relax_minimum
+from ..la import edge_map, first_occurrence_mask, relax
 from ..la.intersect import count_forward_triangles
-from .substrate import VertexSubset, edge_map
 
 __all__ = [
     "ligra_bfs",
@@ -48,18 +51,15 @@ def ligra_bfs(graph: CSRGraph, source: int) -> np.ndarray:
     parents = np.full(n, -1, dtype=np.int64)
     parents[source] = source
 
-    def update(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def update(sources: np.ndarray, targets: np.ndarray, weights: None) -> np.ndarray:
         modified = first_occurrence_mask(targets, n)
         parents[targets[modified]] = sources[modified]
         return modified
 
-    def unvisited(vertices: np.ndarray) -> np.ndarray:
-        return parents[vertices] < 0
-
-    frontier = VertexSubset.single(n, source)
-    while frontier:
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
         counters.add_round()
-        frontier = edge_map(graph, frontier, update, cond=unvisited)
+        frontier = edge_map(graph, frontier, update, to_filter=parents < 0)
     return parents
 
 
@@ -69,23 +69,13 @@ def ligra_sssp(graph: CSRGraph, source: int) -> np.ndarray:
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
 
-    frontier = VertexSubset.single(n, source)
-    while frontier:
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
         counters.add_round()
-        members = frontier.ids()
-        sources, targets, weights = gather_edges_weighted(
-            graph.indptr, graph.indices, graph.weights, members
+        frontier, examined = relax(
+            graph.indptr, graph.indices, graph.weights, frontier, dist
         )
-        counters.add_edges(targets.size)
-        if targets.size == 0:
-            break
-        candidate = dist[sources] + weights
-        better = candidate < dist[targets]
-        targets, candidate = targets[better], candidate[better]
-        if targets.size == 0:
-            break
-        improved = relax_minimum(dist, targets, candidate, n)
-        frontier = VertexSubset(n, ids=improved)
+        counters.add_edges(examined)
     return dist
 
 
@@ -94,20 +84,19 @@ def ligra_cc(graph: CSRGraph) -> np.ndarray:
     n = graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
 
-    def update(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def update(sources: np.ndarray, targets: np.ndarray, weights: None) -> np.ndarray:
         candidate = labels[sources]
         better = candidate < labels[targets]
         np.minimum.at(labels, targets[better], candidate[better])
         return better
 
-    frontier = VertexSubset.from_ids(n, np.arange(n, dtype=np.int64))
-    while frontier:
+    frontier = np.arange(n, dtype=np.int64)
+    while frontier.size:
         counters.add_iteration()
         forward = edge_map(graph, frontier, update)
         if graph.directed:
             backward = edge_map(graph.transpose(), frontier, update)
-            merged = np.union1d(forward.ids(), backward.ids())
-            frontier = VertexSubset.from_ids(n, merged)
+            frontier = np.union1d(forward, backward)
         else:
             frontier = forward
     return labels
@@ -126,13 +115,12 @@ def ligra_pr(
     out_degrees = graph.out_degrees.astype(np.float64)
     has_out = out_degrees > 0
     safe = np.where(has_out, out_degrees, 1.0)
-    everything = VertexSubset.from_ids(n, np.arange(n, dtype=np.int64))
+    everything = np.arange(n, dtype=np.int64)
     incoming = np.zeros(n, dtype=np.float64)
     contrib = np.zeros(n, dtype=np.float64)
 
-    def accumulate(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def accumulate(sources: np.ndarray, targets: np.ndarray, weights: None) -> None:
         np.add.at(incoming, targets, contrib[sources])
-        return np.zeros(targets.size, dtype=bool)
 
     for _ in range(max_iterations):
         counters.add_iteration()
@@ -160,41 +148,37 @@ def ligra_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
         sigma[root] = 1.0
         levels: list[np.ndarray] = [np.array([root], dtype=np.int64)]
 
-        def count_paths(srcs: np.ndarray, tgts: np.ndarray) -> np.ndarray:
+        def count_paths(
+            srcs: np.ndarray, tgts: np.ndarray, weights: None
+        ) -> np.ndarray:
             np.add.at(sigma, tgts, sigma[srcs])
             return first_occurrence_mask(tgts, n)
 
-        def unvisited(vertices: np.ndarray) -> np.ndarray:
-            return depth[vertices] < 0
-
-        frontier = VertexSubset.single(n, int(root))
+        frontier = levels[0]
         level = 0
-        while frontier:
+        while frontier.size:
             counters.add_round()
-            frontier = edge_map(graph, frontier, count_paths, cond=unvisited)
+            frontier = edge_map(graph, frontier, count_paths, to_filter=depth < 0)
             level += 1
-            members = frontier.ids()
-            if members.size:
-                depth[members] = level
-                levels.append(members)
+            if frontier.size:
+                depth[frontier] = level
+                levels.append(frontier)
 
         delta = np.zeros(n, dtype=np.float64)
+
+        def push_dependency(srcs: np.ndarray, tgts: np.ndarray, weights: None) -> None:
+            predecessor = depth[tgts] == depth[srcs] - 1
+            np.add.at(
+                delta,
+                tgts[predecessor],
+                (sigma[tgts[predecessor]] / sigma[srcs[predecessor]])
+                * (1.0 + delta[srcs[predecessor]]),
+            )
+
         transpose = graph.transpose()
         for level_index in range(len(levels) - 1, 0, -1):
             counters.add_round()
-            current = levels[level_index]
-
-            def push_dependency(srcs: np.ndarray, tgts: np.ndarray) -> np.ndarray:
-                predecessor = depth[tgts] == depth[srcs] - 1
-                np.add.at(
-                    delta,
-                    tgts[predecessor],
-                    (sigma[tgts[predecessor]] / sigma[srcs[predecessor]])
-                    * (1.0 + delta[srcs[predecessor]]),
-                )
-                return np.zeros(tgts.size, dtype=bool)
-
-            edge_map(transpose, VertexSubset.from_ids(n, current), push_dependency)
+            edge_map(transpose, levels[level_index], push_dependency)
         delta[root] = 0.0
         scores += delta
     return scores

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import counters
-from repro.la import gather_edges, gather_edges_weighted
+from repro.la import gather_edges
+from repro.la.gather import gather_edges_weighted
 from repro.la.hooking import compress, converge, hook_pass, majority_component
 
 

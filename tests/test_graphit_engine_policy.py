@@ -86,7 +86,7 @@ class TestSegmentedEdges:
 
     def test_pull_orientation_pairs(self, tiny_graph):
         """In pull mode, (source, target) must still mean source -> target."""
-        tiled = SegmentedEdges(tiny_graph, num_segments=2, pull=True)
+        tiled = SegmentedEdges(tiny_graph, num_segments=2)
         for sources, targets in tiled.segments:
             for u, v in zip(sources.tolist(), targets.tolist()):
                 assert tiny_graph.has_edge(u, v)

@@ -14,13 +14,14 @@ from repro.graphitc import (
     edgeset_apply_all,
     edgeset_apply_from,
 )
+from repro.la import edge_map
+from repro.la.edgemap import volume_wants_pull
 
 
 class TestSchedule:
     def test_defaults(self):
         s = Schedule()
         assert s.direction is Direction.DENSE_PULL_SPARSE_PUSH
-        assert s.deduplicate
 
     def test_with_builder(self):
         s = Schedule().with_(num_segments=4)
@@ -52,7 +53,7 @@ class TestVertexSet:
     def test_bitvector_basics(self):
         vs = VertexSet.from_ids(10, np.array([5]), FrontierLayout.BITVECTOR)
         assert vs.size() == 1
-        assert vs.contains(np.array([5, 6])).tolist() == [True, False]
+        assert vs.bits()[[5, 6]].tolist() == [True, False]
 
     def test_layout_conversion_counted(self):
         vs = VertexSet.from_ids(10, np.array([2]))
@@ -72,7 +73,7 @@ class TestVertexSet:
 
     def test_contains_empty_sparse(self):
         vs = VertexSet(4)
-        assert vs.contains(np.array([1])).tolist() == [False]
+        assert vs.bits()[[1]].tolist() == [False]
 
 
 class TestEngine:
@@ -113,10 +114,58 @@ class TestEngine:
         assert out.layout is FrontierLayout.BITVECTOR
 
     def test_deduplicate(self, tiny_graph):
-        # 0 and 1 both reach 2; with dedup the output frontier has 2 once.
-        schedule = Schedule(direction=Direction.SPARSE_PUSH, deduplicate=True)
+        # 0 and 1 both reach 2; the output frontier has 2 once.
+        schedule = Schedule(direction=Direction.SPARSE_PUSH)
         _, out = self._collect_edges(tiny_graph, [0, 1], schedule)
         assert out.ids().tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "direction, layout",
+        [
+            (direction, layout)
+            for direction in Direction
+            for layout in FrontierLayout
+            if not (
+                direction is Direction.DENSE_PULL
+                and layout is FrontierLayout.SPARSE_ARRAY
+            )
+        ],
+    )
+    @pytest.mark.parametrize("members", ["hub", "all"])
+    def test_apply_from_is_la_edge_map(self, corpus, direction, layout, members):
+        """The engine adds a direction and a layout to ``la.edge_map``: the
+        same ids, and a conversion exactly when the layout does not suit
+        the direction it took."""
+        graph = corpus["kron"]
+        n = graph.num_vertices
+        ids = (
+            np.array([int(np.argmax(graph.out_degrees))])
+            if members == "hub"
+            else np.arange(n)
+        )
+        to_filter = np.arange(n) % 3 != 0
+
+        def claim(srcs, dsts, weights):
+            return dsts % 2 == 0
+
+        schedule = Schedule(direction=direction, frontier=layout)
+        with counters.counting() as work:
+            out = edgeset_apply_from(
+                graph, VertexSet.from_ids(n, ids, layout), claim, schedule, to_filter
+            )
+        pull = (
+            volume_wants_pull(graph, ids)
+            if direction is Direction.DENSE_PULL_SPARSE_PUSH
+            else direction is Direction.DENSE_PULL
+        )
+        with counters.counting() as reference:
+            expected = edge_map(graph, ids, claim, to_filter, pull=pull)
+        assert out.ids().tolist() == expected.tolist()
+        assert out.layout is layout
+        needed = FrontierLayout.BITVECTOR if pull else FrontierLayout.SPARSE_ARRAY
+        conversions = work.extras.pop("frontier_conversions", 0)
+        assert conversions == (0 if layout is needed else 1)
+        assert work == reference
 
     def test_apply_all_visits_every_edge(self, tiny_graph):
         total = {"count": 0}

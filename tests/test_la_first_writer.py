@@ -16,12 +16,8 @@ tree — and require bit-identical results.
 import numpy as np
 import pytest
 
-from repro.la import (
-    claim_first_writer,
-    first_occurrence_mask,
-    relax_minimum,
-    unique_ids,
-)
+from repro.la import claim_first_writer, first_occurrence_mask, unique_ids
+from repro.la.frontier import relax_minimum
 from tests.reference import la_oracle
 
 N = 64

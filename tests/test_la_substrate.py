@@ -38,14 +38,13 @@ from repro.la import (
     count_closing,
     count_forward_triangles,
     gather_edges,
-    gather_edges_weighted,
     masked_pull_claim,
     plus_times_operator,
     spmv_min_plus,
 )
 from repro.la import intersect
 from repro.la.direction import BETA
-from repro.la.gather import flat_edge_index, is_full_range
+from repro.la.gather import flat_edge_index, gather_edges_weighted, is_full_range
 from tests.reference import la_oracle
 from tests.conftest import GRAPHS, to_networkx
 from tests.reference.la_oracle import oracle_engine

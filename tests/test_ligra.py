@@ -7,88 +7,51 @@ import pytest
 from repro import counters
 from repro.frameworks import FRAMEWORK_NAMES, get
 from repro.generators import weighted_version
-from repro.ligra import VertexSubset, edge_map, vertex_map
-
-
-class TestVertexSubset:
-    def test_sparse_and_dense_agree(self):
-        sparse = VertexSubset.from_ids(8, np.array([1, 5]))
-        dense = VertexSubset.from_dense(sparse.dense())
-        assert sparse.ids().tolist() == dense.ids().tolist()
-        assert sparse.size() == dense.size() == 2
-
-    def test_single(self):
-        vs = VertexSubset.single(4, 2)
-        assert vs.ids().tolist() == [2]
-
-    def test_empty_falsy(self):
-        assert not VertexSubset.from_ids(4, np.empty(0, dtype=np.int64))
-
-    def test_duplicates_removed(self):
-        assert VertexSubset.from_ids(4, np.array([1, 1, 1])).size() == 1
+from repro.la import edge_map
 
 
 class TestEdgeMap:
     def test_sparse_and_dense_modes_visit_same_edges(self, tiny_graph):
         def collect(store):
-            def update(sources, targets):
+            def update(sources, targets, weights):
                 store.extend(zip(sources.tolist(), targets.tolist()))
                 return np.ones(targets.size, dtype=bool)
 
             return update
 
         seen_sparse, seen_dense = [], []
-        frontier = VertexSubset.from_ids(7, np.array([0, 1]))
-        edge_map(tiny_graph, frontier, collect(seen_sparse), threshold=1)
-        edge_map(tiny_graph, frontier, collect(seen_dense), threshold=10**9)
+        frontier = np.array([0, 1])
+        edge_map(tiny_graph, frontier, collect(seen_sparse), pull=False)
+        edge_map(tiny_graph, frontier, collect(seen_dense), pull=True)
         assert sorted(set(seen_sparse)) == sorted(set(seen_dense))
 
     def test_direction_choice_recorded(self, corpus):
         graph = corpus["kron"]
         hub = int(np.argmax(graph.out_degrees))
-        small = VertexSubset.single(graph.num_vertices, hub)
 
-        def update(sources, targets):
+        def update(sources, targets, weights):
             return np.zeros(targets.size, dtype=bool)
 
-        # use_dense triggers when out_volume > |E| // threshold, so a tiny
-        # threshold forces sparse and a huge one forces dense.
+        # The volume rule pushes a single vertex and pulls every vertex.
         with counters.counting() as work:
-            edge_map(graph, small, update, threshold=1)  # force sparse
-        assert work.extras.get("edge_map_sparse") == 1
-        everything = VertexSubset.from_ids(
-            graph.num_vertices, np.arange(graph.num_vertices)
-        )
+            edge_map(graph, np.array([hub]), update)
+        assert work.extras == {"edge_map_sparse": 1}
         with counters.counting() as work:
-            edge_map(graph, everything, update, threshold=10**9)  # force dense
-        assert work.extras.get("edge_map_dense") == 1
+            edge_map(graph, np.arange(graph.num_vertices), update)
+        assert work.extras == {"edge_map_dense": 1}
 
     def test_cond_prunes(self, tiny_graph):
         allowed = np.zeros(7, dtype=bool)
         allowed[2] = True
         seen = []
 
-        def update(sources, targets):
+        def update(sources, targets, weights):
             seen.extend(targets.tolist())
             return np.ones(targets.size, dtype=bool)
 
-        out = edge_map(
-            tiny_graph,
-            VertexSubset.from_ids(7, np.array([0, 1])),
-            update,
-            cond=lambda v: allowed[v],
-        )
+        out = edge_map(tiny_graph, np.array([0, 1]), update, to_filter=allowed)
         assert set(seen) == {2}
-        assert out.ids().tolist() == [2]
-
-    def test_vertex_map_filters(self):
-        vs = VertexSubset.from_ids(6, np.array([0, 1, 2, 3]))
-        evens = vertex_map(vs, lambda ids: ids % 2 == 0)
-        assert evens.ids().tolist() == [0, 2]
-
-    def test_vertex_map_none_keeps_subset(self):
-        vs = VertexSubset.from_ids(6, np.array([0, 1]))
-        assert vertex_map(vs, lambda ids: None) is vs
+        assert out.tolist() == [2]
 
 
 class TestLigraKernels:

@@ -46,3 +46,8 @@ def test_every_exported_name_has_a_caller(package):
 def test_ranges_package_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.ranges")
+
+
+def test_ligra_substrate_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.ligra.substrate")
