@@ -526,12 +526,16 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 
 def _parse_server(text: str) -> tuple[str, int]:
-    """Split a HOST:PORT (or bare PORT) --server value."""
-    host, _, port = text.rpartition(":")
-    try:
-        return (host or "127.0.0.1", int(port))
-    except ValueError:
+    """Split a HOST:PORT (or bare PORT) --server value.  The URL that
+    ``repro serve`` prints is accepted as it is (an ``http://`` scheme
+    and one trailing ``/`` are dropped), and so is a bracketed IPv6 host."""
+    address = text.removeprefix("http://").removesuffix("/")
+    host, _, port = address.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not port.isdecimal() or "/" in host:
         raise SystemExit(f"--server must be HOST:PORT, got {text!r}")
+    return (host or "127.0.0.1", int(port))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -1,14 +1,17 @@
 """Streaming client for the benchmark service.
 
-A thin wrapper over :mod:`http.client` kept deliberately dependency-free
-(the container has no requests/httpx).  One :class:`ServiceClient` holds
-one persistent HTTP/1.1 connection — the benchmark drives dozens of
-these concurrently to model a fleet of submitters — and decodes the
-server's chunked NDJSON stream incrementally, so callers see each cell
-event the moment the server flushes it.  The connection only *stays*
-persistent because every reply is read to its last chunk before the next
-request is written: one submission is one request on one socket, put
-on it in one write (``http.client`` alone sends a head and a body as two).
+Standard library only, and it speaks the little HTTP/1.1 it needs
+itself: the service's server sends every reply with either a
+``Content-Length`` body or a chunked one, and marks ``Connection:
+close`` only on a refusal, so that is what the client parses — and
+nothing more.  One :class:`ServiceClient` holds one
+persistent connection — the benchmark drives dozens of these
+concurrently to model a fleet of submitters — with one buffered reader
+on it, and decodes the server's chunked NDJSON stream one chunk (one
+event) at a time, so callers see each cell event the moment the server
+flushes it.  A request leaves in one write, head and body together.  The
+connection only *stays* persistent because every reply is read to its
+last chunk before the next request is written.
 
 Submissions are *idempotent* on the server (every cell is memoized, and
 identical in-flight cells coalesce), which makes client-side retry safe:
@@ -23,12 +26,11 @@ whole campaign.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
 import time
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..errors import ServiceError
 from .protocol import CampaignRequest
@@ -38,38 +40,25 @@ __all__ = ["ServiceClient"]
 #: Terminal event kinds: a stream that ended without one was torn.
 _TERMINAL_EVENTS = ("done", "error", "degraded")
 
-#: What a dropped connection looks like from ``http.client``.  Its *state*
-#: errors (``CannotSendRequest``, ``ResponseNotReady``) are deliberately
-#: not here: they mean this client misused a live connection, and
-#: answering that with a reconnect sends the request a second time.
-_CONNECTION_ERRORS = (OSError, http.client.BadStatusLine)
+#: Longest status, header, chunk-size or trailer line read, in bytes.
+_MAX_LINE = 65536
+#: Most header (or trailer) lines one reply may carry.
+_MAX_HEADERS = 100
+
+_BLANK = (b"\r\n", b"\n")
 
 
-class _Connection(http.client.HTTPConnection):
-    """An HTTP connection that puts each request on the socket in one
-    write: ``http.client`` sends a request's head and its body as two,
-    and a submission pays for the second one on both ends of the wire."""
+class _Reply(NamedTuple):
+    """What the head of a reply says about its body."""
 
-    _held: list[bytes] | None = None
-
-    def request(self, *args, **kwargs) -> None:
-        self._held = []
-        try:
-            super().request(*args, **kwargs)
-            data = b"".join(self._held)
-        finally:
-            self._held = None
-        super().send(data)
-
-    def send(self, data) -> None:
-        if self._held is None:
-            super().send(data)
-        else:
-            self._held.append(data)
+    status: int
+    length: int | None  # None: the body is chunked
+    close: bool  # the server closes the connection after this reply
 
 
 class ServiceClient:
-    """Persistent-connection client for one service endpoint."""
+    """Persistent-connection client for one service endpoint; every
+    route is one exchange over its own socket and buffered reader."""
 
     def __init__(
         self,
@@ -86,50 +75,150 @@ class ServiceClient:
         self.max_attempts = max(1, int(max_attempts))
         #: Base delay of the jittered exponential backoff between attempts.
         self.backoff = float(backoff)
-        self._conn: _Connection | None = None
-        #: The last response handed out; its reply must be read to the
-        #: end before the socket can carry another request.
-        self._response: http.client.HTTPResponse | None = None
+        self._sock: socket.socket | None = None
+        self._reader = None  # the buffered reader on ``_sock``
+        #: A request went out whose reply is not yet read to its end: the
+        #: socket cannot carry another request.
+        self._reading = False
 
-    def _connection(self) -> _Connection:
-        if self._conn is None:
-            self._conn = _Connection(self.host, self.port, timeout=self.timeout)
-            self._conn.connect()
-            # Mirror the server: without TCP_NODELAY, Nagle holds each
-            # small request/event segment for the delayed-ACK timer.
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return self._conn
+    # -- the exchange ----------------------------------------------------
 
-    def _request(self, method: str, path: str, body: bytes | None = None):
-        headers = {"Content-Type": "application/json"} if body else {}
-        if self._response is not None and not self._response.isclosed():
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        # Mirror the server: without TCP_NODELAY, Nagle holds each small
+        # request/event segment for the delayed-ACK timer.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _request(self, method: str, path: str, body: bytes = b"") -> _Reply:
+        """Send one request and read the head of its reply.
+
+        Every route goes through here.  The body is left on the socket
+        for :meth:`_body` or :meth:`_chunk`.
+        """
+        # The Host header as http.client writes it: an IPv6 literal in
+        # brackets, the port unless it is HTTP's default.
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        if self.port != 80:
+            host += f":{self.port}"
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        if method == "POST":
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        data = head.encode("latin-1") + b"\r\n" + body
+        if self._reading:
             # The caller abandoned the previous stream part-way; the rest
             # of that reply is still on the socket (or yet to be sent).
             self.close()
         # A kept-alive connection the server dropped between requests
         # gets one silent reconnect; a fresh one that fails is a server
         # that cannot be reached.
-        for fresh in (self._conn is None, True):
+        for fresh in (self._sock is None, True):
             try:
-                conn = self._connection()
-                conn.request(method, path, body=body, headers=headers)
-                self._response = conn.getresponse()
-                return self._response
-            except _CONNECTION_ERRORS as exc:
+                if self._sock is None:
+                    self._connect()
+                self._reading = True
+                self._sock.sendall(data)
+                return self._head()
+            except OSError as exc:
                 self.close()
                 if fresh:
                     raise ServiceError(
                         f"service at {self.host}:{self.port} unreachable: {exc}"
                     ) from exc
 
-    def _json(self, method: str, path: str) -> dict[str, object]:
-        resp = self._request(method, path)
-        payload = resp.read()
-        if resp.status != 200:
+    def _line(self) -> bytes:
+        """One whole line of the reply, at most ``_MAX_LINE`` bytes."""
+        line = self._reader.readline(_MAX_LINE)
+        if not line.endswith(b"\n"):
             raise ServiceError(
-                f"{method} {path} failed ({resp.status}): {payload.decode(errors='replace').strip()}"
+                f"reply line over {_MAX_LINE} bytes"
+                if len(line) == _MAX_LINE
+                else "reply torn: the connection closed mid-line"
+            )
+        return line
+
+    def _fields(self) -> Iterator[bytes]:
+        """The header (or trailer) lines up to the blank line ending them."""
+        for _ in range(_MAX_HEADERS):
+            line = self._line()
+            if line in _BLANK:
+                return
+            yield line
+        if self._line() not in _BLANK:
+            raise ServiceError(f"reply has more than {_MAX_HEADERS} header lines")
+
+    def _head(self) -> _Reply:
+        if not self._reader.peek(1):
+            # Not one byte of a reply: the server closed the connection
+            # (a kept-alive socket it dropped, or a process that died).
+            raise ConnectionError("the connection closed before a reply")
+        version, _, rest = self._line().partition(b" ")
+        code = rest[:3]
+        if not version.startswith(b"HTTP/1.") or not code.isdigit():
+            raise ServiceError(f"not an HTTP/1.x status line: {version + b' ' + rest!r}")
+        length, chunked, close = None, False, False
+        for line in self._fields():
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip().lower()
+            if name == b"content-length":
+                if not value.isdigit():
+                    raise ServiceError(f"bad Content-Length {value!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                if value != b"chunked":
+                    raise ServiceError(f"unsupported Transfer-Encoding {value!r}")
+                chunked = True
+            elif name == b"connection":
+                close = value == b"close"
+        if chunked:
+            length = None
+        elif length is None:
+            raise ServiceError("reply has neither a Content-Length nor a chunked body")
+        return _Reply(int(code), length, close)
+
+    def _chunk(self, reply: _Reply) -> bytes | None:
+        """The next chunk of a chunked body, or None once the last chunk
+        and the trailer are read.  Chunk extensions and trailer fields
+        are skipped."""
+        size = int(self._line().partition(b";")[0], 16)
+        if size > 0:
+            data = self._reader.read(size + 2)
+            if len(data) != size + 2 or not data.endswith(b"\r\n"):
+                raise ServiceError("reply torn: the connection closed mid-chunk")
+            return data[:-2]
+        if size < 0:
+            raise ServiceError(f"negative chunk size {size}")
+        for _ in self._fields():
+            pass
+        self._finish(reply)
+        return None
+
+    def _body(self, reply: _Reply) -> bytes:
+        """The whole body of a JSON reply or a refusal."""
+        if reply.length is None:
+            raise ServiceError("expected a Content-Length body, got a chunked one")
+        data = self._reader.read(reply.length)
+        if len(data) != reply.length:
+            raise ServiceError(
+                f"reply torn: body ended after {len(data)} of {reply.length} bytes"
+            )
+        self._finish(reply)
+        return data
+
+    def _finish(self, reply: _Reply) -> None:
+        """The reply is read to its end: the socket is idle again."""
+        self._reading = False
+        if reply.close:
+            self.close()
+
+    def _json(
+        self, method: str, path: str, ok: tuple[int, ...] = (200,)
+    ) -> dict[str, object]:
+        reply = self._request(method, path)
+        payload = self._body(reply)
+        if reply.status not in ok:
+            raise ServiceError(
+                f"{method} {path} failed ({reply.status}): {payload.decode(errors='replace').strip()}"
             )
         return json.loads(payload)
 
@@ -138,19 +227,18 @@ class ServiceClient:
     def submit(self, request: CampaignRequest | dict) -> Iterator[dict]:
         """Submit a campaign; yields decoded events as the server streams.
 
-        ``http.client`` undoes the chunked transfer-encoding, so each
-        ``readline()`` returns exactly one NDJSON event once the server
-        flushes it.
+        The server sends one event per chunk, so each chunk is decoded
+        the moment the server flushes it.
 
-        Transport failures — connection refused/reset, or a stream that
-        ends before a terminal event (the server died mid-submission) —
-        are retried up to ``max_attempts`` times with jittered
-        exponential backoff, reopening the persistent connection each
-        time.  The retry is safe because submissions are idempotent:
-        completed cells come back as cache hits, in-flight ones
-        coalesce.  ``cell`` events are deduplicated by digest across
-        attempts and a repeated ``accepted`` is suppressed, so the
-        caller's event sequence looks like one clean submission.
+        Transport failures — connection refused/reset, or a reply torn
+        before a terminal event (the server died mid-submission) — are
+        retried up to ``max_attempts`` times with jittered exponential
+        backoff, reopening the persistent connection each time.  The
+        retry is safe because submissions are idempotent: completed
+        cells come back as cache hits, in-flight ones coalesce.
+        ``cell`` events are deduplicated by digest across attempts and a
+        repeated ``accepted`` is suppressed, so the caller's event
+        sequence looks like one clean submission.
         """
         if isinstance(request, CampaignRequest):
             request = request.as_dict()
@@ -163,25 +251,18 @@ class ServiceClient:
                 delay = self.backoff * (2 ** (attempt - 1))
                 time.sleep(delay * (0.5 + random.random()))
             try:
-                resp = self._request("POST", "/submit", body)
+                reply = self._request("POST", "/submit", body)
             except ServiceError as exc:
                 last_error = exc
                 continue
-            if resp.status != 200:
-                detail = resp.read().decode(errors="replace").strip()
+            if reply.status != 200:
+                detail = self._body(reply).decode(errors="replace").strip()
                 raise ServiceError(
-                    f"submission rejected ({resp.status}): {detail}"
+                    f"submission rejected ({reply.status}): {detail}"
                 )
             try:
-                saw_terminal = False
-                while not saw_terminal:
-                    line = resp.readline()
-                    if not line:
-                        break
-                    line = line.strip()
-                    if not line:
-                        continue
-                    event = json.loads(line)
+                while (chunk := self._chunk(reply)) is not None:
+                    event = json.loads(chunk)
                     kind = event.get("event")
                     if kind == "accepted":
                         if accepted_sent:
@@ -194,25 +275,20 @@ class ServiceClient:
                                 continue  # replayed by a retried attempt
                             seen_digests.add(digest)
                     elif kind in _TERMINAL_EVENTS:
-                        saw_terminal = True
                         # Read on to the zero-length chunk that ends the
                         # reply: only then is the connection idle and the
                         # next request goes out on this same socket.
-                        resp.read()
+                        while self._chunk(reply) is not None:
+                            pass
+                        yield event
+                        return
                     yield event
-                if saw_terminal:
-                    return
                 last_error = ServiceError(
                     "event stream ended without a terminal event "
                     "(server died mid-submission)"
                 )
-            except (
-                ConnectionError,
-                http.client.HTTPException,
-                OSError,
-                ValueError,
-            ) as exc:
-                # Reset mid-stream, or a line torn by a dying server.
+            except (OSError, ValueError, ServiceError) as exc:
+                # Reset mid-stream, or a reply torn by a dying server.
                 last_error = exc
             # The connection is in an unknown state after a torn stream;
             # drop it so the next attempt starts clean.
@@ -241,14 +317,7 @@ class ServiceClient:
         still a *response*, so it is returned, not raised; check the
         ``ok`` / ``degraded`` fields.
         """
-        resp = self._request("GET", "/health")
-        payload = resp.read()
-        if resp.status not in (200, 503):
-            raise ServiceError(
-                f"GET /health failed ({resp.status}): "
-                f"{payload.decode(errors='replace').strip()}"
-            )
-        return json.loads(payload)
+        return self._json("GET", "/health", ok=(200, 503))
 
     def shutdown(self) -> dict[str, object]:
         """Ask the server to stop serving and release its pool."""
@@ -258,12 +327,14 @@ class ServiceClient:
 
     def close(self) -> None:
         """Drop the persistent connection (reopened on next use)."""
-        self._response = None
-        if self._conn is not None:
+        self._reading = False
+        sock, reader = self._sock, self._reader
+        self._sock = self._reader = None
+        if sock is not None:
             try:
-                self._conn.close()
+                reader.close()
             finally:
-                self._conn = None
+                sock.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -9,7 +9,6 @@ apart from "the request got through somehow".
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import struct
@@ -18,6 +17,7 @@ import time
 
 import pytest
 
+from repro.__main__ import _parse_server
 from repro.errors import ServiceError
 from repro.service import (
     BenchmarkService,
@@ -90,7 +90,7 @@ def client(server):
 
 
 def _local_port(client: ServiceClient) -> int:
-    return client._conn.sock.getsockname()[1]
+    return client._sock.getsockname()[1]
 
 
 def _wait_for(condition, timeout: float = 10.0) -> bool:
@@ -184,21 +184,48 @@ class TestMissThroughHTTP:
 
 
 class TestSilentResendIsNarrow:
+    # A state error is the client's own fault, not the connection's: one
+    # that stops the request going out, or one that stops its reply being read.
     @pytest.mark.parametrize(
-        "state_error", [http.client.CannotSendRequest, http.client.ResponseNotReady]
+        "call",
+        [
+            pytest.param("sendall", id="CannotSendRequest"),
+            pytest.param("recv_into", id="ResponseNotReady"),
+        ],
     )
     def test_state_error_raises_instead_of_resending(
-        self, client, server, service, monkeypatch, state_error
+        self, server, service, monkeypatch, call
     ):
-        client.submit_and_collect(_request())
+        armed = threading.Event()
 
-        def misused(*args, **kwargs):
-            raise state_error("injected")
+        class _FaultySocket(socket.socket):
+            """Takes over an open socket; ``call`` fails once armed."""
 
-        monkeypatch.setattr(client._conn, "request", misused)
-        with pytest.raises(state_error):
+            def __init__(self, sock: socket.socket) -> None:
+                timeout = sock.gettimeout()
+                super().__init__(sock.family, sock.type, sock.proto, fileno=sock.detach())
+                self.settimeout(timeout)
+
+            def __getattribute__(self, name):
+                if name == call and armed.is_set():
+                    raise RuntimeError("injected")
+                return super().__getattribute__(name)
+
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket,
+            "create_connection",
+            lambda *args, **kwargs: _FaultySocket(connect(*args, **kwargs)),
+        )
+        with ServiceClient(*server.server_address[:2], timeout=60.0) as client:
             client.submit_and_collect(_request())
-        assert service.stats["submissions"] == 1
+            armed.set()
+            with pytest.raises(RuntimeError, match="injected"):
+                client.submit_and_collect(_request())
+        # Failing before the send, nothing reached the server; failing
+        # while the reply is read, the one request it got is all it gets.
+        sent = 2 if call == "recv_into" else 1
+        assert _wait_for(lambda: service.stats["submissions"] == sent)
         assert len(server.accepted) == 1  # no reconnect behind the caller's back
 
     def test_dropped_keepalive_gets_one_silent_reconnect(self, client, server, service):
@@ -211,16 +238,36 @@ class TestSilentResendIsNarrow:
 
     def test_fresh_connection_refused_is_not_retried_silently(self, monkeypatch):
         attempts = []
-        real_connect = http.client.HTTPConnection.connect
+        connect = socket.create_connection
 
-        def counting_connect(self):
+        def counting_connect(*args, **kwargs):
             attempts.append(1)
-            real_connect(self)
+            return connect(*args, **kwargs)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
         with pytest.raises(ServiceError, match="unreachable"):
             ServiceClient("127.0.0.1", 1).status()  # nothing listens on port 1
         assert len(attempts) == 1
+
+
+class TestServerAddress:
+    @pytest.mark.parametrize(
+        "text, address",
+        [
+            ("127.0.0.1:8585", ("127.0.0.1", 8585)),
+            ("8585", ("127.0.0.1", 8585)),
+            ("http://127.0.0.1:8585", ("127.0.0.1", 8585)),  # as `repro serve` prints it
+            ("http://127.0.0.1:8585/", ("127.0.0.1", 8585)),
+            ("[::1]:8585", ("::1", 8585)),
+        ],
+    )
+    def test_server_spellings(self, text, address):
+        assert _parse_server(text) == address
+
+    @pytest.mark.parametrize("text", ["https://127.0.0.1:8585", "127.0.0.1"])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(SystemExit, match="--server must be HOST:PORT"):
+            _parse_server(text)
 
 
 class TestServerRestart:
