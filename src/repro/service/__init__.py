@@ -38,7 +38,8 @@ __all__ = [
 
 def __getattr__(name: str):
     """The server's names, importing :mod:`.server` on first use (PEP 562):
-    a process that only submits pays for neither it nor ``http.server``."""
+    a process that only submits loads neither it nor the campaign loop,
+    pool and archive it imports."""
     if name in ("BenchmarkService", "ServiceHTTPServer", "serve_forever"):
         from . import server
 

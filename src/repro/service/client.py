@@ -4,7 +4,9 @@ Standard library only, and it speaks the little HTTP/1.1 it needs
 itself: the service's server sends every reply with either a
 ``Content-Length`` body or a chunked one, and marks ``Connection:
 close`` only on a refusal, so that is what the client parses — and
-nothing more.  One :class:`ServiceClient` holds one
+nothing more, with the line and field reader the server reads requests
+with (:func:`~repro.service.protocol.read_fields`).  One
+:class:`ServiceClient` holds one
 persistent connection — the benchmark drives dozens of these
 concurrently to model a fleet of submitters — with one buffered reader
 on it, and decodes the server's chunked NDJSON stream one chunk (one
@@ -33,19 +35,12 @@ import time
 from typing import Iterator, NamedTuple
 
 from ..errors import ServiceError
-from .protocol import CampaignRequest
+from .protocol import CampaignRequest, read_fields, read_line
 
 __all__ = ["ServiceClient"]
 
 #: Terminal event kinds: a stream that ended without one was torn.
 _TERMINAL_EVENTS = ("done", "error", "degraded")
-
-#: Longest status, header, chunk-size or trailer line read, in bytes.
-_MAX_LINE = 65536
-#: Most header (or trailer) lines one reply may carry.
-_MAX_HEADERS = 100
-
-_BLANK = (b"\r\n", b"\n")
 
 
 class _Reply(NamedTuple):
@@ -126,40 +121,18 @@ class ServiceClient:
                         f"service at {self.host}:{self.port} unreachable: {exc}"
                     ) from exc
 
-    def _line(self) -> bytes:
-        """One whole line of the reply, at most ``_MAX_LINE`` bytes."""
-        line = self._reader.readline(_MAX_LINE)
-        if not line.endswith(b"\n"):
-            raise ServiceError(
-                f"reply line over {_MAX_LINE} bytes"
-                if len(line) == _MAX_LINE
-                else "reply torn: the connection closed mid-line"
-            )
-        return line
-
-    def _fields(self) -> Iterator[bytes]:
-        """The header (or trailer) lines up to the blank line ending them."""
-        for _ in range(_MAX_HEADERS):
-            line = self._line()
-            if line in _BLANK:
-                return
-            yield line
-        if self._line() not in _BLANK:
-            raise ServiceError(f"reply has more than {_MAX_HEADERS} header lines")
-
     def _head(self) -> _Reply:
         if not self._reader.peek(1):
             # Not one byte of a reply: the server closed the connection
             # (a kept-alive socket it dropped, or a process that died).
             raise ConnectionError("the connection closed before a reply")
-        version, _, rest = self._line().partition(b" ")
+        version, _, rest = read_line(self._reader, "reply").partition(b" ")
         code = rest[:3]
         if not version.startswith(b"HTTP/1.") or not code.isdigit():
             raise ServiceError(f"not an HTTP/1.x status line: {version + b' ' + rest!r}")
         length, chunked, close = None, False, False
-        for line in self._fields():
-            name, _, value = line.partition(b":")
-            name, value = name.strip().lower(), value.strip().lower()
+        for name, value in read_fields(self._reader, "reply"):
+            value = value.lower()
             if name == b"content-length":
                 if not value.isdigit():
                     raise ServiceError(f"bad Content-Length {value!r}")
@@ -180,7 +153,7 @@ class ServiceClient:
         """The next chunk of a chunked body, or None once the last chunk
         and the trailer are read.  Chunk extensions and trailer fields
         are skipped."""
-        size = int(self._line().partition(b";")[0], 16)
+        size = int(read_line(self._reader, "reply").partition(b";")[0], 16)
         if size > 0:
             data = self._reader.read(size + 2)
             if len(data) != size + 2 or not data.endswith(b"\r\n"):
@@ -188,7 +161,7 @@ class ServiceClient:
             return data[:-2]
         if size < 0:
             raise ServiceError(f"negative chunk size {size}")
-        for _ in self._fields():
+        for _ in read_fields(self._reader, "reply"):
             pass
         self._finish(reply)
         return None

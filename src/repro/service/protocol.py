@@ -38,6 +38,11 @@ dataset references (``file:/path/on/server.mtx``, ``dataset:NAME`` — see
 :mod:`repro.graphs.datasets`).  References are resolved server-side: the
 cell digests for file-backed cells are keyed on the file's *content
 digest*, so two clients referencing byte-identical files share cells.
+
+Both ends carry this over the same small HTTP/1.1, and both read a
+message head with :func:`read_line` and :func:`read_fields`, under one
+pair of limits: a line of at most :data:`MAX_LINE` bytes, at most
+:data:`MAX_HEADERS` header lines.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from ..core.batching import canonical_order
 from ..core.spec import DEFAULT_TRIALS, BenchmarkSpec
@@ -246,3 +252,48 @@ class CampaignRequest:
 def encode_event(event: dict[str, object]) -> bytes:
     """One NDJSON line: compact separators, trailing newline."""
     return json.dumps(event, separators=(",", ":"), default=str).encode() + b"\n"
+
+
+# -- message heads, as both ends read them ---------------------------------
+
+#: Longest request, status, header, chunk-size or trailer line read, in bytes.
+MAX_LINE = 65536
+#: Most header (or trailer) lines one message may carry.
+MAX_HEADERS = 100
+
+_BLANK = (b"\r\n", b"\n")
+
+
+class TornMessage(ServiceError):
+    """The connection closed before a line of the message was whole."""
+
+
+class HeadTooLarge(ServiceError):
+    """A line over :data:`MAX_LINE` bytes, or over :data:`MAX_HEADERS`
+    header lines: refused, never read on."""
+
+
+def read_line(reader, side: str) -> bytes:
+    """One whole line off a buffered reader, at most ``MAX_LINE`` bytes.
+
+    ``side`` names the message (``request`` or ``reply``) in the error.
+    """
+    line = reader.readline(MAX_LINE)
+    if line.endswith(b"\n"):
+        return line
+    if len(line) == MAX_LINE:
+        raise HeadTooLarge(f"{side} has a line over {MAX_LINE} bytes")
+    raise TornMessage(f"{side} torn: the connection closed mid-line")
+
+
+def read_fields(reader, side: str) -> Iterator[tuple[bytes, bytes]]:
+    """``(lower-case name, stripped value)`` of each header (or trailer)
+    line, up to the blank line that ends them."""
+    for _ in range(MAX_HEADERS):
+        line = read_line(reader, side)
+        if line in _BLANK:
+            return
+        name, _, value = line.partition(b":")
+        yield name.strip().lower(), value.strip()
+    if read_line(reader, side) not in _BLANK:
+        raise HeadTooLarge(f"{side} has more than {MAX_HEADERS} header lines")

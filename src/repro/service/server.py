@@ -6,7 +6,9 @@ the archive behind one injected ``load`` callable.
 :class:`BenchmarkService` is the shell of threads and files around it,
 one method per stage so that a stage boundary is a function boundary;
 the HTTP layer at the bottom of the module is a thin threaded front end
-that sends each group of ready events in one write.
+on :mod:`socketserver` — one request loop per connection that reads the
+service's small HTTP/1.1 itself, writes reply heads built once per
+status, and sends each group of ready events in one write.
 
 A **submission** (handler thread, :meth:`BenchmarkService.submit_events`)
 is ``_resolve`` (spec, dataset provenance, one
@@ -41,12 +43,14 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import shutil
 import signal
+import socketserver
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from queue import Empty, Full, Queue, SimpleQueue
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -71,7 +75,14 @@ from ..store.integrity import (
     quarantine_run,
     verify_run,
 )
-from .protocol import CampaignRequest, encode_event
+from .protocol import (
+    CampaignRequest,
+    HeadTooLarge,
+    TornMessage,
+    encode_event,
+    read_fields,
+    read_line,
+)
 
 __all__ = ["BenchmarkService", "ServiceHTTPServer", "serve_forever"]
 
@@ -959,29 +970,58 @@ class BenchmarkService:
 # -- HTTP front end -----------------------------------------------------
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Routes: POST /submit (NDJSON stream), GET /status, GET /healthz,
-    POST /shutdown.  HTTP/1.1 with keep-alive; /submit streams via
-    chunked transfer-encoding so clients see cells as they land.
+#: The largest request body read; a campaign request is under 1 KB.
+MAX_BODY_BYTES = 1 << 20
+
+#: Status line and ``Server`` header of each status the server sends.
+_STATUS_LINES = {
+    status: b"HTTP/1.1 %d %s\r\nServer: repro-service\r\n"
+    % (status, HTTPStatus(status).phrase.encode())
+    for status in (200, 400, 404, 411, 413, 414, 431, 501, 503, 505)
+}
+_JSON_FIELDS = b"Content-Type: application/json\r\nContent-Length: %d\r\n"
+_STREAM_FIELDS = b"Content-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n"
+_CLOSE = b"Connection: close\r\n\r\n"
+_REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d)\.(\d)\r?\n")
+
+
+class _Refusal(Exception):
+    """A request answered with ``status`` and a JSON error, and its
+    connection closed: nothing after it on the socket can be trusted."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status = status
+
+
+class _ServiceHandler(socketserver.StreamRequestHandler):
+    """Routes: POST /submit (NDJSON stream), GET /status, GET /health,
+    GET /healthz, POST /shutdown.
+
+    One loop serves a connection, one request at a time: the request
+    line and headers are read as lines under the limits both ends share
+    (:func:`~repro.service.protocol.read_fields`), the body by its one
+    ``Content-Length``, and the reply head is written from bytes built
+    once per status.  HTTP/1.1 keeps the connection alive unless the
+    request says ``Connection: close``; HTTP/1.0 closes after the reply;
+    a refusal closes after its JSON error.  /submit streams via chunked
+    transfer-encoding so clients see cells as they land.
 
     One write per group of ready events: ``wfile`` is buffered, and it is
     flushed only where the event stream is about to wait and after each
-    request (``handle_one_request`` does that).  So a pure hit — headers,
-    ``accepted``, every cell, ``done`` and the zero-length chunk — is one
-    send, a JSON reply is one send, and a miss sends each group of cells
-    the moment it lands.  A group larger than the buffer goes out in
-    buffer-sized sends, one chunk per event as always.
+    request.  So a pure hit — head, ``accepted``, every cell, ``done``
+    and the zero-length chunk — is one send, a JSON reply is one send,
+    and a miss sends each group of cells the moment it lands.  A group
+    larger than the buffer goes out in buffer-sized sends, one chunk per
+    event as always.
     """
 
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-service"
     # Nagle + delayed ACK turns each small write into a 40ms stall; a
     # streaming event protocol must send its segments immediately.
     disable_nagle_algorithm = True
     wbufsize = 64 * 1024
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # the service is chatty enough through its event streams
+    #: The connection closes after the reply: set anew by each request.
+    close_connection = False
 
     @property
     def service(self) -> BenchmarkService:
@@ -989,7 +1029,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def handle(self) -> None:
         try:
-            super().handle()
+            while self._exchange():
+                pass
         except ConnectionError:
             # The client went away, between requests or mid-reply (the
             # engine finishes its job anyway): an event to count, not a
@@ -1000,72 +1041,121 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             with contextlib.suppress(OSError):
                 self.wfile.close()
 
-    def handle_expect_100(self) -> bool:
-        # The interim reply must leave before the body is waited for.
-        super().handle_expect_100()
+    def _exchange(self) -> bool:
+        """Read one request and answer it; whether the connection stays open."""
+        try:
+            method, path, body = self._read_request()
+        except TornMessage:
+            return False  # closed between requests, or part-way through one
+        except _Refusal as refusal:
+            self.close_connection = True
+            self._send_json(refusal.status, {"error": str(refusal)})
+        else:
+            if method == b"GET":
+                self._get(path)
+            else:
+                self._post(path, body)
         self.wfile.flush()
-        return True
+        return not self.close_connection
 
-    def _send_json(
-        self, status: int, payload: dict[str, object], close: bool = False
-    ) -> None:
+    def _read_request(self) -> tuple[bytes, bytes, bytes]:
+        """``(method, path, body)`` of the next request, read to the end
+        of its body, with :attr:`close_connection` set for its reply;
+        raises :class:`_Refusal` on anything the service does not accept."""
+        try:
+            line = read_line(self.rfile, "request")
+        except HeadTooLarge as exc:
+            raise _Refusal(414, str(exc)) from None
+        match = _REQUEST_LINE.fullmatch(line)
+        if match is None:
+            raise _Refusal(400, f"malformed request line {line.decode('latin-1')!r}")
+        method, path, major, minor = match.groups()
+        if major != b"1":
+            raise _Refusal(505, f"HTTP/{major.decode()}.{minor.decode()} is not HTTP/1.x")
+        if method not in (b"GET", b"POST"):
+            raise _Refusal(501, f"unsupported method {method.decode('latin-1')!r}")
+        lengths, chunked, expect = set(), False, False
+        self.close_connection = minor == b"0"
+        try:
+            for name, value in read_fields(self.rfile, "request"):
+                if name == b"content-length":
+                    lengths.add(value)
+                elif name == b"transfer-encoding":
+                    chunked = True
+                elif name == b"connection" and value.lower() == b"close":
+                    self.close_connection = True
+                elif name == b"expect":
+                    expect = value.lower() == b"100-continue"
+        except HeadTooLarge as exc:
+            raise _Refusal(431, str(exc)) from None
+        return method, path, self._read_body(lengths, chunked, expect)
+
+    def _read_body(self, lengths: set[bytes], chunked: bool, expect: bool) -> bytes:
+        """The request body, consumed exactly, or a refusal: a body left
+        on a kept-alive socket would be parsed as the next request."""
+        if chunked:
+            raise _Refusal(411, "send a Content-Length, not a Transfer-Encoding")
+        if len(lengths) > 1:
+            # RFC 9112 section 6.3: which one delimits the body is unknowable.
+            values = sorted(value.decode("latin-1") for value in lengths)
+            raise _Refusal(400, f"conflicting Content-Length values {values}")
+        declared = lengths.pop() if lengths else b"0"
+        if not declared.isdigit():
+            raise _Refusal(400, f"bad Content-Length {declared.decode('latin-1')!r}")
+        # int() refuses a string of over 4300 digits: count them first.
+        if len(declared) > 16 or int(declared) > MAX_BODY_BYTES:
+            raise _Refusal(413, f"a body over the {MAX_BODY_BYTES}-byte limit")
+        length = int(declared)
+        if expect:
+            # The interim reply must leave before the body is waited for.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        body = self.rfile.read(length)
+        if len(body) != length:
+            raise _Refusal(400, f"body ended after {len(body)} of {length} bytes")
+        return body
+
+    def _head(self, status: int, fields: bytes) -> None:
+        self.wfile.write(
+            _STATUS_LINES[status]
+            + self.server.date_line()  # type: ignore[attr-defined]
+            + fields
+            + (_CLOSE if self.close_connection else b"\r\n")
+        )
+
+    def _send_json(self, status: int, payload: dict[str, object]) -> None:
         body = json.dumps(payload, default=str).encode() + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            self.send_header("Connection", "close")  # sets close_connection
-        self.end_headers()
+        self._head(status, _JSON_FIELDS % len(body))
         self.wfile.write(body)
 
-    def do_GET(self) -> None:
-        if self.path == "/healthz":
+    def _not_found(self, path: bytes) -> None:
+        self._send_json(404, {"error": f"unknown path {path.decode('latin-1')}"})
+
+    def _get(self, path: bytes) -> None:
+        if path == b"/healthz":
             self._send_json(200, {"ok": True})
-        elif self.path == "/health":
+        elif path == b"/health":
             payload = self.service.health()
             self._send_json(200 if payload["ok"] else 503, payload)
-        elif self.path == "/status":
+        elif path == b"/status":
             self._send_json(200, self.service.status())
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            self._not_found(path)
 
-    def _read_body(self) -> bytes | None:
-        """The request body, consumed exactly — or None, once a JSON
-        refusal has been sent and the connection marked to close: a body
-        left on a kept-alive socket would be parsed as the next request."""
-        declared = self.headers.get("Content-Length", "0").strip()
-        if "Transfer-Encoding" in self.headers:
-            status, error = 411, "send a Content-Length, not a Transfer-Encoding"
-        elif not declared.isdecimal():
-            status, error = 400, f"bad Content-Length {declared!r}"
-        else:
-            raw = self.rfile.read(int(declared))
-            if len(raw) == int(declared):
-                return raw
-            status, error = 400, f"body ended after {len(raw)} of {declared} bytes"
-        self._send_json(status, {"error": error}, close=True)
-        return None
-
-    def do_POST(self) -> None:
-        raw = self._read_body()
-        if raw is None:
-            return
-        if self.path == "/shutdown":
+    def _post(self, path: bytes, body: bytes) -> None:
+        if path == b"/shutdown":
             self._send_json(200, {"ok": True, "shutting_down": True})
             threading.Thread(target=self.server.shutdown, daemon=True).start()
             return
-        if self.path != "/submit":
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+        if path != b"/submit":
+            self._not_found(path)
             return
         try:
-            request = CampaignRequest.from_dict(json.loads(raw or b"{}"))
+            request = CampaignRequest.from_dict(json.loads(body or b"{}"))
         except (ServiceError, json.JSONDecodeError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+        self._head(200, _STREAM_FIELDS)
         for line in self.service.submit_events(request):
             if line:
                 self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
@@ -1074,14 +1164,27 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(b"0\r\n\r\n")
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`BenchmarkService`."""
+class ServiceHTTPServer(socketserver.ThreadingTCPServer):
+    """Threaded HTTP/1.1 server bound to one :class:`BenchmarkService`."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service: BenchmarkService) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
+        self._date = (0, b"")
+
+    def date_line(self) -> bytes:
+        """The ``Date`` header line, formatted at most once a second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            # Python leaves LC_TIME at "C": %a and %b are HTTP's English names.
+            stamp = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(now))
+            line = b"Date: %s\r\n" % stamp.encode()
+            self._date = (now, line)
+        return line
 
 
 def serve_forever(
