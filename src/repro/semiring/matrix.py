@@ -139,16 +139,29 @@ class Matrix:
     def select_lower_triangle(self) -> "Matrix":
         """Strictly-lower-triangular part, ``tril(A, -1)`` (pattern kept iso)."""
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        keep = self.indices < rows
-        return _from_coo(self.nrows, self.ncols, rows[keep], self.indices[keep],
-                         None if self.iso else self.values[keep])
+        return self._select(rows, self.indices < rows)
 
     def select_upper_triangle(self) -> "Matrix":
         """Strictly-upper-triangular part, ``triu(A, 1)``."""
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        keep = self.indices > rows
-        return _from_coo(self.nrows, self.ncols, rows[keep], self.indices[keep],
-                         None if self.iso else self.values[keep])
+        return self._select(rows, self.indices > rows)
+
+    def _select(self, rows: np.ndarray, keep: np.ndarray) -> "Matrix":
+        """The entries ``keep`` marks (``rows`` = each entry's row).
+
+        A filtered CSR is still in row order and each row keeps its column
+        order, so the kept entries are counted into row pointers, not
+        sorted again: bitwise what ``_from_coo`` builds from sorted rows.
+        """
+        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=self.nrows), out=indptr[1:])
+        return Matrix(
+            self.nrows,
+            self.ncols,
+            indptr,
+            self.indices[keep].astype(np.int64, copy=False),
+            None if self.iso else self.values[keep],
+        )
 
     def permuted(self, perm: np.ndarray) -> "Matrix":
         """Symmetric permutation P A P' (used by TC's heuristic presort)."""

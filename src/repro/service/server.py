@@ -10,8 +10,8 @@ on :mod:`socketserver` — one request loop per connection that reads the
 service's small HTTP/1.1 itself, writes reply heads built once per
 status, and sends each group of ready events in one write.
 
-A **submission** (handler thread, :meth:`BenchmarkService.submit_events`)
-is ``_resolve`` (spec, dataset provenance, one
+A **submission** (:meth:`BenchmarkService.submit_events`, on the caller's
+thread) is ``_resolve`` (spec, dataset provenance, one
 :class:`~repro.store.cellindex.CellIdentity`, a digest per cell) →
 ``_classify`` (under the table's lock each cell becomes a *hit* — hot, or
 loaded from the archive through the persistent cell index — a
@@ -22,6 +22,10 @@ full queue fails the claims, so nobody who subscribed to them meanwhile
 waits for a job that never runs) → ``_stream`` (``accepted``, the hits as
 pre-encoded lines, cells as the engine publishes them, a terminal event —
 grouped by readiness, an empty line wherever the stream is about to wait).
+Over HTTP (:meth:`BenchmarkService.submit_body`) a body is resolved once:
+:class:`_ResolvedBodies` keeps the resolution of each recent body, so a
+repeat goes straight to ``_classify``, and when every cell is then a hit
+its reply is the memo's ``accepted`` line, the hit lines and its ``done``.
 
 A **job** (the single engine thread, :meth:`BenchmarkService._execute`)
 is ``_plan`` (the smallest axes covering the owned cells, the rest of
@@ -90,6 +94,12 @@ __all__ = ["BenchmarkService", "ServiceHTTPServer", "serve_forever"]
 #: the archive on next touch; the persistent index is never evicted).
 RESULT_CACHE_SIZE = 65536
 
+#: Distinct ``/submit`` bodies kept resolved (LRU), and the largest body
+#: kept: a repeat of one skips the parse, the validation and every digest.
+#: A campaign request is under 1 KB; an entry's size grows with its cells.
+RESOLVED_BODIES = 256
+RESOLVED_BODY_BYTES = 4096
+
 #: Campaigns allowed to wait for the engine before submissions bounce.
 DEFAULT_MAX_PENDING_JOBS = 16
 
@@ -129,6 +139,38 @@ def _cell_line(
     if error is not None:
         event["error"] = error
     return encode_event(event)
+
+
+def _accepted_line(
+    request: CampaignRequest, cells: int, hits: int, pending: int, rejected: int
+) -> bytes:
+    """The one ``accepted`` event encoder."""
+    return encode_event(
+        {
+            "event": "accepted",
+            "campaign": request.campaign_id,
+            "cells": cells,
+            "hits": hits,
+            "pending": pending,
+            **({"rejected": rejected} if rejected else {}),
+        }
+    )
+
+
+def _done_line(
+    request: CampaignRequest, cells: int, hits: int, executed: int, run_id: str | None
+) -> bytes:
+    """The one terminal ``done`` event encoder."""
+    return encode_event(
+        {
+            "event": "done",
+            "campaign": request.campaign_id,
+            "cells": cells,
+            "hits": hits,
+            "executed": executed,
+            "fresh_run_id": run_id,
+        }
+    )
 
 
 def _error_line(request: CampaignRequest, message: str) -> bytes:
@@ -179,6 +221,7 @@ class _CellTable:
             "cells_degraded_rejected": 0,
             "runs_quarantined": 0,
             "connections_reset": 0,
+            "submissions_from_memo": 0,
         }
 
     def _hit_line(self, digest: str) -> bytes | None:
@@ -313,6 +356,59 @@ class _CellTable:
             return dict(self.stats), len(self.inflight), len(self.results)
 
 
+class _Resolved(NamedTuple):
+    """One request, resolved: what its cells are called, in canonical order."""
+
+    request: CampaignRequest
+    spec: BenchmarkSpec
+    #: Its ``datasets`` is the dataset provenance, None for generators only.
+    identity: CellIdentity
+    cells: list[CellKey]
+    digests: list[str]
+
+
+class _ResolvedBodies:
+    """The bounded memo of ``/submit`` bodies: exact body bytes → the
+    resolved campaign and its pure-hit ``accepted`` and ``done`` lines.
+
+    What a body resolves to is a function of its bytes and of this
+    process, except for a dataset reference, whose digest follows a file
+    that can change: such a body is never stored.  Neither is a refused
+    one, nor one over :data:`RESOLVED_BODY_BYTES`.  At most
+    :data:`RESOLVED_BODIES` entries, the least recently used evicted.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: body → (resolved, (accepted line, done line))
+        self.entries: "OrderedDict[bytes, tuple[_Resolved, tuple[bytes, bytes]]]" = (
+            OrderedDict()
+        )
+
+    def get(self, body: bytes) -> "tuple[_Resolved, tuple[bytes, bytes]] | None":
+        with self._lock:
+            entry = self.entries.get(body)
+            if entry is not None:
+                self.entries.move_to_end(body)
+            return entry
+
+    def put(self, body: bytes, resolved: _Resolved) -> None:
+        if resolved.identity.datasets is not None or len(body) > RESOLVED_BODY_BYTES:
+            return
+        request, cells = resolved.request, len(resolved.cells)
+        entry = (
+            resolved,
+            (
+                _accepted_line(request, cells, cells, 0, 0),
+                _done_line(request, cells, cells, 0, None),
+            ),
+        )
+        with self._lock:
+            self.entries[body] = entry
+            while len(self.entries) > RESOLVED_BODIES:
+                self.entries.popitem(last=False)
+
+
 class _Job(NamedTuple):
     """One enqueued execution: a request's owned misses."""
 
@@ -358,6 +454,7 @@ class BenchmarkService:
         self.jobs = max(1, int(jobs))
         self.cache = GraphCache(cache_dir) if cache_dir is not None else GraphCache()
         self._table = _CellTable(self._load)
+        self._bodies = _ResolvedBodies()
         self.stats = self._table.stats
         self._inflight = self._table.inflight
         self._queue: "Queue[_Job | None]" = Queue(maxsize=max(1, int(max_pending_jobs)))
@@ -402,25 +499,35 @@ class BenchmarkService:
         hit has no such line at all.
         """
         try:
-            spec, identity, cells, digests = self._resolve(request)
+            resolved = self._resolve(request)
         except ServiceError as exc:
             return iter((_error_line(request, str(exc)),))
-        queue: SimpleQueue = SimpleQueue()
-        hit_lines, owned, pending, rejected, reasons = self._classify(
-            cells, digests, queue
-        )
-        job: _Job | None = None
-        if owned:
-            job = _Job(request, spec, identity, owned, queue, next(self._job_seq))
-            refusal = self._enqueue(job)
-            if refusal is not None:
-                return iter((_error_line(request, refusal),))
-        return self._stream(
-            request, len(cells), hit_lines, pending, rejected, reasons, queue, job
-        )
+        return self._submit(resolved)
 
-    def _resolve(self, request: CampaignRequest):
-        """``(spec, identity, cells, digests)`` of one request.
+    def submit_body(self, body: bytes) -> Iterator[bytes]:
+        """:meth:`submit_events` for the bytes of a ``/submit`` body,
+        resolved once per distinct body (see :class:`_ResolvedBodies`).
+
+        A repeat is a lookup and a classification; when every cell is a
+        hit its reply is the stored ``accepted``, the hit lines and the
+        stored ``done``, the very bytes :meth:`_stream` writes.  A body
+        that is not a campaign request raises :class:`ServiceError` or
+        :class:`ValueError` before anything is classified or stored.
+        """
+        memo = self._bodies.get(body)
+        if memo is not None:
+            self._table.count("submissions_from_memo")
+            return self._submit(*memo)
+        request = CampaignRequest.from_dict(json.loads(body or b"{}"))
+        try:
+            resolved = self._resolve(request)
+        except ServiceError as exc:
+            return iter((_error_line(request, str(exc)),))
+        self._bodies.put(body, resolved)
+        return self._submit(resolved)
+
+    def _resolve(self, request: CampaignRequest) -> _Resolved:
+        """The spec, identity, cells and digests of one request.
 
         Dataset files live on the *server's* filesystem, so a reference
         that does not resolve is a :class:`~repro.errors.ServiceError`
@@ -434,7 +541,42 @@ class BenchmarkService:
             raise ServiceError(f"dataset resolution failed: {exc}") from exc
         identity = CellIdentity(spec, datasets=datasets)
         cells = request.cell_keys()
-        return spec, identity, cells, [identity.digest(key) for key in cells]
+        return _Resolved(
+            request, spec, identity, cells, [identity.digest(key) for key in cells]
+        )
+
+    def _submit(
+        self, resolved: _Resolved, hit_reply: tuple[bytes, bytes] | None = None
+    ) -> Iterator[bytes]:
+        """Classify, enqueue and stream one resolved submission.
+
+        ``hit_reply`` is a memoized body's ``(accepted, done)`` pair: a
+        submission whose every cell is then a hit or a replayed line is
+        answered with them around its hit lines, without :meth:`_stream`.
+        """
+        request, cells = resolved.request, resolved.cells
+        queue: SimpleQueue = SimpleQueue()
+        hit_lines, owned, pending, rejected, reasons = self._classify(
+            cells, resolved.digests, queue
+        )
+        if hit_reply is not None and len(hit_lines) == len(cells):
+            return iter((hit_reply[0], *hit_lines, hit_reply[1]))
+        job: _Job | None = None
+        if owned:
+            job = _Job(
+                request,
+                resolved.spec,
+                resolved.identity,
+                owned,
+                queue,
+                next(self._job_seq),
+            )
+            refusal = self._enqueue(job)
+            if refusal is not None:
+                return iter((_error_line(request, refusal),))
+        return self._stream(
+            request, len(cells), hit_lines, pending, rejected, reasons, queue, job
+        )
 
     def _classify(self, cells, digests, queue: SimpleQueue):
         """Admission: the table's ``classify`` tuple plus the degraded
@@ -485,15 +627,8 @@ class BenchmarkService:
     ) -> Iterator[bytes]:
         """The event stream of one classified (and enqueued) submission,
         an empty line before each wait (see :meth:`submit_events`)."""
-        yield encode_event(
-            {
-                "event": "accepted",
-                "campaign": request.campaign_id,
-                "cells": cells,
-                "hits": len(hit_lines),
-                "pending": len(pending),
-                **({"rejected": len(rejected)} if rejected else {}),
-            }
+        yield _accepted_line(
+            request, cells, len(hit_lines), len(pending), len(rejected)
         )
         yield from hit_lines
 
@@ -541,15 +676,12 @@ class BenchmarkService:
                 }
             )
         else:
-            yield encode_event(
-                {
-                    "event": "done",
-                    "campaign": request.campaign_id,
-                    "cells": cells,
-                    "hits": len(hit_lines),
-                    "executed": len(job.owned) if job else 0,
-                    "fresh_run_id": fresh_run_id,
-                }
+            yield _done_line(
+                request,
+                cells,
+                len(hit_lines),
+                len(job.owned) if job else 0,
+                fresh_run_id,
             )
 
     def submit_collect(self, request: CampaignRequest) -> list[dict[str, object]]:
@@ -1151,12 +1283,12 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
             self._not_found(path)
             return
         try:
-            request = CampaignRequest.from_dict(json.loads(body or b"{}"))
-        except (ServiceError, json.JSONDecodeError, ValueError) as exc:
+            events = self.service.submit_body(body)
+        except (ServiceError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
         self._head(200, _STREAM_FIELDS)
-        for line in self.service.submit_events(request):
+        for line in events:
             if line:
                 self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
             else:

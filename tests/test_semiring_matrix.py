@@ -5,7 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import DimensionMismatchError
+from repro.generators import weighted_version
+from repro.graphs import degree_order_permutation
 from repro.semiring import Matrix
+from repro.semiring.matrix import _from_coo
 
 
 def row(matrix, i):
@@ -65,6 +68,40 @@ class TestSelections:
         lower = Matrix.from_graph(triangle_graph).select_lower_triangle()
         rows = np.repeat(np.arange(lower.nrows), lower.row_degrees())
         assert (lower.indices < rows).all()
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_selection_is_bitwise_the_sorted_build(self, corpus_graph, side):
+        """Selecting from a row-ordered CSR skips ``_from_coo``'s lexsort:
+        same ``indptr``, ``indices`` and values as the sorted build, on
+        the graph as built, weighted, and degree-permuted."""
+        _, graph = corpus_graph
+        plain = Matrix.from_graph(graph)
+        for matrix in (
+            plain,
+            Matrix.from_graph(weighted_version(graph), use_weights=True),
+            plain.permuted(degree_order_permutation(graph, ascending=True)),
+        ):
+            rows = np.repeat(np.arange(matrix.nrows), matrix.row_degrees())
+            if side == "lower":
+                keep = matrix.indices < rows
+                selected = matrix.select_lower_triangle()
+            else:
+                keep = matrix.indices > rows
+                selected = matrix.select_upper_triangle()
+            sorted_build = _from_coo(
+                matrix.nrows,
+                matrix.ncols,
+                rows[keep],
+                matrix.indices[keep],
+                None if matrix.iso else matrix.values[keep],
+            )
+            for field in ("indptr", "indices"):
+                expected, got = getattr(sorted_build, field), getattr(selected, field)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+            assert selected.iso == matrix.iso
+            if not matrix.iso:
+                assert np.array_equal(selected.values, sorted_build.values)
 
     def test_permuted_preserves_nvals(self, triangle_graph):
         m = Matrix.from_graph(triangle_graph)

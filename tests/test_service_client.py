@@ -355,10 +355,10 @@ class TestDroppedConnectionsAreCounted:
     def test_other_handler_exceptions_stay_loud(
         self, client, service, monkeypatch, capsys
     ):
-        def broken(request):
+        def broken(body):
             raise RuntimeError("handler bug")
 
-        monkeypatch.setattr(service, "submit_events", broken)
+        monkeypatch.setattr(service, "submit_body", broken)
         with pytest.raises(ServiceError):
             client.submit_and_collect(_request())
         assert _wait_for(lambda: "handler bug" in capsys.readouterr().err)
