@@ -137,6 +137,7 @@ class CampaignRequest:
     seed: int = 0
     trials: dict[str, int] = field(default_factory=dict)
     trial_timeout: float | None = None
+    _spec: BenchmarkSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate_graphs(self.graphs)
@@ -147,10 +148,18 @@ class CampaignRequest:
             raise ServiceError(
                 f"scale {self.scale} out of range [4, 26] for a service run"
             )
+        trials = dict(DEFAULT_TRIALS)
+        trials.update(self.trials)
         try:
-            self.spec()
+            spec = BenchmarkSpec(
+                scale=int(self.scale),
+                seed=int(self.seed),
+                trials=trials,
+                trial_timeout=self.trial_timeout,
+            )
         except BenchmarkConfigError as exc:
             raise ServiceError(f"invalid campaign spec: {exc}") from exc
+        object.__setattr__(self, "_spec", spec)
 
     # -- construction ---------------------------------------------------
 
@@ -214,16 +223,9 @@ class CampaignRequest:
 
         Topology fields keep their defaults — the server overrides them
         with its own execution configuration, and they are outside the
-        cell digest anyway.
+        cell digest anyway.  Built once, when the request is validated.
         """
-        trials = dict(DEFAULT_TRIALS)
-        trials.update(self.trials)
-        return BenchmarkSpec(
-            scale=int(self.scale),
-            seed=int(self.seed),
-            trials=trials,
-            trial_timeout=self.trial_timeout,
-        )
+        return self._spec
 
     def cell_keys(self) -> list[tuple[str, str, str, str]]:
         """Every cell of the campaign in canonical order.

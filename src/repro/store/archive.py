@@ -13,13 +13,15 @@ keeps every campaign:
 * ``run_id`` is content-addressed — a SHA-256 digest of the canonical
   (results, spec) JSON — so re-archiving the same run is idempotent and
   an archived run can never be silently edited without changing identity;
-* a small ``index.json`` at the root lists runs for ``repro history`` and
-  prefix lookup without touching every run directory.
+* ``runs/`` is the one record of what is archived: ``repro history``,
+  ``latest`` and prefix lookup enumerate the run directories
+  (:meth:`RunArchive.run_dirs`) instead of a second listing that could
+  disagree with them.
 
 Every file is written with :func:`repro.durable.atomic_write`, and a run
 directory is staged under a temporary name and renamed into place, so a
 crashed archive operation leaves either a complete run or no run — never
-a torn one.
+a torn one — and the rename alone is what makes a run listed.
 """
 
 from __future__ import annotations
@@ -101,17 +103,6 @@ def _utc_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _index_entry(manifest: dict[str, object], run_id: str = "") -> dict[str, object]:
-    """A run's ``index.json`` listing entry, taken from its manifest."""
-    return {
-        "run_id": manifest.get("run_id", run_id),
-        "created_at": manifest.get("created_at", ""),
-        "cells": manifest.get("cells", 0),
-        "failures": manifest.get("failures", 0),
-        "source": manifest.get("source"),
-    }
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Handle to one archived run."""
@@ -143,7 +134,13 @@ class RunRecord:
 
 
 class RunArchive:
-    """Content-addressed store of campaign runs with a listing index."""
+    """Content-addressed store of campaign runs.
+
+    A run exists once its staged directory is renamed into ``runs/``;
+    every listing and lookup reads the run directories themselves, so
+    two writers cannot lose each other's runs and a crash cannot leave
+    a run archived but unlisted.
+    """
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_archive_dir()
@@ -151,10 +148,6 @@ class RunArchive:
     @property
     def runs_dir(self) -> Path:
         return self.root / "runs"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
 
     # -- store ----------------------------------------------------------
 
@@ -180,11 +173,7 @@ class RunArchive:
         ).hexdigest()[:12]
         run_dir = self.runs_dir / run_id
         if (run_dir / "manifest.json").exists():
-            # The run may have landed without being listed (a crash or a
-            # failed write between its rename and the index update).
-            record = self._record(run_id)
-            self._index_add(_index_entry(record.manifest))
-            return record
+            return self._record(run_id)
 
         span_records = [
             span.as_dict() if isinstance(span, Span) else dict(span)
@@ -257,58 +246,55 @@ class RunArchive:
         finally:
             if staging.exists():
                 shutil.rmtree(staging, ignore_errors=True)
-
-        self._index_add(_index_entry(manifest))
         return RunRecord(run_id=run_id, path=run_dir, manifest=manifest)
-
-    # -- index ----------------------------------------------------------
-
-    def _read_index(self) -> list[dict[str, object]]:
-        try:
-            raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return self._rebuild_index()
-        runs = raw.get("runs", []) if isinstance(raw, dict) else []
-        return [entry for entry in runs if isinstance(entry, dict)]
-
-    def _rebuild_index(self) -> list[dict[str, object]]:
-        """Recover the index from run manifests (a lost index is not a
-        lost archive — the run directories are the source of truth)."""
-        entries = []
-        if not self.runs_dir.is_dir():
-            return []
-        for run_dir in sorted(self.runs_dir.iterdir()):
-            manifest_path = run_dir / "manifest.json"
-            if run_dir.name.startswith(".") or not manifest_path.exists():
-                continue
-            try:
-                manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            entries.append(_index_entry(manifest, run_dir.name))
-        entries.sort(key=lambda entry: str(entry.get("created_at", "")))
-        if entries:
-            self._write_index(entries)
-        return entries
-
-    def _write_index(self, entries: list[dict[str, object]]) -> None:
-        write_json_atomic(
-            self.index_path,
-            {"schema_version": ARCHIVE_SCHEMA_VERSION, "runs": entries},
-        )
-
-    def _index_add(self, entry: dict[str, object]) -> None:
-        entries = self._read_index()
-        if not any(e.get("run_id") == entry["run_id"] for e in entries):
-            entries.append(entry)
-            self._write_index(entries)
 
     # -- lookup ---------------------------------------------------------
 
+    def run_dirs(self) -> list[Path]:
+        """Every run directory, in name order: the archive's one
+        enumeration of ``runs/``.
+
+        ``.``-prefixed names are staging directories (a run is renamed
+        out of one when it is complete) and are never runs.  A directory
+        whose manifest is missing or unreadable is still listed here, so
+        that ``scrub`` quarantines it; :meth:`runs` skips it.
+        """
+        if not self.runs_dir.is_dir():
+            return []
+        return sorted(
+            path for path in self.runs_dir.iterdir() if not path.name.startswith(".")
+        )
+
+    def runs(self) -> list[RunRecord]:
+        """Every run with a readable manifest, oldest first.
+
+        Runs are ordered by their manifest's ``created_at`` and, within
+        one second, by when the manifest was written (its
+        ``st_mtime_ns``), so the last run archived is last.
+        """
+        dated = []
+        for run_dir in self.run_dirs():
+            try:
+                record = self._record(run_dir.name)
+                written = (run_dir / "manifest.json").stat().st_mtime_ns
+            except (ArchiveError, OSError):
+                continue
+            dated.append(((record.created_at, written), record))
+        dated.sort(key=lambda item: item[0])
+        return [record for _, record in dated]
+
     def list_runs(self) -> list[dict[str, object]]:
-        """Index entries, newest first (``repro history`` order)."""
-        entries = self._read_index()
-        return list(reversed(entries))
+        """One entry per run, newest first (``repro history`` order)."""
+        return [
+            {
+                "run_id": record.run_id,
+                "created_at": record.created_at,
+                "cells": record.manifest.get("cells", 0),
+                "failures": record.manifest.get("failures", 0),
+                "source": record.manifest.get("source"),
+            }
+            for record in reversed(self.runs())
+        ]
 
     def _record(self, run_id: str) -> RunRecord:
         run_dir = self.runs_dir / run_id
@@ -323,47 +309,32 @@ class RunArchive:
     def resolve(self, ref: str) -> str:
         """Resolve ``latest`` or a run-id prefix to a unique run id.
 
-        Resolution is deterministic and index-staleness-proof: an exact
-        on-disk run id wins outright (even if the index lost it), then a
-        unique prefix over the union of indexed and on-disk runs (the
-        index can lag a concurrent archiver, so duplicates are collapsed
-        and the run directories are consulted as the source of truth).
-        An ambiguous prefix always fails the same way: every matching
-        run id listed in sorted order, so the caller can add digits.
+        ``latest`` is the last run archived (:meth:`runs` order).  An
+        exact run id needs no enumeration — the service resolves one per
+        cold hit while holding its lock — and a prefix is matched against
+        the run directories' names, reading no manifest.  An ambiguous
+        prefix always fails the same way: every matching run id listed in
+        sorted order, so the caller can add digits.
         """
-        # Exact id first: it needs no listing, and the service resolves
-        # one per cold hit while holding its lock.
-        if ref != "latest" and (self.runs_dir / ref / "manifest.json").exists():
-            return ref
-        entries = self.list_runs()
         if ref == "latest":
-            if not entries:
+            runs = self.runs()
+            if not runs:
                 raise ArchiveError(f"archive at {self.root} has no runs")
-            return str(entries[0]["run_id"])
-        matches = {
-            str(entry["run_id"])
-            for entry in entries
-            if str(entry["run_id"]).startswith(ref)
-        }
-        if self.runs_dir.is_dir():
-            matches.update(
-                run_dir.name
-                for run_dir in self.runs_dir.iterdir()
-                if not run_dir.name.startswith(".")
-                and run_dir.name.startswith(ref)
-                and (run_dir / "manifest.json").exists()
-            )
+            return runs[-1].run_id
+        if (self.runs_dir / ref / "manifest.json").exists():
+            return ref
+        names = [run_dir.name for run_dir in self.run_dirs()]
+        matches = [name for name in names if name.startswith(ref)]
         if not matches:
-            if not entries:
+            if not names:
                 raise ArchiveError(f"archive at {self.root} has no runs")
             raise ArchiveError(f"no archived run matches {ref!r}")
         if len(matches) > 1:
-            listing = ", ".join(sorted(matches))
             raise ArchiveError(
                 f"ambiguous run ref {ref!r}: matches {len(matches)} runs "
-                f"[{listing}]; add more digits to disambiguate"
+                f"[{', '.join(matches)}]; add more digits to disambiguate"
             )
-        return next(iter(matches))
+        return matches[0]
 
     def lookup(self, ref: str) -> RunRecord:
         """Resolve ``latest`` or a unique run-id prefix to a record."""

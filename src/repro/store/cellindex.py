@@ -356,12 +356,12 @@ def derive_index_entries(
     deriving them here would rebuild an index promising hits the server
     must then refuse.  This is both how
     :meth:`CellIndex.rebuild_from_archive` recovers a lost index and the
-    ground truth the scrubber compares an existing index against.
+    ground truth the scrubber compares an existing index against.  Runs
+    come oldest first, so a cell held by two runs derives to the newer,
+    as a later index line wins on replay.
     """
-    for entry in archive.list_runs():
-        run_id = str(entry["run_id"])
+    for record in archive.runs():
         try:
-            record = archive.lookup(run_id)
             results = record.load_results()
         except (ArchiveError, OSError, ValueError, KeyError):
             continue
@@ -370,4 +370,4 @@ def derive_index_entries(
             continue
         for result in results:
             if result.ok:
-                yield identity.digest(result.cell_key), run_id, result.cell_key
+                yield identity.digest(result.cell_key), record.run_id, result.cell_key

@@ -215,10 +215,8 @@ def scrub(
     1. Every run directory is verified (:func:`verify_run`); damaged runs
        move to quarantine (with ``quarantine=False`` they are only
        reported, and the verdict is ``failed`` — the damage persists).
-    2. The archive's listing index is rebuilt if any run was quarantined
-       (run directories are the source of truth; the listing must not
-       keep advertising evicted runs).
-    3. The cell index is compared against a fresh derivation from the
+       A quarantined run leaves ``runs/``, so no listing names it again.
+    2. The cell index is compared against a fresh derivation from the
        surviving runs: corrupt lines, entries pointing at quarantined or
        unknown runs, or missing entries all trigger a rebuild — after
        which every index entry provably resolves to a verified run.
@@ -230,41 +228,26 @@ def scrub(
         archive_root=str(archive.root),
         started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
-    runs_dir = archive.runs_dir
-    damaged: list[str] = []
-    if runs_dir.is_dir():
-        for run_dir in sorted(runs_dir.iterdir()):
-            if run_dir.name.startswith("."):
-                continue
-            report.checked_runs += 1
-            problems = verify_run(run_dir)
-            if not problems:
-                continue
-            entry: dict[str, object] = {
-                "run_id": run_dir.name,
-                "problems": problems,
-            }
-            if quarantine:
-                try:
-                    target = quarantine_run(archive, run_dir.name)
-                    entry["quarantined_to"] = str(target)
-                    damaged.append(run_dir.name)
-                except OSError as exc:
-                    report.unresolved.append(
-                        f"run {run_dir.name}: quarantine failed: {exc}"
-                    )
-            else:
+    for run_dir in archive.run_dirs():
+        report.checked_runs += 1
+        problems = verify_run(run_dir)
+        if not problems:
+            continue
+        entry: dict[str, object] = {"run_id": run_dir.name, "problems": problems}
+        if quarantine:
+            try:
+                target = quarantine_run(archive, run_dir.name)
+                entry["quarantined_to"] = str(target)
+            except OSError as exc:
                 report.unresolved.append(
-                    f"run {run_dir.name}: damaged (quarantine disabled): "
-                    + "; ".join(problems)
+                    f"run {run_dir.name}: quarantine failed: {exc}"
                 )
-            report.quarantined.append(entry)
-
-    if damaged:
-        # The listing index is derived state; regenerate it from the
-        # surviving manifests so history/lookup stop naming evicted runs.
-        archive.index_path.unlink(missing_ok=True)
-        archive._rebuild_index()
+        else:
+            report.unresolved.append(
+                f"run {run_dir.name}: damaged (quarantine disabled): "
+                + "; ".join(problems)
+            )
+        report.quarantined.append(entry)
 
     # Cross-check the cell index against what the surviving archive can
     # actually prove: every entry must re-derive from a verified run.

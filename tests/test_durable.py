@@ -475,8 +475,8 @@ def _files(root):
 
 @pytest.mark.parametrize("kind", RAISING_KINDS)
 def test_every_archive_and_index_crash_point_recovers(tmp_path, kind, monkeypatch):
-    # Manifests and the listing carry a timestamp; pin it so "the new
-    # bytes" of every file are knowable from a fault-free reference run.
+    # Manifests carry a timestamp; pin it so "the new bytes" of every
+    # file are knowable from a fault-free reference run.
     monkeypatch.setattr(archive_mod, "_utc_timestamp", lambda: "2020-01-01T00:00:00Z")
     spec = BenchmarkSpec(scale=8)
     meta = {"environment": fingerprint()}
@@ -539,17 +539,18 @@ def test_every_archive_and_index_crash_point_recovers(tmp_path, kind, monkeypatc
         assert scrub(archive).verdict == "clean", where
 
         # Re-running the interrupted step on the recovered store succeeds,
-        # and lists a run that landed before its index.json update failed.
+        # lists the new run and names it latest (both runs share the pinned
+        # created_at, so this is the manifest-mtime tie-break).
         archive_and_index(root, second, [])
         archive = RunArchive(root)
         assert new_run in {str(entry["run_id"]) for entry in archive.list_runs()}, where
         assert archive.resolve("latest") == new_run, where
         with CellIndex.for_archive(archive) as index:
             assert len(index) == 3, where
-    # Two staged run files + index.json + two index lines are written;
-    # each atomic write is also an fsync and a rename, plus the run
-    # directory's own rename and the index batch's one fsync.
-    assert crashes == {"enospc": 5 + 4, "torn-write": 5, "fsync-fail": 4}[kind]
+    # Two staged run files + two index lines are written; each atomic
+    # write is also an fsync and a rename, plus the run directory's own
+    # rename and the index batch's one fsync.
+    assert crashes == {"enospc": 4 + 3, "torn-write": 4, "fsync-fail": 3}[kind]
 
 
 # -- structure ---------------------------------------------------------------

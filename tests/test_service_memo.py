@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.spec import BenchmarkSpec
 from repro.errors import ServiceError
 from repro.service import (
     BenchmarkService,
@@ -164,6 +165,24 @@ class TestARepeatIsALookup:
         other = _reply(service.submit_body(_body(request, indent=1)))
         assert other == repeat
         assert all(count > 0 for count in resolution_calls.values())
+
+    def test_a_request_builds_its_spec_once(self, service, monkeypatch):
+        """Validation builds the request's spec, and that spec is the one
+        a submission resolves under: none is built a second time."""
+        payload = _request().as_dict()
+        built = []
+        real_init = BenchmarkSpec.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BenchmarkSpec, "__init__", counted)
+        request = CampaignRequest.from_dict(payload)
+        assert len(built) == 1
+        events = service.submit_events(request)
+        assert len(built) == 1
+        assert _events(_reply(events))[-1]["executed"] == 2
 
     def test_an_edited_dataset_is_a_miss(self, service, tmp_path):
         dataset = tmp_path / "demo.mtx"

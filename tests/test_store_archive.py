@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.core.results import RESULTS_SCHEMA_VERSION, ResultSet, RunResult
+from repro.core.spec import BenchmarkSpec
 from repro.core.telemetry import Span
 from repro.errors import ArchiveError, ReproError
 from repro.frameworks import Mode
 from repro.store import RunArchive, fingerprint, version_string
+from repro.store.cellindex import CellIndex, cell_digest
 from repro.store.environment import fingerprint_mismatches
+from repro.store.integrity import scrub
 
 
 def _result(kernel="bfs", trials=(1.0, 1.1), status="ok"):
@@ -179,12 +183,50 @@ class TestRunArchive:
             store.lookup(common)
 
     def test_index_rebuilt_from_manifests_when_lost(self, tmp_path):
+        """The listing is rebuilt from the run manifests on every read: the
+        archive writes no ``index.json``, and a stale one left by an older
+        archive that lists nothing hides no run."""
         store = RunArchive(tmp_path)
         record = store.archive_run(_results(_result()))
-        store.index_path.unlink()
+        assert not (tmp_path / "index.json").exists()
+        (tmp_path / "index.json").write_text(json.dumps({"runs": []}))
         entries = store.list_runs()
         assert [entry["run_id"] for entry in entries] == [record.run_id]
         assert store.lookup("latest").run_id == record.run_id
+
+    def test_hand_copied_run_is_listed_resolved_and_kept(self, tmp_path):
+        """A complete run directory is archived with no other bookkeeping:
+        one copied in by hand is listed, resolves by prefix and as
+        ``latest``, and a scrub keeps its cell-index entries."""
+        spec = BenchmarkSpec(scale=8)
+        meta = {"environment": fingerprint()}
+        store = RunArchive(tmp_path / "archive")
+        kept = store.archive_run(
+            _results(_result(kernel="bfs"), meta=meta), spec=spec
+        )
+        elsewhere = RunArchive(tmp_path / "elsewhere")
+        copied = elsewhere.archive_run(
+            _results(_result(kernel="cc"), meta=meta), spec=spec
+        )
+        shutil.copytree(copied.path, store.runs_dir / copied.run_id)
+        with CellIndex.for_archive(store) as index:
+            index.add_many(
+                (cell_digest(spec, key), record.run_id, key)
+                for record, key in (
+                    (kept, ("kron", "baseline", "bfs", "gap")),
+                    (copied, ("kron", "baseline", "cc", "gap")),
+                )
+            )
+
+        listed = [entry["run_id"] for entry in store.list_runs()]
+        assert listed == [copied.run_id, kept.run_id]
+        assert store.resolve(copied.run_id[:6]) == copied.run_id
+        assert store.resolve("latest") == copied.run_id
+        assert scrub(store).verdict == "clean"
+        with CellIndex.for_archive(store) as index:
+            assert sorted(index.run_id_for(d) for d in index.digests()) == sorted(
+                [kept.run_id, copied.run_id]
+            )
 
     def test_spans_persisted_and_reloadable(self, tmp_path):
         store = RunArchive(tmp_path)
@@ -256,19 +298,20 @@ class TestResolve:
         store = RunArchive(tmp_path)
         record = store.archive_run(_results(_result()))
 
-        def listing_read():
-            raise AssertionError("index.json was read for an exact run id")
+        def enumeration():
+            raise AssertionError("runs/ was enumerated for an exact run id")
 
-        monkeypatch.setattr(store, "_read_index", listing_read)
+        monkeypatch.setattr(store, "run_dirs", enumeration)
         assert store.resolve(record.run_id) == record.run_id
         assert store.lookup(record.run_id).run_id == record.run_id
-        with pytest.raises(AssertionError):  # a prefix still needs the listing
+        with pytest.raises(AssertionError):  # a prefix still enumerates
             store.resolve(record.run_id[:8])
 
     def test_resolve_falls_back_to_directory_scan(self, tmp_path):
         store = RunArchive(tmp_path)
         record = store.archive_run(_results(_result()))
-        store.index_path.unlink()  # stale/lost index must not hide runs
+        # a stale listing from an older archive must not hide runs
+        (tmp_path / "index.json").write_text(json.dumps({"runs": []}))
         assert store.resolve(record.run_id[:8]) == record.run_id
 
     def test_resolve_empty_archive_message(self, tmp_path):
@@ -308,32 +351,62 @@ def _archive_worker(root, barrier_token, queue):
         queue.put(("error", f"{type(exc).__name__}: {exc}"))
 
 
+def _distinct_runs_worker(root, writer, runs, queue):
+    """Worker for the two-writer test: ``runs`` runs no other writer
+    archives, reported by run id."""
+    try:
+        store = RunArchive(root)
+        run_ids = [
+            store.archive_run(
+                _results(_result(trials=(float(writer * 1000 + n + 1),)))
+            ).run_id
+            for n in range(runs)
+        ]
+        queue.put(("ok", run_ids))
+    except Exception as exc:  # pragma: no cover - failure reporting
+        queue.put(("error", f"{type(exc).__name__}: {exc}"))
+
+
+def _run_forked(target, args_per_worker):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.SimpleQueue()
+    workers = [
+        ctx.Process(target=target, args=(*args, queue)) for args in args_per_worker
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(60.0)
+        assert worker.exitcode == 0
+    outcomes = [queue.get() for _ in workers]
+    assert {status for status, _ in outcomes} == {"ok"}, outcomes
+    return [value for _, value in outcomes]
+
+
 class TestConcurrentArchival:
     def test_two_processes_racing_same_run_id(self, tmp_path):
         """Two processes archiving identical content at once must both
-        succeed with the same run id and leave index.json parseable."""
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        queue = ctx.SimpleQueue()
-        workers = [
-            ctx.Process(target=_archive_worker, args=(str(tmp_path), n, queue))
-            for n in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(30.0)
-            assert worker.exitcode == 0
-        outcomes = [queue.get() for _ in workers]
-        statuses = {status for status, _ in outcomes}
-        assert statuses == {"ok"}, outcomes
-        run_ids = {run_id for _, run_id in outcomes}
+        succeed with the same run id and list the run once."""
+        run_ids = set(
+            _run_forked(_archive_worker, [(str(tmp_path), n) for n in range(2)])
+        )
         assert len(run_ids) == 1, "identical content must share one run id"
 
         store = RunArchive(tmp_path)
-        payload = json.loads(store.index_path.read_text())
-        entries = [e for e in payload["runs"] if e["run_id"] in run_ids]
-        assert len(entries) == 1, "index must not duplicate the run"
+        entries = [e for e in store.list_runs() if e["run_id"] in run_ids]
+        assert len(entries) == 1, "the listing must not duplicate the run"
         record = store.lookup(next(iter(run_ids)))
         assert len(record.load_results()) == 1
+
+    def test_two_writers_lose_no_runs(self, tmp_path):
+        """Two processes archiving different runs into one root at once:
+        every run either of them archived is listed."""
+        archived = _run_forked(
+            _distinct_runs_worker, [(str(tmp_path), n, 40) for n in range(2)]
+        )
+        expected = {run_id for run_ids in archived for run_id in run_ids}
+        assert len(expected) == 80
+        listed = {entry["run_id"] for entry in RunArchive(tmp_path).list_runs()}
+        assert listed == expected

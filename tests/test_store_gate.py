@@ -1,12 +1,14 @@
 """End-to-end tests for the regression gate and the archive CLI.
 
-The acceptance scenario for the gate subsystem: an unmodified re-run of
-the same campaign must pass the gate at the default noise threshold (no
-false positives), while a 2x slowdown injected into one kernel's trial
-times must fail it with that cell named.  Both runs here are *real*
-campaigns through ``run_suite``, not synthetic numbers, so the
-no-false-positive half exercises genuine trial noise; the injected half
-pins the slowed cell's trial times on both sides, so its verdict does not.
+The acceptance scenario for the gate subsystem: a re-run that is only
+noise must pass the gate at the default noise threshold (no false
+positives), while a 2x slowdown injected into one kernel's trial times
+must fail it with that cell named.  The baseline is a *real* campaign
+through ``run_suite``; every candidate is derived from it with fixed
+factors, so each verdict is a function of these tests' own numbers and
+not of the load on the machine running them.  Real run-to-run noise is
+sampled by the CI ``gate`` job, which gates a fresh campaign against a
+committed baseline.
 """
 
 from __future__ import annotations
@@ -16,50 +18,37 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.core import BenchmarkSpec, Telemetry, run_suite
+from repro.core import BenchmarkSpec, ResultSet, run_suite
 from repro.frameworks import Mode, get
-from repro.store import RunArchive, classify_cells
+from repro.store import RunArchive
 
 SCALE = 8
 KERNELS_USED = ["bfs", "cc"]
-# Extra trials tighten the bootstrap interval for the re-run comparison.
 SPEC = BenchmarkSpec(scale=SCALE, trials={"bfs": 6, "cc": 6})
+#: The "clean re-run": every trial 5 % slower, well inside the 25 %
+#: threshold, and different content so the archive keeps both runs.
+NOISE_FACTOR = 1.05
 
 
-def _campaign():
-    return run_suite(
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """A real campaign and a candidate derived from it, as results files:
+    the candidate is the baseline with every trial vector scaled by
+    :data:`NOISE_FACTOR`."""
+    tmp = tmp_path_factory.mktemp("gate-campaigns")
+    baseline = run_suite(
         [get("gap")],
         ["kron"],
         kernels=KERNELS_USED,
         modes=[Mode.BASELINE],
         spec=SPEC,
     )
-
-
-@pytest.fixture(scope="module")
-def two_runs(tmp_path_factory):
-    """The same campaign measured twice, saved as results files.
-
-    Kernels at this scale run in microseconds, so a load spike on the
-    test machine between the two measurements can exceed the 25% noise
-    threshold for real.  Mirror the benchmarking practice for that case
-    (re-measure before believing a delta): re-run the candidate until it
-    is statistically indistinguishable from the baseline, a few attempts
-    at most.  An actual false-positive bug in the classifier would fail
-    every attempt and still fail the fixture — while the injected-2x
-    test below stays regressed no matter which candidate was kept.
-    """
-    tmp = tmp_path_factory.mktemp("gate-campaigns")
-    _campaign()  # warm-up: discard first-touch allocator/cache effects
-    baseline = _campaign()
-    for _ in range(4):
-        candidate = _campaign()
-        deltas = classify_cells(baseline, candidate)
-        if all(d.classification == "unchanged" for d in deltas):
-            break
     base_path = tmp / "baseline.json"
     cand_path = tmp / "candidate.json"
     baseline.save_json(base_path)
+    candidate = ResultSet.load_json(base_path)
+    for result in candidate:
+        result.trial_seconds = [t * NOISE_FACTOR for t in result.trial_seconds]
     candidate.save_json(cand_path)
     return base_path, cand_path
 
