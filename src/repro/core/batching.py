@@ -19,9 +19,11 @@ The planner obeys three invariants, pinned by ``tests/test_batching.py``:
   the parent's kill budget stays per-cell, and killing an over-budget
   worker can never destroy sibling cells that were merely queued behind
   the hung one.
-* **Degrades to per-cell dispatch** — ``jobs <= 1`` (or an explicit
-  ``batch_size=1``) plans singleton batches, reproducing the original
-  one-message-per-cell behavior exactly.
+* **Per-cell dispatch only on request** — an explicit ``batch_size=1``
+  plans singleton batches, reproducing the original one-message-per-cell
+  behavior exactly (the inline backend asks for it).  A single worker
+  (``jobs=1``) is batched like any other: one message per cell would
+  leave it idle through every dispatch round trip and journal ``fsync``.
 
 Batch size is chosen by a cost model over *trial counts*: each cell's
 cost is its planned trial count (``spec.num_trials``), and the planner
@@ -136,7 +138,7 @@ def plan_batches(
     if not cells:
         return []
 
-    if jobs <= 1 or batch_size == 1:
+    if batch_size == 1:
         return [[cell] for cell in cells]
 
     cost = lambda cell: max(1, spec.num_trials(cell.kernel))

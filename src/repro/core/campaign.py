@@ -36,6 +36,11 @@ corpus              one graph   built once,  built once,
                                 reference    shared memory
 live exception      yes         no           no
 for strict mode
+dispatch            one cell    cost-model   cost-model batches;
+                    at a time   batches      a lone worker gets
+                                             one more queued
+                                             ahead unless a hard
+                                             deadline is set
 ==================  ==========  ===========  ===========
 
 Every cell still runs the exact measurement protocol of
@@ -73,7 +78,7 @@ from ..resilience.signals import graceful_shutdown
 from .batching import Cell, enumerate_cells, plan_batches
 from .pool import WorkerPool
 from .results import ResultSet, RunResult
-from .runner import GraphCase, build_case, failed_result, run_attempt
+from .runner import GraphCase, build_case, failed_result, load_or_build_case, run_attempt
 from .sharedmem import SharedCase, attach_case
 from .spec import BenchmarkSpec
 from .telemetry import STATUS_ERROR, STATUS_SKIPPED, STATUS_TIMEOUT, Span, Telemetry
@@ -292,9 +297,9 @@ def _drive(
     """Dispatch and settle until every cell has a result."""
     while not state.done:
         if backend.slots == 1 and state.retry_waiting:
-            # One slot overlaps nothing, so running a later cell during a
-            # backoff buys no time and costs the canonical journal and
-            # progress order: wait, then the retry is next.
+            # One slot overlaps nothing, so dispatching a later cell during
+            # a backoff buys no time and costs the canonical journal and
+            # progress order: wait, then the retry is dispatched next.
             ready_at = min(entry[0] for entry in state.retry_waiting)
             time.sleep(max(0.0, ready_at - time.monotonic()))
         state.release_retries(time.monotonic())
@@ -471,6 +476,12 @@ class _ProcessBackend:
     :data:`KILL_GRACE_SECONDS`.  A killed or dead worker is replaced at
     once and reported as ``lost``; a cell whose worker died twice is run
     in this process instead of burning a third one.
+
+    A lone worker never waits on this process: without a hard deadline
+    it takes its next batch while its last cell is still outstanding, so
+    one batch is queued behind the one in flight.  Freshly built graphs
+    are written to the graph cache only after the first batch is on its
+    way, whatever the worker count.
     """
 
     def __init__(self, slots: int, pool: WorkerPool | None, spec, frameworks, cache, tel):
@@ -487,6 +498,8 @@ class _ProcessBackend:
         #: Worker deaths per cell index — two means crash loop.
         self._deaths: dict[int, int] = {}
         self._in_parent: deque[tuple[Cell, int]] = deque()
+        #: Graph-cache writes of freshly built cases, run after dispatch.
+        self._stores: list[Callable[[], None]] = []
 
     def _budget(self, cell: Cell) -> float:
         """Hard wall-clock budget of one cell (sum of trial deadlines + grace)."""
@@ -499,11 +512,15 @@ class _ProcessBackend:
         return now + sum(self._budget(cell) for cell, _ in batch)
 
     def open(self, graphs: list[str]) -> None:
-        # Build the still-needed corpus once (cache-aware) and publish it.
+        # Build the still-needed corpus once (cache-aware) and publish it;
+        # the cache writes wait for the first dispatch.
         for name in graphs:
-            self._shared[name] = SharedCase(
-                build_case(name, self._spec, self._cache, telemetry=self._tel)
+            case, store = load_or_build_case(
+                name, self._spec, self._cache, telemetry=self._tel
             )
+            self._shared[name] = SharedCase(case)
+            if store is not None:
+                self._stores.append(store)
         if self._pool is None:
             self._pool = WorkerPool(self.slots)
         self._pool.begin_campaign(
@@ -516,12 +533,18 @@ class _ProcessBackend:
             self._assigned[slot] = deque()
             self._started[slot] = 0.0
             self._deadline[slot] = None
+        # A lone worker has no sibling to take the next batch, so it holds
+        # one more than the cell it runs.  Several workers take batches as
+        # they free up, which balances load and leaves a batch nobody holds
+        # to the breaker's pruning; a hard deadline queues nothing behind a
+        # cell that may be killed.
+        self._ahead = int(self._pool.jobs == 1 and self._spec.trial_timeout is None)
 
     def idle(self) -> list[int]:
         return [
             slot
             for slot, batch in self._assigned.items()
-            if not batch and self._pool.is_alive(slot)
+            if len(batch) <= self._ahead and self._pool.is_alive(slot)
         ]
 
     def submit(self, slot: int, batch: Batch) -> None:
@@ -530,11 +553,19 @@ class _ProcessBackend:
             # burn another process for nothing.  events() runs it here.
             self._in_parent.extend(batch)
             return
-        now = time.monotonic()
-        self._assigned[slot].extend(batch)
-        self._started[slot] = now
-        self._deadline[slot] = self._batch_deadline(batch, now)
+        assigned = self._assigned[slot]
+        if not assigned:  # a batch queued ahead has no deadline to extend
+            now = self._started[slot] = time.monotonic()
+            self._deadline[slot] = self._batch_deadline(batch, now)
+        assigned.extend(batch)
         self._pool.submit(slot, batch)
+        self._store_corpus()
+
+    def _store_corpus(self) -> None:
+        """Write the freshly built graphs to the cache, while workers run."""
+        stores, self._stores = self._stores, []
+        for store in stores:
+            store()
 
     def _run_in_parent(self, cell: Cell, attempt: int) -> Iterator[tuple]:
         """Crash-loop fallback: attach to our own segment (zero-copy) and
@@ -562,6 +593,10 @@ class _ProcessBackend:
                 yield from self._run_in_parent(*self._in_parent.popleft())
             return
         pool = self._pool
+        # A worker already dead now has written its last message, so the
+        # drain below reads it: a cell it finished is never reported lost
+        # with it.  One that dies during the drain is judged next call.
+        dead = {slot for slot in self._assigned if not pool.is_alive(slot)}
         # Drain every queued message before supervising deadlines, so a
         # "cell" that arrived while the parent was busy is never mistaken
         # for an overrun.
@@ -594,7 +629,7 @@ class _ProcessBackend:
 
         now = time.monotonic()
         for slot, batch in self._assigned.items():
-            alive = pool.is_alive(slot)
+            alive = slot not in dead
             if not batch:
                 if not alive:  # died while idle: keep dispatch flowing
                     pool.respawn(slot)
@@ -625,6 +660,7 @@ class _ProcessBackend:
                    now - self._started[slot], tail)
 
     def close(self, clean: bool) -> None:
+        self._store_corpus()  # an abort before the first dispatch
         if self._pool is not None:
             if self._own_pool:
                 self._pool.shutdown()
@@ -764,18 +800,19 @@ def run_suite(
                 pool.jobs if pool is not None
                 else max(1, min(effective_jobs, len(runnable)))
             )
-            state.pending.extend(
-                [(cell, 0) for cell in batch]
-                for batch in plan_batches(runnable, spec, slots, spec.batch_size)
-            )
             common = (spec, frameworks, cache, tel)
             backend: Backend
+            batch_size = spec.batch_size
             if pool is not None or (effective_jobs > 1 and spec.pool != "threads"):
                 backend = _ProcessBackend(slots, pool, *common)
             elif effective_jobs > 1:
                 backend = _ThreadBackend(slots, *common)
             else:
-                backend = _InlineBackend(*common)
+                backend, batch_size = _InlineBackend(*common), 1
+            state.pending.extend(
+                [(cell, 0) for cell in batch]
+                for batch in plan_batches(runnable, spec, slots, batch_size)
+            )
             clean = False
             try:
                 with graceful_shutdown():

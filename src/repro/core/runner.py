@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +53,14 @@ from .telemetry import (
     TrialDeadline,
 )
 
-__all__ = ["GraphCase", "build_case", "failed_result", "run_attempt", "run_cell"]
+__all__ = [
+    "GraphCase",
+    "build_case",
+    "failed_result",
+    "load_or_build_case",
+    "run_attempt",
+    "run_cell",
+]
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,32 @@ def build_case(
 ) -> GraphCase:
     """Build one corpus case, going through the graph cache when given.
 
-    A cache hit skips generation *and* derived-view construction entirely
-    (the artifact stores all three views with their aliasing); a miss
-    builds the case and persists it for the next campaign.
+    :func:`load_or_build_case`, then its store at once: a cache hit skips
+    generation *and* derived-view construction entirely (the artifact
+    stores all three views with their aliasing); a miss builds the case
+    and persists it for the next campaign.
+    """
+    case, store = load_or_build_case(graph_name, spec, cache, telemetry)
+    if store is not None:
+        store()
+    return case
+
+
+def load_or_build_case(
+    graph_name: str,
+    spec: BenchmarkSpec,
+    cache: GraphCache | None = None,
+    telemetry: Telemetry | None = None,
+) -> tuple[GraphCase, Callable[[], None] | None]:
+    """Load one corpus case from the graph cache, or build it.
+
+    Returns ``(case, store)``.  ``store`` is ``None`` when there is
+    nothing to persist (a cache hit, or no cache); otherwise calling it
+    writes the freshly built case to the cache.  A store ``OSError`` is
+    swallowed: the cache is an optimization, and a full or unwritable
+    disk must not sink a campaign whose graph is already built.  The
+    process backend calls ``store`` once its worker has work, so the
+    cache is written while the cells are measured.
 
     ``graph_name`` may be a dataset reference (``file:...`` /
     ``dataset:...``): the file is resolved once here in the parent, its
@@ -122,57 +153,44 @@ def build_case(
     """
     from ..graphs.datasets import is_dataset_ref, resolve
 
-    def _note_corruption(start: int) -> None:
-        # Surface damage the load just detected; a plain cold miss adds
-        # no events, so warm paths pay one len() comparison.
-        if telemetry is None or cache is None:
-            return
-        for event in cache.corrupt_events[start:]:
-            telemetry.ingest(
-                Span(
-                    name="cache-corruption",
-                    attributes={"graph": graph_name},
-                    warnings=[{"warning": "graph-cache-corruption", **event}],
-                )
-            )
-
-    if is_dataset_ref(graph_name):
-        info = resolve(graph_name)
-        if cache is not None:
-            seen = len(cache.corrupt_events)
-            views = cache.load_dataset_views(info.digest, spec.seed)
-            _note_corruption(seen)
-            if views is not None:
-                return GraphCase(graph_name, *views)
-        case = GraphCase.from_graph(graph_name, info.load(), seed=spec.seed)
-        if cache is not None:
-            try:
-                cache.store_dataset_views(
-                    info.digest, spec.seed,
-                    case.graph, case.weighted, case.undirected,
-                )
-            except OSError:
-                pass
-        return case
-
+    dataset = resolve(graph_name) if is_dataset_ref(graph_name) else None
     if cache is not None:
         seen = len(cache.corrupt_events)
-        views = cache.load_views(graph_name, spec.scale, spec.seed)
-        _note_corruption(seen)
+        if dataset is None:
+            views = cache.load_views(graph_name, spec.scale, spec.seed)
+        else:
+            views = cache.load_dataset_views(dataset.digest, spec.seed)
+        # Surface damage the load just detected; a plain cold miss adds
+        # no events, so warm paths pay one len() comparison.
+        if telemetry is not None:
+            for event in cache.corrupt_events[seen:]:
+                telemetry.ingest(
+                    Span(
+                        name="cache-corruption",
+                        attributes={"graph": graph_name},
+                        warnings=[{"warning": "graph-cache-corruption", **event}],
+                    )
+                )
         if views is not None:
-            return GraphCase(graph_name, *views)
-    case = GraphCase.build(graph_name, scale=spec.scale, seed=spec.seed)
-    if cache is not None:
+            return GraphCase(graph_name, *views), None
+    if dataset is None:
+        case = GraphCase.build(graph_name, scale=spec.scale, seed=spec.seed)
+    else:
+        case = GraphCase.from_graph(graph_name, dataset.load(), seed=spec.seed)
+    if cache is None:
+        return case, None
+
+    def store() -> None:
+        views = (case.graph, case.weighted, case.undirected)
         try:
-            cache.store_views(
-                graph_name, spec.scale, spec.seed,
-                case.graph, case.weighted, case.undirected,
-            )
+            if dataset is None:
+                cache.store_views(graph_name, spec.scale, spec.seed, *views)
+            else:
+                cache.store_dataset_views(dataset.digest, spec.seed, *views)
         except OSError:
-            # The cache is an optimization: a full or unwritable disk must
-            # not sink a campaign whose graph is already built.
             pass
-    return case
+
+    return case, store
 
 
 def _kernel_input(case: GraphCase, kernel: str) -> CSRGraph:

@@ -7,7 +7,8 @@ Tier-1 guarantees pinned here:
   of cell counts, job counts, and batch sizes;
 * timeout-sensitive cells are never packed with neighbors: a cell under
   a hard deadline always forms a singleton batch;
-* ``jobs=1`` and ``batch_size=1`` degrade to per-cell dispatch exactly;
+* ``batch_size=1`` degrades to per-cell dispatch exactly, while ``jobs=1``
+  is batched by the cost model like any other worker count;
 * the auto cost model actually batches (multi-cell batches exist) while
   keeping enough batches per worker to load-balance.
 """
@@ -70,11 +71,21 @@ def test_trial_timeout_makes_every_cell_sensitive():
     assert all(len(batch) == 1 for batch in batches)
 
 
-@pytest.mark.parametrize("batch_size", [None, 3, 100])
-def test_jobs_1_degrades_to_per_cell_dispatch(batch_size):
-    batches = plan_batches(_cells(30), SPEC, jobs=1, batch_size=batch_size)
-    assert all(len(batch) == 1 for batch in batches)
-    assert len(batches) == 30
+@pytest.mark.parametrize("count", [12, 30, 360])
+def test_jobs_1_gets_cost_model_batches(count):
+    """A lone worker is batched too: one message per cell would leave it
+    waiting on its parent through every dispatch round trip."""
+    cells = _cells(count)
+    batches = plan_batches(cells, SPEC, jobs=1)
+    assert [cell for batch in batches for cell in batch] == cells
+    assert len(batches) <= BATCHES_PER_WORKER + 1
+    assert any(len(batch) > 1 for batch in batches)
+    # Only per-cell dispatch on request, and for deadline-sensitive cells.
+    assert all(len(b) == 1 for b in plan_batches(cells, SPEC, jobs=1, batch_size=1))
+    sensitive = lambda cell: True
+    assert all(
+        len(b) == 1 for b in plan_batches(cells, SPEC, jobs=1, sensitive=sensitive)
+    )
 
 
 def test_batch_size_1_degrades_to_per_cell_dispatch():
