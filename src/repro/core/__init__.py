@@ -12,6 +12,8 @@ Submodules:
   made of: warm worker processes, batched multi-cell dispatch, and the
   shared-memory corpus.
 * ``results`` / ``tables`` — result records and Table I–V renderers.
+* ``sweeps`` / ``workload`` — the A2 / S1 / A1 parameter sweeps and W1's
+  per-round BFS frontier traces; import them from their submodules.
 """
 
 from .batching import Cell, plan_batches
@@ -20,14 +22,11 @@ from .pool import WorkerPool
 from .results import ResultSet, RunResult
 from .runner import GraphCase, build_case, run_cell
 from .spec import BenchmarkSpec, SourcePicker
-from .sweeps import delta_sweep, direction_threshold_sweep, scale_sweep
 from .telemetry import JsonlSink, Span, Telemetry, TrialDeadline, read_trace
-from .workload import FrontierTrace, sparkline, trace_bfs
 
 __all__ = [
     "BenchmarkSpec",
     "Cell",
-    "FrontierTrace",
     "GraphCase",
     "JsonlSink",
     "ResultSet",
@@ -39,12 +38,7 @@ __all__ = [
     "WorkerPool",
     "build_case",
     "plan_batches",
-    "delta_sweep",
-    "direction_threshold_sweep",
     "read_trace",
     "run_cell",
     "run_suite",
-    "scale_sweep",
-    "sparkline",
-    "trace_bfs",
 ]

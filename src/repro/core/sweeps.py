@@ -1,4 +1,4 @@
-"""Parameter sweeps: the library API behind the ablation benches.
+"""Parameter sweeps: the runners of experiments A2, S1 and part of A1.
 
 Each sweep runs a kernel across one tuning dimension and returns row
 dicts (parameter, seconds, work counters) ready for ``tables.render`` or
@@ -6,10 +6,12 @@ the markdown writer.  Three sweeps cover the sensitivities the paper's
 methodology discusses:
 
 * ``delta_sweep`` — SSSP bucket width (the Baseline rules' one explicit
-  tuning exception, "orders of magnitude difference" on Road);
+  tuning exception, "orders of magnitude difference" on Road; A2);
 * ``direction_threshold_sweep`` — the alpha parameter of
-  direction-optimizing BFS (the push->pull switch the reference tunes);
-* ``scale_sweep`` — kernel time versus graph size for a fixed topology.
+  direction-optimizing BFS (the push->pull switch the reference tunes;
+  A1's direction-optimization row);
+* ``scale_sweep`` — kernel time versus graph size for a fixed topology
+  (S1).
 """
 
 from __future__ import annotations

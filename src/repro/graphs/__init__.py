@@ -21,10 +21,8 @@ from .edgelist import EdgeList
 from .io import (
     file_digest,
     load_graph_file,
-    load_npz,
     read_edge_list,
     read_mtx,
-    save_npz,
     write_edge_list,
 )
 from .properties import (
@@ -37,7 +35,6 @@ from .properties import (
 from .statistics import (
     TopologySummary,
     assortativity,
-    degree_histogram,
     global_clustering,
     reciprocity,
     summarize,
@@ -46,10 +43,7 @@ from .transforms import (
     degree_order_permutation,
     degree_skewed,
     forward_adjacency,
-    induced_subgraph,
-    lower_triangle_counts,
     permute,
-    relabel_by_degree,
 )
 
 __all__ = [
@@ -62,7 +56,6 @@ __all__ = [
     "GraphProperties",
     "TopologySummary",
     "assortativity",
-    "degree_histogram",
     "global_clustering",
     "reciprocity",
     "summarize",
@@ -73,10 +66,7 @@ __all__ = [
     "degree_order_permutation",
     "degree_skewed",
     "forward_adjacency",
-    "induced_subgraph",
-    "lower_triangle_counts",
     "permute",
-    "relabel_by_degree",
     "DatasetInfo",
     "dataset_digest",
     "dataset_identity",
@@ -86,10 +76,8 @@ __all__ = [
     "list_datasets",
     "load_dataset_graph",
     "load_graph_file",
-    "load_npz",
     "read_edge_list",
     "read_mtx",
     "resolve",
-    "save_npz",
     "write_edge_list",
 ]

@@ -27,8 +27,7 @@ renames hit, byte edits miss.
 This module also provides the case (de)composition helpers —
 :func:`decompose_case` / :func:`recompose_case` — used by
 :mod:`repro.core.sharedmem` to publish the same structure over
-shared-memory segments.  (For single graphs without views, see
-:func:`repro.graphs.io.save_npz`.)
+shared-memory segments.
 """
 
 from __future__ import annotations

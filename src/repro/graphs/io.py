@@ -1,10 +1,11 @@
-"""Serialization for graphs: text edge lists, MatrixMarket, and binary .npz.
+"""Serialization for graphs: text edge lists and MatrixMarket.
 
 The GAP reference code reads ``.el`` (unweighted) and ``.wel`` (weighted)
-text edge lists and caches a binary serialized graph.  We provide the same
-two tiers, plus the MatrixMarket ``.mtx`` coordinate format every public
-graph repository (SuiteSparse, SNAP mirrors) speaks, so campaigns can run
-on real downloaded datasets and not only on generated corpora.
+text edge lists and caches a binary serialized graph.  We read and write
+the same text formats (the binary tier is :class:`~repro.graphs.GraphCache`),
+plus the MatrixMarket ``.mtx`` coordinate format every public graph
+repository (SuiteSparse, SNAP mirrors) speaks, so campaigns can run on real
+downloaded datasets and not only on generated corpora.
 
 All text readers share one chunked, vectorized core: lines are gathered in
 large blocks and handed to NumPy for parsing, so ingesting a multi-million
@@ -30,11 +31,9 @@ from .edgelist import EdgeList
 __all__ = [
     "file_digest",
     "load_graph_file",
-    "load_npz",
     "open_text",
     "read_edge_list",
     "read_mtx",
-    "save_npz",
     "write_edge_list",
 ]
 
@@ -73,8 +72,7 @@ def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
     unweighted graphs produce ``src dst`` lines (GAP ``.el``).  The edge
     block is emitted via column stacking + ``np.savetxt`` — one array
     format call instead of a Python loop per edge, which turns writing a
-    scale-20 corpus graph from minutes into seconds (see
-    ``benchmarks/bench_io_roundtrip.py``).
+    scale-20 corpus graph from minutes into seconds.
     """
     path = Path(path)
     src, dst = graph.edge_array()
@@ -299,46 +297,3 @@ def load_graph_file(path: str | Path, directed: bool = True) -> CSRGraph:
     if name.endswith(".mtx"):
         return read_mtx(path)
     return read_edge_list(path, directed=directed)
-
-
-def save_npz(graph: CSRGraph, path: str | Path) -> None:
-    """Serialize a graph to NumPy's compressed .npz container."""
-    arrays: dict[str, np.ndarray] = {
-        "meta": np.array([graph.num_vertices, int(graph.directed)], dtype=np.int64),
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-    }
-    if graph.directed:
-        arrays["in_indptr"] = graph.in_indptr
-        arrays["in_indices"] = graph.in_indices
-    if graph.weights is not None:
-        arrays["weights"] = graph.weights
-        if graph.directed and graph.in_weights is not None:
-            arrays["in_weights"] = graph.in_weights
-    np.savez_compressed(Path(path), **arrays)
-
-
-def load_npz(path: str | Path) -> CSRGraph:
-    """Load a graph saved by :func:`save_npz`."""
-    with np.load(Path(path)) as data:
-        num_vertices, directed_flag = (int(x) for x in data["meta"])
-        directed = bool(directed_flag)
-        indptr = data["indptr"]
-        indices = data["indices"]
-        weights = data["weights"] if "weights" in data else None
-        if directed:
-            in_indptr = data["in_indptr"]
-            in_indices = data["in_indices"]
-            in_weights = data["in_weights"] if "in_weights" in data else None
-        else:
-            in_indptr, in_indices, in_weights = indptr, indices, weights
-    return CSRGraph(
-        num_vertices,
-        indptr,
-        indices,
-        weights,
-        in_indptr,
-        in_indices,
-        in_weights,
-        directed,
-    )

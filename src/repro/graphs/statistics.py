@@ -3,9 +3,8 @@
 The paper's workload-characterization companion (Beamer et al., IISWC'15)
 argues topology drives graph-kernel behaviour more than the algorithm;
 this module provides the descriptive statistics that argument rests on:
-degree histograms (log-binned, for power-law eyeballing), degree
-assortativity (hub-hub vs hub-leaf mixing), reciprocity of directed
-graphs, and a global clustering summary.  Used by the examples and by the
+degree assortativity (hub-hub vs hub-leaf mixing), reciprocity of
+directed graphs, and a global clustering summary.  Used by the examples and by the
 generator tests to validate that the analogs sit in the right regimes.
 """
 
@@ -18,31 +17,12 @@ import numpy as np
 from .csr import CSRGraph
 
 __all__ = [
-    "degree_histogram",
     "assortativity",
     "reciprocity",
     "global_clustering",
     "TopologySummary",
     "summarize",
 ]
-
-
-def degree_histogram(graph: CSRGraph, log_binned: bool = True) -> list[tuple[int, int]]:
-    """(degree-bin lower bound, vertex count) pairs.
-
-    Log-binned by powers of two by default — the natural scale for
-    detecting the straight-line signature of a power law.
-    """
-    degrees = graph.out_degrees
-    if not log_binned:
-        counts = np.bincount(degrees)
-        return [(d, int(c)) for d, c in enumerate(counts) if c]
-    max_degree = int(degrees.max()) if degrees.size else 0
-    bins = [0, 1]
-    while bins[-1] <= max_degree:
-        bins.append(bins[-1] * 2)
-    histogram, _ = np.histogram(degrees, bins=bins + [bins[-1] * 2])
-    return [(low, int(count)) for low, count in zip(bins, histogram) if count]
 
 
 def assortativity(graph: CSRGraph) -> float:

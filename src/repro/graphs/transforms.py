@@ -1,9 +1,9 @@
 """Graph transforms used by the frameworks' preprocessing heuristics.
 
-The paper's frameworks relabel (reorder) graphs before triangle counting,
-block edges for load balancing, and extract induced subgraphs for cache
-tiling.  These shared transforms live here so each framework package stays
-focused on its kernels.
+The paper's frameworks relabel (reorder) graphs before triangle counting
+and orient edges low id -> high id to count each triangle once.  These
+shared transforms live here so each framework package stays focused on its
+kernels.
 """
 
 from __future__ import annotations
@@ -12,16 +12,12 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from .csr import CSRGraph
-from .edgelist import EdgeList
 
 __all__ = [
     "permute",
     "degree_order_permutation",
-    "relabel_by_degree",
     "degree_skewed",
     "forward_adjacency",
-    "induced_subgraph",
-    "lower_triangle_counts",
 ]
 
 
@@ -87,56 +83,6 @@ def degree_order_permutation(graph: CSRGraph, ascending: bool = True) -> np.ndar
     perm = np.empty(graph.num_vertices, dtype=np.int64)
     perm[order] = np.arange(graph.num_vertices)
     return perm
-
-
-def relabel_by_degree(graph: CSRGraph, ascending: bool = True) -> tuple[CSRGraph, np.ndarray]:
-    """Relabel a graph by degree; returns ``(new_graph, perm)``."""
-    perm = degree_order_permutation(graph, ascending=ascending)
-    return permute(graph, perm), perm
-
-
-def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
-    """Induced subgraph on ``vertices``; returns ``(subgraph, mapping)``.
-
-    ``mapping[i]`` is the original id of subgraph vertex ``i``.  Used by the
-    cache-tiling schedules (GraphIt Optimized PR) that partition the graph
-    into cache-sized segments.
-    """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    if vertices.size and (vertices[0] < 0 or vertices[-1] >= graph.num_vertices):
-        raise GraphFormatError("subgraph vertex id out of range")
-    remap = np.full(graph.num_vertices, -1, dtype=np.int64)
-    remap[vertices] = np.arange(vertices.size)
-    src, dst = graph.edge_array()
-    keep = (remap[src] >= 0) & (remap[dst] >= 0)
-    weights = graph.weights[keep] if graph.weights is not None else None
-    edges = EdgeList(vertices.size, remap[src[keep]], remap[dst[keep]], weights)
-    # Build directed regardless of the parent graph: for an undirected parent
-    # both orientations survive the filter, so the result is still symmetric.
-    sub = CSRGraph.from_edge_list(edges, directed=True)
-    if not graph.directed:
-        sub = CSRGraph(
-            sub.num_vertices,
-            sub.indptr,
-            sub.indices,
-            sub.weights,
-            sub.indptr,
-            sub.indices,
-            sub.weights,
-            directed=False,
-        )
-    return sub, vertices
-
-
-def lower_triangle_counts(graph: CSRGraph) -> np.ndarray:
-    """Per-vertex count of neighbors with a smaller id.
-
-    This is the row-degree of ``tril(A, -1)``, used by triangle-counting
-    implementations to estimate work per vertex.
-    """
-    src, dst = graph.edge_array()
-    lower = src > dst
-    return np.bincount(src[lower], minlength=graph.num_vertices)
 
 
 def degree_skewed(graph: CSRGraph, seed: int = 0) -> bool:

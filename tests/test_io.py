@@ -1,4 +1,4 @@
-"""Tests for graph serialization (text edge lists and .npz)."""
+"""Tests for graph serialization (text edge lists and MatrixMarket)."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from repro.generators import build_graph, weighted_version
 from repro.graphs import (
     file_digest,
     load_graph_file,
-    load_npz,
     read_edge_list,
     read_mtx,
-    save_npz,
     write_edge_list,
 )
 
@@ -57,26 +55,6 @@ class TestTextRoundtrip:
         path.write_text("0 1\n1 2 5\n", encoding="ascii")
         with pytest.raises(GraphFormatError):
             read_edge_list(path)
-
-
-class TestNpzRoundtrip:
-    @pytest.mark.parametrize("name", ["road", "kron"])
-    def test_roundtrip(self, tmp_path, name):
-        graph = build_graph(name, scale=7)
-        path = tmp_path / f"{name}.npz"
-        save_npz(graph, path)
-        back = load_npz(path)
-        assert back == graph
-        assert back.directed == graph.directed
-        assert np.array_equal(back.in_indptr, graph.in_indptr)
-
-    def test_weighted_roundtrip(self, tmp_path):
-        graph = weighted_version(build_graph("road", scale=7))
-        path = tmp_path / "w.npz"
-        save_npz(graph, path)
-        back = load_npz(path)
-        assert np.array_equal(back.weights, graph.weights)
-        assert np.array_equal(back.in_weights, graph.in_weights)
 
 
 MTX_SYMMETRIC = """%%MatrixMarket matrix coordinate pattern symmetric

@@ -170,17 +170,24 @@ class TestCacheTiling:
         kron13 = build_graph("kron", scale=13)
         graphit = get("graphit")
         ctx = RunContext(mode=Mode.OPTIMIZED, graph_name="kron")
-        # Warm up, then time: the tiled schedule (with its preprocessing
-        # inside the call) must still beat the per-iteration re-expansion.
-        graphit.pagerank(kron13)
-        graphit.pagerank(kron13, ctx)
-        start = time.perf_counter()
+        # Warm up, then time interleaved pairs: the tiled schedule (with
+        # its preprocessing inside the call) must still beat the
+        # per-iteration re-expansion.  The best of several pairs per side
+        # is compared, because one pair of ~10 ms calls is at the mercy of
+        # whatever else the machine is doing.
         baseline = graphit.pagerank(kron13)
-        mid = time.perf_counter()
         tiled = graphit.pagerank(kron13, ctx)
-        end = time.perf_counter()
         assert np.allclose(baseline, tiled)
-        assert (end - mid) < (mid - start)
+        untiled_s, tiled_s = [], []
+        for _ in range(7):
+            start = time.perf_counter()
+            graphit.pagerank(kron13)
+            mid = time.perf_counter()
+            graphit.pagerank(kron13, ctx)
+            end = time.perf_counter()
+            untiled_s.append(mid - start)
+            tiled_s.append(end - mid)
+        assert min(tiled_s) < min(untiled_s)
 
     def test_segment_structure_reused(self, kron):
         ctx = RunContext(mode=Mode.OPTIMIZED, graph_name="kron")

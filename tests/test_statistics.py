@@ -7,31 +7,12 @@ import pytest
 from repro.graphs import (
     CSRGraph,
     assortativity,
-    degree_histogram,
     global_clustering,
     reciprocity,
     summarize,
 )
 
 from .conftest import to_networkx
-
-
-class TestDegreeHistogram:
-    def test_counts_sum_to_vertices(self, corpus_graph):
-        _, graph = corpus_graph
-        histogram = degree_histogram(graph)
-        assert sum(count for _, count in histogram) == graph.num_vertices
-
-    def test_linear_bins(self):
-        graph = CSRGraph.from_arrays(
-            4, np.array([0, 0, 1]), np.array([1, 2, 2]), directed=True
-        )
-        histogram = dict(degree_histogram(graph, log_binned=False))
-        assert histogram == {0: 2, 1: 1, 2: 1}
-
-    def test_log_bins_monotone(self, corpus):
-        bins = [low for low, _ in degree_histogram(corpus["kron"])]
-        assert bins == sorted(bins)
 
 
 class TestReciprocity:

@@ -9,10 +9,7 @@ from repro.graphs import (
     degree_order_permutation,
     degree_skewed,
     forward_adjacency,
-    induced_subgraph,
-    lower_triangle_counts,
     permute,
-    relabel_by_degree,
 )
 
 
@@ -110,15 +107,11 @@ class TestSharedTcPreprocessing:
 class TestDegreeOrder:
     def test_ascending_order(self, corpus_graph):
         _, graph = corpus_graph
-        relabeled, _ = relabel_by_degree(graph, ascending=True)
-        degrees = relabeled.out_degrees
-        # The *original* degree of the vertex placed at position i must be
-        # non-decreasing; the relabeled graph's own degrees are identical to
-        # the originals carried along.
+        # The original degree of the vertex placed at position i must be
+        # non-decreasing.
         perm = degree_order_permutation(graph, ascending=True)
         original_sorted = graph.out_degrees[np.argsort(perm)]
         assert (np.diff(original_sorted) >= 0).all()
-        del degrees
 
     def test_descending_reverses(self, corpus_graph):
         _, graph = corpus_graph
@@ -133,39 +126,3 @@ class TestDegreeOrder:
         _, graph = corpus_graph
         perm = degree_order_permutation(graph)
         assert np.array_equal(np.sort(perm), np.arange(graph.num_vertices))
-
-
-class TestInducedSubgraph:
-    def test_simple(self, tiny_graph):
-        sub, mapping = induced_subgraph(tiny_graph, np.array([0, 1, 2]))
-        assert sub.num_vertices == 3
-        assert mapping.tolist() == [0, 1, 2]
-        assert sub.has_edge(0, 1) and sub.has_edge(1, 2) and sub.has_edge(0, 2)
-
-    def test_drops_external_edges(self, tiny_graph):
-        sub, _ = induced_subgraph(tiny_graph, np.array([0, 3]))
-        # only 3 -> 0 survives
-        assert sub.num_edges == 1
-        assert sub.has_edge(1, 0)
-
-    def test_out_of_range_rejected(self, tiny_graph):
-        with pytest.raises(GraphFormatError):
-            induced_subgraph(tiny_graph, np.array([99]))
-
-    def test_undirected_stays_symmetric(self, triangle_graph):
-        sub, _ = induced_subgraph(triangle_graph, np.array([0, 1, 2]))
-        src, dst = sub.edge_array()
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        assert all((b, a) in pairs for a, b in pairs)
-
-
-class TestLowerTriangle:
-    def test_counts(self, triangle_graph):
-        counts = lower_triangle_counts(triangle_graph)
-        # vertex 0 has no smaller neighbor; vertex 2 has 0 and 1.
-        assert counts[0] == 0
-        assert counts[2] == 2
-
-    def test_total_is_half_of_edges(self, triangle_graph):
-        counts = lower_triangle_counts(triangle_graph)
-        assert counts.sum() == triangle_graph.num_undirected_edges
