@@ -23,7 +23,7 @@ the storage tier to its contract:
   ``clean``: self-healing converges.
 * **cold restart** — a final fault-free server re-serves the campaigns.
   Every cell completed during the soak whose run survived scrub (its
-  digest is still in the rebuilt cell index) must come back
+  digest still derives from ``runs/``) must come back
   ``cached: true`` — zero recompute; cells whose backing run scrub
   *quarantined* are the only permitted re-executions (served-corrupt is
   never an option).  A second pass must be 100% cached and
@@ -61,7 +61,7 @@ from repro.service import ServiceClient
 from repro.store import (
     RunArchive,
     bench_payload,
-    open_self_healing_index,
+    derive_index_entries,
     scrub,
     write_json_atomic,
 )
@@ -94,12 +94,12 @@ DEGRADED_CAMPAIGN = {
 #: Path substrings the random storage faults aim at.  Loud faults (enospc,
 #: torn-write, fsync-fail) may hit anything — they fail the operation
 #: before anything is promised.  Silent bit-flips are aimed at the
-#: *checksummed replayable* surfaces (cell index, journals), where
-#: recovery loses nothing; flipped archive payloads are exercised
-#: separately because they legitimately cost the damaged run (the
-#: quarantine path — see the cold-restart accounting).
-LOUD_TARGETS = ("cell_index", "journals", "runs", "manifest.json")
-FLIP_TARGETS = ("cell_index", "journals")
+#: *checksummed replayable* surface (the journals), where recovery loses
+#: nothing; flipped archive payloads are exercised separately because
+#: they legitimately cost the damaged run (the quarantine path — see the
+#: cold-restart accounting).
+LOUD_TARGETS = ("journals", "runs", "manifest.json")
+FLIP_TARGETS = ("journals",)
 
 
 def _random_plan(rng: random.Random, flip_archive: bool) -> list[dict]:
@@ -212,7 +212,7 @@ def run_soak(
                                 continue
                             if event["result"].get("status", "ok") != "ok":
                                 # A faulted cell: recorded as an error
-                                # result, never indexed, legitimately
+                                # result, never served, legitimately
                                 # re-executed later.
                                 continue
                             key = tuple(event["cell"])
@@ -283,10 +283,9 @@ def run_soak(
     second = scrub(RunArchive(tmp / "archive"))
     assert second.verdict == "clean", second.as_dict()
 
-    index, _heal = open_self_healing_index(RunArchive(tmp / "archive"))
-    surviving = {key for key, digest in completed.items() if digest in index}
+    derived = dict(derive_index_entries(archive))
+    surviving = {key for key, digest in completed.items() if digest in derived}
     quarantined_cells = len(completed) - len(surviving)
-    index.close()
 
     # -- cold restart: zero recompute for everything that survived -------
     proc, port = _start_server(tmp, resume=True, extra_env={})
@@ -349,7 +348,6 @@ def run_soak(
             "first_verdict": report.verdict,
             "second_verdict": second.verdict,
             "quarantined_runs": len(report.quarantined),
-            "index_rebuilt": report.index_rebuilt,
         },
         "cold_restart": {
             "surviving_cells": len(surviving),

@@ -557,12 +557,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     for report in service.recovery_report:
         print(f"recovered: {report}")
-    if service.index_heal_report:
-        print(f"index healed: {service.index_heal_report}")
+    indexed = service.status()["indexed_cells"]
 
     def ready(host: str, port: int) -> None:
         print(f"repro service listening on http://{host}:{port}", flush=True)
-        print(f"archive: {service.archive.root} ({len(service.index)} cells indexed)", flush=True)
+        print(f"archive: {service.archive.root} ({indexed} cells indexed)", flush=True)
 
     try:
         serve_forever(service, host=args.host, port=args.port, ready=ready)
@@ -690,12 +689,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
             problems = "; ".join(str(p) for p in entry.get("problems", []))
             where = entry.get("quarantined_to", "(reported only)")
             print(f"  quarantined {entry['run_id']}: {problems} -> {where}")
-        for problem in report.index_problems:
-            print(f"  index: {problem}")
-        if report.index_rebuilt:
-            print(f"cell index rebuilt: {report.index_entries} entries")
-        else:
-            print(f"cell index verified: {report.index_entries} entries")
         for problem in report.unresolved:
             print(f"  UNRESOLVED: {problem}")
         print(f"verdict: {report.verdict}")
@@ -970,7 +963,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument(
         "--archive-dir", default=None, metavar="DIR",
-        help="archive root backing the cell index "
+        help="archive root the server serves hits from and archives into "
         "(default: $REPRO_ARCHIVE_DIR or results/archive)",
     )
     serve_parser.add_argument("--cache-dir", default=None, metavar="DIR")
@@ -986,7 +979,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument(
         "--resume", action="store_true",
-        help="on startup, archive and index completed cells from journals "
+        help="on startup, archive completed cells from journals "
         "left behind by a crashed server",
     )
     serve_parser.add_argument(
@@ -1037,8 +1030,7 @@ def main(argv: list[str] | None = None) -> int:
 
     scrub_parser = sub.add_parser(
         "scrub",
-        help="verify every archived run + cell-index entry; quarantine "
-        "damage and self-heal the index",
+        help="verify every archived run; quarantine damaged ones",
     )
     scrub_parser.add_argument(
         "--archive-dir", default=None, metavar="DIR",

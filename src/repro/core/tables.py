@@ -77,10 +77,17 @@ def table3_rows() -> list[dict[str, str]]:
     return rows
 
 
+def _kernels(results: ResultSet) -> list[str]:
+    """The kernels ``results`` holds a cell of, in the paper's order."""
+    held = {result.kernel for result in results}
+    return [kernel for kernel in KERNELS if kernel in held]
+
+
 def table4_rows(results: ResultSet, graphs: list[str]) -> list[dict[str, object]]:
-    """Table IV: fastest time per kernel x graph, per mode, with the winner."""
+    """Table IV: fastest time per kernel x graph, per mode, with the winner
+    (a row per kernel the results hold)."""
     rows = []
-    for kernel in KERNELS:
+    for kernel in _kernels(results):
         row: dict[str, object] = {"Kernel": KERNEL_LABELS[kernel]}
         for mode in (Mode.BASELINE, Mode.OPTIMIZED):
             for graph in graphs:
@@ -107,13 +114,15 @@ def table5_rows(
     """Table V: per-framework speedup over the GAP reference (percent).
 
     100% = matches the reference, 50% = twice as slow, 200% = twice as
-    fast — the paper's convention.
+    fast — the paper's convention.  A row per framework and kernel the
+    results hold.
     """
     rows = []
+    kernels = _kernels(results)
     for framework in results.frameworks():
         if framework == reference:
             continue
-        for kernel in KERNELS:
+        for kernel in kernels:
             row: dict[str, object] = {
                 "Framework": framework,
                 "Kernel": KERNEL_LABELS[kernel],

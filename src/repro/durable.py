@@ -4,11 +4,11 @@ Everything this package persists is written here, in one of two shapes
 (``docs/RESILIENCE.md``, "Durable writes", gives the rules in full):
 
 * a **whole file** that is either its previous or its new bytes —
-  results files, archive runs and indexes, reports, graph-cache
-  artifacts and sidecars: :func:`atomic_write`;
+  results files, archive runs, reports, graph-cache artifacts and
+  sidecars: :func:`atomic_write`;
 * an **append-only JSONL log** acknowledged one fsync at a time — the
-  checkpoint journal and the cell index: :class:`AppendLog`, one line
-  per record, each *sealed* with a ``crc`` of its canonical JSON.
+  checkpoint journal: :class:`AppendLog`, one line per record, each
+  *sealed* with a ``crc`` of its canonical JSON.
 
 A log line is intact when it is newline-terminated, parses as a JSON
 object and its ``crc`` verifies.  An unterminated tail, or a final line
@@ -108,21 +108,20 @@ def _encode(record: Record) -> bytes:
     return json.dumps(seal_line(record), default=str).encode() + b"\n"
 
 
-def _parse(path: Path) -> tuple[list[Record], list[str], list[str], int]:
-    """Judge every line once: ``(records, interior, dropped, durable_end)``.
+def _parse(path: Path) -> tuple[list[Record], list[str], int]:
+    """Judge every line once: ``(records, interior, durable_end)``.
 
-    ``interior`` names the damaged lines before the final one, ``dropped``
-    the never-durable end; ``durable_end`` is the offset just past the
-    last intact line, where the next append belongs.
+    ``interior`` names the damaged lines before the final one (the
+    never-durable end is dropped silently); ``durable_end`` is the offset
+    just past the last intact line, where the next append belongs.
     """
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
         raw = b""
-    *lines, tail = raw.split(b"\n")
+    *lines, _ = raw.split(b"\n")  # an unterminated tail was never durable
     records: list[Record] = []
     interior: list[str] = []
-    dropped: list[str] = []
     durable_end = offset = 0
     for lineno, line in enumerate(lines, 1):
         offset += len(line) + 1
@@ -136,11 +135,9 @@ def _parse(path: Path) -> tuple[list[Record], list[str], list[str], int]:
                 durable_end = offset
                 continue
             reason = "checksum mismatch"
-        damaged = interior if lineno < len(lines) else dropped
-        damaged.append(f"line {lineno}: {reason}")
-    if tail:
-        dropped.append(f"line {len(lines) + 1}: torn trailing line")
-    return records, interior, dropped, durable_end
+        if lineno < len(lines):
+            interior.append(f"line {lineno}: {reason}")
+    return records, interior, durable_end
 
 
 class AppendLog:
@@ -170,7 +167,7 @@ class AppendLog:
         Raises :class:`~repro.errors.CorruptLogError` on interior damage.
         """
         path = Path(path)
-        records, interior, _, durable_end = _parse(path)
+        records, interior, durable_end = _parse(path)
         if interior:
             raise CorruptLogError(interior[0])
         return cls(path, header, durable_end), records
@@ -186,14 +183,6 @@ class AppendLog:
     def read(path: str | Path) -> list[Record]:
         """The durable records, header first; raises like :meth:`open`."""
         return AppendLog.open(path, {})[1]
-
-    @staticmethod
-    def scan(path: str | Path) -> tuple[list[Record], list[str]]:
-        """Every intact record plus every problem, the never-durable end
-        included, each naming its line; never raises on damage (``scrub``).
-        """
-        records, interior, dropped, _ = _parse(Path(path))
-        return records, interior + dropped
 
     def append(self, records: Iterable[Record]) -> None:
         """Durably append ``records``: one write each, one fsync for all.

@@ -58,8 +58,7 @@ class CellFailedError(ReproError):
 class CorruptLogError(ReproError):
     """A :class:`repro.durable.AppendLog` file has a damaged line *before*
     its final one — corruption, not the torn tail a crash leaves.  The
-    journal and the cell index re-raise it as :class:`JournalError` /
-    :class:`ArchiveError`."""
+    journal re-raises it as :class:`JournalError`."""
 
 
 class ArchiveError(ReproError):

@@ -4,8 +4,8 @@ Chaos testing with *timing* (sleep here, hope the race happens there)
 produces flaky tests.  This module injects faults at exact, named points
 instead.  A :class:`Fault` says *what happens*, *where* and *on which
 occurrence*, so a test can demand "the worker running gap/cc crashes on
-attempt 0 and only attempt 0" or "the third write to the cell index
-tears" and get exactly that, every run.
+attempt 0 and only attempt 0" or "the third write to the checkpoint
+journal tears" and get exactly that, every run.
 
 Ten kinds (:data:`KINDS`), each firing at one of two sites:
 
@@ -184,7 +184,7 @@ def parse_plan(text: str) -> tuple[Fault, ...]:
     Example, a cell fault and a storage fault in one plan::
 
         [{"kind": "crash", "kernel": "cc"},
-         {"kind": "torn-write", "path": "cell_index", "first": 2}]
+         {"kind": "torn-write", "path": "journals", "first": 2}]
     """
     raw = json.loads(text)
     if not isinstance(raw, list):

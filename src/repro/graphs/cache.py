@@ -43,6 +43,7 @@ import numpy as np
 from ..durable import atomic_write
 from ..errors import GraphFormatError
 from .csr import CSRGraph
+from .io import file_digest
 
 __all__ = [
     "GraphCache",
@@ -156,14 +157,6 @@ def recompose_case(
 # ----------------------------------------------------------------------
 # The persistent cache
 # ----------------------------------------------------------------------
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as stream:
-        for block in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class GraphCache:
@@ -325,7 +318,7 @@ class GraphCache:
             return None
         try:
             expected = checksum_path.read_text(encoding="ascii").strip()
-            actual = _sha256(path)
+            actual = file_digest(path)
             if actual != expected:
                 self._record_corrupt(
                     path, "checksum-mismatch",

@@ -1,6 +1,6 @@
 """Campaign-as-a-service: a long-running memoizing benchmark server.
 
-The archive made runs content-addressed and the cell index
+The archive made runs content-addressed and cell identity
 (:mod:`repro.store.cellindex`) makes individual measurements addressable;
 this package is the system that exploits both: a server that accepts
 campaign specs over local HTTP, splits them into cells, serves every cell

@@ -1,8 +1,9 @@
 """The memoizing benchmark server.
 
 Decisions and I/O live apart.  :class:`_CellTable` is the thread-free
-core — the hot cache, the in-flight table, the counters and the one lock,
-the archive behind one injected ``load`` callable.
+core — the digest → run map, the hot cache, the in-flight table, the
+counters and the one lock, the archive behind one injected ``load``
+callable.
 :class:`BenchmarkService` is the shell of threads and files around it,
 one method per stage so that a stage boundary is a function boundary;
 the HTTP layer at the bottom of the module is a thin threaded front end
@@ -14,7 +15,7 @@ A **submission** (:meth:`BenchmarkService.submit_events`, on the caller's
 thread) is ``_resolve`` (spec, dataset provenance, one
 :class:`~repro.store.cellindex.CellIdentity`, a digest per cell) →
 ``_classify`` (under the table's lock each cell becomes a *hit* — hot, or
-loaded from the archive through the persistent cell index — a
+loaded from the archived run the table's map names for it — a
 *subscription* to an identical cell already executing (request
 coalescing), an *owned miss*, or, on a degraded server, a *rejected*
 miss) → ``_enqueue`` (the owned misses as one job on the bounded queue; a
@@ -33,12 +34,14 @@ that grid pre-filled from the hot cache) → ``_journal`` (per-job
 checkpoint journal) → ``_run`` (:func:`repro.core.campaign.run_suite` on
 the one warm :class:`~repro.core.pool.WorkerPool` all submissions share;
 each finalized cell is fsynced to the journal *before* it is published)
-→ ``_commit`` (the executed cells archived as one content-addressed run,
-each ok cell's digest durably appended to the cell index and memoized by
-the table; failed cells are archived for the record, never memoized — a
-re-submission re-executes them) → ``_finish`` (journal unlinked, owner
-told the run id).  ``repro serve --resume`` recovers a crashed server's
-journals through the same ``_commit``.
+→ ``_commit`` (the executed cells archived as one content-addressed run;
+the table maps each ok cell's digest to that run and memoizes it; failed
+cells are archived for the record, never memoized — a re-submission
+re-executes them) → ``_finish`` (journal unlinked, owner told the run
+id).  ``repro serve --resume`` recovers a crashed server's journals
+through the same ``_commit``.  The map itself is never written: a server
+derives it from ``runs/`` when it starts
+(:func:`~repro.store.cellindex.derive_index_entries`).
 """
 
 from __future__ import annotations
@@ -71,10 +74,9 @@ from ..graphs.cache import GraphCache
 from ..graphs.datasets import graph_identities
 from ..resilience.journal import CheckpointJournal, campaign_fingerprint, read_journal
 from ..store.archive import RunArchive
-from ..store.cellindex import CellIdentity, CellKey
+from ..store.cellindex import CellIdentity, CellKey, derive_index_entries
 from ..store.integrity import (
     last_scrub_report,
-    open_self_healing_index,
     quarantine_count,
     quarantine_run,
     verify_run,
@@ -91,7 +93,7 @@ from .protocol import (
 __all__ = ["BenchmarkService", "ServiceHTTPServer", "serve_forever"]
 
 #: Cells kept in the in-memory hot cache (evicted entries reload from
-#: the archive on next touch; the persistent index is never evicted).
+#: the archive on next touch; the digest → run map is never evicted).
 RESULT_CACHE_SIZE = 65536
 
 #: Distinct ``/submit`` bodies kept resolved (LRU), and the largest body
@@ -193,17 +195,24 @@ class _Inflight:
 class _CellTable:
     """Every decision about a cell, and no I/O.
 
-    Owns the hot cache (digest → pre-encoded hit line; LRU, the persistent
-    index being complete), the in-flight table, the counters and the one
-    lock that orders them.  Knows no thread, socket, pool, file or clock:
-    the archive is the injected ``load(digest)``, called with the lock
-    held, which yields ``(digest, hit line)`` for every servable cell of
-    the archived run holding ``digest`` — nothing for a miss.
+    Owns the digest → run_id map of every ok cell the archive holds, the
+    hot cache (digest → pre-encoded hit line; LRU, the map being
+    complete), the in-flight table, the counters and the one lock that
+    orders them.  Knows no thread, socket, pool, file or clock: the
+    archive is the injected ``load(run_id)``, called with the lock held,
+    which yields ``(digest, hit line)`` for every servable cell of that
+    run — nothing for a run that can no longer be served.
     """
 
-    def __init__(self, load: Callable[[str], Iterable[tuple[str, bytes]]]) -> None:
+    def __init__(
+        self,
+        load: Callable[[str], Iterable[tuple[str, bytes]]],
+        runs: dict[str, str],
+    ) -> None:
         self._load = load
         self._lock = threading.Lock()
+        #: digest → run_id, seeded from the archive; the table's from now on.
+        self.runs = runs
         self.results: "OrderedDict[str, bytes]" = OrderedDict()
         self.inflight: dict[str, _Inflight] = {}
         self.stats: dict[str, int] = {
@@ -228,7 +237,10 @@ class _CellTable:
         """Pre-encoded hit event for a digest, or None (lock held)."""
         line = self.results.get(digest)
         if line is None:
-            for loaded, loaded_line in self._load(digest):
+            run_id = self.runs.get(digest)
+            if run_id is None:
+                return None
+            for loaded, loaded_line in self._load(run_id):
                 self.results.setdefault(loaded, loaded_line)
             self._evict()
             line = self.results.get(digest)
@@ -328,11 +340,12 @@ class _CellTable:
                     subscriber.put(("cell", digest, line))
 
     def commit(self, cells: list[tuple[str, CellKey, RunResult]], run_id: str) -> None:
-        """``cells`` were archived as ``run_id``: the ok ones become hits,
-        and all of them leave the in-flight table."""
+        """``cells`` were archived as ``run_id``: the ok ones are mapped to
+        it and become hits, and all of them leave the in-flight table."""
         with self._lock:
             for digest, key, result in cells:
                 if result.ok:
+                    self.runs[digest] = run_id
                     self.results[digest] = _cell_line(digest, key, result, run_id)
                     self.results.move_to_end(digest)
                 self.inflight.pop(digest, None)
@@ -350,10 +363,16 @@ class _CellTable:
         with self._lock:
             self.stats[name] += amount
 
-    def snapshot(self) -> tuple[dict[str, int], int, int]:
-        """``(stats copy, in-flight cells, hot cells)`` at one instant."""
+    def snapshot(self) -> tuple[dict[str, int], int, int, int]:
+        """``(stats copy, in-flight cells, hot cells, mapped cells)`` at
+        one instant."""
         with self._lock:
-            return dict(self.stats), len(self.inflight), len(self.results)
+            return (
+                dict(self.stats),
+                len(self.inflight),
+                len(self.results),
+                len(self.runs),
+            )
 
 
 class _Resolved(NamedTuple):
@@ -437,10 +456,6 @@ class BenchmarkService:
         watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL,
     ) -> None:
         self.archive = RunArchive(archive_dir)
-        # A corrupt cell index quarantines + rebuilds from the archive
-        # instead of refusing to start: the index is a cache, the runs
-        # are the source of truth.
-        self.index, self.index_heal_report = open_self_healing_index(self.archive)
         if min_free_bytes is None:
             min_free_bytes = int(
                 os.environ.get(MIN_FREE_BYTES_ENV, DEFAULT_MIN_FREE_BYTES)
@@ -453,7 +468,7 @@ class BenchmarkService:
         )
         self.jobs = max(1, int(jobs))
         self.cache = GraphCache(cache_dir) if cache_dir is not None else GraphCache()
-        self._table = _CellTable(self._load)
+        self._table = _CellTable(self._load, dict(derive_index_entries(self.archive)))
         self._bodies = _ResolvedBodies()
         self.stats = self._table.stats
         self._inflight = self._table.inflight
@@ -468,8 +483,6 @@ class BenchmarkService:
         self._engine_job: _Job | None = None
         self._watchdog_interval = max(0.05, float(watchdog_interval))
         self.recovery_report: list[dict[str, object]] = []
-        #: Runs refused at serve time (digest mismatch → quarantined).
-        self.integrity_events: list[dict[str, object]] = []
         if resume:
             self.recovery_report = self._recover_journals()
         self._engine = self._spawn_engine()
@@ -690,18 +703,15 @@ class BenchmarkService:
 
     # -- the table's way to the archive ---------------------------------
 
-    def _load(self, digest: str) -> Iterator[tuple[str, bytes]]:
+    def _load(self, run_id: str) -> Iterator[tuple[str, bytes]]:
         """The table's ``load`` (its lock is held): every ok cell of the
-        archived run that holds ``digest``.
+        archived run ``run_id``.
 
         The run is integrity-verified before anything from it is served:
         a run whose payload no longer matches its manifest digests is
         quarantined on the spot and treated as a miss — corrupt bytes
         are never streamed to a client, they are re-measured.
         """
-        run_id = self.index.run_id_for(digest)
-        if run_id is None:
-            return
         try:
             record = self.archive.lookup(run_id)
             problems = verify_run(record.path)
@@ -711,9 +721,6 @@ class BenchmarkService:
                 except OSError:
                     pass  # still refuse to serve it, even unquarantined
                 self.stats["runs_quarantined"] += 1
-                self.integrity_events.append(
-                    {"run_id": run_id, "problems": problems}
-                )
                 return
             results = record.load_results()
         except (ReproError, OSError, ValueError):
@@ -878,8 +885,8 @@ class BenchmarkService:
         source: str,
     ) -> str:
         """Cells enter the store — a job's and a recovered journal's
-        alike: archived as one run, the ok ones indexed, then memoized by
-        the table; returns the run id."""
+        alike: archived as one run, then mapped and memoized by the table;
+        returns the run id."""
         run_id = self.archive.archive_run(
             ResultSet(results, meta=meta), spec=meta["spec"], source=source
         ).run_id
@@ -887,9 +894,6 @@ class BenchmarkService:
             (identity.digest(result.cell_key), result.cell_key, result)
             for result in results
         ]
-        self.index.add_many(
-            [(digest, run_id, key) for digest, key, result in cells if result.ok]
-        )
         self._table.commit(cells, run_id)
         return run_id
 
@@ -1013,7 +1017,7 @@ class BenchmarkService:
         """``/health`` and ``/status`` read once — one table snapshot, one
         watermark probe: ``(the keys both report, stats, hot cells,
         watermarks, last scrub report)``."""
-        stats, inflight, cached = self._table.snapshot()
+        stats, inflight, cached, indexed = self._table.snapshot()
         marks = self.resource_watermarks()
         reasons = self.degraded_reasons(marks)
         last_scrub = last_scrub_report(self.archive.root)
@@ -1023,7 +1027,7 @@ class BenchmarkService:
             "draining": self._draining,
             "queue_capacity": self._queue.maxsize,
             "inflight_cells": inflight,
-            "indexed_cells": len(self.index),
+            "indexed_cells": indexed,
             "quarantine_count": quarantine_count(self.archive.root),
             "last_scrub_verdict": last_scrub.get("verdict") if last_scrub else None,
         }
@@ -1034,7 +1038,7 @@ class BenchmarkService:
 
         Everything an operator (or the soak harness) needs to judge the
         service at a glance: engine/pool liveness, queue depth against
-        capacity, the disk watermark, degraded state, index size,
+        capacity, the disk watermark, degraded state, cells mapped to runs,
         quarantine count, and the last scrub verdict.
         """
         shared, stats, _, marks, last_scrub = self._observe()
@@ -1049,7 +1053,6 @@ class BenchmarkService:
             "pool_alive": pool is not None and not pool.closed,
             "pool_jobs": self.jobs,
             "watermarks": marks,
-            "index_healed_at_startup": self.index_heal_report,
             "runs_quarantined_while_serving": stats["runs_quarantined"],
             "graph_cache": {
                 "hits": self.cache.hits,
@@ -1081,8 +1084,8 @@ class BenchmarkService:
 
         New submissions still get their hits (and a structured
         ``degraded`` rejection for misses); every job already queued or
-        in flight runs to completion — journaled, archived, indexed,
-        fsynced — before the engine stops.  Idempotent, like shutdown.
+        in flight runs to completion — journaled, archived, fsynced —
+        before the engine stops.  Idempotent, like shutdown.
         """
         self._draining = True
         self.shutdown(timeout=timeout)
@@ -1096,7 +1099,6 @@ class BenchmarkService:
         self._engine.join(timeout=timeout)
         if self._pool is not None and not self._pool.closed:
             self._pool.shutdown()
-        self.index.close()
 
 
 # -- HTTP front end -----------------------------------------------------

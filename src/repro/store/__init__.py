@@ -24,8 +24,6 @@ from .archive import (
     write_json_atomic,
 )
 from .cellindex import (
-    CELL_INDEX_VERSION,
-    CellIndex,
     cell_digest,
     derive_index_entries,
     identity_hasher,
@@ -35,7 +33,6 @@ from .environment import fingerprint, git_sha, version_string
 from .integrity import (
     ScrubReport,
     last_scrub_report,
-    open_self_healing_index,
     quarantine_count,
     scrub,
     verify_run,
@@ -51,10 +48,8 @@ from .stats import (
 
 __all__ = [
     "ARCHIVE_SCHEMA_VERSION",
-    "CELL_INDEX_VERSION",
     "DEFAULT_NOISE_THRESHOLD",
     "CellDelta",
-    "CellIndex",
     "GateReport",
     "RunArchive",
     "RunRecord",
@@ -70,7 +65,6 @@ __all__ = [
     "git_sha",
     "identity_hasher",
     "last_scrub_report",
-    "open_self_healing_index",
     "promote_baseline",
     "quarantine_count",
     "scrub",

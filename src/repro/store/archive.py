@@ -199,9 +199,9 @@ class RunArchive:
         if isinstance(resilience, dict):
             manifest["resilience"] = dict(resilience)
         # Dataset provenance: for file-backed graphs the manifest records
-        # ref -> {path, digest, format, bytes}, so cell-index rebuilds and
-        # the regression gate can identify cells by content digest long
-        # after the original file moved or disappeared.
+        # ref -> {path, digest, format, bytes}, so the service's digest
+        # map and the regression gate can identify cells by content digest
+        # long after the original file moved or disappeared.
         datasets = results.meta.get("datasets")
         if isinstance(datasets, dict) and datasets:
             manifest["datasets"] = {

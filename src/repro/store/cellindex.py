@@ -1,23 +1,21 @@
-"""Persistent cell-level memoization index for the benchmark service.
+"""Cell identity: what makes two measurements the same one.
 
 The run archive is content-addressed over *whole campaigns*: a run_id only
 matches when every cell of a ResultSet matches.  A memoizing server needs
 the finer question — "has this one (graph, mode, kernel, framework) cell
 been measured under this spec and environment before, and in which run?"
-— answered without loading a single results.json.  This index is that
-mapping:
+This module answers it from the archive itself:
 
 * the key is a :meth:`CellIdentity.digest` — SHA-256 over the campaign's
   *identity* (the spec minus execution topology, :func:`spec_identity`,
   which :func:`repro.resilience.journal.campaign_fingerprint` records
   too, plus the comparability slice of the environment fingerprint) and
   the cell's canonical ``(graph, mode, kernel, framework)`` key;
-* the value is the ``run_id`` of an archived run containing that cell,
-  so a hit is served by reading the archived ResultSet (or a warm cache
-  of it) instead of executing anything;
-* storage is a :class:`repro.durable.AppendLog` beside the archive
-  (``<root>/cell_index.jsonl``): a header line carrying the schema
-  version, then one sealed line per entry, one fsync per batch.
+* :func:`derive_index_entries` maps every ok cell the archived runs hold
+  to the ``run_id`` holding it — the service's digest → run map, derived
+  from ``runs/`` at start and extended by every run it archives, so a hit
+  is served by reading that run (or a warm cache of it) instead of
+  executing anything.
 
 Execution topology (``jobs``/``pool``/``batch_size``) is deliberately
 outside the digest — the backend equivalence matrix guarantees cells are
@@ -32,30 +30,21 @@ For file-backed datasets (:mod:`repro.graphs.datasets`) the graph element
 of the cell key is *normalized to the file's content digest* before
 hashing (:func:`normalize_cell_key`): two submissions referencing
 byte-identical files share cells regardless of path, while an edited file
-is a different measurement and misses.
-
-A lost or corrupt index is a cache, not the source of truth:
-:meth:`CellIndex.rebuild_from_archive` re-derives every entry from the
-archived manifests + results (dataset provenance travels in the
-manifests, so rebuilding never needs the original files).
+is a different measurement and misses.  Dataset provenance travels in the
+manifests, so deriving the map never needs the original files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..durable import AppendLog
-from ..errors import ArchiveError, CorruptLogError
+from ..errors import ArchiveError
 from .archive import RunArchive, canonical_json
 from .environment import COMPARABILITY_KEYS, fingerprint
 
 __all__ = [
-    "CELL_INDEX_VERSION",
     "CellIdentity",
-    "CellIndex",
     "cell_digest",
     "comparable_environment",
     "derive_index_entries",
@@ -63,8 +52,6 @@ __all__ = [
     "normalize_cell_key",
     "spec_identity",
 ]
-
-CELL_INDEX_VERSION = 1
 
 #: Spec fields that are execution topology, not measurement identity.
 TOPOLOGY_KEYS = ("jobs", "pool", "batch_size")
@@ -221,144 +208,17 @@ class CellIdentity:
         )
 
 
-class CellIndex:
-    """Append-only digest → run_id map with crash-safe JSONL persistence.
-
-    Thread-safe: the service's HTTP handler threads probe it concurrently
-    while the execution engine appends.  Cross-process appends are *not*
-    coordinated (one server owns the file); a reader racing a writer sees
-    a prefix of the entries, which is always a valid (smaller) cache.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        """Replay the log into memory; the file is written only by adds.
-
-        Interior damage raises :class:`~repro.errors.ArchiveError` so
-        self-healing can quarantine the file and rebuild from the archive.
-        """
-        self.path = Path(path)
-        self._entries: dict[str, dict[str, object]] = {}
-        self._lock = threading.Lock()
-        try:
-            self._log, records = AppendLog.open(
-                self.path, {"cell_index_version": CELL_INDEX_VERSION}
-            )
-        except CorruptLogError as exc:
-            raise ArchiveError(
-                f"cell index {self.path} is corrupt at {exc} "
-                "(delete the file to rebuild from the archive)"
-            ) from exc
-        if records and records[0].get("cell_index_version") != CELL_INDEX_VERSION:
-            raise ArchiveError(
-                f"{self.path} is not a version-{CELL_INDEX_VERSION} cell index"
-            )
-        for record in records[1:]:
-            digest = record.get("digest")
-            if isinstance(digest, str):
-                # Later lines win: a re-archived cell points at the
-                # freshest run containing it.
-                self._entries[digest] = record
-
-    @classmethod
-    def for_archive(cls, archive: RunArchive) -> "CellIndex":
-        """The index that lives beside an archive's ``runs/`` directory."""
-        return cls(archive.root / "cell_index.jsonl")
-
-    def close(self) -> None:
-        """Close the append stream (reopened lazily on next write)."""
-        with self._lock:
-            self._log.close()
-
-    def __enter__(self) -> "CellIndex":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # -- queries --------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._entries
-
-    def get(self, digest: str) -> dict[str, object] | None:
-        """The full entry for a digest (``run_id``, ``cell``), or None."""
-        with self._lock:
-            entry = self._entries.get(digest)
-            return dict(entry) if entry is not None else None
-
-    def run_id_for(self, digest: str) -> str | None:
-        """The archived run holding this cell, or None on a miss."""
-        with self._lock:
-            entry = self._entries.get(digest)
-            return str(entry["run_id"]) if entry else None
-
-    def digests(self) -> Iterator[str]:
-        """Snapshot iterator over every known cell digest."""
-        with self._lock:
-            return iter(list(self._entries))
-
-    # -- updates --------------------------------------------------------
-
-    def add(self, digest: str, run_id: str, cell_key: Iterable[str]) -> None:
-        """Durably record one cell → run mapping (idempotent)."""
-        self.add_many([(digest, run_id, tuple(cell_key))])
-
-    def add_many(
-        self, items: Iterable[tuple[str, str, CellKey]]
-    ) -> int:
-        """Record a batch of mappings with a single fsync; returns count.
-
-        Re-adding an identical mapping is a no-op; a digest remapped to a
-        new run_id is appended (replay keeps the latest).
-        """
-        records: list[dict[str, object]] = []
-        added: dict[str, dict[str, object]] = {}
-        with self._lock:
-            for digest, run_id, cell_key in items:
-                existing = added.get(digest) or self._entries.get(digest)
-                if existing is not None and existing.get("run_id") == run_id:
-                    continue
-                added[digest] = {
-                    "digest": digest,
-                    "run_id": run_id,
-                    "cell": list(cell_key),
-                }
-                records.append(added[digest])
-            if records:
-                self._log.append(records)
-                self._entries.update(added)
-        return len(records)
-
-    # -- recovery -------------------------------------------------------
-
-    def rebuild_from_archive(self, archive: RunArchive) -> int:
-        """Re-derive entries from archived runs; returns cells indexed."""
-        return self.add_many(derive_index_entries(archive))
-
-
-def derive_index_entries(
-    archive: RunArchive,
-) -> Iterator[tuple[str, str, CellKey]]:
-    """Every ``(digest, run_id, cell_key)`` an archive can prove.
+def derive_index_entries(archive: RunArchive) -> Iterator[tuple[str, str]]:
+    """Every ``(digest, run_id)`` an archive can prove.
 
     Each run's manifest carries the spec and the environment that
     measured it; each results.json carries the cells.  Runs without a
     spec in the manifest (hand-archived payloads) are skipped — they
     cannot be dedup targets because no submission can reproduce their
     identity.  Failed cells (``error``/``timeout``/``skipped`` results)
-    are skipped too: the service only indexes and serves *ok* cells, so
-    deriving them here would rebuild an index promising hits the server
-    must then refuse.  This is both how
-    :meth:`CellIndex.rebuild_from_archive` recovers a lost index and the
-    ground truth the scrubber compares an existing index against.  Runs
-    come oldest first, so a cell held by two runs derives to the newer,
-    as a later index line wins on replay.
+    are skipped too: the service only serves *ok* cells.  Runs come
+    oldest first, so in the ``dict`` of the entries a cell held by two
+    runs maps to the newer.
     """
     for record in archive.runs():
         try:
@@ -370,4 +230,4 @@ def derive_index_entries(
             continue
         for result in results:
             if result.ok:
-                yield identity.digest(result.cell_key), record.run_id, result.cell_key
+                yield identity.digest(result.cell_key), record.run_id

@@ -1,4 +1,4 @@
-"""Storage integrity: run digests, scrub, quarantine, self-healing.
+"""Storage integrity: run digests, scrub, quarantine.
 
 "Measure once, serve forever" is only as good as the bytes under it.
 :mod:`repro.durable` protects against *interrupted* writes (atomic
@@ -13,21 +13,16 @@ about it:
   (:func:`run_file_digests`), so any later mutation of an archived run is
   detectable without trusting the payload's own parseability.
 * **scrub** (:func:`scrub`) — verifies every archived run against its
-  manifest and every cell-index entry against the archive, moves damaged
-  runs into ``<root>/quarantine/`` (never deletes: quarantined bytes are
-  forensic evidence, and quarantining is what lets the *rest* of the
-  archive stay servable), rebuilds the cell index when it disagrees with
-  the surviving runs, and writes a ``last_scrub.json`` verdict that the
-  service's ``/health`` endpoint surfaces.
-* **self-healing index open** (:func:`open_self_healing_index`) — a
-  server whose cell index fails checksum replay quarantines it and
-  rebuilds from the archive instead of refusing to start; a lost or
-  corrupt index is a cache, never the source of truth.
+  manifest, moves damaged runs into ``<root>/quarantine/`` (never
+  deletes: quarantined bytes are forensic evidence, and quarantining is
+  what lets the *rest* of the archive stay servable), and writes a
+  ``last_scrub.json`` verdict that the service's ``/health`` endpoint
+  surfaces.  Nothing else needs healing: the service derives which run
+  holds each cell from the surviving runs themselves.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
 import time
@@ -35,16 +30,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.results import ResultSet
-from ..durable import AppendLog
-from ..errors import ArchiveError
+from ..graphs.io import file_digest
 from .archive import RunArchive, write_json_atomic
-from .cellindex import CellIndex, derive_index_entries
 
 __all__ = [
     "ScrubReport",
-    "file_sha256",
     "last_scrub_report",
-    "open_self_healing_index",
     "quarantine_count",
     "quarantine_run",
     "run_file_digests",
@@ -59,15 +50,6 @@ RUN_DIGEST_FILES = ("results.json", "spans.jsonl")
 # -- whole-run digests --------------------------------------------------
 
 
-def file_sha256(path: str | Path) -> str:
-    """Streaming SHA-256 of a file's bytes."""
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as stream:
-        for block in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def run_file_digests(run_dir: str | Path) -> dict[str, str]:
     """Digests of a run directory's payload files (absent files skipped)."""
     run_dir = Path(run_dir)
@@ -75,7 +57,7 @@ def run_file_digests(run_dir: str | Path) -> dict[str, str]:
     for name in RUN_DIGEST_FILES:
         path = run_dir / name
         if path.exists():
-            digests[name] = file_sha256(path)
+            digests[name] = file_digest(path)
     return digests
 
 
@@ -156,15 +138,12 @@ def quarantine_run(archive: RunArchive, run_id: str) -> Path:
 
 @dataclass
 class ScrubReport:
-    """Outcome of one scrub pass over an archive + its cell index."""
+    """Outcome of one scrub pass over an archive."""
 
     archive_root: str
     started_at: str
     checked_runs: int = 0
     quarantined: list[dict[str, object]] = field(default_factory=list)
-    index_problems: list[str] = field(default_factory=list)
-    index_rebuilt: bool = False
-    index_entries: int = 0
     unresolved: list[str] = field(default_factory=list)
 
     @property
@@ -173,7 +152,7 @@ class ScrubReport:
         repaired), or ``failed`` (problems remain after healing)."""
         if self.unresolved:
             return "failed"
-        if self.quarantined or self.index_rebuilt:
+        if self.quarantined:
             return "healed"
         return "clean"
 
@@ -185,9 +164,6 @@ class ScrubReport:
             "verdict": self.verdict,
             "checked_runs": self.checked_runs,
             "quarantined": list(self.quarantined),
-            "index_problems": list(self.index_problems),
-            "index_rebuilt": self.index_rebuilt,
-            "index_entries": self.index_entries,
             "unresolved": list(self.unresolved),
         }
 
@@ -210,16 +186,13 @@ def scrub(
     archive: RunArchive,
     quarantine: bool = True,
 ) -> ScrubReport:
-    """Verify-and-heal pass over an archive and its cell index.
+    """Verify-and-heal pass over an archive.
 
-    1. Every run directory is verified (:func:`verify_run`); damaged runs
-       move to quarantine (with ``quarantine=False`` they are only
-       reported, and the verdict is ``failed`` — the damage persists).
-       A quarantined run leaves ``runs/``, so no listing names it again.
-    2. The cell index is compared against a fresh derivation from the
-       surviving runs: corrupt lines, entries pointing at quarantined or
-       unknown runs, or missing entries all trigger a rebuild — after
-       which every index entry provably resolves to a verified run.
+    Every run directory is verified (:func:`verify_run`); damaged runs
+    move to quarantine (with ``quarantine=False`` they are only
+    reported, and the verdict is ``failed`` — the damage persists).  A
+    quarantined run leaves ``runs/``, so no listing names it again, and
+    no server started afterwards derives a cell from it.
 
     The report is persisted to ``<root>/last_scrub.json`` so operators
     (and the service's ``/health``) can see the latest verdict.
@@ -249,83 +222,8 @@ def scrub(
             )
         report.quarantined.append(entry)
 
-    # Cross-check the cell index against what the surviving archive can
-    # actually prove: every entry must re-derive from a verified run.
-    index_path = archive.root / "cell_index.jsonl"
-    records, line_problems = AppendLog.scan(index_path)
-    report.index_problems.extend(line_problems)
-    on_disk = {r["digest"]: r.get("run_id") for r in records if "digest" in r}
-    expected = {
-        digest: run_id for digest, run_id, _ in derive_index_entries(archive)
-    }
-    stale = {
-        digest: run_id
-        for digest, run_id in on_disk.items()
-        if expected.get(digest) != run_id
-    }
-    for digest, run_id in sorted(stale.items()):
-        report.index_problems.append(
-            f"entry {digest} -> {run_id}: not derivable from the archive"
-        )
-    missing = [digest for digest in expected if digest not in on_disk]
-    for digest in sorted(missing):
-        report.index_problems.append(
-            f"entry {digest} -> {expected[digest]}: archived but not indexed"
-        )
-
-    if report.index_problems:
-        if index_path.exists():
-            try:
-                shutil.move(
-                    str(index_path),
-                    str(_quarantine_target(archive.root, index_path.name)),
-                )
-            except OSError as exc:
-                report.unresolved.append(f"cell index: quarantine failed: {exc}")
-        if not report.unresolved:
-            with CellIndex(index_path) as index:
-                index.rebuild_from_archive(archive)
-                report.index_entries = len(index)
-            report.index_rebuilt = True
-    else:
-        report.index_entries = len(on_disk)
-
     try:
         write_json_atomic(last_scrub_path(archive.root), report.as_dict())
     except OSError as exc:
         report.unresolved.append(f"could not persist scrub report: {exc}")
     return report
-
-
-# -- self-healing index -------------------------------------------------
-
-
-def open_self_healing_index(
-    archive: RunArchive,
-) -> tuple[CellIndex, dict[str, object] | None]:
-    """Open an archive's cell index, healing it if replay fails.
-
-    Returns ``(index, heal_report)`` where ``heal_report`` is None when
-    the index loaded cleanly, else a record of what was quarantined and
-    how many cells were re-derived.  The service uses this at startup so
-    a corrupt index (crashed writer, bit rot, concurrent-writer damage)
-    degrades to a rebuild instead of refusing to serve.
-    """
-    path = archive.root / "cell_index.jsonl"
-    try:
-        return CellIndex(path), None
-    except ArchiveError as exc:
-        reason = str(exc)
-    target = _quarantine_target(archive.root, path.name)
-    shutil.move(str(path), str(target))
-    index = CellIndex(path)
-    report: dict[str, object] = {"quarantined": str(target), "error": reason}
-    try:
-        report["reindexed_cells"] = index.rebuild_from_archive(archive)
-    except OSError as exc:
-        # The rebuild write itself failed (full disk, failing device).
-        # The index is a cache: boot with whatever was re-derived so
-        # far — unindexed cells degrade to misses, never to corruption.
-        report["reindexed_cells"] = len(index)
-        report["reindex_error"] = str(exc)
-    return index, report

@@ -4,14 +4,14 @@ Four layers, bottom up:
 
 * ``atomic_write`` and ``AppendLog`` themselves: what a reader trusts,
   what a writer cuts, what a failed write leaves behind;
-* the byte format: a journal and a cell index are line-for-line what
-  they were before the primitive existed (golden lines);
+* the byte format: a journal is line-for-line what it was before the
+  primitive existed (golden lines);
 * the bugs the primitive fixes once: a log that tore stays appendable,
   and results files and the graph cache are inside the fault model;
-* crash points *enumerated*: for the journal flow and the archive+index
-  flow, every write, fsync and rename is failed in turn (the I/O shim's
-  own counters enumerate them) and recovery must hold its invariants
-  after each — what ``benchmarks/bench_chaos_soak.py`` only samples.
+* crash points *enumerated*: for the journal flow and the archive flow,
+  every write, fsync and rename is failed in turn (the I/O shim's own
+  counters enumerate them) and recovery must hold its invariants after
+  each — what ``benchmarks/bench_chaos_soak.py`` only samples.
 
 Plus a structural check that keeps a second copy of the primitive from
 growing back.
@@ -38,9 +38,9 @@ from repro.faults import Fault, fired, installed
 from repro.resilience.journal import CheckpointJournal, read_journal
 from repro.store import RunArchive
 from repro.store import archive as archive_mod
-from repro.store.cellindex import CellIndex, cell_digest
+from repro.store.cellindex import cell_digest, derive_index_entries
 from repro.store.environment import fingerprint
-from repro.store.integrity import open_self_healing_index, scrub, verify_run
+from repro.store.integrity import scrub, verify_run
 
 RAISING_KINDS = ("enospc", "torn-write", "fsync-fail")
 HEADER = {"log_version": 1}
@@ -114,16 +114,13 @@ def _seed_log(path, count=2):
     return path.read_bytes()
 
 
-#: Ways a crash damages the *end* of a log: name -> (bytes after the
-#: intact prefix, the problem ``scan`` reports).
+#: Ways a crash damages the *end* of a log: name -> the bytes after the
+#: intact prefix.
 NEVER_DURABLE = {
-    "torn-tail": (b'{"n": 2, "cr', "line 4: torn trailing line"),
-    "checksum-failed-final-line": (
-        _line({"n": 2}).replace(b'"n": 2', b'"n": 7'),
-        "line 4: checksum mismatch",
-    ),
-    "unparseable-final-line": (b'{"n": 2, "crc"\n', "line 4: unparseable"),
-    "unsealed-final-line": (b'{"n": 2}\n', "line 4: checksum mismatch"),
+    "torn-tail": b'{"n": 2, "cr',
+    "checksum-failed-final-line": _line({"n": 2}).replace(b'"n": 2', b'"n": 7'),
+    "unparseable-final-line": b'{"n": 2, "crc"\n',
+    "unsealed-final-line": b'{"n": 2}\n',
 }
 
 
@@ -134,12 +131,10 @@ class TestAppendLog:
         records = AppendLog.read(path)
         assert [r.get("n") for r in records] == [None, 0, 1]
         assert records[0]["log_version"] == 1
-        assert AppendLog.scan(path) == (records, [])
 
     def test_missing_file_reads_empty_and_open_creates_nothing(self, tmp_path):
         path = tmp_path / "sub" / "log.jsonl"
         assert AppendLog.read(path) == []
-        assert AppendLog.scan(path) == ([], [])
         log, records = AppendLog.open(path, HEADER)
         assert records == [] and not path.parent.exists()
         log.append([{"n": 0}])  # header + record, parents created
@@ -150,28 +145,28 @@ class TestAppendLog:
     def test_never_durable_end_is_dropped_then_cut(self, tmp_path, damage):
         path = tmp_path / "log.jsonl"
         intact = _seed_log(path)
-        junk, problem = NEVER_DURABLE[damage]
+        junk = NEVER_DURABLE[damage]
         path.write_bytes(intact + junk)
 
-        records, problems = AppendLog.scan(path)
-        assert [r.get("n") for r in records] == [None, 0, 1]
-        assert problems == [problem]  # the auditor sees it...
         log, durable = AppendLog.open(path, HEADER)
-        assert durable == records  # ...the strict reader drops it...
+        # The reader drops it...
+        assert [r.get("n") for r in durable] == [None, 0, 1]
         assert path.read_bytes() == intact + junk  # ...and never edits.
 
         log.append([{"n": 2}, {"n": 3}])
         log.close()
         # The first append cut the junk: nothing fused, nothing interior.
         assert path.read_bytes() == intact + _line({"n": 2}) + _line({"n": 3})
-        assert AppendLog.scan(path)[1] == []
 
     def test_torn_tail_after_a_bad_final_line_is_one_damaged_end(self, tmp_path):
         path = tmp_path / "log.jsonl"
         intact = _seed_log(path)
         path.write_bytes(intact + b"{garbled\n" + b'{"n": 3, "c')
-        assert len(AppendLog.read(path)) == 3
-        assert len(AppendLog.scan(path)[1]) == 2
+        log, records = AppendLog.open(path, HEADER)  # not interior damage
+        assert len(records) == 3
+        log.append([{"n": 2}])
+        log.close()
+        assert path.read_bytes() == intact + _line({"n": 2})  # both lines cut
 
     @pytest.mark.parametrize("junk", [b"{not json", b'{"n": 0}', b"[1, 2]", b"\xff\xfe"])
     def test_interior_damage_raises_and_scan_reports(self, tmp_path, junk):
@@ -179,13 +174,10 @@ class TestAppendLog:
         lines = _seed_log(path).split(b"\n")
         lines[1] = junk  # terminated, with an intact line after it
         path.write_bytes(b"\n".join(lines))
-        with pytest.raises(CorruptLogError, match="line 2"):
+        with pytest.raises(CorruptLogError, match="^line 2: "):
             AppendLog.read(path)
-        with pytest.raises(CorruptLogError, match="line 2"):
+        with pytest.raises(CorruptLogError, match="^line 2: "):
             AppendLog.open(path, HEADER)
-        records, problems = AppendLog.scan(path)
-        assert [r.get("n") for r in records] == [None, 1]
-        assert len(problems) == 1 and problems[0].startswith("line 2: ")
 
     @pytest.mark.parametrize("wreck", [b"", b'{"log_ver', b'{"log_version": 1}\n'])
     def test_no_intact_header_starts_over(self, tmp_path, wreck):
@@ -266,16 +258,6 @@ class TestGoldenLines:
             b'"attempts": 1}, "crc": "0726d6e0b128"}\n'
         )
 
-    def test_cell_index(self, tmp_path):
-        path = tmp_path / "i.jsonl"
-        with CellIndex(path) as index:
-            index.add("d1", "run-a", _key("bfs"))
-        assert path.read_bytes() == (
-            b'{"cell_index_version": 1, "crc": "fa7642f1c34b"}\n'
-            b'{"digest": "d1", "run_id": "run-a", "cell": ["kron", "baseline", '
-            b'"bfs", "gap"], "crc": "3ac9f0d2f2f4"}\n'
-        )
-
 
 # -- a log that tore once stays appendable -----------------------------------
 
@@ -318,51 +300,6 @@ class TestTornLogStaysAppendable:
         journal.close()
         _, completed = CheckpointJournal.resume(path, FINGERPRINT)
         assert set(completed) == {_key("bfs")}
-
-    def test_cell_index_torn_mid_add(self, tmp_path):
-        path = tmp_path / "cell_index.jsonl"
-        index = CellIndex(path)
-        index.add("d1", "run-a", _key("bfs"))
-        with installed(Fault("torn-write", path="cell_index")):
-            with pytest.raises(OSError):
-                index.add("d2", "run-b", _key("cc"))
-            assert fired()
-        index.close()
-
-        with CellIndex(path) as reopened:
-            assert "d2" not in reopened
-            reopened.add("d2", "run-b", _key("cc"))
-            reopened.add("d3", "run-c", _key("pr"))
-        with CellIndex(path) as final:  # no ArchiveError
-            assert [final.run_id_for(d) for d in ("d1", "d2", "d3")] == [
-                "run-a",
-                "run-b",
-                "run-c",
-            ]
-
-    def test_cell_index_torn_header(self, tmp_path):
-        path = tmp_path / "cell_index.jsonl"
-        index = CellIndex(path)
-        with installed(Fault("torn-write", path="cell_index")):
-            with pytest.raises(OSError):
-                index.add("d0", "run-z", _key("bfs"))
-            assert fired()
-        index.close()
-        assert path.stat().st_size > 0
-
-        with CellIndex(path) as reopened:
-            assert len(reopened) == 0
-            reopened.add("d1", "run-a", _key("bfs"))
-        with CellIndex(path) as final:
-            assert final.run_id_for("d1") == "run-a"
-
-    def test_cell_index_failed_add_is_not_remembered(self, tmp_path):
-        with CellIndex(tmp_path / "cell_index.jsonl") as index:
-            with installed(Fault("fsync-fail", path="cell_index")):
-                with pytest.raises(OSError):
-                    index.add("d1", "run-a", _key("bfs"))
-            assert "d1" not in index  # memory never runs ahead of disk
-            assert index.add_many([("d1", "run-a", _key("bfs"))]) == 1
 
 
 # -- results files and the graph cache are inside the fault model ------------
@@ -461,7 +398,9 @@ def test_every_journal_crash_point_recovers(tmp_path, kind):
         again, completed = CheckpointJournal.resume(path, FINGERPRINT)
         again.close()  # ...and it resumes again, whole.
         assert set(completed) == {_key(kernel) for kernel in KERNELS}, (kind, k)
-        assert AppendLog.scan(path)[1] == [], (kind, k)
+        raw = path.read_bytes()  # every line intact, no damaged end
+        assert len(AppendLog.read(path)) == raw.count(b"\n"), (kind, k)
+        assert raw.endswith(b"\n"), (kind, k)
     assert crashes == 4  # create + three records: a write and an fsync each
 
 
@@ -474,7 +413,7 @@ def _files(root):
 
 
 @pytest.mark.parametrize("kind", RAISING_KINDS)
-def test_every_archive_and_index_crash_point_recovers(tmp_path, kind, monkeypatch):
+def test_every_archive_crash_point_recovers(tmp_path, kind, monkeypatch):
     # Manifests carry a timestamp; pin it so "the new bytes" of every
     # file are knowable from a fault-free reference run.
     monkeypatch.setattr(archive_mod, "_utc_timestamp", lambda: "2020-01-01T00:00:00Z")
@@ -483,74 +422,59 @@ def test_every_archive_and_index_crash_point_recovers(tmp_path, kind, monkeypatc
     first = ResultSet([_result("bfs")], meta=meta)
     second = ResultSet([_result("cc"), _result("pr")], meta=meta)
 
-    def archive_and_index(root, results, acknowledged):
-        archive = RunArchive(root)
-        record = archive.archive_run(results, spec=spec, source="test")
+    def archive(root, results, acknowledged):
+        record = RunArchive(root).archive_run(results, spec=spec, source="test")
         acknowledged.append(record.run_id)
-        with CellIndex.for_archive(archive) as index:
-            index.add_many(
-                (cell_digest(spec, r.cell_key), record.run_id, r.cell_key)
-                for r in results
-            )
-        acknowledged.append("indexed")
 
     before_root, after_root = tmp_path / "before", tmp_path / "after"
-    archive_and_index(before_root, first, [])
+    archive(before_root, first, [])
     shutil.copytree(before_root, after_root)
-    archive_and_index(after_root, second, [])
+    archive(after_root, second, [])
     before, after = _files(before_root), _files(after_root)
     new_run = (set(after) - set(before)).pop().split("/")[1]
 
     def flow(k, acknowledged):
         root = tmp_path / f"crash-{k}"
         shutil.copytree(before_root, root)
-        archive_and_index(root, second, acknowledged)
+        archive(root, second, acknowledged)
 
     crashes = 0
     for k, acknowledged in _crash_points(kind, flow):
         crashes += 1
         where = (kind, k)
         root = tmp_path / f"crash-{k}"
-        # Before any recovery: every atomically written file is its
-        # previous bytes or its new bytes, and the index log is the old
-        # log plus at most a damaged end.
+        # Before any recovery: every file is its previous bytes or its
+        # new bytes.
         for name, data in _files(root).items():
-            if name == "cell_index.jsonl":
-                assert data.startswith(before[name]), where
-            else:
-                assert data in (before.get(name), after[name]), (where, name)
+            assert data in (before.get(name), after[name]), (where, name)
 
-        archive = RunArchive(root)
-        index, _ = open_self_healing_index(archive)  # never raises
-        index.close()
-        assert scrub(archive).verdict in ("clean", "healed"), where
-        listed = {str(entry["run_id"]) for entry in archive.list_runs()}
+        store = RunArchive(root)
+        assert scrub(store).verdict in ("clean", "healed"), where
+        listed = {str(entry["run_id"]) for entry in store.list_runs()}
         for run_id in listed:
-            assert verify_run(archive.runs_dir / run_id) == [], (where, run_id)
+            assert verify_run(store.runs_dir / run_id) == [], (where, run_id)
         if acknowledged:
             assert acknowledged[0] == new_run and new_run in listed, where
-        with CellIndex.for_archive(archive) as index:
-            for digest in index.digests():
-                assert index.run_id_for(digest) in listed, (where, digest)
-            if "indexed" in acknowledged:
-                for result in second:
-                    digest = cell_digest(spec, result.cell_key)
-                    assert index.run_id_for(digest) == new_run, where
-        assert scrub(archive).verdict == "clean", where
+        # The map a server derives names only listed, verified runs.
+        runs = dict(derive_index_entries(store))
+        assert set(runs.values()) <= listed, where
+        if acknowledged:
+            for result in second:
+                digest = cell_digest(spec, result.cell_key)
+                assert runs[digest] == new_run, where
+        assert scrub(store).verdict == "clean", where
 
         # Re-running the interrupted step on the recovered store succeeds,
         # lists the new run and names it latest (both runs share the pinned
         # created_at, so this is the manifest-mtime tie-break).
-        archive_and_index(root, second, [])
-        archive = RunArchive(root)
-        assert new_run in {str(entry["run_id"]) for entry in archive.list_runs()}, where
-        assert archive.resolve("latest") == new_run, where
-        with CellIndex.for_archive(archive) as index:
-            assert len(index) == 3, where
-    # Two staged run files + two index lines are written; each atomic
-    # write is also an fsync and a rename, plus the run directory's own
-    # rename and the index batch's one fsync.
-    assert crashes == {"enospc": 4 + 3, "torn-write": 4, "fsync-fail": 3}[kind]
+        archive(root, second, [])
+        store = RunArchive(root)
+        assert new_run in {str(entry["run_id"]) for entry in store.list_runs()}, where
+        assert store.resolve("latest") == new_run, where
+        assert len(dict(derive_index_entries(store))) == 3, where
+    # Two staged run files are written; each atomic write is also an fsync
+    # and a rename, plus the run directory's own rename.
+    assert crashes == {"enospc": 2 + 3, "torn-write": 2, "fsync-fail": 2}[kind]
 
 
 # -- structure ---------------------------------------------------------------

@@ -100,14 +100,14 @@ class TestSpec:
 
     def test_path_substring_match(self, tmp_path):
         (tmp_path / "archive").mkdir()
-        index = tmp_path / "archive" / "cell_index.jsonl"
+        journal = tmp_path / "archive" / "job-1.jsonl"
         manifest = tmp_path / "archive" / "manifest.json"
-        with installed(Fault("enospc", path="cell_index", times=None)):
+        with installed(Fault("enospc", path="job-", times=None)):
             _write(manifest)
             with pytest.raises(OSError):
-                _write(index)
+                _write(journal)
             assert fired() == [
-                {"kind": "enospc", "operation": "write", "path": str(index)}
+                {"kind": "enospc", "operation": "write", "path": str(journal)}
             ]
 
     def test_parse_round_trips_as_dict(self):

@@ -231,6 +231,22 @@ class TestTables:
         assert all(row["Framework"] != "gap" for row in rows)
         assert any(row["baseline:kron"] is not None for row in rows)
 
+    def test_rows_only_for_kernels_the_results_hold(self):
+        results = ResultSet(
+            [
+                RunResult(framework, "bfs", "kron", mode, [0.5])
+                for framework in ("gap", "gkc", "galois")
+                for mode in (Mode.BASELINE, Mode.OPTIMIZED)
+            ]
+        )
+        assert [row["Kernel"] for row in table4_rows(results, ["kron"])] == ["BFS"]
+        rows = table5_rows(results, ["kron"])
+        assert [(row["Framework"], row["Kernel"]) for row in rows] == [
+            ("gkc", "BFS"),
+            ("galois", "BFS"),
+        ]
+        assert rows[0]["baseline:kron"] == 100.0
+
     def test_render(self, small_results):
         text = render(table4_rows(small_results, ["kron"]), title="T4")
         assert text.startswith("T4")

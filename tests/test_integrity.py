@@ -12,12 +12,11 @@ from repro.core.spec import BenchmarkSpec
 from repro.durable import line_crc, seal_line, verify_line
 from repro.frameworks import Mode
 from repro.store import RunArchive
-from repro.store.cellindex import CellIndex, cell_digest
+from repro.store.cellindex import derive_index_entries
 from repro.store.environment import fingerprint
 from repro.store.integrity import (
     ScrubReport,
     last_scrub_report,
-    open_self_healing_index,
     quarantine_count,
     quarantine_run,
     scrub,
@@ -141,8 +140,6 @@ class TestQuarantine:
 class TestScrub:
     def test_clean_archive_clean_verdict(self, tmp_path):
         archive, spec, record = _seeded_archive(tmp_path)
-        with CellIndex.for_archive(archive) as index:
-            index.rebuild_from_archive(archive)
         report = scrub(archive)
         assert report.verdict == "clean"
         assert report.checked_runs == 1
@@ -153,8 +150,6 @@ class TestScrub:
 
     def test_damaged_run_quarantined_and_healed(self, tmp_path):
         archive, spec, record = _seeded_archive(tmp_path)
-        with CellIndex.for_archive(archive) as index:
-            index.rebuild_from_archive(archive)
         results = record.path / "results.json"
         raw = bytearray(results.read_bytes())
         raw[len(raw) // 2] ^= 0x20
@@ -165,9 +160,8 @@ class TestScrub:
         assert report.quarantined[0]["run_id"] == record.run_id
         assert not record.path.exists()
         assert quarantine_count(archive.root) >= 1
-        # The run is gone, so its index entries went stale -> rebuilt.
-        assert report.index_rebuilt
-        assert report.index_entries == 0
+        # The run is gone, so no server derives a cell from it.
+        assert list(derive_index_entries(archive)) == []
         # Healing converges: a second pass finds nothing.
         assert scrub(RunArchive(tmp_path)).verdict == "clean"
 
@@ -179,63 +173,10 @@ class TestScrub:
         assert record.path.exists()  # nothing moved
         assert report.unresolved
 
-    def test_stale_index_entry_detected(self, tmp_path):
-        archive, spec, _ = _seeded_archive(tmp_path)
-        with CellIndex.for_archive(archive) as index:
-            index.rebuild_from_archive(archive)
-            index.add("feedfeedfeed", "no-such-run", CELL)
-        report = scrub(archive)
-        assert any("not derivable" in p for p in report.index_problems)
-        assert report.index_rebuilt
-        assert report.verdict == "healed"
-        with CellIndex.for_archive(archive) as index:
-            assert "feedfeedfeed" not in index
-
-    def test_missing_index_entry_detected(self, tmp_path):
-        archive, spec, record = _seeded_archive(tmp_path)
-        # No index at all: every archived cell is missing from it.
-        report = scrub(archive)
-        assert any("archived but not indexed" in p for p in report.index_problems)
-        assert report.index_rebuilt
-        assert report.index_entries == 2
-        digest = cell_digest(spec, CELL, environment=fingerprint())
-        with CellIndex.for_archive(archive) as index:
-            assert index.run_id_for(digest) == record.run_id
-
     def test_verdict_precedence(self):
         report = ScrubReport(archive_root="x", started_at="t")
         assert report.verdict == "clean"
-        report.index_rebuilt = True
+        report.quarantined.append({"run_id": "r", "problems": ["damaged"]})
         assert report.verdict == "healed"
         report.unresolved.append("boom")
         assert report.verdict == "failed"
-
-
-class TestSelfHealingOpen:
-    def test_clean_index_opens_without_heal(self, tmp_path):
-        archive, _, _ = _seeded_archive(tmp_path)
-        with CellIndex.for_archive(archive) as index:
-            index.rebuild_from_archive(archive)
-        index, heal = open_self_healing_index(archive)
-        assert heal is None
-        assert len(index) == 2
-        index.close()
-
-    def test_corrupt_index_quarantined_and_rebuilt(self, tmp_path):
-        archive, spec, record = _seeded_archive(tmp_path)
-        path = archive.root / "cell_index.jsonl"
-        with CellIndex(path) as index:
-            index.rebuild_from_archive(archive)
-            index.add("deadbeefdead", "run-x", CELL)  # keeps damage interior
-        raw = path.read_bytes()
-        path.write_bytes(raw.replace(b'"digest"', b'"digest', 1))
-
-        index, heal = open_self_healing_index(archive)
-        assert heal is not None
-        assert heal["reindexed_cells"] == 2
-        assert "quarantined" in heal
-        digest = cell_digest(spec, CELL, environment=fingerprint())
-        assert index.run_id_for(digest) == record.run_id
-        index.close()
-        # The damaged file is preserved as forensic evidence.
-        assert quarantine_count(archive.root) == 1

@@ -7,13 +7,17 @@ import threading
 
 import pytest
 
+from repro.core.results import ResultSet, RunResult
 from repro.errors import ServiceError
+from repro.frameworks import Mode
+from repro.resilience.journal import CheckpointJournal, campaign_fingerprint
 from repro.service import (
     BenchmarkService,
     CampaignRequest,
     ServiceClient,
     ServiceHTTPServer,
 )
+from repro.store import RunArchive, scrub
 
 pytestmark = pytest.mark.tier2
 
@@ -143,7 +147,7 @@ class TestMemoization:
         finally:
             other.shutdown()
 
-    def test_cold_start_hits_via_persistent_index(self, service, tmp_path):
+    def test_cold_start_hits_come_from_the_archive(self, service, tmp_path):
         """A fresh service over the same archive serves hits from disk."""
         request = _request()
         first = service.submit_collect(request)
@@ -159,6 +163,70 @@ class TestMemoization:
             }
         finally:
             reborn.shutdown()
+
+    def test_run_archived_outside_the_server_serves_as_hits(self, tmp_path):
+        """A run archived straight through ``RunArchive.archive_run``, with
+        the spec a request resolves to, is pure hits for a server started
+        on that archive."""
+        request = _request()
+        record = RunArchive(tmp_path / "archive").archive_run(
+            ResultSet(
+                [
+                    RunResult(framework, kernel, graph, Mode(mode), [0.25])
+                    for graph, mode, kernel, framework in request.cell_keys()
+                ]
+            ),
+            spec=request.spec(),
+        )
+        svc = BenchmarkService(
+            archive_dir=tmp_path / "archive", cache_dir=tmp_path / "graphs"
+        )
+        try:
+            events = svc.submit_collect(request)
+            assert events[0]["hits"] == 2
+            assert events[-1]["executed"] == 0
+            assert {c["run_id"] for c in _cells(events)} == {record.run_id}
+            assert svc.status()["indexed_cells"] == 2
+        finally:
+            svc.shutdown()
+
+    def test_no_cell_index_file_is_written(self, service, tmp_path):
+        """A miss, a ``--resume`` recovery and a scrub write runs, and no
+        second record of which run holds which cell."""
+        root = service.archive.root
+        service.submit_collect(_request(kernels=("bfs",)))
+        service.shutdown()
+        spec = _request().spec()
+        with CheckpointJournal.create(
+            root / "journals" / "job-crashed-1.jsonl",
+            campaign_fingerprint(spec, ["urand"], ["cc"], ["baseline"], ["gap"]),
+        ) as journal:
+            journal.record(RunResult("gap", "cc", "urand", Mode.BASELINE, [0.25]))
+        resumed = BenchmarkService(
+            archive_dir=root, cache_dir=tmp_path / "graphs", resume=True
+        )
+        try:
+            assert resumed.recovery_report[0]["recovered_cells"] == 1
+            assert resumed.status()["indexed_cells"] == 2
+        finally:
+            resumed.shutdown()
+        assert scrub(RunArchive(root)).verdict == "clean"
+        assert len(list((root / "runs").iterdir())) == 2
+        assert not list(root.rglob("cell_index.jsonl"))
+
+    def test_a_failed_archive_write_maps_nothing(self, service, monkeypatch):
+        """The map never runs ahead of the archive: cells whose run could
+        not be written stay misses."""
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        request = _request(kernels=("bfs",))
+        monkeypatch.setattr(service.archive, "archive_run", full_disk)
+        assert service.submit_collect(request)[-1]["event"] == "error"
+        assert service.status()["indexed_cells"] == 0
+        monkeypatch.undo()
+        assert service.submit_collect(request)[-1]["executed"] == 1
 
     def test_failed_cells_are_not_memoized(self, service):
         request = _request(kernels=("bfs",), trial_timeout=1e-9)

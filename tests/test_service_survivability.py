@@ -55,7 +55,6 @@ class TestHealth:
         assert payload["engine_restarts"] == 0
         assert payload["queue_capacity"] > 0
         assert payload["quarantine_count"] == 0
-        assert payload["index_healed_at_startup"] is None
         assert payload["last_scrub_verdict"] is None
         assert "watermarks" in payload
         assert set(payload["graph_cache"]) == {
@@ -120,7 +119,7 @@ class TestDegradedAdmission:
         assert events[-1]["event"] == "degraded"
         runs_dir = tmp_path / "archive" / "runs"
         assert not runs_dir.is_dir() or not list(runs_dir.glob("*"))
-        assert len(service.index) == 0
+        assert service.status()["indexed_cells"] == 0
         assert service.stats["cells_executed"] == 0
 
     def test_draining_is_a_degraded_reason(self, service):

@@ -4,7 +4,8 @@ the network or the disk, no clock.
 ``_CellTable`` decides everything about a cell — hit, subscription, owned
 miss, rejected miss; who is told what when a cell lands, fails or is
 archived; what stays hot — and reaches the archive only through the
-``load`` callable it is given.  Here that is a dict, a subscriber is a
+``load`` callable it is given, by the digest → run map it is seeded
+with.  Here both are dicts, a subscriber is a
 ``SimpleQueue`` read without blocking, and every interleaving is a
 sequence of calls: the owner that bounces off a full queue *between* a
 follower's classification and its wait, which real threads hit only by
@@ -46,18 +47,21 @@ def _drain(queue):
 
 
 class Archive:
-    """The ``load`` seam: run id -> ``[(digest, line), ...]``, and a log."""
+    """The ``load`` seam: run id -> ``[(digest, line), ...]``, the digest
+    -> run id map the table is seeded with, and a log of the runs loaded."""
 
-    def __init__(self, runs=None):
-        self.runs = runs or {}
+    def __init__(self):
+        self.runs = {}
+        self.index = {}
         self.loads = []
 
-    def __call__(self, digest):
-        self.loads.append(digest)
-        for cells in self.runs.values():
-            if any(digest == held for held, _ in cells):
-                return iter(cells)
-        return iter(())
+    def add(self, run_id, cells):
+        self.runs[run_id] = cells
+        self.index.update((digest, run_id) for digest, _ in cells)
+
+    def __call__(self, run_id):
+        self.loads.append(run_id)
+        return iter(self.runs.get(run_id, ()))
 
 
 @pytest.fixture()
@@ -67,12 +71,12 @@ def archive():
 
 @pytest.fixture()
 def table(archive):
-    return _CellTable(archive)
+    return _CellTable(archive, archive.index)
 
 
 class TestClassify:
     def test_all_hit_needs_no_probe_and_touches_no_queue(self, table, archive):
-        archive.runs["run-1"] = [(A, _hit(A, BFS)), (B, _hit(B, CC))]
+        archive.add("run-1", [(A, _hit(A, BFS)), (B, _hit(B, CC))])
         queue = SimpleQueue()
         hit_lines, owned, pending, rejected = table.classify(
             [BFS, CC], [A, B], queue, None
@@ -80,16 +84,23 @@ class TestClassify:
         assert hit_lines == [_hit(A, BFS), _hit(B, CC)]
         assert (owned, pending, rejected) == ([], set(), [])
         assert queue.empty() and table.inflight == {}
-        assert archive.loads == [A]  # one load warmed the whole run
+        assert archive.loads == ["run-1"]  # one load warmed the whole run
         assert table.stats["submissions"] == 1
         assert table.stats["cells_requested"] == 2
         assert table.stats["cells_hit"] == 2
 
     def test_empty_load_is_a_miss(self, table, archive):
+        archive.index[A] = "run-gone"  # mapped, but no longer servable
         assert table.classify([BFS], [A], SimpleQueue(), None) is None
         hit_lines, owned, _, _ = table.classify([BFS], [A], SimpleQueue(), [])
         assert hit_lines == [] and owned == [(A, BFS)]
-        assert archive.loads == [A, A]  # asked again: nothing was remembered
+        # Asked again: nothing was remembered.
+        assert archive.loads == ["run-gone", "run-gone"]
+
+    def test_unmapped_digest_never_reads_the_archive(self, table, archive):
+        hit_lines, owned, _, _ = table.classify([BFS], [A], SimpleQueue(), [])
+        assert hit_lines == [] and owned == [(A, BFS)]
+        assert archive.loads == []
 
     def test_unprobed_miss_returns_none_and_changes_nothing(self, table):
         before = dict(table.stats)
@@ -121,7 +132,7 @@ class TestClassify:
         assert table.stats["submissions"] == 2
 
     def test_mixed_hit_subscription_and_owned(self, table, archive):
-        archive.runs["run-1"] = [(A, _hit(A, BFS))]
+        archive.add("run-1", [(A, _hit(A, BFS))])
         table.classify([CC], [B], SimpleQueue(), [])  # someone else owns B
         queue = SimpleQueue()
         assert table.classify(KEYS, [A, B, C], queue, None) is None
@@ -137,7 +148,7 @@ class TestClassify:
         assert table.stats["cells_coalesced"] == 1
 
     def test_degraded_rejects_misses_and_still_serves_the_rest(self, table, archive):
-        archive.runs["run-1"] = [(A, _hit(A, BFS))]
+        archive.add("run-1", [(A, _hit(A, BFS))])
         table.classify([CC], [B], SimpleQueue(), [])
         hit_lines, owned, pending, rejected = table.classify(
             KEYS, [A, B, C], SimpleQueue(), ["disk critically low"]
@@ -210,11 +221,12 @@ class TestPublishFailCommit:
         hit_lines, owned, _, _ = table.classify([BFS, CC], [A, B], SimpleQueue(), [])
         assert hit_lines == [_hit(A, BFS, "run-9")]
         assert json.loads(hit_lines[0])["cached"] is True
-        assert owned == [(B, CC)]  # the failure re-executes
-        assert archive.loads == [B]
+        assert owned == [(B, CC)]  # the failure re-executes...
+        assert archive.loads == []  # ...and maps to no run
+        assert table.runs == {A: "run-9"}
 
     def test_fillers_are_the_hot_lines_only(self, table, archive):
-        archive.runs["run-1"] = [(B, _hit(B, CC))]
+        archive.add("run-1", [(B, _hit(B, CC))])
         table.commit([(A, BFS, _result(BFS))], "run-9")
         assert table.fillers([A, B, C]) == [(A, _hit(A, BFS, "run-9"))]
         assert archive.loads == []  # a grid-filler never reads the archive
@@ -224,8 +236,8 @@ class TestPublishFailCommit:
         table.commit([(B, CC, _result(CC))], "run-9")
         table.count("connections_reset")
         table.count("cells_recovered", 3)
-        stats, inflight, hot = table.snapshot()
-        assert (inflight, hot) == (1, 1)
+        stats, inflight, hot, mapped = table.snapshot()
+        assert (inflight, hot, mapped) == (1, 1, 1)
         assert stats["connections_reset"] == 1 and stats["cells_recovered"] == 3
         stats["submissions"] = 99
         assert table.stats["submissions"] == 1  # a copy
@@ -238,18 +250,27 @@ class TestEviction:
 
     def test_evicted_cell_reloads_through_load(self, table, archive):
         for run, (digest, key) in enumerate(zip((A, B, C), KEYS)):
-            archive.runs[f"run-{run}"] = [(digest, _hit(digest, key))]
+            archive.add(f"run-{run}", [(digest, _hit(digest, key))])
             table.classify([key], [digest], SimpleQueue(), None)
         assert list(table.results) == [B, C]  # A, the oldest, went
-        assert archive.loads == [A, B, C]
+        assert archive.loads == ["run-0", "run-1", "run-2"]
         hit_lines, _, _, _ = table.classify([BFS], [A], SimpleQueue(), None)
         assert hit_lines == [_hit(A, BFS)]
-        assert archive.loads == [A, B, C, A]
+        assert archive.loads == ["run-0", "run-1", "run-2", "run-0"]
         assert list(table.results) == [C, A]
+
+    def test_evicted_commit_reloads_from_its_run(self, table, archive):
+        table.commit([(A, BFS, _result(BFS))], "run-9")
+        archive.runs["run-9"] = [(A, _hit(A, BFS, "run-9"))]
+        table.commit([(B, CC, _result(CC)), (C, PR, _result(PR))], "run-10")
+        assert list(table.results) == [B, C]  # A went; its run did not
+        hit_lines, _, _, _ = table.classify([BFS], [A], SimpleQueue(), None)
+        assert hit_lines == [_hit(A, BFS, "run-9")]
+        assert archive.loads == ["run-9"]
 
     def test_a_touch_keeps_a_cell_hot(self, table, archive):
         for run, (digest, key) in enumerate(zip((A, B), KEYS)):
-            archive.runs[f"run-{run}"] = [(digest, _hit(digest, key))]
+            archive.add(f"run-{run}", [(digest, _hit(digest, key))])
             table.classify([key], [digest], SimpleQueue(), None)
         table.classify([BFS], [A], SimpleQueue(), None)  # touch A: B is now oldest
         table.commit([(C, PR, _result(PR))], "run-9")

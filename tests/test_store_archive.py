@@ -14,7 +14,7 @@ from repro.core.telemetry import Span
 from repro.errors import ArchiveError, ReproError
 from repro.frameworks import Mode
 from repro.store import RunArchive, fingerprint, version_string
-from repro.store.cellindex import CellIndex, cell_digest
+from repro.store.cellindex import cell_digest, derive_index_entries
 from repro.store.environment import fingerprint_mismatches
 from repro.store.integrity import scrub
 
@@ -197,7 +197,7 @@ class TestRunArchive:
     def test_hand_copied_run_is_listed_resolved_and_kept(self, tmp_path):
         """A complete run directory is archived with no other bookkeeping:
         one copied in by hand is listed, resolves by prefix and as
-        ``latest``, and a scrub keeps its cell-index entries."""
+        ``latest``, survives a scrub, and its cells derive to it."""
         spec = BenchmarkSpec(scale=8)
         meta = {"environment": fingerprint()}
         store = RunArchive(tmp_path / "archive")
@@ -209,24 +209,16 @@ class TestRunArchive:
             _results(_result(kernel="cc"), meta=meta), spec=spec
         )
         shutil.copytree(copied.path, store.runs_dir / copied.run_id)
-        with CellIndex.for_archive(store) as index:
-            index.add_many(
-                (cell_digest(spec, key), record.run_id, key)
-                for record, key in (
-                    (kept, ("kron", "baseline", "bfs", "gap")),
-                    (copied, ("kron", "baseline", "cc", "gap")),
-                )
-            )
 
         listed = [entry["run_id"] for entry in store.list_runs()]
         assert listed == [copied.run_id, kept.run_id]
         assert store.resolve(copied.run_id[:6]) == copied.run_id
         assert store.resolve("latest") == copied.run_id
         assert scrub(store).verdict == "clean"
-        with CellIndex.for_archive(store) as index:
-            assert sorted(index.run_id_for(d) for d in index.digests()) == sorted(
-                [kept.run_id, copied.run_id]
-            )
+        assert dict(derive_index_entries(store)) == {
+            cell_digest(spec, ("kron", "baseline", "bfs", "gap")): kept.run_id,
+            cell_digest(spec, ("kron", "baseline", "cc", "gap")): copied.run_id,
+        }
 
     def test_spans_persisted_and_reloadable(self, tmp_path):
         store = RunArchive(tmp_path)
