@@ -46,6 +46,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -181,189 +182,200 @@ def run_soak(
     """Run the full soak; raises AssertionError on any broken invariant."""
     rng = random.Random(seed)
     tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-soak-"))
-    completed: dict[tuple[str, ...], str] = {}  # cell key -> digest
-    transport_errors = 0
-    kills = 0
-    plans: list[list[dict]] = []
-
-    # -- soak rounds: faults + fleet + SIGKILL ---------------------------
-    for round_no in range(rounds):
-        flip_archive = round_no == rounds - 1
-        plan = _random_plan(rng, flip_archive)
-        plans.append(plan)
-        proc, port = _start_server(
-            tmp, resume=round_no > 0, extra_env={"REPRO_FAULTS": json.dumps(plan)}
-        )
-
-        errors_lock = threading.Lock()
-        round_errors = [0]
-
-        def drive(slot: int) -> None:
-            client = ServiceClient(
-                "127.0.0.1", port, timeout=client_timeout,
-                max_attempts=2, backoff=0.1,
-            )
-            try:
-                for n in range(len(CAMPAIGNS)):
-                    campaign = CAMPAIGNS[(slot + n) % len(CAMPAIGNS)]
-                    try:
-                        for event in client.submit(campaign):
-                            if event["event"] != "cell":
-                                continue
-                            if event["result"].get("status", "ok") != "ok":
-                                # A faulted cell: recorded as an error
-                                # result, never served, legitimately
-                                # re-executed later.
-                                continue
-                            key = tuple(event["cell"])
-                            completed[key] = event["digest"]
-                    except (ServiceError, OSError):
-                        # The server was killed (or a faulted job failed
-                        # the whole submission): expected during chaos.
-                        with errors_lock:
-                            round_errors[0] += 1
-                        return
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=drive, args=(slot,), daemon=True)
-            for slot in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(kill_after * (0.5 + rng.random()))
-        _sigkill_group(proc)
-        kills += 1
-        for thread in threads:
-            thread.join(timeout=60.0)
-        transport_errors += round_errors[0]
-
-    assert completed, "soak completed zero cells; faults were too aggressive"
-
-    # -- degraded round: watermark floor no disk can satisfy -------------
-    proc, port = _start_server(
-        tmp, resume=True,
-        extra_env={"REPRO_MIN_FREE_BYTES": str(10**18)},
-    )
-    degraded_rejected = 0
+    proc: subprocess.Popen | None = None
     try:
-        client = ServiceClient("127.0.0.1", port, timeout=client_timeout)
-        health = client.health()
-        assert health["degraded"] is True, health
-        assert not health["ok"], "degraded server must not report ok"
-        assert any("disk" in r for r in health["degraded_reasons"]), health
+        completed: dict[tuple[str, ...], str] = {}  # cell key -> digest
+        transport_errors = 0
+        kills = 0
+        plans: list[list[dict]] = []
 
-        events = client.submit_and_collect(DEGRADED_CAMPAIGN)
-        terminal = events[-1]
-        assert terminal["event"] == "degraded", (
-            f"miss under disk pressure must be rejected structurally, "
-            f"got {terminal}"
-        )
-        assert terminal["rejected"] > 0
-        assert terminal["retry_after_seconds"] > 0
-        degraded_rejected = terminal["rejected"]
-        # Cells already measured still stream as hits while degraded.
-        known = [k for k in completed if k[0] in ("urand", "kron", "road")]
-        if known:
-            hit_events = client.submit_and_collect(CAMPAIGNS[0])
-            served = [e for e in hit_events if e["event"] == "cell"]
-            assert all(e["cached"] for e in served)
-        client.close()
-    finally:
-        # SIGTERM, not SIGKILL: the drain path must exit 0.
-        proc.terminate()
-        code = proc.wait(timeout=60.0)
-    assert code == 0, f"graceful drain exited {code}"
-
-    # -- scrub: self-healing converges -----------------------------------
-    archive = RunArchive(tmp / "archive")
-    report = scrub(archive)
-    assert report.verdict in ("clean", "healed"), report.as_dict()
-    second = scrub(RunArchive(tmp / "archive"))
-    assert second.verdict == "clean", second.as_dict()
-
-    derived = dict(derive_index_entries(archive))
-    surviving = {key for key, digest in completed.items() if digest in derived}
-    quarantined_cells = len(completed) - len(surviving)
-
-    # -- cold restart: zero recompute for everything that survived -------
-    proc, port = _start_server(tmp, resume=True, extra_env={})
-    try:
-        client = ServiceClient("127.0.0.1", port, timeout=client_timeout)
-        first_pass: dict[tuple[str, ...], tuple[bool, str]] = {}
-        for campaign in CAMPAIGNS:
-            for event in client.submit_and_collect(campaign):
-                if event["event"] == "cell":
-                    first_pass[tuple(event["cell"])] = (
-                        bool(event["cached"]), _canonical(event["result"]),
-                    )
-        recomputed = [
-            key for key in surviving if not first_pass[key][0]
-        ]
-        assert not recomputed, (
-            f"{len(recomputed)} soak-completed cells with surviving runs "
-            f"were re-executed after restart: {recomputed[:5]}"
-        )
-        # Second pass: everything cached, byte-identical.
-        for campaign in CAMPAIGNS:
-            events = client.submit_and_collect(campaign)
-            assert events[-1]["event"] == "done"
-            assert events[-1]["executed"] == 0, (
-                f"second cold pass executed {events[-1]['executed']} cells"
+        # -- soak rounds: faults + fleet + SIGKILL ---------------------------
+        for round_no in range(rounds):
+            flip_archive = round_no == rounds - 1
+            plan = _random_plan(rng, flip_archive)
+            plans.append(plan)
+            proc, port = _start_server(
+                tmp, resume=round_no > 0, extra_env={"REPRO_FAULTS": json.dumps(plan)}
             )
-            for event in events:
-                if event["event"] != "cell":
-                    continue
-                key = tuple(event["cell"])
-                assert _canonical(event["result"]) == first_pass[key][1], (
-                    f"cached result for {key} changed between passes"
+
+            errors_lock = threading.Lock()
+            round_errors = [0]
+
+            def drive(slot: int) -> None:
+                client = ServiceClient(
+                    "127.0.0.1", port, timeout=client_timeout,
+                    max_attempts=2, backoff=0.1,
                 )
-        final_health = client.health()
-        client.shutdown()
-    finally:
-        if proc.poll() is None:
-            _sigkill_group(proc)
+                try:
+                    for n in range(len(CAMPAIGNS)):
+                        campaign = CAMPAIGNS[(slot + n) % len(CAMPAIGNS)]
+                        try:
+                            for event in client.submit(campaign):
+                                if event["event"] != "cell":
+                                    continue
+                                if event["result"].get("status", "ok") != "ok":
+                                    # A faulted cell: recorded as an error
+                                    # result, never served, legitimately
+                                    # re-executed later.
+                                    continue
+                                key = tuple(event["cell"])
+                                completed[key] = event["digest"]
+                        except (ServiceError, OSError):
+                            # The server was killed (or a faulted job failed
+                            # the whole submission): expected during chaos.
+                            with errors_lock:
+                                round_errors[0] += 1
+                            return
+                finally:
+                    client.close()
 
-    return {
-        "environment": fingerprint(),
-        "config": {
-            "rounds": rounds,
-            "clients": clients,
-            "kill_after_seconds": kill_after,
-            "seed": seed,
-            "campaigns": len(CAMPAIGNS),
-        },
-        "soak": {
-            "sigkills": kills,
-            "cells_completed": len(completed),
-            "client_transport_errors": transport_errors,
-            "plans": plans,
-        },
-        "degraded": {
-            "rejected_cells": degraded_rejected,
-            "drain_exit_code": code,
-        },
-        "scrub": {
-            "first_verdict": report.verdict,
-            "second_verdict": second.verdict,
-            "quarantined_runs": len(report.quarantined),
-        },
-        "cold_restart": {
-            "surviving_cells": len(surviving),
-            "quarantine_lost_cells": quarantined_cells,
-            "recomputed_surviving_cells": 0,
-            "second_pass_fully_cached": True,
-            "final_quarantine_count": final_health["quarantine_count"],
-        },
-    }
+            threads = [
+                threading.Thread(target=drive, args=(slot,), daemon=True)
+                for slot in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(kill_after * (0.5 + rng.random()))
+            _sigkill_group(proc)
+            kills += 1
+            for thread in threads:
+                thread.join(timeout=60.0)
+            transport_errors += round_errors[0]
+
+        assert completed, "soak completed zero cells; faults were too aggressive"
+
+        # -- degraded round: watermark floor no disk can satisfy -------------
+        proc, port = _start_server(
+            tmp, resume=True,
+            extra_env={"REPRO_MIN_FREE_BYTES": str(10**18)},
+        )
+        degraded_rejected = 0
+        try:
+            client = ServiceClient("127.0.0.1", port, timeout=client_timeout)
+            health = client.health()
+            assert health["degraded"] is True, health
+            assert not health["ok"], "degraded server must not report ok"
+            assert any("disk" in r for r in health["degraded_reasons"]), health
+
+            events = client.submit_and_collect(DEGRADED_CAMPAIGN)
+            terminal = events[-1]
+            assert terminal["event"] == "degraded", (
+                f"miss under disk pressure must be rejected structurally, "
+                f"got {terminal}"
+            )
+            assert terminal["rejected"] > 0
+            assert terminal["retry_after_seconds"] > 0
+            degraded_rejected = terminal["rejected"]
+            # Cells already measured still stream as hits while degraded.
+            known = [k for k in completed if k[0] in ("urand", "kron", "road")]
+            if known:
+                hit_events = client.submit_and_collect(CAMPAIGNS[0])
+                served = [e for e in hit_events if e["event"] == "cell"]
+                assert all(e["cached"] for e in served)
+            client.close()
+        finally:
+            # SIGTERM, not SIGKILL: the drain path must exit 0.
+            proc.terminate()
+            code = proc.wait(timeout=60.0)
+        assert code == 0, f"graceful drain exited {code}"
+
+        # -- scrub: self-healing converges -----------------------------------
+        archive = RunArchive(tmp / "archive")
+        report = scrub(archive)
+        assert report.verdict in ("clean", "healed"), report.as_dict()
+        second = scrub(RunArchive(tmp / "archive"))
+        assert second.verdict == "clean", second.as_dict()
+
+        derived = dict(derive_index_entries(archive))
+        surviving = {key for key, digest in completed.items() if digest in derived}
+        quarantined_cells = len(completed) - len(surviving)
+
+        # -- cold restart: zero recompute for everything that survived -------
+        proc, port = _start_server(tmp, resume=True, extra_env={})
+        try:
+            client = ServiceClient("127.0.0.1", port, timeout=client_timeout)
+            first_pass: dict[tuple[str, ...], tuple[bool, str]] = {}
+            for campaign in CAMPAIGNS:
+                for event in client.submit_and_collect(campaign):
+                    if event["event"] == "cell":
+                        first_pass[tuple(event["cell"])] = (
+                            bool(event["cached"]), _canonical(event["result"]),
+                        )
+            recomputed = [
+                key for key in surviving if not first_pass[key][0]
+            ]
+            assert not recomputed, (
+                f"{len(recomputed)} soak-completed cells with surviving runs "
+                f"were re-executed after restart: {recomputed[:5]}"
+            )
+            # Second pass: everything cached, byte-identical.
+            for campaign in CAMPAIGNS:
+                events = client.submit_and_collect(campaign)
+                assert events[-1]["event"] == "done"
+                assert events[-1]["executed"] == 0, (
+                    f"second cold pass executed {events[-1]['executed']} cells"
+                )
+                for event in events:
+                    if event["event"] != "cell":
+                        continue
+                    key = tuple(event["cell"])
+                    assert _canonical(event["result"]) == first_pass[key][1], (
+                        f"cached result for {key} changed between passes"
+                    )
+            final_health = client.health()
+            client.shutdown()
+        finally:
+            if proc.poll() is None:
+                _sigkill_group(proc)
+
+        return {
+            "environment": fingerprint(),
+            "config": {
+                "rounds": rounds,
+                "clients": clients,
+                "kill_after_seconds": kill_after,
+                "seed": seed,
+                "campaigns": len(CAMPAIGNS),
+            },
+            "soak": {
+                "sigkills": kills,
+                "cells_completed": len(completed),
+                "client_transport_errors": transport_errors,
+                "plans": plans,
+            },
+            "degraded": {
+                "rejected_cells": degraded_rejected,
+                "drain_exit_code": code,
+            },
+            "scrub": {
+                "first_verdict": report.verdict,
+                "second_verdict": second.verdict,
+                "quarantined_runs": len(report.quarantined),
+            },
+            "cold_restart": {
+                "surviving_cells": len(surviving),
+                "quarantine_lost_cells": quarantined_cells,
+                "recomputed_surviving_cells": 0,
+                "second_pass_fully_cached": True,
+                "final_quarantine_count": final_health["quarantine_count"],
+            },
+        }
+    finally:
+        # The tree (archive, journals, graph cache) goes once the last
+        # server is down, whether the soak passed or not.
+        if proc is not None and proc.poll() is None:
+            _sigkill_group(proc)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 @pytest.mark.tier2
 @pytest.mark.slow
 def test_chaos_soak_smoke():
     """Reduced soak: two fault rounds, a kill each, then full convergence."""
+    leftovers = set(Path(tempfile.gettempdir()).glob("repro-chaos-soak-*"))
     data = run_soak(rounds=2, clients=2, kill_after=3.0, seed=7)
+    left = set(Path(tempfile.gettempdir()).glob("repro-chaos-soak-*")) - leftovers
+    assert not left, f"the soak left its work tree behind: {sorted(left)}"
     assert data["soak"]["sigkills"] == 2
     assert data["soak"]["cells_completed"] > 0
     assert data["scrub"]["second_verdict"] == "clean"

@@ -15,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..frameworks.base import Framework, FrameworkAttributes, RunContext
-from ..graphs import CSRGraph
+from ..gapbs.tc import triangle_count
+from ..graphs import CSRGraph, degree_skewed, forward_adjacency, permute
+from ..la.hooking import afforest, converge, converge_in_blocks
+from ..la.intersect import count_forward_triangles, relabel_permutation
 from .bc import galois_bc, galois_bc_async
 from .bfs import async_bfs, sync_bfs
-from .cc import galois_afforest
-from .heuristics import assume_high_diameter
 from .pagerank import gauss_seidel_pagerank
 from .sssp import async_delta_stepping, sync_delta_stepping
-from .tc import galois_relabel, galois_tc
 
 __all__ = [
     "GaloisFramework",
@@ -30,11 +30,9 @@ __all__ = [
     "async_bfs",
     "sync_delta_stepping",
     "async_delta_stepping",
-    "galois_afforest",
     "gauss_seidel_pagerank",
     "galois_bc",
     "galois_bc_async",
-    "galois_tc",
 ]
 
 # Graphs the paper's Galois team treated as high-diameter when tuning the
@@ -69,10 +67,17 @@ class GaloisFramework(Framework):
     )
 
     def _use_async(self, graph: CSRGraph, ctx: RunContext) -> bool:
-        """Scheduling choice: heuristic (Baseline) or known diameter (Optimized)."""
+        """Scheduling choice: heuristic (Baseline) or known diameter (Optimized).
+
+        Baseline rules allow no per-graph tuning, so Galois samples vertices
+        for a power-law degree distribution (the paper: "similar to that in
+        GAP for TC") and assumes anything else has a high diameter, favouring
+        the asynchronous variants.  That misfires on Urand — uniform degrees
+        but a low diameter — as the paper's footnote notes.
+        """
         if ctx.optimized and ctx.graph_name:
             return ctx.graph_name in HIGH_DIAMETER_GRAPHS
-        return assume_high_diameter(graph, ctx.seed)
+        return not degree_skewed(graph, ctx.seed)
 
     def bfs(self, graph: CSRGraph, source: int, ctx: RunContext = RunContext()) -> np.ndarray:
         if self._use_async(graph, ctx):
@@ -97,8 +102,15 @@ class GaloisFramework(Framework):
         return gauss_seidel_pagerank(graph, damping, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
+        """GAP's Afforest; the Optimized run on Web blocked the finish edges.
+
+        Galois' operator formulation permits the non-vertex-program
+        neighborhoods Afforest needs.  The edge-blocked finish converges
+        fixed-size blocks with compression between them, so early blocks
+        shrink the label chains later blocks walk (better load balance).
+        """
         edge_blocking = ctx.optimized and ctx.graph_name == "web"
-        return galois_afforest(graph, seed=ctx.seed, edge_blocking=edge_blocking)
+        return afforest(graph, ctx.seed, converge_in_blocks if edge_blocking else converge)
 
     def betweenness(
         self, graph: CSRGraph, sources: np.ndarray, ctx: RunContext = RunContext()
@@ -114,10 +126,19 @@ class GaloisFramework(Framework):
         if kernel == "tc" and ctx.optimized:
             # The Galois team excluded relabel time in the Optimized runs.
             undirected = graph.to_undirected() if graph.directed else graph
-            return galois_relabel(undirected, seed=ctx.seed)
+            perm = relabel_permutation(undirected, ctx.seed)
+            return undirected if perm is None else permute(undirected, perm)
         return graph
 
     def triangle_count(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> int:
+        """GAP's order-invariant TC with its heuristic relabel.
+
+        The paper's differences are scheduling-level (work stealing, not
+        modelled) plus one rule: under Optimized rules the relabel is
+        excluded from the time, so ``prepare`` did it and only the ordered
+        count runs here.
+        """
         undirected = graph.to_undirected() if graph.directed else graph
-        # Under Optimized rules `prepare` already relabelled (untimed).
-        return galois_tc(undirected, seed=ctx.seed, skip_relabel=ctx.optimized)
+        if ctx.optimized:
+            return count_forward_triangles(*forward_adjacency(undirected))
+        return triangle_count(undirected, seed=ctx.seed)

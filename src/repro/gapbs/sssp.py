@@ -9,9 +9,8 @@ a global synchronization round.  Without fusion, every same-bucket refill
 costs a full round — on a high-diameter graph like Road that is thousands
 of extra rounds, which is exactly the effect the paper measures.
 
-The body is :func:`repro.la.delta_stepping`; fusion is the argument GAP
-passes to it.  ``delta_stepping(..., bucket_fusion=False)`` exposes the
-unfused variant — what Galois, GKC and NWGraph run — for the ablation bench.
+The body is :func:`repro.la.delta_stepping`; fusion is the threshold GAP
+passes to it (Galois' bulk-synchronous variant, GKC and NWGraph pass none).
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ __all__ = ["delta_stepping"]
 FUSION_THRESHOLD = 1024
 
 
-def delta_stepping(
-    graph: CSRGraph,
-    source: int,
-    delta: int = 16,
-    bucket_fusion: bool = True,
-) -> np.ndarray:
+def delta_stepping(graph: CSRGraph, source: int, delta: int = 16) -> np.ndarray:
     """Compute shortest-path distances from ``source``.
 
     Args:
@@ -43,8 +37,6 @@ def delta_stepping(
         delta: Bucket width; GAP allows tuning this per graph even under
             Baseline rules because it changes performance by orders of
             magnitude.
-        bucket_fusion: Process same-bucket refills immediately (the GAP
-            reference behaviour).  Disable for the ablation.
 
     Returns:
         float64 distances, ``inf`` for unreachable vertices.
@@ -55,5 +47,5 @@ def delta_stepping(
         graph.weights,
         source,
         delta,
-        FUSION_THRESHOLD if bucket_fusion else 0,
+        FUSION_THRESHOLD,
     )

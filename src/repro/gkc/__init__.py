@@ -16,20 +16,17 @@ import numpy as np
 
 from ..frameworks.base import Framework, FrameworkAttributes, RunContext
 from ..graphs import CSRGraph
-from .bc import gkc_bc
+from ..la import brandes_sweep, delta_stepping
 from .bfs import gkc_bfs
 from .cc import gkc_cc
 from .pagerank import gkc_pagerank
-from .sssp import gkc_sssp
 from .tc import gkc_tc
 
 __all__ = [
     "GKCFramework",
     "gkc_bfs",
-    "gkc_sssp",
     "gkc_cc",
     "gkc_pagerank",
-    "gkc_bc",
     "gkc_tc",
 ]
 
@@ -68,7 +65,14 @@ class GKCFramework(Framework):
         return gkc_bfs(graph, source, pull_early_exit=ctx.optimized)
 
     def sssp(self, graph: CSRGraph, source: int, ctx: RunContext = RunContext()) -> np.ndarray:
-        return gkc_sssp(graph, source, delta=ctx.delta)
+        """Bulk-synchronous delta-stepping without bucket fusion.
+
+        Excellent per-edge throughput (113-119% on Web/Urand in the paper)
+        but every same-bucket refill on Road pays a synchronized round (18%).
+        The throughput half — buffered, SIMD-batched bucket insertion — is
+        substrate this port does not model.
+        """
+        return delta_stepping(graph.indptr, graph.indices, graph.weights, source, ctx.delta)
 
     def pagerank(
         self,
@@ -86,7 +90,8 @@ class GKCFramework(Framework):
     def betweenness(
         self, graph: CSRGraph, sources: np.ndarray, ctx: RunContext = RunContext()
     ) -> np.ndarray:
-        return gkc_bc(graph, sources)
+        """Brandes with a saved successor DAG, as GAP (97-107% of it in the paper)."""
+        return brandes_sweep(graph.indptr, graph.indices, sources, saved_successors=True)
 
     def triangle_count(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> int:
         undirected = graph.to_undirected() if graph.directed else graph

@@ -17,14 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import counters
-from ..graphs import (
-    CSRGraph,
-    degree_order_permutation,
-    degree_skewed,
-    forward_adjacency,
-    permute,
-)
+from ..graphs import CSRGraph, forward_adjacency, permute
 from ..la import count_closing
+from ..la.intersect import relabel_permutation
 
 __all__ = ["gkc_tc"]
 
@@ -34,9 +29,9 @@ WEDGE_BLOCK = 1 << 14
 
 def gkc_tc(graph: CSRGraph, seed: int = 0) -> int:
     """Triangle count via two-sided batched wedge-closure testing."""
-    if degree_skewed(graph, seed):
-        counters.note("relabelled")
-        graph = permute(graph, degree_order_permutation(graph, ascending=True))
+    perm = relabel_permutation(graph, seed)
+    if perm is not None:
+        graph = permute(graph, perm)
     indptr, dst = forward_adjacency(graph)
     counts = np.diff(indptr)
     src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), counts)

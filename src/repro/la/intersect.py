@@ -17,6 +17,10 @@ returns the triangles and reports the edges it examined to ``counters``;
 the work accounting is the per-vertex loop's — ``targets.size + row.size``
 for every base vertex with a non-empty wedge set — so blocking changes the
 time, not the count.  :func:`count_closing`, a primitive, reports nothing.
+
+:func:`relabel_permutation` is the one relabel decision every ordered TC
+makes first: GAP's sampling heuristic, and when it fires the ascending
+degree rank that keeps the hubs' forward lists short.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import counters
+from ..graphs import CSRGraph, degree_order_permutation, degree_skewed
 
 __all__ = [
     "count_closing",
     "count_forward_triangles",
+    "relabel_permutation",
     "INTERSECT_BLOCK_EDGES",
     "STAMP_BLOCK_BYTES",
 ]
@@ -131,3 +137,17 @@ def count_forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
     return count_closing(
         indptr, indices, owners[edges], indptr[heads], deg[heads], INTERSECT_BLOCK_EDGES
     )
+
+
+def relabel_permutation(graph: CSRGraph, seed: int = 0) -> np.ndarray | None:
+    """GAP's TC relabel: the ascending-degree permutation, or ``None``.
+
+    The sampling heuristic (:func:`repro.graphs.degree_skewed`) decides
+    whether ranking vertices by degree pays; when it does, the relabel is
+    noted as ``relabelled`` and the permutation returned.  Ascending rank
+    gives the hubs high ids, hence short forward lists.
+    """
+    if not degree_skewed(graph, seed):
+        return None
+    counters.note("relabelled")
+    return degree_order_permutation(graph, ascending=True)

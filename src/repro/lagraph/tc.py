@@ -15,8 +15,8 @@ our SciPy-based ``mxm_masked`` has the same materialize-then-reduce shape.
 
 from __future__ import annotations
 
-from .. import counters
-from ..graphs import CSRGraph, degree_order_permutation, degree_skewed
+from ..graphs import CSRGraph
+from ..la.intersect import relabel_permutation
 from ..semiring import PLUS_PAIR, Matrix, mxm_masked, reduce_matrix
 
 __all__ = ["lagraph_tc"]
@@ -25,9 +25,8 @@ __all__ = ["lagraph_tc"]
 def lagraph_tc(graph: CSRGraph, seed: int = 0) -> int:
     """Triangle count via the masked ``plus_pair`` matrix product."""
     matrix = Matrix.from_graph(graph)
-    if degree_skewed(graph, seed):
-        counters.note("relabelled")
-        perm = degree_order_permutation(graph, ascending=True)
+    perm = relabel_permutation(graph, seed)
+    if perm is not None:
         matrix = matrix.permuted(perm)
     lower = matrix.select_lower_triangle()
     upper = matrix.select_upper_triangle()

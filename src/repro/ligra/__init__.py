@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..frameworks.base import Framework, FrameworkAttributes, RunContext
+from ..gapbs.tc import triangle_count
 from ..graphs import CSRGraph
-from .kernels import ligra_bc, ligra_bfs, ligra_cc, ligra_pr, ligra_sssp, ligra_tc
+from .kernels import ligra_bc, ligra_bfs, ligra_cc, ligra_pr, ligra_sssp
 
 __all__ = [
     "LigraFramework",
@@ -25,7 +26,6 @@ __all__ = [
     "ligra_cc",
     "ligra_pr",
     "ligra_bc",
-    "ligra_tc",
 ]
 
 
@@ -78,4 +78,4 @@ class LigraFramework(Framework):
 
     def triangle_count(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> int:
         undirected = graph.to_undirected() if graph.directed else graph
-        return ligra_tc(undirected, seed=ctx.seed)
+        return triangle_count(undirected, seed=ctx.seed)

@@ -1,4 +1,4 @@
-"""The six GAP kernels written against the shared frontier operator.
+"""Five of the six GAP kernels written against the shared frontier operator.
 
 Frontiers are sorted int64 id arrays, as in :mod:`repro.la.direction`, and
 every edge pass is one call of :func:`repro.la.edge_map` (Ligra's
@@ -15,9 +15,10 @@ paper's six:
 * CC — min-label propagation over frontiers (only changed vertices stay
   active, unlike GraphIt's full-sweep variant);
 * PR — Jacobi via a dense edgeMap each iteration;
-* BC — Brandes with frontier-based forward and backward passes;
-* TC — order-invariant merge counting (frontier machinery buys nothing
-  for a topology-driven kernel).
+* BC — Brandes with frontier-based forward and backward passes.
+
+TC is GAP's (frontier machinery buys nothing for a topology-driven
+kernel), so the framework calls it and nothing here restates it.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import counters
-from ..graphs import (
-    CSRGraph,
-    degree_order_permutation,
-    degree_skewed,
-    forward_adjacency,
-    permute,
-)
+from ..graphs import CSRGraph
 from ..la import edge_map, first_occurrence_mask, relax
-from ..la.intersect import count_forward_triangles
 
 __all__ = [
     "ligra_bfs",
@@ -41,7 +35,6 @@ __all__ = [
     "ligra_cc",
     "ligra_pr",
     "ligra_bc",
-    "ligra_tc",
 ]
 
 
@@ -182,11 +175,3 @@ def ligra_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
         delta[root] = 0.0
         scores += delta
     return scores
-
-
-def ligra_tc(graph: CSRGraph, seed: int = 0) -> int:
-    """Order-invariant triangle count with the degree-relabel heuristic."""
-    if degree_skewed(graph, seed):
-        counters.note("relabelled")
-        graph = permute(graph, degree_order_permutation(graph, ascending=True))
-    return count_forward_triangles(*forward_adjacency(graph))

@@ -18,6 +18,8 @@ from repro.frameworks import KERNELS, Mode, RunContext, get
 from repro.frameworks.registry import EXTENDED_FRAMEWORK_NAMES
 from repro.generators import GRAPH_NAMES
 
+from .conftest import TEST_SCALE
+
 COUNTER_SCALE = 7
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,3 +216,47 @@ def test_paper_matrix_work_counters_are_pinned():
         if measured[cell] != pinned[cell]
     }
     assert not moved, f"{len(moved)} cells changed their work: {json.dumps(moved, indent=1)}"
+
+
+#: TC on kron at ``TEST_SCALE`` (degree-skewed, so GAP's heuristic
+#: relabels), one trial per cell: (framework, mode) -> (edges examined,
+#: extras).  NWGraph always relabels on its edge list and notes nothing;
+#: Galois under Optimized rules relabels in the untimed ``prepare``, outside
+#: the trial's counters, so its cell shows no ``relabelled``.
+KRON_TRIANGLES = 9747
+RELABELLED = {"relabelled": 1.0}
+RELABEL_PINS = {
+    ("gap", "baseline"): (31699, RELABELLED),
+    ("gap", "optimized"): (31699, RELABELLED),
+    ("suitesparse", "baseline"): (5730, RELABELLED),
+    ("suitesparse", "optimized"): (5730, RELABELLED),
+    ("galois", "baseline"): (31699, RELABELLED),
+    ("galois", "optimized"): (31699, {}),
+    ("nwgraph", "baseline"): (31699, {}),
+    ("nwgraph", "optimized"): (31699, {}),
+    ("graphit", "baseline"): (31699, RELABELLED),
+    ("graphit", "optimized"): (31699, RELABELLED),
+    ("gkc", "baseline"): (14436, RELABELLED),
+    ("gkc", "optimized"): (14436, RELABELLED),
+    ("ligra", "baseline"): (31699, RELABELLED),
+    ("ligra", "optimized"): (31699, RELABELLED),
+}
+
+
+@pytest.fixture(scope="module")
+def relabelling_kron():
+    return GraphCase.build("kron", scale=TEST_SCALE)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("framework_name", EXTENDED_FRAMEWORK_NAMES)
+def test_tc_relabel_branch_is_pinned(relabelling_kron, framework_name, mode):
+    """The relabel path every ordered TC shares: count, work and the note."""
+    framework = get(framework_name)
+    spec = BenchmarkSpec(scale=TEST_SCALE, trials={kernel: 1 for kernel in KERNELS})
+    result = run_cell(framework, "tc", relabelling_kron, mode, spec)
+    ctx = RunContext(mode=mode, graph_name="kron", seed=spec.seed)
+    prepared = framework.prepare("tc", relabelling_kron.undirected, ctx)
+    assert framework.triangle_count(prepared, ctx) == KRON_TRIANGLES
+    pinned = RELABEL_PINS[framework_name, mode.value]
+    assert (result.edges_examined, result.extras) == pinned

@@ -10,11 +10,11 @@ from repro.generators import build_graph, weighted_version
 
 class TestGaloisVariants:
     def test_edge_blocking_cc_same_partition(self, corpus):
-        from repro.galois.cc import galois_afforest
+        from repro.la.hooking import afforest, converge, converge_in_blocks
 
         graph = corpus["web"]
-        plain = galois_afforest(graph, edge_blocking=False)
-        blocked = galois_afforest(graph, edge_blocking=True)
+        plain = afforest(graph, 0, converge)
+        blocked = afforest(graph, 0, converge_in_blocks)
         # Identical partitions (labels may differ by representative).
         _, plain_ids = np.unique(plain, return_inverse=True)
         _, blocked_ids = np.unique(blocked, return_inverse=True)
@@ -54,10 +54,9 @@ class TestGraphItVariants:
     def test_intersect_methods_agree(self, corpus):
         """One closing test under every framework: GraphIt's count is GAP's."""
         from repro.gapbs.tc import triangle_count
-        from repro.graphit.tc import graphit_tc
 
         graph = corpus["kron"]
-        assert graphit_tc(graph) == triangle_count(graph)
+        assert get("graphit").triangle_count(graph) == triangle_count(graph)
 
     def test_optimized_road_tc_uses_merge(self, corpus):
         """The paper's Optimized Road switch to naive intersection selects

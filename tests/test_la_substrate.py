@@ -117,7 +117,7 @@ class TestOracleEngine:
             bound = _oracle_bindings()
             # Importers, the package re-exports and the defining modules.
             assert "repro.la.hooking.gather_edges" in bound
-            assert "repro.galois.cc.afforest" in bound
+            assert "repro.galois.afforest" in bound
             assert "repro.la.plus_times_operator" in bound
             assert "repro.la.frontier.unique_ids" in bound
             assert "repro.semiring.ops.first_occurrence_mask" in bound

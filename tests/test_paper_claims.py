@@ -109,14 +109,16 @@ class TestBucketFusion:
         assert fused.extras.get("fused_rounds", 0) > 0
 
     def test_gap_reference_also_fuses(self, road):
+        from repro import la
         from repro.gapbs.sssp import delta_stepping
 
         graph = weighted_version(road)
         source = source_of(graph)
         with counters.counting() as fused:
-            delta_stepping(graph, source, delta=64, bucket_fusion=True)
+            delta_stepping(graph, source, delta=64)
         with counters.counting() as plain:
-            delta_stepping(graph, source, delta=64, bucket_fusion=False)
+            # The unfused body GKC and NWGraph run.
+            la.delta_stepping(graph.indptr, graph.indices, graph.weights, source, 64)
         assert fused.rounds < plain.rounds
 
 
@@ -204,11 +206,11 @@ class TestAsyncScheduling:
     the real diameters, switches Urand back to bulk-synchronous."""
 
     def test_baseline_heuristic_picks_async_for_uniform(self, road, urand, kron):
-        from repro.galois.heuristics import assume_high_diameter
+        from repro.graphs import degree_skewed
 
-        assert assume_high_diameter(road)
-        assert assume_high_diameter(urand)  # the known misfire on Urand
-        assert not assume_high_diameter(kron)
+        assert not degree_skewed(road)
+        assert not degree_skewed(urand)  # the known misfire on Urand
+        assert degree_skewed(kron)
 
     def test_baseline_runs_async_on_urand(self, urand):
         """Async execution has no synchronization rounds — the counter
@@ -296,11 +298,13 @@ class TestRelabelHeuristic:
         assert "relabelled" not in on_urand.extras
 
     def test_relabel_reduces_wedge_work(self, kron):
-        from repro.gapbs.tc import triangle_count as gap_tc
+        from repro.gapbs.tc import forward_adjacency, triangle_count as gap_tc
+        from repro.la import count_forward_triangles
 
         with counters.counting() as with_relabel:
-            a = gap_tc(kron, force_relabel=True)
+            a = gap_tc(kron)
         with counters.counting() as without:
-            b = gap_tc(kron, force_relabel=False)
+            b = count_forward_triangles(*forward_adjacency(kron))
+        assert with_relabel.extras["relabelled"] == 1
         assert a == b
         assert with_relabel.edges_examined < without.edges_examined
