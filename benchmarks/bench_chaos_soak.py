@@ -14,7 +14,7 @@ the storage tier to its contract:
   Client-side transport errors are expected; *corruption* is not: every
   ``cell`` event a client ever receives is recorded by digest.
 * **degraded round** — the server is restarted with an impossible disk
-  watermark (``REPRO_MIN_FREE_BYTES``): submissions holding misses must
+  watermark (``--min-free-mb``): submissions holding misses must
   come back as a structured terminal ``degraded`` event (hits still
   served, misses rejected, nothing written), ``/health`` must report
   degraded, and a SIGTERM must drain to exit code 0.
@@ -125,7 +125,10 @@ def _random_plan(rng: random.Random, flip_archive: bool) -> list[dict]:
 
 
 def _start_server(
-    tmp: Path, resume: bool, extra_env: dict[str, str]
+    tmp: Path,
+    resume: bool,
+    extra_env: dict[str, str],
+    min_free_mb: float | None = None,
 ) -> tuple[subprocess.Popen, int]:
     """Launch ``repro serve`` in its own process group; returns (proc, port)."""
     argv = [
@@ -137,12 +140,13 @@ def _start_server(
     ]
     if resume:
         argv.append("--resume")
+    if min_free_mb is not None:
+        argv += ["--min-free-mb", str(min_free_mb)]
     env = dict(os.environ, PYTHONPATH=SRC, **extra_env)
     # A plan left over from the caller's environment must not leak into
     # rounds that did not ask for it.
-    for key in ("REPRO_FAULTS", "REPRO_MIN_FREE_BYTES"):
-        if key not in extra_env:
-            env.pop(key, None)
+    if "REPRO_FAULTS" not in extra_env:
+        env.pop("REPRO_FAULTS", None)
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         env=env, text=True, start_new_session=True,
@@ -246,8 +250,7 @@ def run_soak(
 
         # -- degraded round: watermark floor no disk can satisfy -------------
         proc, port = _start_server(
-            tmp, resume=True,
-            extra_env={"REPRO_MIN_FREE_BYTES": str(10**18)},
+            tmp, resume=True, extra_env={}, min_free_mb=1e12
         )
         degraded_rejected = 0
         try:

@@ -540,7 +540,7 @@ def _parse_server(text: str) -> tuple[str, int]:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import BenchmarkService
-    from .service.server import serve_forever
+    from .service.server import DEFAULT_MIN_FREE_BYTES, serve_forever
 
     service = BenchmarkService(
         archive_dir=args.archive_dir,
@@ -550,7 +550,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending_jobs=args.max_queue,
         resume=args.resume,
         min_free_bytes=(
-            None
+            DEFAULT_MIN_FREE_BYTES
             if args.min_free_mb is None
             else int(args.min_free_mb * 1024 * 1024)
         ),
@@ -985,8 +985,7 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--min-free-mb", type=_positive_float, default=None, metavar="MB",
         help="disk low-watermark at the archive root: below this the "
-        "server degrades to hits-only read-only mode "
-        "(default: $REPRO_MIN_FREE_BYTES or 64 MiB)",
+        "server degrades to hits-only read-only mode (default: 64 MiB)",
     )
     serve_parser.set_defaults(fn=_cmd_serve)
 

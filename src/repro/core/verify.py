@@ -260,10 +260,12 @@ def verify_cc(
 def verify_pr(
     graph: CSRGraph,
     scores: np.ndarray,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
 ) -> None:
     """Scores must satisfy the PageRank equations to ~the run tolerance."""
+    # Imported here: the service imports this module and never a kernel.
+    from ..la.spmv import DAMPING
+
     if not np.isfinite(scores).all():
         raise VerificationError("PR: non-finite score")
     if (scores < 0).any():
@@ -275,7 +277,7 @@ def verify_pr(
     gathered = contrib[graph.in_indices]
     prefix = np.concatenate([[0.0], np.cumsum(gathered)])
     pulled = prefix[graph.in_indptr[1:]] - prefix[graph.in_indptr[:-1]]
-    expected = (1.0 - damping) / n + damping * pulled
+    expected = (1.0 - DAMPING) / n + DAMPING * pulled
     residual = float(np.abs(expected - scores).sum())
     if residual > 20.0 * tolerance:
         raise VerificationError(

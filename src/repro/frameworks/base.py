@@ -127,7 +127,6 @@ class Framework(abc.ABC):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
@@ -174,7 +173,7 @@ class Framework(abc.ABC):
         ctx: RunContext,
         source: int | None = None,
         sources: np.ndarray | None = None,
-        pr_tolerance: float | None = None,
+        pr_tolerance: float = 1e-4,
     ):
         """Invoke one kernel by GAP name; the harness's single entry point."""
         if kernel == "bfs":
@@ -182,8 +181,6 @@ class Framework(abc.ABC):
         if kernel == "sssp":
             return self.sssp(graph, int(source), ctx)
         if kernel == "pr":
-            if pr_tolerance is None:
-                return self.pagerank(graph, ctx)
             return self.pagerank(graph, ctx, tolerance=pr_tolerance)
         if kernel == "cc":
             return self.connected_components(graph, ctx)

@@ -95,11 +95,10 @@ class GaloisFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
-        return gauss_seidel_pagerank(graph, damping, tolerance, max_iterations)
+        return gauss_seidel_pagerank(graph, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         """GAP's Afforest; the Optimized run on Web blocked the finish edges.

@@ -9,7 +9,7 @@ contribution across many hops.  We realize the in-place discipline with
 *blocked* sweeps: vertices are processed in consecutive blocks, each block
 reading the freshest scores (Jacobi within a block, Gauss-Seidel across
 blocks), which preserves the faster convergence while staying vectorized —
-:func:`repro.la.blocked_gauss_seidel` over equal blocks.
+:func:`repro.la.pagerank` over equal blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs import CSRGraph
-from ..la import blocked_gauss_seidel
+from ..la import pagerank, row_blocks
 
 __all__ = ["gauss_seidel_pagerank"]
 
@@ -26,18 +26,14 @@ NUM_BLOCKS = 8
 
 def gauss_seidel_pagerank(
     graph: CSRGraph,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
 ) -> np.ndarray:
     """PageRank with blocked in-place (Gauss-Seidel) sweeps."""
     bounds = np.linspace(0, graph.num_vertices, NUM_BLOCKS + 1, dtype=np.int64)
-    return blocked_gauss_seidel(
-        graph.in_indptr,
-        graph.in_indices,
+    return pagerank(
         graph.out_degrees,
-        bounds,
-        damping,
+        row_blocks(graph.in_indptr, graph.in_indices, bounds),
         tolerance,
         max_iterations,
     )

@@ -14,15 +14,14 @@ import numpy as np
 
 from ..frameworks.base import Framework, FrameworkAttributes, RunContext
 from ..graphs import CSRGraph
-from ..la import brandes_sweep
+from ..la import brandes_sweep, pagerank, row_blocks
 from ..la.hooking import afforest
 from .bfs import direction_optimizing_bfs
-from .pagerank import jacobi_pagerank
 from .sssp import delta_stepping
 from .tc import triangle_count as ordered_triangle_count
 
 __all__ = ["GAPReference", "direction_optimizing_bfs", "delta_stepping",
-           "jacobi_pagerank", "ordered_triangle_count"]
+           "ordered_triangle_count"]
 
 
 class GAPReference(Framework):
@@ -61,11 +60,22 @@ class GAPReference(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
-        return jacobi_pagerank(graph, damping, tolerance, max_iterations)
+        """Pull-based Jacobi: one block, one compiled matvec per sweep.
+
+        Every update reads the previous sweep's contributions, which the
+        paper contrasts with the Gauss-Seidel sweeps of Galois, GKC and
+        NWGraph.
+        """
+        bounds = np.array([0, graph.num_vertices])
+        return pagerank(
+            graph.out_degrees,
+            row_blocks(graph.in_indptr, graph.in_indices, bounds),
+            tolerance,
+            max_iterations,
+        )
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         """Afforest (Sutton et al.) with the plain finish.

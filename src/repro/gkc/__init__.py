@@ -78,11 +78,10 @@ class GKCFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
-        return gkc_pagerank(graph, damping, tolerance, max_iterations)
+        return gkc_pagerank(graph, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         return gkc_cc(graph)

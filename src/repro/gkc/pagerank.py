@@ -4,7 +4,7 @@ Per Table III GKC runs a Gauss-Seidel SpMV.  The blocks here are sized to
 the local-buffer discipline of the library (many small blocks, each
 "fitting in cache"), so fresh scores propagate across blocks within one
 sweep and the iteration count drops below Jacobi's —
-:func:`repro.la.blocked_gauss_seidel` over fixed-size blocks.
+:func:`repro.la.pagerank` over fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs import CSRGraph
-from ..la import blocked_gauss_seidel
+from ..la import pagerank, row_blocks
 
 __all__ = ["gkc_pagerank"]
 
@@ -25,7 +25,6 @@ MIN_BLOCKS = 8
 
 def gkc_pagerank(
     graph: CSRGraph,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
 ) -> np.ndarray:
@@ -33,12 +32,9 @@ def gkc_pagerank(
     n = graph.num_vertices
     block = min(BLOCK_VERTICES, -(-n // MIN_BLOCKS))
     bounds = np.append(np.arange(0, n, block, dtype=np.int64), n)
-    return blocked_gauss_seidel(
-        graph.in_indptr,
-        graph.in_indices,
+    return pagerank(
         graph.out_degrees,
-        bounds,
-        damping,
+        row_blocks(graph.in_indptr, graph.in_indices, bounds),
         tolerance,
         max_iterations,
     )

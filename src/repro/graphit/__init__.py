@@ -77,12 +77,11 @@ class GraphItFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
         return graphit_pagerank(
-            graph, self._schedule("pr", ctx), damping, tolerance, max_iterations
+            graph, self._schedule("pr", ctx), tolerance, max_iterations
         )
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import counters
 from ..graphitc import Schedule, SegmentedEdges, edgeset_apply_all
 from ..graphs import CSRGraph
+from ..la import pagerank
 
 __all__ = ["graphit_pagerank"]
 
@@ -24,25 +24,16 @@ __all__ = ["graphit_pagerank"]
 def graphit_pagerank(
     graph: CSRGraph,
     schedule: Schedule,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
 ) -> np.ndarray:
-    """Jacobi PageRank under the given schedule; returns scores."""
+    """Jacobi PageRank under the given schedule; returns scores.
+
+    The product is one :func:`repro.la.pagerank` block: a pull
+    ``edgeset_apply_all`` accumulating every edge's contribution.
+    """
     n = graph.num_vertices
-    base = (1.0 - damping) / n
-    scores = np.full(n, 1.0 / n, dtype=np.float64)
-    out_degrees = graph.out_degrees.astype(np.float64)
-    has_out = out_degrees > 0
-    safe_degrees = np.where(has_out, out_degrees, 1.0)
     new_rank = np.zeros(n, dtype=np.float64)
-    contrib = np.zeros(n, dtype=np.float64)
-
-    def accumulate(srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        del weights
-        np.add.at(new_rank, dsts, contrib[srcs])
-        return np.zeros(dsts.size, dtype=bool)
-
     # Cache-tiling preprocessing, built once and amortized over iterations
     # (the paper: "amortized within 2-5 iterations").
     segmented = (
@@ -51,15 +42,14 @@ def graphit_pagerank(
         else None
     )
 
-    for _ in range(max_iterations):
-        counters.add_iteration()
-        np.divide(scores, safe_degrees, out=contrib)
-        contrib[~has_out] = 0.0
+    def pull(contrib: np.ndarray) -> np.ndarray:
+        def accumulate(srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+            del weights
+            np.add.at(new_rank, dsts, contrib[srcs])
+            return np.zeros(dsts.size, dtype=bool)
+
         new_rank[:] = 0.0
         edgeset_apply_all(graph, accumulate, schedule, pull=True, segmented=segmented)
-        updated = base + damping * new_rank
-        change = float(np.abs(updated - scores).sum())
-        scores[:] = updated
-        if change < tolerance:
-            break
-    return scores
+        return new_rank
+
+    return pagerank(graph.out_degrees, [(0, n, pull)], tolerance, max_iterations)

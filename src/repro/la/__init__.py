@@ -3,8 +3,9 @@
 One optimized CSR primitive tier under all framework reimplementations:
 edge gathers (:mod:`.gather`), first-writer frontier bookkeeping and the
 one Δ-stepping on top of it (:mod:`.frontier`), masked/semiring SpMV and
-the blocked Gauss-Seidel sweeps over it (:mod:`.spmv`), the wedge-closing
-test under every triangle count (:mod:`.intersect`), the multi-root
+the one PageRank iteration, whose row-blocked product is its argument
+(:mod:`.spmv`), the wedge-closing test under every triangle count
+(:mod:`.intersect`), the multi-root
 Brandes sweep under the per-root BCs (:mod:`.sweep`), the
 direction-optimizing traversal with its push/pull policy
 (:mod:`.direction`), the frontier operator of Ligra and GraphIt with its
@@ -29,9 +30,10 @@ from .frontier import (
 from .gather import gather_edges
 from .intersect import count_closing, count_forward_triangles
 from .spmv import (
-    blocked_gauss_seidel,
     masked_pull_claim,
+    pagerank,
     plus_times_operator,
+    row_blocks,
     spmv_min_plus,
 )
 from .sweep import brandes_backward, brandes_sweep
@@ -51,7 +53,8 @@ __all__ = [
     "count_forward_triangles",
     "masked_pull_claim",
     "plus_times_operator",
-    "blocked_gauss_seidel",
+    "pagerank",
+    "row_blocks",
     "spmv_min_plus",
     "brandes_backward",
     "brandes_sweep",

@@ -9,10 +9,13 @@ that engine for the reproduction.  Four tiers:
   BLAS).  PageRank-style iteration builds the operator once and applies
   it every sweep, amortizing construction exactly like a real library
   would.
-* :func:`blocked_gauss_seidel` — PageRank sweeps over that product cut into
-  row blocks, each block reading the scores the blocks before it just
-  wrote (GraphMat's vertex-program-as-SpMV mapping): the Gauss-Seidel PR of
-  Galois, GKC and NWGraph, the block bounds being their argument.
+* :func:`pagerank` — the one PageRank iteration, around a pluggable
+  product cut into row blocks, each block reading the scores the blocks
+  before it just wrote (GraphMat's vertex-program-as-SpMV mapping).  The
+  blocks are the argument: GAP's one :func:`row_blocks` block is Jacobi;
+  the bounds of Galois, GKC and NWGraph make their Gauss-Seidel; LAGraph's
+  ``mxv``, GraphIt's edge apply and Ligra's dense ``edge_map`` are each
+  one block of their own product.
 * :func:`spmv_min_plus` — the full (min, +) tropical product, segment-min
   over CSR rows (SciPy has no min-plus; ``np.minimum.reduceat`` does).
 * :func:`masked_pull_claim` — the masked pull step of direction-optimized
@@ -23,8 +26,8 @@ that engine for the reproduction.  Four tiers:
 
 Work accounting: a primitive returns (or lets the caller compute) the
 number of edges it actually examined and reports nothing; the one body
-here, :func:`blocked_gauss_seidel`, reports its sweeps to ``counters``
-once per call.
+here, :func:`pagerank`, reports its sweeps to ``counters`` once per call,
+and each block's product reports the edges it reads.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from .gather import gather_edges
 from .frontier import claim_first_writer
 
 __all__ = [
+    "DAMPING",
     "plus_times_operator",
-    "blocked_gauss_seidel",
+    "row_blocks",
+    "pagerank",
     "spmv_min_plus",
     "masked_pull_claim",
 ]
@@ -51,6 +56,10 @@ __all__ = [
 # every in-edge's source is already in the frontier.
 EARLY_EXIT_CHUNK = 4
 EARLY_EXIT_GROWTH = 4
+
+# The GAP spec's PageRank damping factor d; nothing else in the package
+# spells it.
+DAMPING = 0.85
 
 
 def plus_times_operator(
@@ -77,50 +86,72 @@ def _square_csr(
     )
 
 
-def blocked_gauss_seidel(
-    in_indptr: np.ndarray,
-    in_indices: np.ndarray,
+def row_blocks(
+    in_indptr: np.ndarray, in_indices: np.ndarray, bounds: np.ndarray
+) -> list[tuple[int, int, Callable[[np.ndarray], np.ndarray]]]:
+    """Cut the pull matrix into :func:`pagerank` blocks at ``bounds``.
+
+    Rows ``bounds[b]:bounds[b + 1]`` form block ``b`` (empty ones are
+    dropped); each block's product is one compiled matvec over a row slice
+    built here, once, and reports the edges it reads.
+    """
+    pull = _square_csr(in_indptr, in_indices)
+    return [
+        (lo, hi, _counted_product(pull[lo:hi]))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        if hi > lo
+    ]
+
+
+def _counted_product(rows: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    edges = rows.nnz
+
+    def product(x: np.ndarray) -> np.ndarray:
+        counters.add_edges(edges)
+        return rows @ x
+
+    return product
+
+
+def pagerank(
     out_degrees: np.ndarray,
-    bounds: np.ndarray,
-    damping: float,
+    blocks: list[tuple[int, int, Callable[[np.ndarray], np.ndarray]]],
     tolerance: float,
     max_iterations: int,
 ) -> np.ndarray:
-    """PageRank by blocked in-place sweeps; returns the scores.
+    """PageRank by block sweeps; returns the scores.
 
-    Rows ``bounds[b]:bounds[b + 1]`` form block ``b``.  A sweep updates the
-    blocks in order, each pulling its in-neighbors' *current* contributions
-    — Jacobi within a block, Gauss-Seidel across blocks — with one compiled
-    matvec per block over row slices built once per call.  One block is the
-    Jacobi sweep of :func:`plus_times_operator`, bit for bit.  Vertices with
-    no out-edges contribute nothing; a sweep is an iteration and examines
-    every edge once; convergence is an L1 change below ``tolerance``.
+    ``blocks`` is a list of ``(lo, hi, pull)``: ``pull(contrib)`` returns
+    the in-sums of rows ``lo:hi`` and reports the edges it examined.  A
+    sweep updates the blocks in order, and each block reads the
+    contributions the blocks before it just wrote: one block is Jacobi,
+    several are Gauss-Seidel across blocks (Jacobi within each).  The rest
+    is GAP's definition: damping :data:`DAMPING`, teleport ``(1 - d) / n``,
+    vertices with no out-edges contribute nothing, a sweep is an
+    iteration, and iteration stops at an L1 change below ``tolerance``.
     """
-    n = in_indptr.size - 1
-    base = (1.0 - damping) / n
+    n = out_degrees.size
+    base = (1.0 - DAMPING) / n
     scores = np.full(n, 1.0 / n, dtype=np.float64)
     # A dangling vertex divides by inf: its contribution is exactly 0.
     divisor = np.where(out_degrees > 0, out_degrees, np.inf)
     contrib = scores / divisor
-    pull = _square_csr(in_indptr, in_indices)
-    blocks = [
-        (pull[lo:hi], scores[lo:hi], contrib[lo:hi], divisor[lo:hi])
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        if hi > lo
+    views = [
+        (pull, scores[lo:hi], contrib[lo:hi], divisor[lo:hi])
+        for lo, hi, pull in blocks
     ]
 
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
         previous = scores.copy()
-        for rows, block_scores, block_contrib, block_divisor in blocks:
-            np.multiply(rows @ contrib, damping, out=block_scores)
+        for pull, block_scores, block_contrib, block_divisor in views:
+            np.multiply(pull(contrib), DAMPING, out=block_scores)
             block_scores += base
             np.divide(block_scores, block_divisor, out=block_contrib)
         if float(np.abs(scores - previous).sum()) < tolerance:
             break
     counters.add_iteration(iterations)
-    counters.add_edges(iterations * in_indices.size)
     return scores
 
 

@@ -67,11 +67,10 @@ class SuiteSparseFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
-        return lagraph_pagerank(graph, damping, tolerance, max_iterations)
+        return lagraph_pagerank(graph, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         return fastsv(graph)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import counters
 from ..graphs import CSRGraph
+from ..la import pagerank
 from ..semiring import PLUS_SECOND, Matrix, Vector, mxv
 
 __all__ = ["lagraph_pagerank"]
@@ -22,25 +22,18 @@ __all__ = ["lagraph_pagerank"]
 
 def lagraph_pagerank(
     graph: CSRGraph,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
 ) -> np.ndarray:
-    """PageRank via ``r = teleport + d * (A' plus_second (r / d_out))``."""
+    """PageRank via ``r = teleport + d * (A' plus_second (r / d_out))``.
+
+    The product is one :func:`repro.la.pagerank` block: the whole vector
+    through ``mxv``, so the sweep is Jacobi.
+    """
     n = graph.num_vertices
     transpose = Matrix.from_graph(graph).T
-    out_degrees = graph.out_degrees.astype(np.float64)
-    safe_degrees = np.where(out_degrees > 0, out_degrees, 1.0)
-    teleport = (1.0 - damping) / n
-    scores = np.full(n, 1.0 / n, dtype=np.float64)
 
-    for _ in range(max_iterations):
-        counters.add_iteration()
-        importance = np.where(out_degrees > 0, scores / safe_degrees, 0.0)
-        pulled = mxv(transpose, Vector.full(n, importance), PLUS_SECOND)
-        new_scores = teleport + damping * pulled.to_numpy()
-        change = float(np.abs(new_scores - scores).sum())
-        scores = new_scores
-        if change < tolerance:
-            break
-    return scores
+    def pull(importance: np.ndarray) -> np.ndarray:
+        return mxv(transpose, Vector.full(n, importance), PLUS_SECOND).to_numpy()
+
+    return pagerank(graph.out_degrees, [(0, n, pull)], tolerance, max_iterations)

@@ -62,11 +62,10 @@ class LigraFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
-        return ligra_pr(graph, damping, tolerance, max_iterations)
+        return ligra_pr(graph, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         return ligra_cc(graph)

@@ -14,7 +14,7 @@ paper's six:
   priority structure);
 * CC — min-label propagation over frontiers (only changed vertices stay
   active, unlike GraphIt's full-sweep variant);
-* PR — Jacobi via a dense edgeMap each iteration;
+* PR — Jacobi: :func:`repro.la.pagerank` over one dense edgeMap block;
 * BC — Brandes with frontier-based forward and backward passes.
 
 TC is GAP's (frontier machinery buys nothing for a topology-driven
@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import counters
 from ..graphs import CSRGraph
-from ..la import edge_map, first_occurrence_mask, relax
+from ..la import edge_map, first_occurrence_mask, pagerank, relax
 
 __all__ = [
     "ligra_bfs",
@@ -97,36 +97,23 @@ def ligra_cc(graph: CSRGraph) -> np.ndarray:
 
 def ligra_pr(
     graph: CSRGraph,
-    damping: float = 0.85,
     tolerance: float = 1e-4,
     max_iterations: int = 100,
 ) -> np.ndarray:
     """Jacobi PageRank: one dense edgeMap accumulation per iteration."""
     n = graph.num_vertices
-    base = (1.0 - damping) / n
-    scores = np.full(n, 1.0 / n, dtype=np.float64)
-    out_degrees = graph.out_degrees.astype(np.float64)
-    has_out = out_degrees > 0
-    safe = np.where(has_out, out_degrees, 1.0)
     everything = np.arange(n, dtype=np.int64)
     incoming = np.zeros(n, dtype=np.float64)
-    contrib = np.zeros(n, dtype=np.float64)
 
-    def accumulate(sources: np.ndarray, targets: np.ndarray, weights: None) -> None:
-        np.add.at(incoming, targets, contrib[sources])
+    def pull(contrib: np.ndarray) -> np.ndarray:
+        def accumulate(sources: np.ndarray, targets: np.ndarray, weights: None) -> None:
+            np.add.at(incoming, targets, contrib[sources])
 
-    for _ in range(max_iterations):
-        counters.add_iteration()
-        np.divide(scores, safe, out=contrib)
-        contrib[~has_out] = 0.0
         incoming[:] = 0.0
         edge_map(graph, everything, accumulate)
-        updated = base + damping * incoming
-        change = float(np.abs(updated - scores).sum())
-        scores[:] = updated
-        if change < tolerance:
-            break
-    return scores
+        return incoming
+
+    return pagerank(graph.out_degrees, [(0, n, pull)], tolerance, max_iterations)
 
 
 def ligra_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:

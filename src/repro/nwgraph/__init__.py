@@ -70,7 +70,6 @@ class NWGraphFramework(Framework):
         self,
         graph: CSRGraph,
         ctx: RunContext = RunContext(),
-        damping: float = 0.85,
         tolerance: float = 1e-4,
         max_iterations: int = 100,
     ) -> np.ndarray:
@@ -80,7 +79,7 @@ class NWGraphFramework(Framework):
         performance in line with that observed for the other frameworks
         using that algorithm."
         """
-        return gauss_seidel_pagerank(graph, damping, tolerance, max_iterations)
+        return gauss_seidel_pagerank(graph, tolerance, max_iterations)
 
     def connected_components(self, graph: CSRGraph, ctx: RunContext = RunContext()) -> np.ndarray:
         """GAP's Afforest with the plain finish.

@@ -28,9 +28,7 @@ what lets the fault-injection tests pin exact schedules.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 __all__ = [
     "CLASS_DETERMINISTIC",
@@ -42,6 +40,11 @@ __all__ = [
 
 CLASS_TRANSIENT = "transient"
 CLASS_DETERMINISTIC = "deterministic"
+
+#: The backoff schedule: 50 ms, doubling, capped at 5 s.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
 
 #: Exception type names whose failures are environmental, not logical.
 #: ``WorkerCrash`` is the synthetic type the campaign loop assigns to
@@ -98,30 +101,17 @@ class RetryPolicy:
     """Deterministic retry schedule for transient cell failures.
 
     ``retries`` is the number of *re*-executions allowed per cell (0
-    disables retrying entirely, the default).  ``sleeper`` is injectable
-    so tests assert the exact backoff schedule without sleeping it.
+    disables retrying entirely, the default).
     """
 
     retries: int = 0
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    sleeper: Callable[[float], None] = field(default=time.sleep, compare=False)
 
     def backoff_seconds(self, attempt: int) -> float:
         """Delay before re-running attempt ``attempt + 1`` (jitter-free)."""
-        return min(
-            self.backoff_base * self.backoff_factor**attempt, self.backoff_max
-        )
+        return min(BACKOFF_BASE * BACKOFF_FACTOR**attempt, BACKOFF_MAX)
 
     def should_retry(self, status: str, error: str, attempt: int) -> bool:
         """True when attempt ``attempt`` failed transiently and budget remains."""
         if attempt >= self.retries:
             return False
         return classify_failure(status, error) == CLASS_TRANSIENT
-
-    def sleep(self, attempt: int) -> None:
-        """Block for the backoff delay following ``attempt``."""
-        delay = self.backoff_seconds(attempt)
-        if delay > 0:
-            self.sleeper(delay)

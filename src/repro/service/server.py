@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import os
 import re
 import shutil
 import signal
@@ -107,11 +106,8 @@ DEFAULT_MAX_PENDING_JOBS = 16
 
 #: Disk low-watermark: below this many free bytes at the archive root
 #: the service degrades to hits-only read-only mode instead of risking
-#: half-written runs.  Overridable per server (``--min-free-mb``) or via
-#: the environment (how the chaos harness forces degraded mode
-#: deterministically in a subprocess).
+#: half-written runs.  Overridable per server (``--min-free-mb``).
 DEFAULT_MIN_FREE_BYTES = 64 * 1024 * 1024
-MIN_FREE_BYTES_ENV = "REPRO_MIN_FREE_BYTES"
 
 #: Retry hint carried by ``degraded`` rejection events.
 DEGRADED_RETRY_AFTER_SECONDS = 30.0
@@ -452,14 +448,10 @@ class BenchmarkService:
         journal_dir: str | Path | None = None,
         max_pending_jobs: int = DEFAULT_MAX_PENDING_JOBS,
         resume: bool = False,
-        min_free_bytes: int | None = None,
+        min_free_bytes: int = DEFAULT_MIN_FREE_BYTES,
         watchdog_interval: float = DEFAULT_WATCHDOG_INTERVAL,
     ) -> None:
         self.archive = RunArchive(archive_dir)
-        if min_free_bytes is None:
-            min_free_bytes = int(
-                os.environ.get(MIN_FREE_BYTES_ENV, DEFAULT_MIN_FREE_BYTES)
-            )
         self.min_free_bytes = int(min_free_bytes)
         self.journal_dir = (
             Path(journal_dir)

@@ -12,7 +12,9 @@ Galois' re-expanding backward), and the four kernel bodies that existed
 three to five times before each became one: Galois' copy of the
 direction-optimizing loop, GAP's Δ-stepping with its own relax, Galois'
 Afforest with its edge-blocked finish, and Galois' prefix-sum Gauss-Seidel
-sweeps (with GAP's ``segment_sums``).  Like the ``repro.la`` bodies, the
+sweeps, as the one PageRank iteration (every contribution recomputed from
+the scores before each block) and its gather + prefix-sum row blocks
+(with GAP's ``segment_sums``).  Like the ``repro.la`` bodies, the
 oracle bodies report their work to ``counters`` and return only their
 output; the primitives return what they examined.
 Unit tests call ``la_oracle.primitive(x)`` beside ``primitive(x)``;
@@ -54,7 +56,8 @@ __all__ = [
     "afforest",
     "converge_in_blocks",
     "segment_sums",
-    "blocked_gauss_seidel",
+    "row_blocks",
+    "pagerank",
     "plus_times_operator",
     "spmv_min_plus",
     "masked_pull_claim",
@@ -271,19 +274,36 @@ def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return prefix[indptr[1:]] - prefix[indptr[:-1]]
 
 
-def blocked_gauss_seidel(
-    in_indptr: np.ndarray,
-    in_indices: np.ndarray,
+def row_blocks(
+    in_indptr: np.ndarray, in_indices: np.ndarray, bounds: np.ndarray
+) -> list[tuple[int, int, Callable[[np.ndarray], np.ndarray]]]:
+    """Galois' blocks as they ran: per block, gather the in-neighbors'
+    contributions and prefix-sum them into row sums."""
+    blocks = []
+    for b in range(bounds.size - 1):
+        lo, hi = int(bounds[b]), int(bounds[b + 1])
+        if lo == hi:
+            continue
+
+        def pull(contrib: np.ndarray, lo: int = lo, hi: int = hi) -> np.ndarray:
+            gathered = in_indices[in_indptr[lo]: in_indptr[hi]]
+            counters.add_edges(gathered.size)
+            return segment_sums(contrib[gathered], in_indptr[lo: hi + 1] - in_indptr[lo])
+
+        blocks.append((lo, hi, pull))
+    return blocks
+
+
+def pagerank(
     out_degrees: np.ndarray,
-    bounds: np.ndarray,
-    damping: float,
+    blocks: list[tuple[int, int, Callable[[np.ndarray], np.ndarray]]],
     tolerance: float,
     max_iterations: int,
 ) -> np.ndarray:
-    """``galois.gauss_seidel_pagerank`` as it ran: per block, gather the
-    in-neighbors' current contributions and prefix-sum them into row sums."""
-    n = in_indptr.size - 1
-    base = (1.0 - damping) / n
+    """``galois.gauss_seidel_pagerank``'s sweep as it ran: before each
+    block, recompute every contribution from the current scores."""
+    n = out_degrees.size
+    base = (1.0 - spmv.DAMPING) / n
     scores = np.full(n, 1.0 / n, dtype=np.float64)
     out_degrees = out_degrees.astype(np.float64)
     has_out = out_degrees > 0
@@ -291,19 +311,10 @@ def blocked_gauss_seidel(
 
     for _ in range(max_iterations):
         counters.add_iteration()
-        counters.add_edges(in_indices.size)
         previous = scores.copy()
-        for b in range(bounds.size - 1):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if lo == hi:
-                continue
-            # Pull the in-neighbors of this block using *current* scores.
-            gathered = in_indices[in_indptr[lo]: in_indptr[hi]]
-            contrib = np.where(
-                has_out[gathered], scores[gathered] / safe_degrees[gathered], 0.0
-            )
-            sums = segment_sums(contrib, in_indptr[lo: hi + 1] - in_indptr[lo])
-            scores[lo:hi] = base + damping * sums
+        for lo, hi, pull in blocks:
+            contrib = np.where(has_out, scores / safe_degrees, 0.0)
+            scores[lo:hi] = base + spmv.DAMPING * pull(contrib)
         change = float(np.abs(scores - previous).sum())
         if change < tolerance:
             break
@@ -628,7 +639,7 @@ _ORACLES: dict[types.FunctionType, types.FunctionType] = {
         (gather, (flat_edge_index, gather_edges, gather_edges_weighted)),
         (frontier_module, (claim_first_writer, first_occurrence_mask, unique_ids)),
         (frontier_module, (relax, delta_stepping)),
-        (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim, blocked_gauss_seidel)),
+        (spmv, (plus_times_operator, spmv_min_plus, masked_pull_claim, row_blocks, pagerank)),
         (direction, (direction_optimizing_traversal,)),
         (hooking, (afforest, converge_in_blocks)),
         (intersect, (count_forward_triangles, count_closing)),

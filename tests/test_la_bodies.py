@@ -1,7 +1,7 @@
 """The four shared kernel bodies against their oracles.
 
 Direction-optimizing BFS (``la.direction``), Δ-stepping (``la.frontier``),
-blocked Gauss-Seidel PageRank (``la.spmv``) and Afforest (``la.hooking``)
+PageRank over row blocks (``la.spmv``) and Afforest (``la.hooking``)
 each exist once, are called by three to four frameworks with their
 differences as arguments, and report their own work to ``counters``.
 ``tests/reference/la_oracle.py`` keeps the text they replaced;
@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.la
 from repro import counters
 from repro.core.verify import cc_oracle, reference_bfs_depths, sssp_oracle
-from repro.gapbs.pagerank import jacobi_pagerank
+from repro.frameworks import EXTENDED_FRAMEWORK_NAMES, Mode, RunContext, get
 from repro.graphs import CSRGraph
 from repro.la import (
     DirectionOptimizer,
-    blocked_gauss_seidel,
     delta_stepping,
     direction_optimizing_traversal,
+    plus_times_operator,
 )
 from repro.la import hooking
 from repro.la.direction import BETA, Step
@@ -203,8 +204,6 @@ class TestTraversalNamedCases:
         assert parents.tolist() == [-1, -1, 2] and steps == [Step("push", 1, 0)]
 
     def test_frameworks_report_a_round_per_step(self, corpus):
-        from repro.frameworks import get
-
         graph = corpus["web"]
         source = int(np.argmax(graph.out_degrees))
         _, steps = direction_optimizing_traversal(
@@ -275,36 +274,65 @@ def test_fusion_saves_rounds_on_a_weighted_path():
     assert plain[1] == fused[1] == n - 1
 
 
-# --- blocked Gauss-Seidel -------------------------------------------------------
+# --- PageRank over row blocks ---------------------------------------------------
 
 
-def pagerank_args(graph):
-    return graph.in_indptr, graph.in_indices, graph.out_degrees
+def block_pagerank(la, graph, bounds, tolerance, max_iterations, blocks_from=None):
+    """``la.pagerank`` over ``row_blocks`` cut at ``bounds``; ``la`` is
+    ``repro.la`` or the oracle, and so is ``blocks_from`` (default ``la``)."""
+    blocks = (blocks_from or la).row_blocks(
+        graph.in_indptr, graph.in_indices, np.asarray(bounds, dtype=np.int64)
+    )
+    return la.pagerank(graph.out_degrees, blocks, tolerance, max_iterations)
 
 
 def assert_gauss_seidel(graph, bounds, tolerance=1e-6, max_iterations=60):
-    """``(scores, iterations)`` as reported, checked against the oracle."""
-    bounds = np.asarray(bounds, dtype=np.int64)
-    args = (*pagerank_args(graph), bounds, 0.85, tolerance, max_iterations)
-    scores, work = counted(blocked_gauss_seidel, *args)
-    ref_scores, ref_work = counted(la_oracle.blocked_gauss_seidel, *args)
-    assert work == ref_work
+    """``(scores, iterations)`` as reported, checked against the oracle.
+
+    The body and the oracle each run over both kinds of blocks, so a
+    difference in either half shows on its own.
+    """
+    args = (graph, bounds, tolerance, max_iterations)
+    scores, work = counted(block_pagerank, repro.la, *args)
     assert work.edges_examined == work.iterations * graph.num_edges
-    np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
+    for la in (repro.la, la_oracle):
+        for blocks_from in (repro.la, la_oracle):
+            ref_scores, ref_work = counted(block_pagerank, la, *args, blocks_from)
+            assert work == ref_work
+            np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
     return scores, work.iterations
+
+
+def jacobi_over_plus_times(graph, tolerance, max_iterations):
+    """``(scores, iterations)`` of a Jacobi loop written out here: every
+    iteration reads the previous one's scores through one full product."""
+    n = graph.num_vertices
+    damping = repro.la.spmv.DAMPING
+    product = plus_times_operator(graph.in_indptr, graph.in_indices)
+    out_degrees = graph.out_degrees.astype(np.float64)
+    safe = np.where(out_degrees > 0, out_degrees, 1.0)
+    scores = np.full(n, 1.0 / n)
+    for iteration in range(1, max_iterations + 1):
+        contrib = np.where(out_degrees > 0, scores / safe, 0.0)
+        updated = (1.0 - damping) / n + damping * product(contrib)
+        change = float(np.abs(updated - scores).sum())
+        scores = updated
+        if change < tolerance:
+            break
+    return scores, iteration
 
 
 class TestGaussSeidelNamedCases:
     def test_one_block_is_the_jacobi_sweep_bitwise(self, corpus):
         for name in ("road", "web", "kron"):
             graph = corpus[name]
-            jacobi, work = counted(jacobi_pagerank, graph)
-            scores, sweeps = counted(
-                blocked_gauss_seidel,
-                *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 1e-4, 100,
+            jacobi, iterations = jacobi_over_plus_times(graph, 1e-4, 100)
+            scores, work = counted(
+                block_pagerank, repro.la, graph, [0, graph.num_vertices], 1e-4, 100
             )
             assert scores.tobytes() == jacobi.tobytes(), name
-            assert sweeps == work, name
+            assert work.iterations == iterations, name
+            assert work.edges_examined == iterations * graph.num_edges, name
 
     def test_empty_blocks_are_skipped(self, corpus):
         graph = corpus["twitter"]
@@ -329,8 +357,6 @@ class TestGaussSeidelNamedCases:
 
     def test_gkc_sweeps_at_least_the_blocks_galois_does(self, corpus):
         """Scale 6 fits one cache-sized block; a single block would be Jacobi."""
-        from repro.frameworks import get
-
         graph = corpus["road"]
         iterations = {}
         for name in ("gap", "galois", "gkc"):
@@ -339,11 +365,22 @@ class TestGaussSeidelNamedCases:
             iterations[name] = work.iterations
         assert iterations["gkc"] == iterations["galois"] < iterations["gap"]
 
+    @pytest.mark.parametrize("name", EXTENDED_FRAMEWORK_NAMES)
+    def test_every_framework_sweep_matches_the_oracle_body(self, corpus, name):
+        """Each framework's product, under the body and under the oracle's."""
+        for mode in Mode:
+            ctx = RunContext(mode=mode)
+            for graph in (corpus["web"], corpus["road"]):
+                scores, work = counted(get(name).pagerank, graph, ctx)
+                with la_oracle.oracle_engine():
+                    ref_scores, ref_work = counted(get(name).pagerank, graph, ctx)
+                assert work == ref_work
+                np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-12)
+
     def test_max_iterations_is_a_cap(self, corpus):
         graph = corpus["road"]
         _, work = counted(
-            blocked_gauss_seidel,
-            *pagerank_args(graph), np.array([0, graph.num_vertices]), 0.85, 0.0, 3,
+            block_pagerank, repro.la, graph, [0, graph.num_vertices], 0.0, 3
         )
         assert work.iterations == 3
 

@@ -182,22 +182,18 @@ def test_classify_failure(status, error, expected):
 
 
 def test_backoff_schedule_is_deterministic_exponential():
-    policy = RetryPolicy(retries=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
-    assert [policy.backoff_seconds(a) for a in range(5)] == [
+    policy = RetryPolicy(retries=5)
+    assert [policy.backoff_seconds(a) for a in range(9)] == [
+        0.05,
         0.1,
         0.2,
         0.4,
-        0.5,  # capped
-        0.5,
+        0.8,
+        1.6,
+        3.2,
+        5.0,  # capped
+        5.0,
     ]
-
-
-def test_retry_policy_sleeps_via_injected_sleeper():
-    slept = []
-    policy = RetryPolicy(retries=2, backoff_base=0.05, sleeper=slept.append)
-    policy.sleep(0)
-    policy.sleep(1)
-    assert slept == [0.05, 0.1]
 
 
 def test_retry_policy_budget_and_classes():

@@ -63,8 +63,7 @@ class BrokenCC(GAPReference):
 class BrokenPR(GAPReference):
     """Returns a uniform vector regardless of structure."""
 
-    def pagerank(self, graph, ctx=RunContext(), damping=0.85, tolerance=1e-4,
-                 max_iterations=100):
+    def pagerank(self, graph, ctx=RunContext(), tolerance=1e-4, max_iterations=100):
         return np.full(graph.num_vertices, 1.0 / graph.num_vertices)
 
 

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.__main__ import _parse_server
+from repro.__main__ import _parse_server, main
 from repro.errors import ServiceError
 from repro.service import (
     BenchmarkService,
@@ -25,6 +25,7 @@ from repro.service import (
     ServiceClient,
     ServiceHTTPServer,
 )
+from repro.service import server as server_module
 
 
 def _request(**overrides):
@@ -268,6 +269,31 @@ class TestServerAddress:
     def test_anything_else_is_refused(self, text):
         with pytest.raises(SystemExit, match="--server must be HOST:PORT"):
             _parse_server(text)
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flag, floor",
+        [
+            ((), server_module.DEFAULT_MIN_FREE_BYTES),
+            (("--min-free-mb", "2.5"), int(2.5 * 1024 * 1024)),
+        ],
+    )
+    def test_min_free_mb_is_the_disk_watermark(self, tmp_path, monkeypatch, flag, floor):
+        """``--min-free-mb`` is the one way to set the floor: MiB, to bytes."""
+        served = []
+        monkeypatch.setattr(
+            server_module, "serve_forever", lambda service, **_: served.append(service)
+        )
+        argv = ["serve", "--port", "0", "--archive-dir", str(tmp_path / "archive"),
+                "--cache-dir", str(tmp_path / "graphs"), *flag]
+        assert main(argv) == 0
+        (service,) = served
+        try:
+            assert service.min_free_bytes == floor
+            assert service.health()["watermarks"]["min_free_bytes"] == floor
+        finally:
+            service.shutdown()
 
 
 class TestServerRestart:
